@@ -62,7 +62,7 @@ from .thom import (
     verify_sw3valent,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CohomLattice",

@@ -19,39 +19,22 @@ from .cohomology import (
     integral_preimage,
     membership_modp,
 )
-from .connection import Connection, edge_matchings, find_connection
-from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, OrientedEdge, edges_div_p
+from .connection import Connection, edge_matchings, find_connection, first_matching, forced_lift
+from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, edges_div_p
 from .polyring import (
-    GradedPoly,
     PolySeries,
     divide_by_linear,
-    is_multiple_of,
     linear_from_weight,
     reduce_mod_p,
 )
 
 
-def _forced_lift(src_lift, dst_label, edge_label):
-    """The signed copy of dst_label congruent to src_lift mod edge_label."""
-    minus = tuple(a - b for a, b in zip(src_lift, dst_label))
-    plus = tuple(a + b for a, b in zip(src_lift, dst_label))
-    fits_pos = is_multiple_of(minus, edge_label)
-    fits_neg = is_multiple_of(plus, edge_label)
-    if fits_pos and fits_neg:
-        raise ValueError("ambiguous sign transport; adjacent labels not independent")
-    if fits_pos:
-        return tuple(dst_label)
-    if fits_neg:
-        return tuple(-c for c in dst_label)
-    return None
-
-
-def _star_product(g: GkmGraph, lifts: dict) -> PolySeries:
-    """Product of (1 + lift) over the given oriented edges, over Z."""
-    k = g.torus_rank
-    series = PolySeries.one(k)
-    for oe, w in lifts.items():
-        series = series * (PolySeries.one(k) + PolySeries.from_poly(linear_from_weight(w)))
+def _star_product(k: int, weights, p: int = 0) -> PolySeries:
+    """Product of (1 + w) over the given weights, over Z (p = 0) or Z_p."""
+    one = PolySeries.one(k, p)
+    series = one
+    for w in weights:
+        series = series * (one + PolySeries.from_poly(linear_from_weight(w, p)))
     return series
 
 
@@ -76,16 +59,16 @@ def _edge_quotient_series(
         if dst == oe.reverse():
             dst_lifts[dst] = src
             continue
-        forced = _forced_lift(src, g.label(dst.edge), label)
+        forced = forced_lift(src, g.label(dst.edge), label)
         if forced is None:
             raise ValueError(
                 f"bijection at edge {edge_id} maps {l.render()} to {dst.render()} "
                 "without a congruent sign; not a compatible choice"
             )
         dst_lifts[dst] = forced
-    numerator = _star_product(g, src_lifts) - _star_product(g, dst_lifts)
-    denominator = src_lifts[oe]
     k = g.torus_rank
+    numerator = _star_product(k, src_lifts.values()) - _star_product(k, dst_lifts.values())
+    denominator = src_lifts[oe]
     out = PolySeries(k, p=2)
     for d in numerator.degrees():
         quotient = divide_by_linear(numerator.component(d), denominator)
@@ -97,10 +80,10 @@ def _edge_quotient_series(
 def _default_matching(g: GkmGraph, edge_id: int, connection: Connection | None) -> dict:
     if connection is not None:
         return connection.map_along(g.default_oriented(edge_id))
-    options = edge_matchings(g, edge_id)
-    if not options:
+    matching = first_matching(g, edge_id)
+    if matching is None:
         raise ValueError(f"no compatible local bijection at edge {edge_id}")
-    return options[0]
+    return matching
 
 
 class TotalSwClass:
@@ -138,13 +121,10 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
     k = g.torus_rank
     if connection is None:
         connection = find_connection(g)
-    vertex_series = []
-    for v in range(len(g.vertices)):
-        series = PolySeries.one(k, p=2)
-        for oe in g.star(v):
-            lin = linear_from_weight(g.label(oe.edge), p=2)
-            series = series * (PolySeries.one(k, p=2) + PolySeries.from_poly(lin))
-        vertex_series.append(series)
+    vertex_series = [
+        _star_product(k, (g.label(oe.edge) for oe in g.star(v)), p=2)
+        for v in range(len(g.vertices))
+    ]
     quotients = {}
     for e in edges_div_p(g, 2):
         matching = _default_matching(g, e, connection)
@@ -254,7 +234,7 @@ def spin_check(g: GkmGraph) -> SpinVerdict:
         for l in g.star(g.initial(oe)):
             src = g.label(l.edge)
             dst = matching[l]
-            forced = src if dst == oe.reverse() else _forced_lift(src, g.label(dst.edge), label)
+            forced = src if dst == oe.reverse() else forced_lift(src, g.label(dst.edge), label)
             if forced is None:
                 raise ValueError(f"bijection at edge {e} admits no congruent signs")
             for i in range(k):

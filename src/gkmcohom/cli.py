@@ -3,9 +3,9 @@
 One subcommand per question: ``validate``, ``cohomology``, ``sw``,
 ``spin``, ``obstruction``, ``thom``, ``relations``.  Graphs come from a
 JSON file or a built-in ``fixtures:`` reference.  Exit codes are stable:
-0 = success / check passes, 1 = obstruction or check failure, 2 = usage,
-I/O, or parse error.  Reports are deterministic byte-for-byte for a
-fixed invocation.
+0 = success / check passes, 1 = obstruction or check failure (including
+a graph the question does not apply to), 2 = usage, I/O, or parse error.
+Reports are deterministic byte-for-byte for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .cohomology import compute_h_modp, compute_h_z, reduce_class_mod_p
 from .connection import find_connection, is_orientable
 from .graph import (
     Conventions,
+    DomainError,
     GkmGraph,
     GraphFormatError,
     check_coprimality,
@@ -49,7 +50,6 @@ class RunConfig:
 
     command: str
     source: str
-    p: int = 2
     ring: int = 0  # 0 = integers, otherwise the prime
     degree: int | None = None
     max_degree: int = _DEFAULT_DEGREE_BOUND
@@ -399,8 +399,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         source = args.fixture if args.fixture.startswith("fixtures:") else f"fixtures:{args.fixture}"
     if source is None:
         raise ValueError("no input graph (positional path or --fixture)")
-    p = getattr(args, "p", 2)
-    ring = _parse_ring(getattr(args, "ring", "Z"), p)
+    ring = _parse_ring(getattr(args, "ring", "Z"), getattr(args, "p", 2))
     degree = getattr(args, "degree", None)
     if degree is not None and (degree < 0 or degree % 2):
         raise ValueError("--degree must be even and non-negative")
@@ -410,7 +409,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         source=source,
-        p=p,
         ring=ring,
         degree=degree,
         max_degree=max_degree,
@@ -447,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         code, report = _COMMANDS[cfg.command](cfg)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (GraphFormatError, RelationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ from __future__ import annotations
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, edges_div_p
 from .intlinalg import (
     IntMatrix,
-    LatticeBasis,
     is_prime,
     kernel_into_cokernel,
     modp_kernel,
@@ -280,8 +279,13 @@ def product_modp(a: GraphClassModP, b: GraphClassModP) -> GraphClassModP:
     return GraphClassModP(g, a.p, a.degree2 + b.degree2, values, b_out)
 
 
-def membership_z(g: GkmGraph, cls: GraphClassZ) -> bool:
-    """True iff endpoint differences are divisible by the edge labels."""
+def membership_z(g: GkmGraph, cls: GraphClassZ | GraphClassModP) -> bool:
+    """True iff endpoint differences are divisible by the edge labels.
+
+    Serves both rings: over Z the divisibility is exact, over Z/p it is
+    the mod-p congruence on the vertex part (the quotient part of a
+    mod-p class is free data).
+    """
     if cls.graph != g:
         raise ValueError("class belongs to a different graph")
     for e in range(len(g.edges)):
@@ -292,16 +296,7 @@ def membership_z(g: GkmGraph, cls: GraphClassZ) -> bool:
     return True
 
 
-def membership_modp(g: GkmGraph, cls: GraphClassModP) -> bool:
-    """Mod-p congruences on the vertex part (quotient part is free data)."""
-    if cls.graph != g:
-        raise ValueError("class belongs to a different graph")
-    for e in range(len(g.edges)):
-        oe = g.default_oriented(e)
-        u, v = g.initial(oe), g.terminal(oe)
-        if not congruent_mod_weight(cls.values[u], cls.values[v], g.label(e)):
-            return False
-    return True
+membership_modp = membership_z
 
 
 def _difference_matrix(g: GkmGraph, d: int) -> IntMatrix:

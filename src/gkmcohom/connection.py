@@ -41,14 +41,29 @@ class Connection:
         return {"connection": out}
 
 
-def _compatible_pair(g: GkmGraph, edge_id: int, f: OrientedEdge, h: OrientedEdge) -> bool:
-    """Whether some signed lifts of f and h are congruent mod the edge label."""
-    lf = g.label(f.edge)
-    lh = g.label(h.edge)
-    le = g.label(edge_id)
-    diff = tuple(a - b for a, b in zip(lf, lh))
-    summ = tuple(a + b for a, b in zip(lf, lh))
-    return is_multiple_of(diff, le) or is_multiple_of(summ, le)
+def transport_sign(src_lift, dst_label, edge_label, unique: bool = True) -> int | None:
+    """The sign s with src_lift - s * dst_label a multiple of edge_label.
+
+    Returns 1 or -1 when one sign fits, None when neither does, and 0 when
+    both do (adjacent labels that fail linear independence).  With
+    ``unique`` false any fitting sign will do: -1 is tested only when +1
+    fails, so a pair where both fit reads as 1.
+    """
+    fits_pos = is_multiple_of(tuple(a - b for a, b in zip(src_lift, dst_label)), edge_label)
+    if fits_pos and not unique:
+        return 1
+    fits_neg = is_multiple_of(tuple(a + b for a, b in zip(src_lift, dst_label)), edge_label)
+    if fits_pos:
+        return 0 if fits_neg else 1
+    return -1 if fits_neg else None
+
+
+def forced_lift(src_lift, dst_label, edge_label) -> tuple | None:
+    """The signed copy of dst_label congruent to src_lift mod edge_label, or None."""
+    sign = transport_sign(src_lift, dst_label, edge_label)
+    if sign == 0:
+        raise ValueError("ambiguous sign transport; adjacent labels not independent")
+    return None if sign is None else tuple(sign * c for c in dst_label)
 
 
 def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
@@ -65,8 +80,13 @@ def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
     targets = [h for h in g.star(g.terminal(e)) if h != ebar]
     if len(sources) != len(targets):
         return []
+    le = g.label(edge_id)
     allowed = {
-        f: [h for h in targets if _compatible_pair(g, edge_id, f, h)] for f in sources
+        f: [
+            h for h in targets
+            if transport_sign(g.label(f.edge), g.label(h.edge), le, unique=False) is not None
+        ]
+        for f in sources
     }
     results: list[dict] = []
 
@@ -97,14 +117,24 @@ def _assemble(g: GkmGraph, chosen: dict) -> Connection:
     return Connection(g, maps)
 
 
+def first_matching(g: GkmGraph, edge_id: int) -> dict | None:
+    """The first compatible bijection at one edge, or None.
+
+    Taking it at every edge gives the first connection that
+    ``enumerate_connections`` yields, without holding every edge's
+    matchings at once.
+    """
+    options = edge_matchings(g, edge_id)
+    return options[0] if options else None
+
+
 def find_connection(g: GkmGraph) -> Connection | None:
     """Lexicographically first compatible connection, or None."""
     chosen = {}
     for eid in range(len(g.edges)):
-        options = edge_matchings(g, eid)
-        if not options:
+        chosen[eid] = first_matching(g, eid)
+        if chosen[eid] is None:
             return None
-        chosen[eid] = options[0]
     return _assemble(g, chosen)
 
 
@@ -133,10 +163,9 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
     chosen = {}
     for eid in range(len(g.edges)):
         if eid not in matchings:
-            options = edge_matchings(g, eid)
-            if not options:
+            chosen[eid] = first_matching(g, eid)
+            if chosen[eid] is None:
                 raise ValueError(f"edge {eid} admits no compatible bijection")
-            chosen[eid] = options[0]
             continue
         e = g.default_oriented(eid)
         m = dict(matchings[eid])
@@ -147,8 +176,9 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
             raise ValueError(f"edge {eid}: matching is not a star bijection")
         if m[e] != e.reverse():
             raise ValueError(f"edge {eid}: matching must send the edge to its reverse")
+        le = g.label(eid)
         for f, h in m.items():
-            if f != e and not _compatible_pair(g, eid, f, h):
+            if f != e and transport_sign(g.label(f.edge), g.label(h.edge), le, unique=False) is None:
                 raise ValueError(
                     f"edge {eid}: pair {f.render()} -> {h.render()} violates the "
                     f"congruence"
@@ -173,21 +203,17 @@ def holonomy_signs(g: GkmGraph, c: Connection) -> dict:
             for f in g.star(g.initial(oe)):
                 if f == oe:
                     continue
-                h = c.apply(oe, f)
-                lf = g.label(f.edge)
-                lh = g.label(h.edge)
-                plus = is_multiple_of(tuple(a - b for a, b in zip(lf, lh)), le)
-                minus = is_multiple_of(tuple(a + b for a, b in zip(lf, lh)), le)
-                if plus and minus:
+                sign = transport_sign(g.label(f.edge), g.label(c.apply(oe, f).edge), le)
+                if sign == 0:
                     raise ValueError(
                         f"ambiguous transport sign along edge {eid}: adjacent "
                         f"labels fail linear independence"
                     )
-                if not plus and not minus:
+                if sign is None:
                     raise ValueError(
                         f"connection is not compatible along edge {eid}"
                     )
-                prod *= 1 if plus else -1
+                prod *= sign
             eta[oe] = -prod
     return eta
 
@@ -212,7 +238,6 @@ def is_orientable(g: GkmGraph, c: Connection | None = None) -> bool:
     nv = len(g.vertices)
     parent: dict[int, OrientedEdge] = {}
     seen = [False] * nv
-    order: list[int] = []
     tree_edges: set[int] = set()
     for root in range(nv):
         if seen[root]:
@@ -221,7 +246,6 @@ def is_orientable(g: GkmGraph, c: Connection | None = None) -> bool:
         queue = [root]
         while queue:
             v = queue.pop(0)
-            order.append(v)
             for f in g.star(v):
                 w = g.terminal(f)
                 if not seen[w]:
@@ -230,17 +254,12 @@ def is_orientable(g: GkmGraph, c: Connection | None = None) -> bool:
                     tree_edges.add(f.edge)
                     queue.append(w)
 
-    def walk_up(v: int) -> int:
-        """eta-product along the tree walk from v up to its root."""
-        prod = 1
-        while v in parent:
-            f = parent[v]
-            prod *= eta[f.reverse()]
-            v = g.initial(f)
-        return prod
+    def walk(v: int) -> int:
+        """eta-product along the tree path between v and its root.
 
-    def walk_down(v: int) -> int:
-        """eta-product along the tree walk from the root down to v."""
+        The two-step check above made eta symmetric, so the product is the
+        same in both directions.
+        """
         prod = 1
         while v in parent:
             f = parent[v]
@@ -253,6 +272,6 @@ def is_orientable(g: GkmGraph, c: Connection | None = None) -> bool:
             continue
         oe = g.default_oriented(eid)
         u, v = g.initial(oe), g.terminal(oe)
-        if eta[oe] * walk_up(v) * walk_down(u) != 1:
+        if eta[oe] * walk(v) * walk(u) != 1:
             return False
     return True

@@ -171,9 +171,18 @@ def k4() -> GkmGraph:
     )
 
 
-def _parse_weights(argstr: str) -> list[tuple[int, ...]]:
-    groups = argstr.split(";")
-    return [tuple(int(x) for x in grp.split(",")) for grp in groups]
+# name -> (constructor, parameter names); "n" takes one integer, every other
+# parameter one comma-separated integer vector
+_REGISTRY = {
+    "paper8": (paper8, ()),
+    "sphere": (sphere, ("w",)),
+    "product": (product, ("w1", "w2", "w3")),
+    "polygon": (polygon, ("n",)),
+    "polygon2n_x_edge": (polygon2n_x_edge, ("n",)),
+    "triangle": (triangle, ()),
+    "triangle_x_edge": (triangle_x_edge, ()),
+    "k4": (k4, ()),
+}
 
 
 def from_spec(spec: str) -> GkmGraph:
@@ -186,20 +195,20 @@ def from_spec(spec: str) -> GkmGraph:
     args = rest[:-1].strip() if rest.endswith(")") else ""
     if rest and not rest.endswith(")"):
         raise ValueError(f"malformed fixture reference {spec!r}")
-    if name == "paper8":
-        return paper8()
-    if name == "sphere":
-        (w,) = _parse_weights(args)
-        return sphere(w)
-    if name == "product":
-        w1, w2, w3 = _parse_weights(args)
-        return product(w1, w2, w3)
-    if name == "polygon2n_x_edge":
-        return polygon2n_x_edge(int(args))
-    if name == "triangle":
-        return triangle()
-    if name == "triangle_x_edge":
-        return triangle_x_edge()
-    if name == "k4":
-        return k4()
-    raise ValueError(f"unknown fixture {name!r}")
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown fixture {name!r}")
+    build, params = _REGISTRY[name]
+    groups = args.split(";") if args else []
+    values = []
+    try:
+        if len(groups) != len(params):
+            raise ValueError
+        for param, group in zip(params, groups):
+            vec = tuple(int(x) for x in group.split(","))
+            if param == "n":
+                (vec,) = vec
+            values.append(vec)
+    except ValueError:
+        usage = f"{name}({';'.join(params)})" if params else name
+        raise ValueError(f"fixture {name!r} expects {usage}, got {spec!r}") from None
+    return build(*values)

@@ -21,6 +21,10 @@ class GraphFormatError(ValueError):
     """Raised when a graph description is malformed."""
 
 
+class DomainError(ValueError):
+    """Raised when a well-formed graph lies outside a computation's domain."""
+
+
 class OrientedEdge(NamedTuple):
     edge: int
     back: bool

@@ -1,7 +1,7 @@
 """Exact integer linear algebra over plain Python ints.
 
 Everything downstream (edge congruences, cohomology lattices, preimage
-searches) reduces to Hermite/Smith normal forms, integer kernels, and exact
+searches) reduces to Hermite normal forms, integer kernels, and exact
 solvers, so this module keeps them small and auditable.  No floats, no
 numpy; arbitrary precision throughout.
 
@@ -149,115 +149,6 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     _row_addmul(u[i], u[cur], -q)
             cur += 1
     return IntMatrix(h, cols=m.cols), IntMatrix(u, cols=m.rows)
-
-
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form.
-
-    Returns ``(s, left, right)`` with ``left * m * right == s``, ``s``
-    diagonal with nonnegative entries ``d_1 | d_2 | ...``.
-    """
-    a = [row.copy() for row in m.data]
-    nr, nc = m.rows, m.cols
-    left = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    right = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def col_addmul(cj: int, ck: int, factor: int) -> None:
-        for row in a:
-            row[cj] += factor * row[ck]
-        for row in right:
-            row[cj] += factor * row[ck]
-
-    def col_swap(cj: int, ck: int) -> None:
-        for row in a:
-            row[cj], row[ck] = row[ck], row[cj]
-        for row in right:
-            row[cj], row[ck] = row[ck], row[cj]
-
-    def diagonalize_from(t0: int) -> int:
-        t = t0
-        while t < min(nr, nc):
-            piv = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    if a[i][j] != 0 and (
-                        piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])
-                    ):
-                        piv = (i, j)
-            if piv is None:
-                break
-            i0, j0 = piv
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-                left[t], left[i0] = left[i0], left[t]
-            if j0 != t:
-                col_swap(t, j0)
-            clean = True
-            p = a[t][t]
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    if q:
-                        _row_addmul(a[i], a[t], -q)
-                        _row_addmul(left[i], left[t], -q)
-                    if a[i][t] != 0:
-                        clean = False
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    if q:
-                        col_addmul(j, t, -q)
-                    if a[t][j] != 0:
-                        clean = False
-            if clean:
-                t += 1
-        return t
-
-    rank = diagonalize_from(0)
-    # enforce the divisibility chain; merging a violating pair re-runs the
-    # local elimination, which replaces (d_i, d_{i+1}) by (gcd, lcm)
-    i = 0
-    while i + 1 < rank:
-        if a[i + 1][i + 1] % a[i][i] != 0:
-            col_addmul(i, i + 1, 1)
-            diagonalize_from(i)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    for i in range(rank):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            left[i] = [-x for x in left[i]]
-    return (
-        IntMatrix(a, cols=nc),
-        IntMatrix(left, cols=nr),
-        IntMatrix(right, cols=nc),
-    )
-
-
-def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [row.copy() for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -48,13 +48,10 @@ def is_multiple_of(v, w) -> bool:
         return True
     if not any(w):
         return False
-    try:
-        i = next(k for k, x in enumerate(w) if x != 0)
-        if v[i] % w[i] != 0:
-            return False
-        t = v[i] // w[i]
-    except StopIteration:  # pragma: no cover
+    i = next(k for k, x in enumerate(w) if x != 0)
+    if v[i] % w[i] != 0:
         return False
+    t = v[i] // w[i]
     return all(x == t * y for x, y in zip(v, w))
 
 
@@ -128,7 +125,8 @@ def num_monomials(k: int, d: int) -> int:
     return len(monomials(k, d))
 
 
-def _var_names(k: int) -> list[str]:
+def var_names(k: int) -> list[str]:
+    """Torus variable names: x, y, z for k <= 3, else x1 .. xk."""
     if k <= 3:
         return ["x", "y", "z"][:k]
     return [f"x{i + 1}" for i in range(k)]
@@ -248,7 +246,7 @@ class GradedPoly:
 
     def render(self) -> str:
         """Fixed-order textual form, e.g. ``x^2 - 3*x*y + 2*y^2``."""
-        names = _var_names(self.k)
+        names = var_names(self.k)
         parts: list[str] = []
         for exps, c in zip(monomials(self.k, self.degree), self.coeffs):
             if c == 0:
@@ -277,10 +275,6 @@ class GradedPoly:
 def linear_from_weight(w, p: int = 0) -> GradedPoly:
     """The linear form with coefficient vector w."""
     return GradedPoly(len(w), 1, list(w), p)
-
-
-def mul(f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    return f * g
 
 
 def reduce_mod_p(f: GradedPoly, p: int) -> GradedPoly:

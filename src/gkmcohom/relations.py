@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .cohomology import GraphClassModP, GraphClassZ
 from .graph import GkmGraph
-from .polyring import GradedPoly, reduce_mod_p, _var_names
+from .polyring import GradedPoly, reduce_mod_p, var_names
 
 __all__ = [
     "RelationError",
@@ -186,9 +186,7 @@ def _add(a, b):
 
 
 def _neg(a):
-    if isinstance(a, int):
-        return -a
-    if isinstance(a, GradedPoly):
+    if isinstance(a, (int, GradedPoly)):
         return -a
     return a.scale(-1)
 
@@ -199,8 +197,6 @@ def _mul(a, b):
     if isinstance(a, int):
         a, b = b, a
     if isinstance(b, int):
-        if isinstance(a, GradedPoly):
-            return a.scale(b)
         return a.scale(b)
     # now both are non-int; put a polynomial second when mixed
     if isinstance(a, GradedPoly) and not isinstance(b, GradedPoly):
@@ -268,7 +264,7 @@ def render_value(v) -> str:
 def variable_environment(k: int, p: int = 0) -> dict:
     """Degree-one generators of the polynomial ring, keyed by name."""
     env: dict = {}
-    for i, name in enumerate(_var_names(k)):
+    for i, name in enumerate(var_names(k)):
         coeffs = [0] * k
         coeffs[i] = 1
         env[name] = GradedPoly(k, 1, coeffs, p)

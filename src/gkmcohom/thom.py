@@ -11,10 +11,16 @@ components.
 
 from __future__ import annotations
 
-from .charclasses import _forced_lift, total_sw
+from .charclasses import total_sw
 from .cohomology import GraphClassZ, membership_z, reduce_class_mod_p
-from .connection import Connection, enumerate_connections, find_connection, is_orientable
-from .graph import GkmGraph, OrientedEdge
+from .connection import (
+    Connection,
+    enumerate_connections,
+    find_connection,
+    forced_lift,
+    is_orientable,
+)
+from .graph import DomainError, GkmGraph, OrientedEdge
 from .polyring import GradedPoly, linear_from_weight, sign_normalize
 
 
@@ -161,7 +167,7 @@ def thom_class_of_path(
     beta[rotated[0][1]] = current
     for j in range(1, l):
         _, normal, between = rotated[j]
-        forced = _forced_lift(current, g.label(normal.edge), g.label(between))
+        forced = forced_lift(current, g.label(normal.edge), g.label(between))
         if forced is None:
             raise ValueError("sign transport failed; connection not compatible")
         if normal in beta and beta[normal] != forced:
@@ -171,7 +177,7 @@ def thom_class_of_path(
         beta[normal] = forced
         current = forced
     _, first_normal, between = rotated[0]
-    closing = _forced_lift(current, g.label(first_normal.edge), g.label(between))
+    closing = forced_lift(current, g.label(first_normal.edge), g.label(between))
     if closing != beta[first_normal]:
         raise ValueError("closing congruence failed; the graph is not orientable")
     k = g.torus_rank
@@ -205,7 +211,7 @@ def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClassZ:
     for l in sources:
         src_lift = g.label(l.edge)
         dst = c.apply(oe, l)
-        forced = _forced_lift(src_lift, g.label(dst.edge), label)
+        forced = forced_lift(src_lift, g.label(dst.edge), label)
         if forced is None:
             raise ValueError(f"connection at edge {edge_id} admits no congruent signs")
         src_product = src_product * linear_from_weight(src_lift)
@@ -251,15 +257,15 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     the comparison is repeated across all of them.
     """
     if g.valence != 3:
-        raise ValueError("verification requires a 3-valent graph")
+        raise DomainError("verification requires a 3-valent graph")
     if g.torus_rank != 2:
-        raise ValueError("verification requires torus rank 2")
+        raise DomainError("verification requires torus rank 2")
     if connection is None:
         connection = find_connection(g)
     if connection is None:
-        raise ValueError("graph admits no compatible connection")
+        raise DomainError("graph admits no compatible connection")
     if not is_orientable(g, connection):
-        raise ValueError("graph is not orientable")
+        raise DomainError("graph is not orientable")
 
     def matches(c: Connection) -> tuple[dict, list[ConnectionPath]]:
         sw = total_sw(g, c)

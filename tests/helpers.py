@@ -58,6 +58,26 @@ def modp_rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def fraction_det(rows: list[list[int]]) -> int:
+    """Determinant by Gaussian elimination with Fraction arithmetic."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    n = len(m)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return int(result)
+
+
 # ---------------------------------------------------------------------------
 # integral image membership via sympy
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import gkmcohom
 from gkmcohom.cli import main
 
 
@@ -65,6 +68,34 @@ def test_thom_exit_tracks_match(capsys):
     assert code == 0
     assert report["all_match"] is True
     assert report["path_count"] == 6
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("polygon2n_x_edge(2)", 0),
+        ("triangle_x_edge", 0),
+        ("product(1,0;0,1;1,1)", 0),
+        # graphs the verification does not apply to: the property fails
+        ("k4", 1),  # not orientable
+        ("paper8", 1),  # 4-valent
+        ("triangle", 1),  # 2-valent
+        ("polygon(6)", 1),  # 2-valent
+        ("sphere(2,0)", 1),  # 1-valent
+        ("product(1,0,0;0,1,0;0,0,1)", 1),  # torus rank 3
+        # malformed references are usage errors
+        ("product(1,0;0,1)", 2),
+        ("sphere(1,x)", 2),
+        ("polygon(3)", 2),
+        ("k4(1)", 2),
+        ("nonsense", 2),
+    ],
+)
+def test_thom_exit_codes(capsys, spec, expected):
+    code, out, err = run(capsys, "thom", f"fixtures:{spec}", "--json")
+    assert code == expected
+    assert bool(out) == (expected == 0)
+    assert bool(err) == (expected != 0)
 
 
 def test_unknown_fixture_is_a_usage_error(capsys):
@@ -280,3 +311,10 @@ def test_envelope_names_the_command(capsys):
     for cmd in ("validate", "spin", "sw", "cohomology", "obstruction"):
         _, report, _ = run_json(capsys, cmd, "fixtures:paper8")
         assert report["command"] == cmd
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert declared is not None
+    assert gkmcohom.__version__ == declared.group(1)

@@ -17,6 +17,7 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import fixtures
+from gkmcohom.connection import forced_lift, transport_sign
 
 from helpers import random_gkm_graphs
 
@@ -61,6 +62,46 @@ def test_connection_congruence_holds():
             diff = tuple(a - b for a, b in zip(lf, lh))
             summ = tuple(a + b for a, b in zip(lf, lh))
             assert is_multiple_of(diff, le) or is_multiple_of(summ, le)
+
+
+def test_transport_sign_outcomes():
+    assert transport_sign((1, 0), (1, 0), (0, 1)) == 1
+    assert transport_sign((1, 0), (-1, 0), (0, 1)) == -1
+    assert transport_sign((1, 0), (0, 1), (2, 3)) is None
+    assert transport_sign((1, 0), (1, 0), (1, 0)) == 0  # both signs fit
+    assert transport_sign((1, 0), (1, 0), (1, 0), unique=False) == 1
+    assert transport_sign((1, 0), (0, 1), (2, 3), unique=False) is None
+    assert forced_lift((1, 0), (-1, 0), (0, 1)) == (1, 0)
+    assert forced_lift((1, 0), (0, 1), (2, 3)) is None
+    with pytest.raises(ValueError, match="ambiguous"):
+        forced_lift((1, 0), (1, 0), (1, 0))
+
+
+def test_ambiguous_pair_is_compatible_but_has_no_sign():
+    # parallel labels at one star: both signs fit across either edge
+    g = GkmGraph(2, ["a", "b"], [("a", "b", (1, 0)), ("a", "b", (1, 0))])
+    assert all(len(edge_matchings(g, eid)) == 1 for eid in range(2))
+    c = connection_from_matchings(g, {})
+    with pytest.raises(ValueError, match="ambiguous transport sign"):
+        holonomy_signs(g, c)
+
+
+def test_find_connection_is_first_enumerated():
+    graphs = [
+        fixtures.from_spec(spec)
+        for spec in (
+            "paper8", "sphere(2,0)", "product(1,0;0,1;1,3)", "polygon(6)",
+            "polygon2n_x_edge(2)", "triangle", "triangle_x_edge", "k4",
+        )
+    ]
+    graphs += random_gkm_graphs(61, 8)
+    for g in graphs:
+        c = find_connection(g)
+        first = next(enumerate_connections(g))
+        per_edge = {eid: edge_matchings(g, eid)[0] for eid in range(len(g.edges))}
+        assert c.to_dict() == first.to_dict(), g
+        assert c.to_dict() == connection_from_matchings(g, per_edge).to_dict(), g
+        assert c.to_dict() == connection_from_matchings(g, {}).to_dict(), g
 
 
 def test_connection_from_matchings_validation():

@@ -152,8 +152,15 @@ def test_fixture_registry():
         (1, 0), (0, 1), (1, 2)
     )
     assert fixtures.from_spec("fixtures:polygon2n_x_edge(3)").valence == 3
+    assert fixtures.from_spec("fixtures:polygon(6)") == fixtures.polygon(6)
     assert fixtures.from_spec("paper8") == fixtures.paper8()  # prefix optional
     with pytest.raises(ValueError):
         fixtures.from_spec("fixtures:nosuch")
     with pytest.raises(ValueError):
         fixtures.from_spec("fixtures:sphere(1,0")  # unbalanced parens
+    with pytest.raises(ValueError, match=r"'product' expects product\(w1;w2;w3\)"):
+        fixtures.from_spec("fixtures:product(1,0;0,1)")
+    with pytest.raises(ValueError, match=r"'sphere' expects sphere\(w\)"):
+        fixtures.from_spec("fixtures:sphere(1,x)")
+    with pytest.raises(ValueError, match=r"'polygon' expects polygon\(n\)"):
+        fixtures.from_spec("fixtures:polygon(2,2)")

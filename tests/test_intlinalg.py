@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from gkmcohom.intlinalg import (
     IntMatrix,
-    det,
     hnf,
     is_prime,
     kernel,
@@ -18,12 +16,11 @@ from gkmcohom.intlinalg import (
     modp_kernel,
     modp_rref,
     modp_solve,
-    snf,
     solve_with_image,
     unimodular_inverse,
 )
 
-from helpers import in_column_image, modp_rank, rational_rank
+from helpers import fraction_det, in_column_image, modp_rank, rational_rank
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 4) -> IntMatrix:
@@ -38,7 +35,7 @@ def test_hnf_reproduces_matrix_and_staircase():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         h, u = hnf(m)
-        assert abs(det(u)) == 1
+        assert abs(fraction_det(u.data)) == 1
         assert (u * m).data == h.data
         # pivot columns strictly increase and pivots are positive
         last = -1
@@ -51,69 +48,6 @@ def test_hnf_reproduces_matrix_and_staircase():
             last = nz[0]
         nonzero_rows = sum(1 for row in h.data if any(row))
         assert nonzero_rows == rational_rank(m.data)
-
-
-def test_snf_divisibility_and_transforms():
-    rng = random.Random(6)
-    for _ in range(30):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        d, u, v = snf(m)
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
-        assert (u * m * v).data == d.data
-        diag = [d.data[i][i] for i in range(min(len(d.data), d.cols))]
-        for a, b in zip(diag, diag[1:]):
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
-        for i, row in enumerate(d.data):
-            for j, c in enumerate(row):
-                if i != j:
-                    assert c == 0
-
-
-def test_snf_diagonal_matches_sympy():
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    rng = random.Random(7)
-    for _ in range(15):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = random_matrix(rng, rows, cols)
-        if all(c == 0 for row in m.data for c in row):
-            continue
-        d, _, _ = snf(m)
-        s = smith_normal_form(Matrix(m.data))
-        mine = sorted(abs(d.data[i][i]) for i in range(min(rows, cols)))
-        theirs = sorted(abs(int(s[i, i])) for i in range(min(rows, cols)))
-        assert mine == theirs
-
-
-def test_det_matches_fraction_elimination():
-    def fraction_det(rows):
-        m = [[Fraction(c) for c in row] for row in rows]
-        n = len(m)
-        result = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                result = -result
-            result *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        return int(result)
-
-    rng = random.Random(8)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n)
-        assert det(m) == fraction_det(m.data)
 
 
 def test_kernel_annihilates_and_is_complete():
