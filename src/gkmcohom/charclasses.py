@@ -204,11 +204,12 @@ class SpinVerdict:
         }
 
 
-def spin_check(g: GkmGraph) -> SpinVerdict:
+def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict:
     """Evaluate the spin criteria from star sums and edge quotients.
 
     The quotient in the edge condition is computed from the sum formula
     directly, independently of total_sw, so the two can cross-check.
+    Without a connection the first compatible one is used.
     """
     k = g.torus_rank
     sums = []
@@ -222,7 +223,8 @@ def spin_check(g: GkmGraph) -> SpinVerdict:
     parities = {tuple(c % 2 for c in s) for s in sums}
     cond_a_prime = len(parities) <= 1
 
-    connection = find_connection(g)
+    if connection is None:
+        connection = find_connection(g)
     edge_values = {}
     cond_b = True
     for e in edges_div_p(g, 2):

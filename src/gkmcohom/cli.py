@@ -142,7 +142,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
             )
         )
     if cfg.require_spin:
-        verdict = spin_check(g)
+        verdict = spin_check(g, conn)
         checks.append(
             _check(
                 "spin",
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_: argparse.ArgumentParser, ring: bool = False) -> None:
+    def common(p_: argparse.ArgumentParser) -> None:
         p_.add_argument(
             "graph",
             nargs="?",
@@ -334,16 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="EDGE:C1,C2",
             help="signed label representative used as divisor for an edge",
         )
-        if ring:
-            p_.add_argument("--ring", default="Z", help="Z (default), Zp, or Z<prime>")
-            p_.add_argument("--p", type=int, default=2, help="prime for --ring Zp")
-            p_.add_argument("--degree", type=int, help="single cohomological degree")
-            p_.add_argument(
-                "--max-degree",
-                type=int,
-                default=_DEFAULT_DEGREE_BOUND,
-                help="degree bound when --degree is not given",
-            )
+
+    def ring_flags(p_: argparse.ArgumentParser) -> None:
+        p_.add_argument("--ring", default="Z", help="Z (default), Zp, or Z<prime>")
+        p_.add_argument("--p", type=int, default=2, help="prime for --ring Zp")
+
+    def degree_flags(p_: argparse.ArgumentParser) -> None:
+        p_.add_argument("--degree", type=int, help="single cohomological degree")
+        p_.add_argument(
+            "--max-degree",
+            type=int,
+            default=_DEFAULT_DEGREE_BOUND,
+            help="degree bound when --degree is not given",
+        )
 
     p_val = sub.add_parser("validate", help="axioms, coprimality, effectiveness, orientability")
     common(p_val)
@@ -352,10 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_coh = sub.add_parser("cohomology", help="graded ranks and bases")
-    common(p_coh, ring=True)
+    common(p_coh)
+    ring_flags(p_coh)
+    degree_flags(p_coh)
 
     p_sw = sub.add_parser("sw", help="total characteristic class mod 2")
-    common(p_sw, ring=True)
+    common(p_sw)
+    degree_flags(p_sw)
     p_sw.add_argument(
         "--independence-trials",
         type=int,
@@ -377,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_thom)
 
     p_rel = sub.add_parser("relations", help="verify exact identities between classes")
-    common(p_rel, ring=True)
+    common(p_rel)
+    ring_flags(p_rel)
     p_rel.add_argument(
         "--check",
         action="append",

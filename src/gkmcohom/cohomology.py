@@ -2,11 +2,16 @@
 
 A degree-2d class assigns a homogeneous degree-d polynomial to every
 vertex such that across each edge the difference of the endpoint values
-is divisible by the edge label.  Over Z/p the labels that vanish mod p
-contribute an extra summand of difference quotients; the comparison map
-``reduce_class_mod_p`` lands in that enlarged ring and
-``integral_preimage`` decides whether a mod-p class comes from an
-integral one.
+is divisible by the edge label.  Both rings read one edge system,
+``_edge_system``: the unknowns are the vertex coefficients followed by one
+degree-(d-1) quotient polynomial per edge, and the rows say
+f_u - f_v - label(e) * q_e = 0.  Over Z the classes are the integral
+vertex vectors that extend to a solution (an HNF lattice); over Z/p the
+same rows are solved in F_p, so an edge whose label vanishes mod p forces
+equal endpoint values.  Over Z/p those edges also carry an extra summand
+of difference quotients; the comparison map ``reduce_class_mod_p`` lands
+in that enlarged ring and ``integral_preimage`` decides whether a mod-p
+class comes from an integral one.
 """
 
 from __future__ import annotations
@@ -299,51 +304,38 @@ def membership_z(g: GkmGraph, cls: GraphClassZ | GraphClassModP) -> bool:
 membership_modp = membership_z
 
 
-def _difference_matrix(g: GkmGraph, d: int) -> IntMatrix:
-    """Per-edge endpoint difference on vertex coefficient vectors."""
+def _edge_system(g: GkmGraph, d: int) -> tuple[IntMatrix, IntMatrix]:
+    """The edge conditions f_u - f_v = label(e) * q_e in degree d, as (M, D).
+
+    Unknowns are the vertex block (degree-d coefficients, vertex by
+    vertex), then one degree-(d-1) quotient block per edge.  Row block e
+    of M is the endpoint difference across e; D is block-diagonal
+    multiplication by the labels.  A class is a vertex vector v with M v
+    in the column image of D, i.e. (v, q) in the kernel of [M | -D].
+    """
     k = g.torus_rank
-    n = num_monomials(k, d)
-    nv = len(g.vertices)
-    rows = []
-    for e in range(len(g.edges)):
+    n_hi, n_lo = num_monomials(k, d), num_monomials(k, d - 1)
+    nv, ne = len(g.vertices), len(g.edges)
+    idx = monomial_index(k, d)
+    lower = monomials(k, d - 1)
+    m_rows, d_rows = [], []
+    for e in range(ne):
         oe = g.default_oriented(e)
         u, v = g.initial(oe), g.terminal(oe)
-        for i in range(n):
-            row = [0] * (nv * n)
-            row[u * n + i] += 1
-            row[v * n + i] -= 1
-            rows.append(row)
-    return IntMatrix(rows, cols=nv * n)
-
-
-def _multiplication_block(k: int, d: int, w) -> list[list[int]]:
-    """Matrix of multiplication by the linear form of w, degree d-1 -> d."""
-    n_hi, n_lo = num_monomials(k, d), num_monomials(k, d - 1)
-    idx = monomial_index(k, d)
-    block = [[0] * n_lo for _ in range(n_hi)]
-    for j, mono in enumerate(monomials(k, d - 1)):
-        for i, wi in enumerate(w):
-            if wi:
-                bumped = list(mono)
-                bumped[i] += 1
-                block[idx[tuple(bumped)]][j] += wi
-    return block
-
-
-def _divisor_matrix(g: GkmGraph, d: int) -> IntMatrix:
-    """Block-diagonal multiplication by each edge label, degree d-1 -> d."""
-    k = g.torus_rank
-    n_hi, n_lo = num_monomials(k, d), num_monomials(k, d - 1)
-    ne = len(g.edges)
-    rows = [[0] * (ne * n_lo) for _ in range(ne * n_hi)]
-    for e in range(ne):
-        block = _multiplication_block(k, d, g.label(e))
+        first = len(d_rows)
         for i in range(n_hi):
-            row = rows[e * n_hi + i]
-            for j in range(n_lo):
-                if block[i][j]:
-                    row[e * n_lo + j] = block[i][j]
-    return IntMatrix(rows, cols=ne * n_lo)
+            row = [0] * (nv * n_hi)
+            row[u * n_hi + i] += 1
+            row[v * n_hi + i] -= 1
+            m_rows.append(row)
+            d_rows.append([0] * (ne * n_lo))
+        for j, mono in enumerate(lower):
+            for i, wi in enumerate(g.label(e)):
+                if wi:
+                    bumped = list(mono)
+                    bumped[i] += 1
+                    d_rows[first + idx[tuple(bumped)]][e * n_lo + j] = wi
+    return IntMatrix(m_rows, cols=nv * n_hi), IntMatrix(d_rows, cols=ne * n_lo)
 
 
 class CohomLattice:
@@ -401,55 +393,53 @@ class CohomLattice:
         return report
 
 
-def compute_h_z(g: GkmGraph, degree2: int) -> CohomLattice:
-    """Integral graded piece: vertex vectors whose differences are in the
-    image of multiplication by the edge labels."""
+def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
+    """One graded piece over Z (p is None) or Z/p, from the one edge system.
+
+    Only the kernel step depends on the ring: an HNF lattice over Z, an
+    F_p kernel of [M | -D] projected to the vertex block over Z/p.
+    """
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
-    key = ("h_z", degree2)
+    key = ("h_z", degree2) if p is None else ("h_modp", degree2, p)
     if key in g._cache:
         return g._cache[key]
     d = degree2 // 2
-    m = _difference_matrix(g, d)
-    dd = _divisor_matrix(g, d)
-    lat = kernel_into_cokernel(m, dd)
-    basis = [GraphClassZ.from_vector(g, degree2, list(vec)) for vec in lat.vectors]
-    for cls in basis:
+    m, dd = _edge_system(g, d)
+    if p is None:
+        lat = kernel_into_cokernel(m, dd)
+        vectors = lat.vectors
+    else:
+        lat = None
+        raw = modp_kernel(m.hstack(dd.neg()), p)
+        reduced, _ = modp_rref([vec[: m.cols] for vec in raw], p)
+        vectors = [row for row in reduced if any(row)]
+    k = g.torus_rank
+    n = num_monomials(k, d)
+    basis = []
+    for vec in vectors:
+        vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p or 0) for i in range(len(g.vertices))]
+        cls = GraphClassZ(g, degree2, vals) if p is None else GraphClassModP(g, p, degree2, vals)
         assert membership_z(g, cls), "kernel solver produced a non-class"
-    result = CohomLattice(g, degree2, 0, basis, lattice=lat)
+        basis.append(cls)
+    result = CohomLattice(
+        g, degree2, p or 0, basis, lattice=lat, modp_vectors=None if p is None else vectors
+    )
     g._cache[key] = result
     return result
+
+
+def compute_h_z(g: GkmGraph, degree2: int) -> CohomLattice:
+    """Integral graded piece: vertex vectors whose differences are in the
+    image of multiplication by the edge labels."""
+    return _graded_piece(g, degree2, None)
 
 
 def compute_h_modp(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """Mod-p graded piece; edges with vanishing label force equal endpoints."""
-    if degree2 < 0 or degree2 % 2:
-        raise ValueError("cohomological degree must be even and non-negative")
     if not is_prime(p):
         raise ValueError("p must be prime")
-    key = ("h_modp", degree2, p)
-    if key in g._cache:
-        return g._cache[key]
-    d = degree2 // 2
-    k = g.torus_rank
-    n = num_monomials(k, d)
-    nv = len(g.vertices)
-    m = _difference_matrix(g, d)
-    dd = _divisor_matrix(g, d)
-    stacked = m.hstack(dd.neg())
-    raw = modp_kernel(stacked, p)
-    proj = [vec[: nv * n] for vec in raw]
-    reduced, pivots = modp_rref(proj, p)
-    vectors = [row for row in reduced if any(row)]
-    basis = []
-    for vec in vectors:
-        vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p) for i in range(nv)]
-        cls = GraphClassModP(g, p, degree2, vals)
-        assert membership_modp(g, cls), "mod-p kernel produced a non-class"
-        basis.append(cls)
-    result = CohomLattice(g, degree2, p, basis, modp_vectors=vectors)
-    g._cache[key] = result
-    return result
+    return _graded_piece(g, degree2, p)
 
 
 def reduce_class_mod_p(
@@ -519,64 +509,37 @@ def integral_preimage_elimination(
 ) -> GraphClassZ | None:
     """Same decision by one integer elimination instead of a basis solve.
 
-    Unknowns: vertex coefficients of a candidate class plus one exact
-    quotient polynomial per edge; the divisibility constraints are exact
-    equalities and the mod-p constraints carry p-scaled slack columns.
+    The edge system holds exactly; below it, selection rows pick the
+    vertex block and the signed quotient block of each special edge, and
+    must meet the target's vector modulo p (p-scaled slack columns).
     Slower; kept as an independent cross-check of integral_preimage.
     """
     p = target.p
     d = target.degree2 // 2
-    k = g.torus_rank
-    n_hi, n_lo = num_monomials(k, d), num_monomials(k, d - 1)
-    nv, ne = len(g.vertices), len(g.edges)
-    special = sorted(target.b_part)
-    m_diff = _difference_matrix(g, d)
-    m_div = _divisor_matrix(g, d)
-
-    cols_f, cols_q = nv * n_hi, ne * n_lo
-    rows = []
-    rhs = []
-    for i in range(m_diff.rows):
-        rows.append(list(m_diff.data[i]) + [-c for c in m_div.data[i]])
-        rhs.append(0)
-    for q in range(nv):
-        f = target.values[q]
-        for i in range(n_hi):
-            row = [0] * (cols_f + cols_q)
-            row[q * n_hi + i] = 1
-            rows.append(row)
-            rhs.append(f.coeffs[i])
-    for e in special:
+    n_lo = num_monomials(g.torus_rank, d - 1)
+    m, dd = _edge_system(g, d)
+    system = m.hstack(dd.neg())
+    select = [[int(i == j) for i in range(system.cols)] for j in range(m.cols)]
+    for e in sorted(target.b_part):
         oe = conventions.oriented(g, e)
         flip = -1 if g.initial(oe) > g.terminal(oe) else 1
-        lift = conventions.lift(g, e)
-        stored = g.label(e)
-        if lift != stored:
+        if conventions.lift(g, e) != g.label(e):
             flip = -flip
-        f = target.b_part[e]
         for i in range(n_lo):
-            row = [0] * (cols_f + cols_q)
-            row[cols_f + e * n_lo + i] = flip
-            rows.append(row)
-            rhs.append(f.coeffs[i])
-
-    total_rows = len(rows)
-    slack_cols = nv * n_hi + len(special) * n_lo
-    slack = [[0] * slack_cols for _ in range(total_rows)]
-    base = m_diff.rows
-    for j in range(nv * n_hi):
-        slack[base + j][j] = p
-    for j in range(len(special) * n_lo):
-        slack[base + nv * n_hi + j][nv * n_hi + j] = p
-
+            row = [0] * system.cols
+            row[m.cols + e * n_lo + i] = flip
+            select.append(row)
+    ns = len(select)
+    slack = [[0] * ns for _ in range(m.rows)]
+    slack += [[p if i == j else 0 for j in range(ns)] for i in range(ns)]
     solution = solve_with_image(
-        IntMatrix(rows, cols=cols_f + cols_q),
-        IntMatrix(slack, cols=slack_cols),
-        rhs,
+        IntMatrix(system.data + select, cols=system.cols),
+        IntMatrix(slack, cols=ns),
+        [0] * m.rows + target.to_vector(),
     )
     if solution is None:
         return None
-    out = GraphClassZ.from_vector(g, target.degree2, solution[:cols_f])
+    out = GraphClassZ.from_vector(g, target.degree2, solution[: m.cols])
     assert membership_z(g, out)
     assert reduce_class_mod_p(g, out, p, conventions) == target
     return out

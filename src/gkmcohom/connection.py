@@ -30,6 +30,11 @@ class Connection:
     def map_along(self, e: OrientedEdge) -> dict:
         return dict(self._maps[e])
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Connection):
+            return NotImplemented
+        return self.graph == other.graph and self._maps == other._maps
+
     def to_dict(self) -> dict:
         out = []
         for eid in range(len(self.graph.edges)):

@@ -254,14 +254,15 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     For a 3-valent orientable rank-2 graph the reductions of the three
     sums (over paths, edges, vertices) must equal the degree-2, 4 and 6
     components of the total class.  When at most eight connections exist
-    the comparison is repeated across all of them.
+    the comparison covers all of them, each checked once.
     """
     if g.valence != 3:
         raise DomainError("verification requires a 3-valent graph")
     if g.torus_rank != 2:
         raise DomainError("verification requires torus rank 2")
-    if connection is None:
-        connection = find_connection(g)
+    alternates = list(enumerate_connections(g, limit=9))
+    if connection is None and alternates:
+        connection = alternates[0]
     if connection is None:
         raise DomainError("graph admits no compatible connection")
     if not is_orientable(g, connection):
@@ -290,10 +291,11 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
         return result, paths
 
     result, paths = matches(connection)
-    alternates = list(enumerate_connections(g, limit=9))
     checked = 1
     if len(alternates) <= 8:
         for alt in alternates:
+            if alt == connection:
+                continue
             alt_result, _ = matches(alt)
             for key in ("degree2_match", "degree4_match", "degree6_match"):
                 if not alt_result[key]:

@@ -1,19 +1,58 @@
 """Shared oracles and graph generators for the test suite.
 
-Oracles deliberately avoid the package's own linear algebra: ranks come
-from dense Gaussian elimination over ``fractions.Fraction``, mod-p
-dimensions from a plain F_p elimination, and integral image membership
-from sympy's Hermite normal form plus forward substitution.
+Oracles deliberately avoid the package's own machinery: the edge system
+is rebuilt from its definition, ranks come from dense Gaussian elimination
+over ``fractions.Fraction``, mod-p dimensions from a plain F_p
+elimination, and integral image membership from sympy's Hermite normal
+form plus forward substitution.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 from gkmcohom import GkmGraph, find_connection, validate_gkm
 from gkmcohom.polyring import sign_normalize, weights_parallel
+
+
+# ---------------------------------------------------------------------------
+# the edge system from its definition
+
+
+def _exponents(k: int, d: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of total degree d in k variables, in some fixed order."""
+    if d < 0:
+        return []
+    return [e for e in itertools.product(range(d + 1), repeat=k) if sum(e) == d]
+
+
+def edge_system_rows(g: GkmGraph, d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows of [M | -D] and of D for f_a - f_b = label(e) * q_e in degree d.
+
+    Unknowns: the degree-d coefficients of every vertex value, then the
+    degree-(d-1) coefficients of one quotient per edge.  Row (e, mono)
+    reads off the coefficient of the monomial ``mono`` on both sides.
+    """
+    k = g.torus_rank
+    hi, lo = _exponents(k, d), _exponents(k, d - 1)
+    nv, ne = len(g.vertices), len(g.edges)
+    stacked, divisor = [], []
+    for e, (a, b, label) in enumerate(g.edges):
+        for i, mono in enumerate(hi):
+            vertex_part = [0] * (nv * len(hi))
+            vertex_part[a * len(hi) + i] += 1
+            vertex_part[b * len(hi) + i] -= 1
+            quotient_part = [0] * (ne * len(lo))
+            for j, low in enumerate(lo):
+                for t in range(k):
+                    if tuple(c + (s == t) for s, c in enumerate(low)) == mono:
+                        quotient_part[e * len(lo) + j] += label[t]
+            stacked.append(vertex_part + [-c for c in quotient_part])
+            divisor.append(quotient_part)
+    return stacked, divisor
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,75 @@ def test_thom_exit_codes(capsys, spec, expected):
     assert bool(err) == (expected != 0)
 
 
+# (subcommand argv, expected exit on paper8, k4, sphere(2,0))
+_EXIT_TABLE = [
+    (("validate",), (0, 1, 1)),  # k4 is not orientable; sphere(2,0) is not effective
+    (("validate", "--require-spin"), (1, 1, 1)),
+    (("cohomology", "--max-degree", "4"), (0, 0, 0)),
+    (("cohomology", "--ring", "Z2", "--max-degree", "4"), (0, 0, 0)),
+    (("sw",), (0, 0, 0)),
+    (("sw", "--degree", "2"), (0, 0, 0)),
+    (("spin",), (1, 0, 0)),
+    (("obstruction",), (1, 0, 0)),
+    (("thom",), (1, 1, 1)),  # none is a 3-valent orientable graph
+    (("relations", "--check", "x*x == x*x"), (0, 0, 0)),
+    (("relations", "--ring", "Z2", "--check", "x*x == x*x"), (0, 0, 0)),
+    (("relations", "--check", "x == y"), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, spec, expected",
+    [
+        (argv, spec, code)
+        for argv, codes in _EXIT_TABLE
+        for spec, code in zip(("paper8", "k4", "sphere(2,0)"), codes)
+    ],
+)
+def test_exit_codes_across_subcommands(capsys, argv, spec, expected):
+    code, out, err = run(capsys, argv[0], f"fixtures:{spec}", *argv[1:], "--json")
+    assert code == expected
+    if out:
+        assert json.loads(out)["command"] == argv[0]
+    else:
+        # only a graph the question does not apply to prints no report
+        assert argv[0] == "thom" and code == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sw", "--ring", "Z3"),
+        ("sw", "--p", "7"),
+        ("relations", "--degree", "2", "--check", "x == x"),
+        ("relations", "--max-degree", "4", "--check", "x == x"),
+    ],
+)
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "fixtures:paper8", *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_validate_require_spin_finds_the_connection_once(capsys, monkeypatch):
+    from gkmcohom import charclasses, cli
+
+    calls = []
+    real = cli.find_connection
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cli, "find_connection", counting)
+    monkeypatch.setattr(charclasses, "find_connection", counting)
+    code, report, _ = run_json(capsys, "validate", "fixtures:paper8", "--require-spin")
+    assert code == 1
+    assert [c["check"] for c in report["checks"]][-1] == "spin"
+    assert len(calls) == 1
+
+
 def test_unknown_fixture_is_a_usage_error(capsys):
     code, _, err = run(capsys, "validate", "fixtures:nonsense")
     assert code == 2

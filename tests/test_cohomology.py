@@ -18,8 +18,10 @@ from gkmcohom import (
     membership_z,
     product_modp,
     reduce_class_mod_p,
+    total_sw,
 )
 from gkmcohom import fixtures
+from gkmcohom.graph import Conventions
 
 from helpers import random_gkm_graphs
 
@@ -281,8 +283,6 @@ def test_no_special_edges_means_equal_dimensions():
 
 
 def test_preimage_solvers_agree_on_square_graph():
-    from gkmcohom import total_sw
-
     g = fixtures.paper8()
     sw = total_sw(g)
     for d2 in (2, 4, 6):
@@ -310,6 +310,68 @@ def test_preimage_solvers_agree_on_random_images():
         assert a is not None and b is not None
         assert reduce_class_mod_p(g, a, 2) == target
         assert reduce_class_mod_p(g, b, 2) == target
+
+
+def test_preimage_solvers_agree_under_flipped_conventions():
+    """Reversed orientation, negated lift and both, on every special edge.
+
+    Over Z/3 the sign of a quotient matters, so each reduced class is also
+    tried with its quotient at the flipped edge negated.
+    """
+    named = [
+        fixtures.paper8(),
+        fixtures.sphere((2, 0)),
+        fixtures.product((1, 0), (0, 1), (2, 2)),
+        fixtures.product((1, 0), (0, 1), (3, 3)),
+    ]
+    cases = []
+    for i, g in enumerate(named + random_gkm_graphs(41, 3)):
+        degrees = (2, 4) if i < 2 else (2,)
+        for p in (2, 3):
+            for e in edges_div_p(g, p):
+                neg = {e: tuple(-c for c in g.label(e))}
+                for conv in (
+                    Conventions(frozenset([e])),
+                    Conventions(frozenset(), neg),
+                    Conventions(frozenset([e]), neg),
+                ):
+                    for d2 in degrees:
+                        targets = [total_sw(g).component(d2)] if p == 2 else []
+                        for cls in compute_h_z(g, d2).basis:
+                            t = reduce_class_mod_p(g, cls, p, conv)
+                            targets.append(t)
+                            if p > 2 and not t.b_part[e].is_zero():
+                                flipped = dict(t.b_part)
+                                flipped[e] = flipped[e].scale(-1)
+                                targets.append(GraphClassModP(g, p, d2, t.values, flipped))
+                        cases += [(g, conv, t) for t in targets]
+    found = 0
+    for g, conv, target in cases:
+        a = integral_preimage(g, target, conv)
+        b = integral_preimage_elimination(g, target, conv)
+        assert (a is None) == (b is None), (g, conv.to_dict(g), target)
+        for pre in (a, b):
+            if pre is not None:
+                assert reduce_class_mod_p(g, pre, target.p, conv) == target
+        found += a is not None
+    assert found and found < len(cases)
+
+
+def test_basis_strings_are_pinned():
+    g = fixtures.paper8()
+    assert compute_h_z(g, 4).to_report()["basis"] == [
+        ["x^2", "x^2", "-3*x*y - 2*y^2", "3*x*y - 2*y^2"],
+        ["x*y", "x*y", "x*y", "x*y"],
+        ["y^2", "y^2", "y^2", "y^2"],
+        ["0", "2*x*y", "2*x*y", "0"],
+        ["0", "0", "x^2 + 3*x*y + 2*y^2", "x^2 - 3*x*y + 2*y^2"],
+    ]
+    assert compute_h_modp(g, 4, 2).to_report()["basis"] == [
+        ["x^2", "x^2", "x*y", "x*y"],
+        ["x*y", "x*y", "x*y", "x*y"],
+        ["y^2", "y^2", "y^2", "y^2"],
+        ["0", "0", "x^2 + x*y", "x^2 + x*y"],
+    ]
 
 
 def test_preimage_none_for_fresh_quotient_generator():

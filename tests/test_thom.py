@@ -228,6 +228,26 @@ def test_path_sum_reduces_to_degree2_component():
     assert reduce_class_mod_p(g, total, 2) == total_sw(g, c).component(2)
 
 
+def test_verification_checks_each_connection_once(monkeypatch):
+    from gkmcohom import thom
+
+    g = fixtures.product((2, 0), (2, -3), (3, -3))
+    assert len(list(enumerate_connections(g))) == 1
+    calls = []
+    real = thom.total_sw
+
+    def counting(graph, connection=None):
+        calls.append(connection)
+        return real(graph, connection)
+
+    monkeypatch.setattr(thom, "total_sw", counting)
+    for given in (None, find_connection(g)):
+        calls.clear()
+        report = verify_sw3valent(g, given)
+        assert report["all_match"] and report["connections_checked"] == 1
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # preconditions
 
