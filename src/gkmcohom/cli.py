@@ -4,7 +4,9 @@ One subcommand per question: ``validate``, ``cohomology``, ``sw``,
 ``spin``, ``obstruction``, ``thom``, ``relations``.  Graphs come from a
 JSON file or a built-in ``fixtures:`` reference.  Exit codes are stable:
 0 = success / check passes, 1 = obstruction or check failure (including
-a graph the question does not apply to), 2 = usage, I/O, or parse error.
+a graph the question does not apply to), 2 = usage, I/O, or parse error,
+3 = internal error (an invariant check failed; a bug, reported without a
+traceback).
 Reports are deterministic byte-for-byte for a fixed invocation.
 """
 
@@ -24,6 +26,7 @@ from .graph import (
     DomainError,
     GkmGraph,
     GraphFormatError,
+    InvariantError,
     check_coprimality,
     edges_div_p,
     is_effective,
@@ -458,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, RelationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if cfg.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

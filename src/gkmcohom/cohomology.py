@@ -2,21 +2,28 @@
 
 A degree-2d class assigns a homogeneous degree-d polynomial to every
 vertex such that across each edge the difference of the endpoint values
-is divisible by the edge label.  Both rings read one edge system,
-``_edge_system``: the unknowns are the vertex coefficients followed by one
-degree-(d-1) quotient polynomial per edge, and the rows say
-f_u - f_v - label(e) * q_e = 0.  Over Z the classes are the integral
-vertex vectors that extend to a solution (an HNF lattice); over Z/p the
-same rows are solved in F_p, so an edge whose label vanishes mod p forces
-equal endpoint values.  Over Z/p those edges also carry an extra summand
-of difference quotients; the comparison map ``reduce_class_mod_p`` lands
-in that enlarged ring and ``integral_preimage`` decides whether a mod-p
-class comes from an integral one.
+is divisible by the edge label.  The condition is local to each edge, and
+``_edge_rows`` writes it straight on the vertex coefficients with the
+cached ``polyring.divisibility_rows``: with label = m * w0 (m the
+content), the substitution ``polyring.substitution_matrix(w0, d)`` turns
+w0 into y1, and the label divides f_u - f_v iff the substituted
+difference vanishes at the y1-free monomials and is divisible by m at
+the others.  Over Z the classes form the HNF lattice of vertex vectors
+meeting those rows, with one slack column of value m per row of an edge
+with m > 1.  Over Z/p an edge with p | m forces equal endpoint values;
+on any other edge m is a unit, so only the y1-free rows remain, and the
+classes are the RREF basis of the F_p kernel.  Over Z/p the edges with
+p | m also carry an extra summand of difference quotients; the
+comparison map ``reduce_class_mod_p`` lands in that enlarged ring and
+``integral_preimage`` decides whether a mod-p class comes from an
+integral one.  ``_edge_system``, the definitional system with one
+unknown quotient per edge, survives only in the independent cross-check
+``integral_preimage_elimination``.
 """
 
 from __future__ import annotations
 
-from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, edges_div_p
+from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
 from .intlinalg import (
     IntMatrix,
     is_prime,
@@ -28,8 +35,9 @@ from .intlinalg import (
 )
 from .polyring import (
     GradedPoly,
-    divide_by_linear,
     congruent_mod_weight,
+    divide_by_linear,
+    divisibility_rows,
     monomial_index,
     monomials,
     num_monomials,
@@ -312,6 +320,10 @@ def _edge_system(g: GkmGraph, d: int) -> tuple[IntMatrix, IntMatrix]:
     of M is the endpoint difference across e; D is block-diagonal
     multiplication by the labels.  A class is a vertex vector v with M v
     in the column image of D, i.e. (v, q) in the kernel of [M | -D].
+
+    This is the definitional system.  The graded pieces are computed
+    from ``_edge_rows``; only ``integral_preimage_elimination``, the
+    independent cross-check of ``integral_preimage``, still solves it.
     """
     k = g.torus_rank
     n_hi, n_lo = num_monomials(k, d), num_monomials(k, d - 1)
@@ -336,6 +348,29 @@ def _edge_system(g: GkmGraph, d: int) -> tuple[IntMatrix, IntMatrix]:
                     bumped[i] += 1
                     d_rows[first + idx[tuple(bumped)]][e * n_lo + j] = wi
     return IntMatrix(m_rows, cols=nv * n_hi), IntMatrix(d_rows, cols=ne * n_lo)
+
+
+def _edge_rows(g: GkmGraph, d: int, p: int | None) -> tuple[list[list[int]], list[int]]:
+    """Divisibility across every edge as rows on the vertex coefficients.
+
+    Returns (rows, moduli): ``polyring.divisibility_rows`` of each label,
+    applied to f_u - f_v.  A class is a vertex vector whose every row is
+    divisible by its modulus over Z, or vanishes over Z/p.
+    """
+    n = num_monomials(g.torus_rank, d)
+    width = len(g.vertices) * n
+    rows, moduli = [], []
+    for e in range(len(g.edges)):
+        oe = g.default_oriented(e)
+        u, v = g.initial(oe), g.terminal(oe)
+        for entries, modulus in divisibility_rows(g.label(e), d, p or 0):
+            row = [0] * width
+            for c, val in entries:
+                row[u * n + c] = val
+                row[v * n + c] = -val
+            rows.append(row)
+            moduli.append(modulus)
+    return rows, moduli
 
 
 class CohomLattice:
@@ -394,10 +429,11 @@ class CohomLattice:
 
 
 def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
-    """One graded piece over Z (p is None) or Z/p, from the one edge system.
+    """One graded piece over Z (p is None) or Z/p, from the edge rows.
 
-    Only the kernel step depends on the ring: an HNF lattice over Z, an
-    F_p kernel of [M | -D] projected to the vertex block over Z/p.
+    Only the kernel step depends on the ring: over Z the HNF lattice of
+    vertex vectors whose rows meet their moduli (one slack column per
+    row of modulus > 1), over Z/p the RREF of the F_p kernel of the rows.
     """
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
@@ -405,22 +441,24 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
     if key in g._cache:
         return g._cache[key]
     d = degree2 // 2
-    m, dd = _edge_system(g, d)
+    k = g.torus_rank
+    n = num_monomials(k, d)
+    rows, moduli = _edge_rows(g, d, p)
+    system = IntMatrix(rows, cols=len(g.vertices) * n)
     if p is None:
-        lat = kernel_into_cokernel(m, dd)
+        slack_rows = [i for i, modulus in enumerate(moduli) if modulus]
+        slack = [[mod if i == j else 0 for j in slack_rows] for i, mod in enumerate(moduli)]
+        lat = kernel_into_cokernel(system, IntMatrix(slack, cols=len(slack_rows)))
         vectors = lat.vectors
     else:
         lat = None
-        raw = modp_kernel(m.hstack(dd.neg()), p)
-        reduced, _ = modp_rref([vec[: m.cols] for vec in raw], p)
-        vectors = [row for row in reduced if any(row)]
-    k = g.torus_rank
-    n = num_monomials(k, d)
+        vectors, _ = modp_rref(modp_kernel(system, p), p)
     basis = []
     for vec in vectors:
         vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p or 0) for i in range(len(g.vertices))]
         cls = GraphClassZ(g, degree2, vals) if p is None else GraphClassModP(g, p, degree2, vals)
-        assert membership_z(g, cls), "kernel solver produced a non-class"
+        if not membership_z(g, cls):
+            raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
         basis.append(cls)
     result = CohomLattice(
         g, degree2, p or 0, basis, lattice=lat, modp_vectors=None if p is None else vectors
@@ -498,7 +536,8 @@ def integral_preimage(
     for c, cls in zip(coeffs, lattice.basis):
         if c:
             out = out + cls.scale(c)
-    assert reduce_class_mod_p(g, out, target.p, conventions) == target
+    if reduce_class_mod_p(g, out, target.p, conventions) != target:
+        raise InvariantError("integral preimage does not reduce to the target")
     return out
 
 
@@ -540,8 +579,10 @@ def integral_preimage_elimination(
     if solution is None:
         return None
     out = GraphClassZ.from_vector(g, target.degree2, solution[: m.cols])
-    assert membership_z(g, out)
-    assert reduce_class_mod_p(g, out, p, conventions) == target
+    if not membership_z(g, out):
+        raise InvariantError("elimination produced a non-class")
+    if reduce_class_mod_p(g, out, p, conventions) != target:
+        raise InvariantError("eliminated preimage does not reduce to the target")
     return out
 
 

@@ -25,6 +25,10 @@ class DomainError(ValueError):
     """Raised when a well-formed graph lies outside a computation's domain."""
 
 
+class InvariantError(RuntimeError):
+    """Raised when an internal consistency check fails: a bug, not bad input."""
+
+
 class OrientedEdge(NamedTuple):
     edge: int
     back: bool

@@ -285,7 +285,11 @@ def reduce_mod_p(f: GradedPoly, p: int) -> GradedPoly:
 
 
 def compose_linear(f: GradedPoly, mat: IntMatrix) -> GradedPoly:
-    """Substitute x_i = sum_j mat[i][j] * y_j; returns a polynomial in y."""
+    """Substitute x_i = sum_j mat[i][j] * y_j; returns a polynomial in y.
+
+    The definitional, uncached form of any linear substitution; the
+    division and the edge rows use the cached ``substitution_matrix``.
+    """
     if mat.rows != f.k or mat.cols != f.k:
         raise ValueError("substitution matrix must be k x k")
     if f.degree <= 0:
@@ -307,21 +311,102 @@ def compose_linear(f: GradedPoly, mat: IntMatrix) -> GradedPoly:
     return out
 
 
-def _split_matrix(w0) -> tuple[IntMatrix, IntMatrix]:
-    """Unimodular A with w0^T A = (1, 0, ..., 0), plus its inverse."""
+@lru_cache(maxsize=None)
+def _split_matrix(w0: Weight) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rows of a unimodular A with w0^T A = (1, 0, ..., 0), then of A^-1.
+
+    Under x = A y the linear form of the primitive weight w0 becomes y1.
+    """
     k = len(w0)
     _, coeffs = xgcd_vector(w0)
     cols = [coeffs] + [list(v) for v in kernel(IntMatrix([list(w0)])).vectors]
     a = IntMatrix(cols, cols=k).transpose()
-    return a, unimodular_inverse(a)
+    return tuple(map(tuple, a.data)), tuple(map(tuple, unimodular_inverse(a).data))
+
+
+@lru_cache(maxsize=None)
+def substitution_matrix(w0: Weight, d: int, inverse: bool = False) -> tuple:
+    """The degree-d coefficient map T(w0, d) of the split substitution.
+
+    Column c is the image of the c-th degree-d monomial under x = A y
+    (A from ``_split_matrix``, so the linear form of w0 becomes y1), or
+    under y = A^-1 x when ``inverse``; it is stored sparse, as a tuple of
+    (row, coefficient) pairs in the degree-d monomial order.  Each degree
+    is one multiplication by a linear form per column of degree d - 1.
+    ``w0`` must be a tuple; the result is shared, immutable and held for
+    the life of the process.
+    """
+    if d < 0:
+        return ()
+    if d == 0:
+        return (((0, 1),),)
+    k = len(w0)
+    rows = _split_matrix(w0)[1 if inverse else 0]
+    lower = monomials(k, d - 1)
+    lower_idx = monomial_index(k, d - 1)
+    idx = monomial_index(k, d)
+    prev = substitution_matrix(w0, d - 1, inverse)
+    cols = []
+    for mono in monomials(k, d):
+        i = next(j for j, e in enumerate(mono) if e)
+        base = prev[lower_idx[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]]]
+        acc: dict[int, int] = {}
+        for r, v in base:
+            src = lower[r]
+            for j, a in enumerate(rows[i]):
+                if a:
+                    key = idx[src[:j] + (src[j] + 1,) + src[j + 1 :]]
+                    acc[key] = acc.get(key, 0) + v * a
+        cols.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
+    return tuple(cols)
+
+
+def _substitute(cols: tuple, coeffs, size: int) -> list[int]:
+    """The vector T * coeffs for a ``substitution_matrix`` T."""
+    out = [0] * size
+    for c, x in enumerate(coeffs):
+        if x:
+            for r, v in cols[c]:
+                out[r] += v * x
+    return out
+
+
+@lru_cache(maxsize=None)
+def divisibility_rows(w: Weight, d: int, p: int = 0) -> tuple:
+    """Rows on the degree-d coefficients that say "w divides f".
+
+    Entries are (row, modulus), the row a tuple of sparse (column,
+    coefficient) pairs.  Over Z (p = 0), f is a multiple of the linear
+    form of w iff row . f is divisible by the modulus for every entry
+    (modulus 0: row . f = 0); over F_p every row . f must vanish mod p.
+    With w = m * w0 (m the content) and T = ``substitution_matrix(w0, d)``:
+    over Z the y1-free rows of T with modulus 0 and, when m > 1, the other
+    rows with modulus m; over F_p with p | m the identity rows (w reduces
+    to zero, which divides only zero); otherwise, m being a unit, the
+    y1-free rows of T.  ``w`` must be a tuple; the result is cached.
+    """
+    mons = monomials(len(w), d)
+    m = content(w)
+    if p and m % p == 0:
+        return tuple((((c, 1),), 0) for c in range(len(mons)))
+    rows: list[list] = [[] for _ in mons]
+    for c, col in enumerate(substitution_matrix(tuple(x // m for x in w), d)):
+        for r, v in col:
+            rows[r].append((c, v))
+    return tuple(
+        (tuple(rows[r]), 0 if mono[0] == 0 else m)
+        for r, mono in enumerate(mons)
+        if mono[0] == 0 or (not p and m > 1)
+    )
 
 
 def divide_by_linear(f: GradedPoly, w) -> GradedPoly | None:
     """Exact quotient f / (linear form of w) over Z, or None.
 
-    Works entirely over Z: after an unimodular change of coordinates the
-    divisor becomes m*y1 (m the content of w), so divisibility is a check
-    on y1-free monomials plus coefficient divisibility by m.
+    Works entirely over Z: after the unimodular change of coordinates of
+    ``substitution_matrix`` the divisor becomes m*y1 (m the content of
+    w), so divisibility is a check on y1-free monomials plus coefficient
+    divisibility by m; the quotient goes back by the inverse map.
     """
     if f.p != 0:
         raise ValueError("integer division only; reduce afterwards")
@@ -329,46 +414,32 @@ def divide_by_linear(f: GradedPoly, w) -> GradedPoly | None:
         raise ValueError("cannot divide by the zero weight")
     if len(w) != f.k:
         raise ValueError("weight length mismatch")
+    k, d = f.k, f.degree
     if f.is_zero():
-        return GradedPoly.zero(f.k, f.degree - 1)
+        return GradedPoly.zero(k, d - 1)
     m = content(w)
     w0 = tuple(x // m for x in w)
-    a, a_inv = _split_matrix(w0)
-    g = compose_linear(f, a)
-    # quotient by m*y1 in the new coordinates
-    d = f.degree
-    idx_src = monomial_index(f.k, d)
-    q_coeffs = [0] * num_monomials(f.k, d - 1)
-    for pos, exps in enumerate(monomials(f.k, d - 1)):
-        c = g.coeffs[idx_src[(exps[0] + 1,) + exps[1:]]]
+    g = _substitute(substitution_matrix(w0, d), f.coeffs, num_monomials(k, d))
+    idx = monomial_index(k, d)
+    q = []
+    for exps in monomials(k, d - 1):
+        c = g[idx[(exps[0] + 1,) + exps[1:]]]
         if c % m != 0:
             return None
-        q_coeffs[pos] = c // m
-    for exps, c in zip(monomials(f.k, d), g.coeffs):
+        q.append(c // m)
+    for exps, c in zip(monomials(k, d), g):
         if exps[0] == 0 and c != 0:
             return None
-    return compose_linear(GradedPoly(f.k, d - 1, q_coeffs), a_inv)
-
-
-def _modp_divisible_by_linear(h: GradedPoly, w, p: int) -> bool:
-    """Whether the reduced linear form of w divides h over F_p."""
-    wr = [x % p for x in w]
-    j = next(i for i, x in enumerate(wr) if x != 0)
-    inv = pow(wr[j], p - 2, p)
-    rows = []
-    for i in range(h.k):
-        if i == j:
-            rows.append([(-inv * wr[c]) % p if c != j else 0 for c in range(h.k)])
-        else:
-            rows.append([1 if c == i else 0 for c in range(h.k)])
-    return compose_linear(h, IntMatrix(rows)).is_zero()
+    n_lo = num_monomials(k, d - 1)
+    return GradedPoly(k, d - 1, _substitute(substitution_matrix(w0, d - 1, True), q, n_lo))
 
 
 def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
     """Whether f - g is a polynomial multiple of the linear form of w.
 
-    Over Z this is exact divisibility; over F_p the weight is reduced
-    first, and a zero reduction turns the condition into equality.
+    Over Z this is exact divisibility; over F_p it is the test of
+    ``divisibility_rows``, where a weight that reduces to zero turns the
+    condition into equality.
     """
     if f.k != g.k or f.p != g.p:
         raise ValueError("ring mismatch")
@@ -379,9 +450,11 @@ def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
         return True
     if f.p == 0:
         return divide_by_linear(diff, w) is not None
-    if not any(x % f.p for x in w):
-        return False  # zero form divides only zero, and diff is nonzero
-    return _modp_divisible_by_linear(diff, w, f.p)
+    coeffs = diff.coeffs
+    return all(
+        sum(v * coeffs[c] for c, v in row) % f.p == 0
+        for row, _ in divisibility_rows(tuple(w), diff.degree, f.p)
+    )
 
 
 class PolySeries:

@@ -2,9 +2,9 @@
 
 Oracles deliberately avoid the package's own machinery: the edge system
 is rebuilt from its definition, ranks come from dense Gaussian elimination
-over ``fractions.Fraction``, mod-p dimensions from a plain F_p
-elimination, and integral image membership from sympy's Hermite normal
-form plus forward substitution.
+over ``fractions.Fraction``, mod-p dimensions, kernels and divisibility
+from a plain F_p elimination, and integral image membership from sympy's
+Hermite normal form plus forward substitution.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from gkmcohom.polyring import sign_normalize, weights_parallel
 # the edge system from its definition
 
 
-def _exponents(k: int, d: int) -> list[tuple[int, ...]]:
+def exponents(k: int, d: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree d in k variables, in some fixed order."""
     if d < 0:
         return []
@@ -37,7 +37,7 @@ def edge_system_rows(g: GkmGraph, d: int) -> tuple[list[list[int]], list[list[in
     reads off the coefficient of the monomial ``mono`` on both sides.
     """
     k = g.torus_rank
-    hi, lo = _exponents(k, d), _exponents(k, d - 1)
+    hi, lo = exponents(k, d), exponents(k, d - 1)
     nv, ne = len(g.vertices), len(g.edges)
     stacked, divisor = [], []
     for e, (a, b, label) in enumerate(g.edges):
@@ -78,7 +78,8 @@ def rational_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def modp_rank(rows: list[list[int]], p: int) -> int:
+def modp_rref(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Nonzero rows of the reduced row echelon form over F_p."""
     m = [[c % p for c in row] for row in rows]
     rank = 0
     cols = len(m[0]) if m else 0
@@ -94,7 +95,44 @@ def modp_rank(rows: list[list[int]], p: int) -> int:
                 factor = m[r][col]
                 m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
         rank += 1
-    return rank
+    return m[:rank]
+
+
+def modp_rank(rows: list[list[int]], p: int) -> int:
+    return len(modp_rref(rows, p))
+
+
+def modp_kernel_basis(rows: list[list[int]], cols: int, p: int) -> list[list[int]]:
+    """A basis of {x : rows * x = 0} over F_p, one vector per free column."""
+    reduced = modp_rref(rows, p)
+    pivots = [next(j for j, c in enumerate(row) if c) for row in reduced]
+    basis = []
+    for free in (j for j in range(cols) if j not in pivots):
+        x = [0] * cols
+        x[free] = 1
+        for row, j in zip(reduced, pivots):
+            x[j] = -row[free] % p
+        basis.append(x)
+    return basis
+
+
+def divisible_mod_p(terms: dict, w, d: int, p: int) -> bool:
+    """Whether the degree-d polynomial {exponents: coefficient} is the
+    linear form of w times some degree-(d-1) polynomial over F_p.
+
+    Solves w * q = target coefficient by coefficient: the target must not
+    raise the F_p rank of the multiplication matrix.
+    """
+    k = len(w)
+    hi, lo = exponents(k, d), exponents(k, d - 1)
+    rows = []
+    for mono in hi:
+        row = [
+            sum(w[t] for t in range(k) if tuple(c + (s == t) for s, c in enumerate(low)) == mono)
+            for low in lo
+        ]
+        rows.append(row + [terms.get(mono, 0)])
+    return modp_rank([r[:-1] for r in rows], p) == modp_rank(rows, p)
 
 
 def fraction_det(rows: list[list[int]]) -> int:

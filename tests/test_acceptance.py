@@ -41,13 +41,16 @@ from gkmcohom import fixtures
 from gkmcohom import connection_paths
 from gkmcohom.graph import Conventions
 from gkmcohom.intlinalg import IntMatrix, kernel_into_cokernel
-from gkmcohom.polyring import GradedPoly, num_monomials
+from gkmcohom.polyring import GradedPoly, content, monomials, num_monomials
 from gkmcohom.relations import variable_environment
 
 from helpers import (
     edge_system_rows,
+    exponents,
     in_column_image,
+    modp_kernel_basis,
     modp_rank,
+    modp_rref,
     random_3valent_orientable,
     random_gkm_graphs,
     rational_rank,
@@ -265,6 +268,49 @@ def _scaled_labels_graph(g: GkmGraph, rng: random.Random) -> GkmGraph:
             scaled = label
         edges.append((g.vertices[u], g.vertices[v], scaled))
     return GkmGraph(g.torus_rank, list(g.vertices), edges)
+
+
+def _definition_in_package_order(g: GkmGraph, d: int):
+    """Rows of [M | -D] and of D from the definition, vertex columns put
+    into the package's monomial order."""
+    stacked, divisor = edge_system_rows(g, d)
+    oracle = exponents(g.torus_rank, d)
+    n = len(oracle)
+    perm = [
+        v * n + oracle.index(mono)
+        for v in range(len(g.vertices))
+        for mono in monomials(g.torus_rank, d)
+    ]
+    width = len(perm)
+    stacked = [[row[c] for c in perm] + row[width:] for row in stacked]
+    return stacked, divisor, width
+
+
+def test_c7_lattices_equal_definition_with_scaled_labels():
+    """Not just ranks: the HNF lattice over Z and the RREF basis over Z_p
+    of every graded piece equal those of the definitional edge system,
+    on graphs whose labels are scaled by 2, 3, 5 and 6."""
+    rng = random.Random(23)
+    cases = set()
+    for base in random_gkm_graphs(47, 12, require_connection=False):
+        g = _scaled_labels_graph(base, rng)
+        contents = {content(label) for _, _, label in g.edges}
+        for p in (2, 3, 5):
+            cases.update((p, m % p == 0) for m in contents if m > 1)
+        for d2 in range(0, 8, 2):
+            stacked, divisor, width = _definition_in_package_order(g, d2 // 2)
+            mmat = IntMatrix([row[:width] for row in stacked], cols=width)
+            dmat = IntMatrix(divisor, cols=len(divisor[0]))
+            assert compute_h_z(g, d2).lattice.vectors == kernel_into_cokernel(mmat, dmat).vectors
+            for p in (2, 3, 5):
+                kernel = modp_kernel_basis(stacked, len(stacked[0]), p)
+                want = modp_rref([vec[:width] for vec in kernel], p)
+                got = [
+                    [c for f in cls.values for c in f.coeffs]
+                    for cls in compute_h_modp(g, d2, p).basis
+                ]
+                assert got == want, (g, d2, p)
+    assert cases == {(p, divides) for p in (2, 3, 5) for divides in (True, False)}
 
 
 def test_c8_coprimality_equivalence():

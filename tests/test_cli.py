@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,34 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
         main([argv[0], "fixtures:paper8", *argv[1:]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_invariant_error_is_not_a_usage_error():
+    from gkmcohom.graph import InvariantError
+
+    assert issubclass(InvariantError, RuntimeError)
+    assert not issubclass(InvariantError, ValueError)
+
+
+def test_invariant_violation_exits_3_without_traceback_under_optimize():
+    """The kernel non-class check is explicit, so it survives ``python -O``."""
+    script = (
+        "import sys\n"
+        "import gkmcohom.cohomology as cohomology\n"
+        "from gkmcohom.cli import main\n"
+        "assert False, 'asserts must be off'\n"
+        "cohomology.membership_z = lambda g, cls: False\n"
+        "sys.exit(main(['cohomology', 'fixtures:paper8', '--json']))\n"
+    )
+    paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: kernel solver produced a non-class")
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_require_spin_finds_the_connection_once(capsys, monkeypatch):

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from gkmcohom.intlinalg import IntMatrix
 from gkmcohom.polyring import (
     GradedPoly,
     PolySeries,
+    compose_linear,
     congruent_mod_weight,
     content,
     divide_by_linear,
@@ -19,8 +21,11 @@ from gkmcohom.polyring import (
     num_monomials,
     reduce_mod_p,
     sign_normalize,
+    substitution_matrix,
     weights_parallel,
 )
+
+from helpers import divisible_mod_p
 
 
 def poly(k: int, degree: int, terms: dict, p: int = 0) -> GradedPoly:
@@ -130,6 +135,89 @@ def test_congruences_mod_p():
     # the weight (2, 0) reduces to zero mod 2, forcing equality
     assert not congruent_mod_weight(f, g, (2, 0))
     assert congruent_mod_weight(f, f, (2, 0))
+
+
+def _random_label(rng: random.Random, k: int, m: int) -> tuple[int, ...]:
+    """A weight of content exactly m."""
+    while True:
+        w0 = [rng.randint(-3, 3) for _ in range(k)]
+        if content(w0) == 1:
+            return tuple(m * x for x in w0)
+
+
+def test_division_round_trip_and_perturbation_with_content():
+    rng = random.Random(8)
+    for k in range(2, 6):
+        for m in range(1, 7):
+            for _ in range(4):
+                w = _random_label(rng, k, m)
+                f = random_poly(rng, k, rng.randint(0, 4 if k < 4 else 2))
+                product = linear_from_weight(w) * f
+                assert divide_by_linear(product, w) == f, (w, f)
+                # x_i^d is a multiple of w only if w = +-e_i, and i avoids that
+                i = next((j for j, x in enumerate(w) if x == 0), 0)
+                d = product.degree
+                power = {tuple(d if j == i else 0 for j in range(k)): 1}
+                bump = GradedPoly.from_terms(k, d, power)
+                assert divide_by_linear(product + bump, w) is None, (w, f)
+                if m > 1:
+                    # a multiple of the primitive part w / m, but not of w
+                    lower = GradedPoly.from_terms(k, d - 1, {(d - 1,) + (0,) * (k - 1): 1})
+                    w0 = linear_from_weight(tuple(x // m for x in w))
+                    assert divide_by_linear(product + w0 * lower, w) is None, (w, f)
+
+
+def test_congruence_mod_p_matches_elimination_oracle():
+    rng = random.Random(12)
+    seen = set()
+    for p in (2, 3, 5):
+        for k in range(2, 5):
+            for _ in range(30):
+                m = rng.choice((1, 2, 3, 5, 6, p, 2 * p))
+                w = _random_label(rng, k, m)
+                d = rng.randint(0, 3)
+                f = random_poly(rng, k, d)
+                g = random_poly(rng, k, d)
+                if rng.random() < 0.5:
+                    g = f + linear_from_weight(w) * random_poly(rng, k, d - 1)
+                diff = f - g
+                terms = dict(zip(monomials(k, d), diff.coeffs))
+                want = divisible_mod_p(terms, w, d, p)
+                got = congruent_mod_weight(reduce_mod_p(f, p), reduce_mod_p(g, p), w)
+                assert got == want, (p, w, f, g)
+                seen.add((m % p == 0, want))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_substitution_matrix_is_the_definitional_substitution_and_immutable():
+    rng = random.Random(3)
+    for w0 in ((1, 0), (2, -3), (0, 1, 1), (3, 1, -2), (1, -1, -1, 1)):
+        k = len(w0)
+        first = {
+            (d, inv): substitution_matrix(w0, d, inv) for d in range(4) for inv in (False, True)
+        }
+        for (d, inv), cols in first.items():
+            assert isinstance(cols, tuple)
+            assert all(isinstance(col, tuple) for col in cols)
+            images = substitution_matrix(w0, 1, inv)  # x_i -> sum_j mat[i][j] y_j
+            mat = IntMatrix(
+                [[dict(images[i]).get(j, 0) for j in range(k)] for i in range(k)], cols=k
+            )
+            f = random_poly(rng, k, d)
+            want = compose_linear(f, mat).coeffs
+            got = [0] * len(f.coeffs)
+            for c, x in enumerate(f.coeffs):
+                for r, v in cols[c]:
+                    got[r] += v * x
+            assert tuple(got) == want, (w0, d, inv)
+        # use the cached maps through division, then ask again: same values
+        snapshot = {key: tuple(map(tuple, cols)) for key, cols in first.items()}
+        for _ in range(5):
+            q = random_poly(rng, k, 2)
+            w = tuple(3 * x for x in w0)
+            assert divide_by_linear(linear_from_weight(w) * q, w) == q
+        for (d, inv), cols in snapshot.items():
+            assert substitution_matrix(w0, d, inv) == cols
 
 
 def test_series_products():
