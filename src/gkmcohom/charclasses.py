@@ -20,7 +20,7 @@ from .cohomology import (
     membership_modp,
 )
 from .connection import Connection, edge_matchings, find_connection, first_matching, forced_lift
-from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, edges_div_p
+from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
 from .polyring import (
     PolySeries,
     divide_by_linear,
@@ -72,7 +72,8 @@ def _edge_quotient_series(
     out = PolySeries(k, p=2)
     for d in numerator.degrees():
         quotient = divide_by_linear(numerator.component(d), denominator)
-        assert quotient is not None, "SW numerator not divisible by the edge lift"
+        if quotient is None:
+            raise InvariantError("SW numerator not divisible by the edge lift")
         out = out + PolySeries.from_poly(reduce_mod_p(quotient, 2))
     return out
 
@@ -116,15 +117,24 @@ class TotalSwClass:
 
 
 def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
-    """Total characteristic class: vertex star products and edge quotients."""
+    """Total characteristic class: vertex star products and edge quotients.
+
+    Over Z_2 a vertex series depends only on the multiset of its star
+    labels mod 2 (-w = w, and the product commutes), so it is built once
+    per distinct sorted mod-2 star; all vertices of a flag manifold or a
+    cube share one.
+    """
     n = g.valence
     k = g.torus_rank
     if connection is None:
         connection = find_connection(g)
-    vertex_series = [
-        _star_product(k, (g.label(oe.edge) for oe in g.star(v)), p=2)
-        for v in range(len(g.vertices))
-    ]
+    series_of_star: dict[tuple, PolySeries] = {}
+    vertex_series = []
+    for v in range(len(g.vertices)):
+        star = tuple(sorted(tuple(c % 2 for c in g.label(oe.edge)) for oe in g.star(v)))
+        if star not in series_of_star:
+            series_of_star[star] = _star_product(k, star, p=2)
+        vertex_series.append(series_of_star[star])
     quotients = {}
     for e in edges_div_p(g, 2):
         matching = _default_matching(g, e, connection)
@@ -135,7 +145,8 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
         values = [s.component(d) for s in vertex_series]
         b_part = {e: q.component(d - 1) for e, q in quotients.items()}
         cls = GraphClassModP(g, 2, 2 * d, values, b_part)
-        assert membership_modp(g, cls), "vertex parts violate a mod-2 congruence"
+        if not membership_modp(g, cls):
+            raise InvariantError("vertex parts violate a mod-2 congruence")
         components[2 * d] = cls
     return TotalSwClass(g, components)
 
@@ -244,7 +255,8 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
                 dst_sum[i] += forced[i]
         diff = tuple(a - b for a, b in zip(src_sum, dst_sum))
         quotient = divide_by_linear(linear_from_weight(diff), label)
-        assert quotient is not None, "spin quotient not divisible; incompatible bijection"
+        if quotient is None:
+            raise InvariantError("spin quotient not divisible; incompatible bijection")
         value = quotient.coeffs[0] if quotient.coeffs else 0
         edge_values[e] = value
         if value % 2:
@@ -259,7 +271,8 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
         vertex_sums={g.vertices[v]: list(s) for v, s in enumerate(sums)},
         edge_values=edge_values,
     )
-    assert not verdict.equivariant_spin or verdict.spin
+    if verdict.equivariant_spin and not verdict.spin:
+        raise InvariantError("equivariantly spin but not spin")
     return verdict
 
 

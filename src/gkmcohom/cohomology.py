@@ -52,10 +52,10 @@ def _normalize_values(k: int, d: int, p: int, values) -> tuple:
             raise TypeError("vertex values must be GradedPoly")
         if f.k != k or f.p != p:
             raise ValueError("vertex value in the wrong polynomial ring")
-        if f.is_zero():
+        if f.degree != d:
+            if not f.is_zero():
+                raise ValueError(f"vertex value has degree {f.degree}, expected {d}")
             f = GradedPoly.zero(k, d, p)
-        elif f.degree != d:
-            raise ValueError(f"vertex value has degree {f.degree}, expected {d}")
         out.append(f)
     return tuple(out)
 

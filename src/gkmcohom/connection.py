@@ -5,6 +5,14 @@ stars of its endpoints sending e to its reverse, such that each edge of
 the source star is congruent to a signed copy of its image modulo the
 label of e.  Matchings are searched per unoriented edge (the reverse
 orientation carries the inverse bijection, so edges are independent).
+
+Congruence modulo Z*le is decided by one canonical residue: with i the
+first nonzero coordinate of le, r(v) = v - (v[i] // le[i]) * le, and v is
+congruent to v' iff r(v) == r(v') (floor division picks one
+representative of v[i] mod le[i], also for non-primitive labels and a
+negative le[i]).  ``transport_sign`` compares residues, and
+``edge_matchings`` computes r(lf) once per source and r(+-lh) once per
+target of an edge, then looks the allowed targets up by residue.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 from itertools import islice, product as iproduct
 
 from .graph import GkmGraph, OrientedEdge
-from .polyring import is_multiple_of
 
 
 class Connection:
@@ -46,6 +53,20 @@ class Connection:
         return {"connection": out}
 
 
+def residue(v, le) -> tuple:
+    """Canonical representative of v modulo Z*le.
+
+    r(v) = v - (v[i] // le[i]) * le for the first nonzero coordinate i of
+    le, so v - v' is a multiple of le iff r(v) == r(v').  The zero vector
+    as le leaves v as it is (only v itself is congruent to v).
+    """
+    for i, x in enumerate(le):
+        if x:
+            t = v[i] // x
+            return tuple(a - t * b for a, b in zip(v, le))
+    return tuple(v)
+
+
 def transport_sign(src_lift, dst_label, edge_label, unique: bool = True) -> int | None:
     """The sign s with src_lift - s * dst_label a multiple of edge_label.
 
@@ -54,10 +75,11 @@ def transport_sign(src_lift, dst_label, edge_label, unique: bool = True) -> int 
     ``unique`` false any fitting sign will do: -1 is tested only when +1
     fails, so a pair where both fit reads as 1.
     """
-    fits_pos = is_multiple_of(tuple(a - b for a, b in zip(src_lift, dst_label)), edge_label)
+    key = residue(src_lift, edge_label)
+    fits_pos = key == residue(dst_label, edge_label)
     if fits_pos and not unique:
         return 1
-    fits_neg = is_multiple_of(tuple(a + b for a, b in zip(src_lift, dst_label)), edge_label)
+    fits_neg = key == residue(tuple(-c for c in dst_label), edge_label)
     if fits_pos:
         return 0 if fits_neg else 1
     return -1 if fits_neg else None
@@ -71,6 +93,42 @@ def forced_lift(src_lift, dst_label, edge_label) -> tuple | None:
     return None if sign is None else tuple(sign * c for c in dst_label)
 
 
+def _matchings(g: GkmGraph, edge_id: int):
+    """Generate the compatible bijections for one unoriented edge in
+    enumeration order (see ``edge_matchings``)."""
+    e = g.default_oriented(edge_id)
+    ebar = e.reverse()
+    sources = [f for f in g.star(g.initial(e)) if f != e]
+    targets = [h for h in g.star(g.terminal(e)) if h != ebar]
+    if len(sources) != len(targets):
+        return
+    le = g.label(edge_id)
+    by_residue: dict[tuple, list] = {}
+    for h in targets:
+        lh = g.label(h.edge)
+        for key in {residue(lh, le), residue(tuple(-c for c in lh), le)}:
+            by_residue.setdefault(key, []).append(h)
+    allowed = [by_residue.get(residue(g.label(f.edge), le), ()) for f in sources]
+    used: set = set()
+    current: dict = {}
+
+    def backtrack(i: int):
+        if i == len(sources):
+            yield {e: ebar, **current}
+            return
+        f = sources[i]
+        for h in allowed[i]:
+            if h in used:
+                continue
+            used.add(h)
+            current[f] = h
+            yield from backtrack(i + 1)
+            del current[f]
+            used.discard(h)
+
+    yield from backtrack(0)
+
+
 def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
     """All compatible bijections for one unoriented edge.
 
@@ -79,38 +137,7 @@ def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
     reverse); enumeration order is lexicographic in the canonical star
     order.
     """
-    e = g.default_oriented(edge_id)
-    ebar = e.reverse()
-    sources = [f for f in g.star(g.initial(e)) if f != e]
-    targets = [h for h in g.star(g.terminal(e)) if h != ebar]
-    if len(sources) != len(targets):
-        return []
-    le = g.label(edge_id)
-    allowed = {
-        f: [
-            h for h in targets
-            if transport_sign(g.label(f.edge), g.label(h.edge), le, unique=False) is not None
-        ]
-        for f in sources
-    }
-    results: list[dict] = []
-
-    def backtrack(i: int, used: set, current: dict) -> None:
-        if i == len(sources):
-            results.append({e: ebar, **current})
-            return
-        f = sources[i]
-        for h in allowed[f]:
-            if h in used:
-                continue
-            used.add(h)
-            current[f] = h
-            backtrack(i + 1, used, current)
-            del current[f]
-            used.discard(h)
-
-    backtrack(0, set(), {})
-    return results
+    return list(_matchings(g, edge_id))
 
 
 def _assemble(g: GkmGraph, chosen: dict) -> Connection:
@@ -125,12 +152,11 @@ def _assemble(g: GkmGraph, chosen: dict) -> Connection:
 def first_matching(g: GkmGraph, edge_id: int) -> dict | None:
     """The first compatible bijection at one edge, or None.
 
-    Taking it at every edge gives the first connection that
-    ``enumerate_connections`` yields, without holding every edge's
-    matchings at once.
+    The search stops at the first bijection.  Taking it at every edge
+    gives the first connection that ``enumerate_connections`` yields,
+    without holding every edge's matchings at once.
     """
-    options = edge_matchings(g, edge_id)
-    return options[0] if options else None
+    return next(_matchings(g, edge_id), None)
 
 
 def find_connection(g: GkmGraph) -> Connection | None:

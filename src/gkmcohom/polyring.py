@@ -42,19 +42,6 @@ def sign_normalize(w) -> Weight:
     return tuple(w)
 
 
-def is_multiple_of(v, w) -> bool:
-    """True if v lies in Z*w."""
-    if not any(v):
-        return True
-    if not any(w):
-        return False
-    i = next(k for k, x in enumerate(w) if x != 0)
-    if v[i] % w[i] != 0:
-        return False
-    t = v[i] // w[i]
-    return all(x == t * y for x, y in zip(v, w))
-
-
 def weights_parallel(a, b) -> bool:
     """True if a and b are linearly dependent over Q."""
     n = len(a)
@@ -445,6 +432,8 @@ def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
         raise ValueError("ring mismatch")
     if f.degree != g.degree and not (f.is_zero() and g.is_zero()):
         raise ValueError("degree mismatch")
+    if f.coeffs == g.coeffs:
+        return True
     diff = f - g
     if diff.is_zero():
         return True

@@ -20,7 +20,7 @@ from .connection import (
     forced_lift,
     is_orientable,
 )
-from .graph import DomainError, GkmGraph, OrientedEdge
+from .graph import DomainError, GkmGraph, InvariantError, OrientedEdge
 from .polyring import GradedPoly, linear_from_weight, sign_normalize
 
 
@@ -128,7 +128,8 @@ def connection_paths(g: GkmGraph, c: Connection | None = None) -> list[Connectio
         reversed_pairs = [(cur.reverse(), prev.reverse()) for prev, cur in orbit]
         self_reversed = reversed_pairs[0] in set(orbit)
         if self_reversed:
-            assert set(reversed_pairs) == set(orbit)
+            if set(reversed_pairs) != set(orbit):
+                raise InvariantError("a self-reversed path is not closed under reversal")
             covered += len(orbit)
         else:
             for rp in reversed_pairs:
@@ -138,8 +139,10 @@ def connection_paths(g: GkmGraph, c: Connection | None = None) -> list[Connectio
         canon = min(_canonical_rotation(edges), _canonical_rotation(reversed_edges))
         out.append(ConnectionPath(g, canon, self_reversed))
     n = g.valence
-    assert total == n * (n - 1) * len(g.vertices)
-    assert covered == total, "paths do not partition the pair set"
+    if total != n * (n - 1) * len(g.vertices):
+        raise InvariantError("pair count differs from n(n-1) per vertex")
+    if covered != total:
+        raise InvariantError("paths do not partition the pair set")
     out.sort(key=lambda p: p.edges)
     return out
 
@@ -153,7 +156,7 @@ def thom_class_of_path(
     sign-normalized label (times ``initial_sign``); successive normal
     labels take the sign forced by congruence modulo the edge between
     them.  The closing congruence holds exactly when the graph is
-    orientable and is asserted; a doubly-crossed normal edge must
+    orientable and is checked; a doubly-crossed normal edge must
     receive the same sign both times.
     """
     if g.torus_rank != 2:
@@ -191,7 +194,8 @@ def thom_class_of_path(
                     total[i] += w[i]
         values.append(linear_from_weight(tuple(total)) if any(total) else GradedPoly.zero(k, 1))
     cls = GraphClassZ(g, 2, values)
-    assert membership_z(g, cls), "path class violates an edge congruence"
+    if not membership_z(g, cls):
+        raise InvariantError("path class violates an edge congruence")
     return cls
 
 
@@ -221,7 +225,8 @@ def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClassZ:
     values[u] = src_product
     values[v] = dst_product
     cls = GraphClassZ(g, 4, values)
-    assert membership_z(g, cls), "edge class violates an edge congruence"
+    if not membership_z(g, cls):
+        raise InvariantError("edge class violates an edge congruence")
     return cls
 
 
@@ -237,7 +242,8 @@ def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClassZ:
     values = [zero] * len(g.vertices)
     values[vertex] = product
     cls = GraphClassZ(g, 6, values)
-    assert membership_z(g, cls), "vertex class violates an edge congruence"
+    if not membership_z(g, cls):
+        raise InvariantError("vertex class violates an edge congruence")
     return cls
 
 

@@ -15,7 +15,24 @@ from fractions import Fraction
 from math import gcd
 
 from gkmcohom import GkmGraph, find_connection, validate_gkm
-from gkmcohom.polyring import sign_normalize, weights_parallel
+from gkmcohom.polyring import content, sign_normalize, weights_parallel
+
+
+# ---------------------------------------------------------------------------
+# weights
+
+
+def is_multiple_of(v, w) -> bool:
+    """True if v lies in Z*w: the definitional congruence test."""
+    if not any(v):
+        return True
+    if not any(w):
+        return False
+    i = next(k for k, x in enumerate(w) if x != 0)
+    if v[i] % w[i] != 0:
+        return False
+    t = v[i] // w[i]
+    return all(x == t * y for x, y in zip(v, w))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +223,14 @@ def random_weight(rng: random.Random, bound: int = 3) -> tuple[int, int]:
             return sign_normalize(w)
 
 
+def label_of_content(rng: random.Random, k: int, m: int) -> tuple[int, ...]:
+    """A weight of length k and content exactly m, entries of m * [-3, 3]."""
+    while True:
+        w0 = [rng.randint(-3, 3) for _ in range(k)]
+        if content(w0) == 1:
+            return tuple(m * x for x in w0)
+
+
 def random_unimodular(rng: random.Random, steps: int = 4) -> list[list[int]]:
     m = [[1, 0], [0, 1]]
     for _ in range(steps):
@@ -336,6 +361,19 @@ def random_gkm_graphs(
     return out
 
 
+def scaled_labels_graph(g: GkmGraph, rng: random.Random) -> GkmGraph:
+    """g with each label multiplied by 1, 2, 3, 5 or 6 (entries kept <= 10)."""
+    factors = [1, 1, 1, 2, 2, 3, 5, 6]
+    edges = []
+    for u, v, label in g.edges:
+        f = rng.choice(factors)
+        scaled = tuple(f * c for c in label)
+        if any(abs(c) > 10 for c in scaled):
+            scaled = label
+        edges.append((g.vertices[u], g.vertices[v], scaled))
+    return GkmGraph(g.torus_rank, list(g.vertices), edges)
+
+
 def random_3valent_orientable(seed: int, count: int, bound: int = 3):
     from gkmcohom import is_orientable
 
@@ -363,8 +401,6 @@ def random_3valent_orientable(seed: int, count: int, bound: int = 3):
 
 def coprime_contents(g: GkmGraph) -> bool:
     """Direct restatement of the coprimality condition for cross-checks."""
-    from gkmcohom.polyring import content
-
     for v in range(len(g.vertices)):
         star = g.star(v)
         for i in range(len(star)):

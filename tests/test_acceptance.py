@@ -54,6 +54,7 @@ from helpers import (
     random_3valent_orientable,
     random_gkm_graphs,
     rational_rank,
+    scaled_labels_graph,
 )
 
 
@@ -258,18 +259,6 @@ def test_c7_oracle_equivalence():
             assert lat.coordinates_of(list(x)) is not None, x
 
 
-def _scaled_labels_graph(g: GkmGraph, rng: random.Random) -> GkmGraph:
-    factors = [1, 1, 1, 2, 2, 3, 5, 6]
-    edges = []
-    for u, v, label in g.edges:
-        f = rng.choice(factors)
-        scaled = tuple(f * c for c in label)
-        if any(abs(c) > 10 for c in scaled):
-            scaled = label
-        edges.append((g.vertices[u], g.vertices[v], scaled))
-    return GkmGraph(g.torus_rank, list(g.vertices), edges)
-
-
 def _definition_in_package_order(g: GkmGraph, d: int):
     """Rows of [M | -D] and of D from the definition, vertex columns put
     into the package's monomial order."""
@@ -293,7 +282,7 @@ def test_c7_lattices_equal_definition_with_scaled_labels():
     rng = random.Random(23)
     cases = set()
     for base in random_gkm_graphs(47, 12, require_connection=False):
-        g = _scaled_labels_graph(base, rng)
+        g = scaled_labels_graph(base, rng)
         contents = {content(label) for _, _, label in g.edges}
         for p in (2, 3, 5):
             cases.update((p, m % p == 0) for m in contents if m > 1)
@@ -319,7 +308,7 @@ def test_c8_coprimality_equivalence():
     rng = random.Random(19)
     saw_fail = saw_pass = 0
     for base in random_gkm_graphs(43, 30, require_connection=False):
-        g = _scaled_labels_graph(base, rng)
+        g = scaled_labels_graph(base, rng)
         assert validate_gkm(g).ok
         assert all(abs(c) <= 10 for _, _, lab in g.edges for c in lab)
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from gkmcohom import (
+    GkmGraph,
     GraphClassModP,
     edges_div_p,
+    find_connection,
     integral_preimage,
     realizability_obstruction,
     spin_check,
@@ -14,7 +16,7 @@ from gkmcohom import (
     total_sw,
 )
 from gkmcohom import fixtures
-from gkmcohom.polyring import GradedPoly
+from gkmcohom.polyring import GradedPoly, PolySeries, linear_from_weight
 
 from helpers import random_gkm_graphs
 
@@ -129,6 +131,45 @@ def test_vertex_parts_satisfy_mod2_congruences():
         sw = total_sw(g)
         for d2 in sw.degrees():
             assert membership_modp(g, sw.component(d2)), (g, d2)
+
+
+def test_shared_vertex_series_equal_per_vertex_star_products():
+    """One series per distinct mod-2 star gives the same vertex parts as a
+    product of (1 + label) over Z_2 built separately at every vertex."""
+    # the moment trapezoid (0,0), (2,0), (1,1), (0,1): stars {x, y} and {x, x - y}
+    trapezoid = GkmGraph(
+        2,
+        ["p0", "p1", "p2", "p3"],
+        [("p0", "p1", (1, 0)), ("p1", "p2", (1, -1)), ("p2", "p3", (1, 0)), ("p3", "p0", (0, 1))],
+    )
+    graphs = [
+        trapezoid,
+        fixtures.triangle(),
+        fixtures.triangle_x_edge(),
+        fixtures.paper8(),
+        fixtures.k4(),
+        fixtures.from_spec("product(2,0;2,-3;3,-3)"),
+    ]
+    graphs += random_gkm_graphs(41, 8)
+    mixed = 0
+    for g in graphs:
+        c = find_connection(g)
+        k = g.torus_rank
+        one = PolySeries.one(k, 2)
+        per_vertex = []
+        stars = set()
+        for v in range(len(g.vertices)):
+            series = one
+            for oe in g.star(v):
+                series = series * (one + PolySeries.from_poly(linear_from_weight(g.label(oe.edge), 2)))
+            per_vertex.append(series)
+            stars.add(tuple(sorted(tuple(x % 2 for x in g.label(oe.edge)) for oe in g.star(v))))
+        mixed += len(stars) > 1
+        sw = total_sw(g, c)
+        for d2 in sw.degrees():
+            want = tuple(series.component(d2 // 2) for series in per_vertex)
+            assert sw.component(d2).values == want, (g, d2)
+    assert mixed == 3
 
 
 def test_primitive_labels_reduce_to_plain_star_product():

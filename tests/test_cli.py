@@ -180,6 +180,36 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "module, name, argv, message",
+    [
+        ("charclasses", "membership_modp", ["sw", "fixtures:paper8"],
+         "vertex parts violate a mod-2 congruence"),
+        ("thom", "membership_z", ["thom", "fixtures:triangle_x_edge"],
+         "path class violates an edge congruence"),
+    ],
+)
+def test_class_checks_exit_3_without_traceback_under_optimize(module, name, argv, message):
+    """The total-class and Thom-class membership checks are explicit, so a
+    violation still ends in exit 3 under ``python -O``."""
+    script = (
+        "import sys\n"
+        f"import gkmcohom.{module} as target\n"
+        "from gkmcohom.cli import main\n"
+        "assert False, 'asserts must be off'\n"
+        f"target.{name} = lambda g, cls: False\n"
+        f"sys.exit(main({argv + ['--json']!r}))\n"
+    )
+    paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"internal error: {message}\n"
+
+
 def test_validate_require_spin_finds_the_connection_once(capsys, monkeypatch):
     from gkmcohom import charclasses, cli
 

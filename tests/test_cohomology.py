@@ -404,3 +404,16 @@ def test_class_vector_round_trip():
     assert all(0 <= c < 2 for c in vec)
     assert img.render_values()[0] == "x^2 + x*y"
     assert img.render_b_part() == {1: "x", 5: "0"}
+
+
+def test_vertex_values_keep_zeros_of_the_right_degree():
+    g = fixtures.paper8()
+    k, n = g.torus_rank, len(g.vertices)
+    right = GradedPoly.zero(k, 2)
+    cls = GraphClassZ(g, 4, [right] + [GradedPoly.zero(k, 0)] * (n - 1))
+    assert cls.values[0] is right
+    assert all(f.degree == 2 and f.is_zero() for f in cls.values)
+    modp = GraphClassModP(g, 2, 4, [GradedPoly.zero(k, 5, 2)] * n)
+    assert [f.degree for f in modp.values] == [2] * n
+    with pytest.raises(ValueError, match="has degree 1, expected 2"):
+        GraphClassZ(g, 4, [GradedPoly.constant(k, 1) * GradedPoly(k, 1, [1, 0])] * n)

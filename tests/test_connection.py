@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -17,9 +18,9 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import fixtures
-from gkmcohom.connection import forced_lift, transport_sign
+from gkmcohom.connection import first_matching, forced_lift, residue, transport_sign
 
-from helpers import random_gkm_graphs
+from helpers import is_multiple_of, label_of_content, random_gkm_graphs, scaled_labels_graph
 
 
 def count_connections(g: GkmGraph, cap: int = 4096) -> int:
@@ -51,8 +52,6 @@ def test_connection_congruence_holds():
     g = fixtures.paper8()
     c = find_connection(g)
     assert c is not None
-    from gkmcohom.polyring import is_multiple_of
-
     for eid in range(len(g.edges)):
         e = g.default_oriented(eid)
         le = g.label(eid)
@@ -210,3 +209,76 @@ def test_orientability_matches_exhaustive_walk_products():
         c = find_connection(g)
         eta = holonomy_signs(g, c)
         assert _all_short_walk_products_positive(g, eta) == is_orientable(g, c), g
+
+
+def test_residue_test_equals_the_definitional_congruence():
+    """r(lf) == r(+-lh) iff lf -+ lh lies in Z*le, for labels of content
+    1..6 with either sign of the leading coordinate, k = 2..5."""
+    rng = random.Random(31)
+    outcomes = set()
+    leading_signs = set()
+    for k in range(2, 6):
+        for m in range(1, 7):
+            for _ in range(40):
+                le = label_of_content(rng, k, m)
+                leading_signs.add(next(x for x in le if x) > 0)
+                lf = tuple(rng.randint(-6, 6) for _ in range(k))
+                lh = tuple(rng.randint(-6, 6) for _ in range(k))
+                if rng.random() < 0.5:
+                    s, t = rng.choice((1, -1)), rng.randint(-3, 3)
+                    lh = tuple(s * (a + t * b) for a, b in zip(lf, le))
+                pos = is_multiple_of(tuple(a - b for a, b in zip(lf, lh)), le)
+                neg = is_multiple_of(tuple(a + b for a, b in zip(lf, lh)), le)
+                assert (residue(lf, le) == residue(lh, le)) == pos, (lf, lh, le)
+                assert (residue(lf, le) == residue(tuple(-c for c in lh), le)) == neg
+                want = {(True, True): 0, (True, False): 1, (False, True): -1}.get((pos, neg))
+                assert transport_sign(lf, lh, le) == want, (lf, lh, le)
+                loose = 1 if pos else (-1 if neg else None)
+                assert transport_sign(lf, lh, le, unique=False) == loose
+                outcomes.add(want)
+    assert outcomes == {0, 1, -1, None}
+    assert leading_signs == {True, False}
+
+
+def _brute_force_matchings(g: GkmGraph, eid: int) -> list[dict]:
+    """Every star bijection, in lexicographic target order, kept when each
+    pair satisfies the definitional congruence."""
+    e = g.default_oriented(eid)
+    sources = [f for f in g.star(g.initial(e)) if f != e]
+    targets = [h for h in g.star(g.terminal(e)) if h != e.reverse()]
+    if len(sources) != len(targets):
+        return []
+    le = g.label(eid)
+
+    def fits(f, h) -> bool:
+        lf, lh = g.label(f.edge), g.label(h.edge)
+        return is_multiple_of(tuple(a - b for a, b in zip(lf, lh)), le) or is_multiple_of(
+            tuple(a + b for a, b in zip(lf, lh)), le
+        )
+
+    return [
+        {e: e.reverse(), **dict(zip(sources, perm))}
+        for perm in itertools.permutations(targets)
+        if all(fits(f, h) for f, h in zip(sources, perm))
+    ]
+
+
+def test_edge_matchings_equal_brute_force_enumeration_in_order():
+    rng = random.Random(37)
+    graphs = [
+        fixtures.from_spec(spec)
+        for spec in ("paper8", "k4", "product(1,0;0,1;1,3)", "triangle_x_edge", "polygon2n_x_edge(3)")
+    ]
+    graphs += random_gkm_graphs(71, 10)
+    graphs += [
+        scaled_labels_graph(g, rng) for g in random_gkm_graphs(73, 10, require_connection=False)
+    ]
+    counts = set()
+    for g in graphs:
+        for eid in range(len(g.edges)):
+            got = edge_matchings(g, eid)
+            want = _brute_force_matchings(g, eid)
+            assert [list(m.items()) for m in got] == [list(m.items()) for m in want], (g, eid)
+            assert first_matching(g, eid) == (got[0] if got else None), (g, eid)
+            counts.add(min(len(got), 2))
+    assert counts == {0, 1, 2}

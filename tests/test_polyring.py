@@ -14,7 +14,6 @@ from gkmcohom.polyring import (
     congruent_mod_weight,
     content,
     divide_by_linear,
-    is_multiple_of,
     linear_from_weight,
     monomial_index,
     monomials,
@@ -25,7 +24,7 @@ from gkmcohom.polyring import (
     weights_parallel,
 )
 
-from helpers import divisible_mod_p
+from helpers import divisible_mod_p, is_multiple_of, label_of_content
 
 
 def poly(k: int, degree: int, terms: dict, p: int = 0) -> GradedPoly:
@@ -137,20 +136,12 @@ def test_congruences_mod_p():
     assert congruent_mod_weight(f, f, (2, 0))
 
 
-def _random_label(rng: random.Random, k: int, m: int) -> tuple[int, ...]:
-    """A weight of content exactly m."""
-    while True:
-        w0 = [rng.randint(-3, 3) for _ in range(k)]
-        if content(w0) == 1:
-            return tuple(m * x for x in w0)
-
-
 def test_division_round_trip_and_perturbation_with_content():
     rng = random.Random(8)
     for k in range(2, 6):
         for m in range(1, 7):
             for _ in range(4):
-                w = _random_label(rng, k, m)
+                w = label_of_content(rng, k, m)
                 f = random_poly(rng, k, rng.randint(0, 4 if k < 4 else 2))
                 product = linear_from_weight(w) * f
                 assert divide_by_linear(product, w) == f, (w, f)
@@ -174,7 +165,7 @@ def test_congruence_mod_p_matches_elimination_oracle():
         for k in range(2, 5):
             for _ in range(30):
                 m = rng.choice((1, 2, 3, 5, 6, p, 2 * p))
-                w = _random_label(rng, k, m)
+                w = label_of_content(rng, k, m)
                 d = rng.randint(0, 3)
                 f = random_poly(rng, k, d)
                 g = random_poly(rng, k, d)
@@ -187,6 +178,42 @@ def test_congruence_mod_p_matches_elimination_oracle():
                 assert got == want, (p, w, f, g)
                 seen.add((m % p == 0, want))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_congruence_short_cut_agrees_with_the_full_test():
+    """Equal coefficient tuples return True before any subtraction; the
+    answer matches exact division (Z) or plain F_p elimination of f - g,
+    also for zeros of different degrees and unequal values."""
+    rng = random.Random(17)
+    seen = set()
+    for p in (0, 2, 3, 5):
+        for k in range(2, 5):
+            for _ in range(30):
+                w = label_of_content(rng, k, rng.choice((1, 2, 3, 6)))
+                d = rng.randint(0, 3)
+                f = random_poly(rng, k, d)
+                kind = rng.randrange(4)
+                if kind == 0:
+                    g = GradedPoly(k, d, f.coeffs)
+                elif kind == 1:
+                    g = f + linear_from_weight(w) * random_poly(rng, k, d - 1)
+                elif kind == 2:
+                    g = random_poly(rng, k, d)
+                else:
+                    f, g = GradedPoly.zero(k, d), GradedPoly.zero(k, rng.randint(-1, 3))
+                diff = f - g
+                if p == 0:
+                    want = divide_by_linear(diff, w) is not None
+                else:
+                    want = divisible_mod_p(dict(zip(monomials(k, diff.degree), diff.coeffs)), w, diff.degree, p)
+                    f, g = reduce_mod_p(f, p), reduce_mod_p(g, p)
+                assert congruent_mod_weight(f, g, w) == want, (p, w, f, g)
+                assert congruent_mod_weight(g, f, w) == want, (p, w, f, g)
+                seen.add((kind, want))
+    assert {kind for kind, want in seen if want} == {0, 1, 2, 3}
+    assert (2, False) in seen
+    with pytest.raises(ValueError, match="degree mismatch"):
+        congruent_mod_weight(GradedPoly.constant(2, 1), GradedPoly.zero(2, 1), (1, 0))
 
 
 def test_substitution_matrix_is_the_definitional_substitution_and_immutable():
