@@ -22,9 +22,7 @@ from .cohomology import (
     GraphClassZ,
     compute_h_modp,
     compute_h_z,
-    hilbert_rank_of_free,
     integral_preimage,
-    integral_preimage_elimination,
     membership_modp,
     membership_z,
     product_modp,
@@ -94,10 +92,8 @@ __all__ = [
     "enumerate_connections",
     "evaluate",
     "find_connection",
-    "hilbert_rank_of_free",
     "holonomy_signs",
     "integral_preimage",
-    "integral_preimage_elimination",
     "is_effective",
     "is_orientable",
     "linear_from_weight",

@@ -19,7 +19,7 @@ from .cohomology import (
     integral_preimage,
     membership_modp,
 )
-from .connection import Connection, edge_matchings, find_connection, first_matching, forced_lift
+from .connection import Connection, edge_matchings, find_connection, first_matching, transport_signs
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
 from .polyring import (
     PolySeries,
@@ -46,28 +46,17 @@ def _edge_quotient_series(
     ``matching`` maps the full star of the initial vertex onto the star
     of the terminal vertex (edge to reversed edge included); ``signs``
     gives a sign per source oriented edge.  Target lifts are forced by
-    the congruence; the division per degree is exact by compatibility.
+    the congruence (``transport_signs``), and the reversed edge takes the
+    lift of the edge; the division per degree is exact by compatibility.
     """
     oe = g.default_oriented(edge_id)
-    label = g.label(edge_id)
-    src_lifts = {}
-    dst_lifts = {}
-    for l in g.star(g.initial(oe)):
-        src = tuple(signs[l] * c for c in g.label(l.edge))
-        src_lifts[l] = src
-        dst = matching[l]
-        if dst == oe.reverse():
-            dst_lifts[dst] = src
-            continue
-        forced = forced_lift(src, g.label(dst.edge), label)
-        if forced is None:
-            raise ValueError(
-                f"bijection at edge {edge_id} maps {l.render()} to {dst.render()} "
-                "without a congruent sign; not a compatible choice"
-            )
-        dst_lifts[dst] = forced
+    src_lifts = {l: tuple(signs[l] * c for c in g.label(l.edge)) for l in g.star(g.initial(oe))}
+    dst_lifts = [src_lifts[oe]] + [
+        tuple(s * c for c in g.label(matching[l].edge))
+        for l, s in transport_signs(g, oe, matching, src_lifts).items()
+    ]
     k = g.torus_rank
-    numerator = _star_product(k, src_lifts.values()) - _star_product(k, dst_lifts.values())
+    numerator = _star_product(k, src_lifts.values()) - _star_product(k, dst_lifts)
     denominator = src_lifts[oe]
     out = PolySeries(k, p=2)
     for d in numerator.degrees():
@@ -240,21 +229,13 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
     cond_b = True
     for e in edges_div_p(g, 2):
         matching = _default_matching(g, e, connection)
-        oe = g.default_oriented(e)
-        label = g.label(e)
-        src_sum = [0] * k
-        dst_sum = [0] * k
-        for l in g.star(g.initial(oe)):
-            src = g.label(l.edge)
-            dst = matching[l]
-            forced = src if dst == oe.reverse() else forced_lift(src, g.label(dst.edge), label)
-            if forced is None:
-                raise ValueError(f"bijection at edge {e} admits no congruent signs")
-            for i in range(k):
-                src_sum[i] += src[i]
-                dst_sum[i] += forced[i]
-        diff = tuple(a - b for a, b in zip(src_sum, dst_sum))
-        quotient = divide_by_linear(linear_from_weight(diff), label)
+        # the reversed edge adds the same lift to both sums, so only the
+        # transported star edges enter the difference
+        diff = [0] * k
+        for l, s in transport_signs(g, g.default_oriented(e), matching).items():
+            for i, (a, b) in enumerate(zip(g.label(l.edge), g.label(matching[l].edge))):
+                diff[i] += a - s * b
+        quotient = divide_by_linear(linear_from_weight(diff), g.label(e))
         if quotient is None:
             raise InvariantError("spin quotient not divisible; incompatible bijection")
         value = quotient.coeffs[0] if quotient.coeffs else 0

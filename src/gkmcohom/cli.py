@@ -22,6 +22,7 @@ from .charclasses import realizability_obstruction, spin_check, sw_choice_indepe
 from .cohomology import compute_h_modp, compute_h_z, reduce_class_mod_p
 from .connection import find_connection, is_orientable
 from .graph import (
+    CheckReport,
     Conventions,
     DomainError,
     GkmGraph,
@@ -125,11 +126,11 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
     checks = [validate_gkm(g), check_coprimality(g)]
     effective = is_effective(g)
     checks.append(
-        _check("effective", effective, [] if effective else ["labels do not span"])
+        CheckReport("effective", effective, [] if effective else ["labels do not span"])
     )
     conn = find_connection(g)
     checks.append(
-        _check(
+        CheckReport(
             "connection_exists",
             conn is not None,
             [] if conn is not None else ["no compatible connection"],
@@ -138,7 +139,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
     if conn is not None:
         orientable = is_orientable(g, conn)
         checks.append(
-            _check(
+            CheckReport(
                 "orientable",
                 orientable,
                 [] if orientable else ["some closed path has sign product -1"],
@@ -147,7 +148,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.require_spin:
         verdict = spin_check(g, conn)
         checks.append(
-            _check(
+            CheckReport(
                 "spin",
                 verdict.spin,
                 [] if verdict.spin else ["spin conditions fail"],
@@ -159,12 +160,6 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
     ok = all(c.ok for c in checks)
     report["ok"] = ok
     return (0 if ok else 1), report
-
-
-def _check(name: str, ok: bool, issues: list[str], data: dict | None = None):
-    from .graph import CheckReport
-
-    return CheckReport(name, ok, issues, data or {})
 
 
 def cmd_cohomology(cfg: RunConfig) -> tuple[int, dict]:
@@ -237,13 +232,7 @@ def cmd_obstruction(cfg: RunConfig) -> tuple[int, dict]:
     g = _load(cfg)
     verdict = realizability_obstruction(g, cfg.conventions)
     report = _envelope(cfg, g)
-    report["verdict"] = verdict.verdict
-    report["failing_degree"] = verdict.failing_degree
-    report["preimages"] = {
-        str(degree2): (None if cls is None else cls.render_values())
-        for degree2, cls in sorted(verdict.preimages.items())
-    }
-    report["note"] = verdict.to_dict()["note"]
+    report.update(verdict.to_dict())
     return (0 if verdict.passes else 1), report
 
 

@@ -2,23 +2,24 @@
 
 A degree-2d class assigns a homogeneous degree-d polynomial to every
 vertex such that across each edge the difference of the endpoint values
-is divisible by the edge label.  The condition is local to each edge, and
-``_edge_rows`` writes it straight on the vertex coefficients with the
-cached ``polyring.divisibility_rows``: with label = m * w0 (m the
-content), the substitution ``polyring.substitution_matrix(w0, d)`` turns
-w0 into y1, and the label divides f_u - f_v iff the substituted
-difference vanishes at the y1-free monomials and is divisible by m at
-the others.  Over Z the classes form the HNF lattice of vertex vectors
-meeting those rows, with one slack column of value m per row of an edge
-with m > 1.  Over Z/p an edge with p | m forces equal endpoint values;
-on any other edge m is a unit, so only the y1-free rows remain, and the
-classes are the RREF basis of the F_p kernel.  Over Z/p the edges with
-p | m also carry an extra summand of difference quotients; the
-comparison map ``reduce_class_mod_p`` lands in that enlarged ring and
+is divisible by the edge label.  The condition is local to each edge and
+has one encoding, the cached ``polyring.divisibility_rows``: with label =
+m * w0 (m the content), the substitution
+``polyring.substitution_matrix(w0, d)`` turns w0 into y1, and the label
+divides f_u - f_v iff the substituted difference vanishes at the y1-free
+monomials and is divisible by m at the others.  ``_edge_rows`` writes
+these rows on the vertex coefficients for the graded pieces, and
+``membership_z`` reads the same rows through
+``polyring.congruent_mod_weight`` for single classes.  Over Z the
+classes form the HNF lattice of vertex vectors meeting those rows, with
+one slack column of value m per row of an edge with m > 1.  Over Z/p an
+edge with p | m forces equal endpoint values; on any other edge m is a
+unit, so only the y1-free rows remain, and the classes are the RREF basis
+of the F_p kernel.  Over Z/p the edges with p | m also carry an extra
+summand of difference quotients; the comparison map
+``reduce_class_mod_p`` lands in that enlarged ring and
 ``integral_preimage`` decides whether a mod-p class comes from an
-integral one.  ``_edge_system``, the definitional system with one
-unknown quotient per edge, survives only in the independent cross-check
-``integral_preimage_elimination``.
+integral one.
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ from .intlinalg import (
     modp_kernel,
     modp_rref,
     modp_solve,
-    solve_with_image,
 )
 from .polyring import (
     GradedPoly,
     congruent_mod_weight,
     divide_by_linear,
     divisibility_rows,
-    monomial_index,
-    monomials,
     num_monomials,
     reduce_mod_p,
 )
@@ -79,18 +77,6 @@ class GraphClassZ:
         d = degree2 // 2
         z = GradedPoly.zero(graph.torus_rank, d)
         return cls(graph, degree2, (z,) * len(graph.vertices))
-
-    @classmethod
-    def from_vector(cls, graph: GkmGraph, degree2: int, vec) -> "GraphClassZ":
-        k = graph.torus_rank
-        n = num_monomials(k, degree2 // 2)
-        if len(vec) != n * len(graph.vertices):
-            raise ValueError("coefficient vector has the wrong length")
-        vals = [
-            GradedPoly(k, degree2 // 2, vec[i * n : (i + 1) * n])
-            for i in range(len(graph.vertices))
-        ]
-        return cls(graph, degree2, vals)
 
     def to_vector(self) -> list[int]:
         out: list[int] = []
@@ -312,44 +298,6 @@ def membership_z(g: GkmGraph, cls: GraphClassZ | GraphClassModP) -> bool:
 membership_modp = membership_z
 
 
-def _edge_system(g: GkmGraph, d: int) -> tuple[IntMatrix, IntMatrix]:
-    """The edge conditions f_u - f_v = label(e) * q_e in degree d, as (M, D).
-
-    Unknowns are the vertex block (degree-d coefficients, vertex by
-    vertex), then one degree-(d-1) quotient block per edge.  Row block e
-    of M is the endpoint difference across e; D is block-diagonal
-    multiplication by the labels.  A class is a vertex vector v with M v
-    in the column image of D, i.e. (v, q) in the kernel of [M | -D].
-
-    This is the definitional system.  The graded pieces are computed
-    from ``_edge_rows``; only ``integral_preimage_elimination``, the
-    independent cross-check of ``integral_preimage``, still solves it.
-    """
-    k = g.torus_rank
-    n_hi, n_lo = num_monomials(k, d), num_monomials(k, d - 1)
-    nv, ne = len(g.vertices), len(g.edges)
-    idx = monomial_index(k, d)
-    lower = monomials(k, d - 1)
-    m_rows, d_rows = [], []
-    for e in range(ne):
-        oe = g.default_oriented(e)
-        u, v = g.initial(oe), g.terminal(oe)
-        first = len(d_rows)
-        for i in range(n_hi):
-            row = [0] * (nv * n_hi)
-            row[u * n_hi + i] += 1
-            row[v * n_hi + i] -= 1
-            m_rows.append(row)
-            d_rows.append([0] * (ne * n_lo))
-        for j, mono in enumerate(lower):
-            for i, wi in enumerate(g.label(e)):
-                if wi:
-                    bumped = list(mono)
-                    bumped[i] += 1
-                    d_rows[first + idx[tuple(bumped)]][e * n_lo + j] = wi
-    return IntMatrix(m_rows, cols=nv * n_hi), IntMatrix(d_rows, cols=ne * n_lo)
-
-
 def _edge_rows(g: GkmGraph, d: int, p: int | None) -> tuple[list[list[int]], list[int]]:
     """Divisibility across every edge as rows on the vertex coefficients.
 
@@ -539,57 +487,3 @@ def integral_preimage(
     if reduce_class_mod_p(g, out, target.p, conventions) != target:
         raise InvariantError("integral preimage does not reduce to the target")
     return out
-
-
-def integral_preimage_elimination(
-    g: GkmGraph,
-    target: GraphClassModP,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
-) -> GraphClassZ | None:
-    """Same decision by one integer elimination instead of a basis solve.
-
-    The edge system holds exactly; below it, selection rows pick the
-    vertex block and the signed quotient block of each special edge, and
-    must meet the target's vector modulo p (p-scaled slack columns).
-    Slower; kept as an independent cross-check of integral_preimage.
-    """
-    p = target.p
-    d = target.degree2 // 2
-    n_lo = num_monomials(g.torus_rank, d - 1)
-    m, dd = _edge_system(g, d)
-    system = m.hstack(dd.neg())
-    select = [[int(i == j) for i in range(system.cols)] for j in range(m.cols)]
-    for e in sorted(target.b_part):
-        oe = conventions.oriented(g, e)
-        flip = -1 if g.initial(oe) > g.terminal(oe) else 1
-        if conventions.lift(g, e) != g.label(e):
-            flip = -flip
-        for i in range(n_lo):
-            row = [0] * system.cols
-            row[m.cols + e * n_lo + i] = flip
-            select.append(row)
-    ns = len(select)
-    slack = [[0] * ns for _ in range(m.rows)]
-    slack += [[p if i == j else 0 for j in range(ns)] for i in range(ns)]
-    solution = solve_with_image(
-        IntMatrix(system.data + select, cols=system.cols),
-        IntMatrix(slack, cols=ns),
-        [0] * m.rows + target.to_vector(),
-    )
-    if solution is None:
-        return None
-    out = GraphClassZ.from_vector(g, target.degree2, solution[: m.cols])
-    if not membership_z(g, out):
-        raise InvariantError("elimination produced a non-class")
-    if reduce_class_mod_p(g, out, p, conventions) != target:
-        raise InvariantError("eliminated preimage does not reduce to the target")
-    return out
-
-
-def hilbert_rank_of_free(k: int, generator_degrees2, degree2: int) -> int:
-    """Rank in one degree of a free module with the given generator degrees."""
-    total = 0
-    for gd in generator_degrees2:
-        if degree2 >= gd and (degree2 - gd) % 2 == 0:
-            total += num_monomials(k, (degree2 - gd) // 2)
-    return total

@@ -13,11 +13,16 @@ representative of v[i] mod le[i], also for non-primitive labels and a
 negative le[i]).  ``transport_sign`` compares residues, and
 ``edge_matchings`` computes r(lf) once per source and r(+-lh) once per
 target of an edge, then looks the allowed targets up by residue.
+
+A star is carried across an edge with the congruence-forced signs by
+``transport_signs`` alone: the holonomy signs, the Stiefel-Whitney
+quotients, the spin criteria and the Thom edge classes all read it.
 """
 
 from __future__ import annotations
 
 from itertools import islice, product as iproduct
+from math import prod
 
 from .graph import GkmGraph, OrientedEdge
 
@@ -218,34 +223,44 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
     return _assemble(g, chosen)
 
 
+def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
+    """The sign carrying each star edge of initial(oe) across oe.
+
+    ``image`` maps the star of initial(oe) onto the star of terminal(oe);
+    ``lifts`` gives a signed lift per source edge (default: its label).
+    For every f other than oe the result holds the sign s with
+    lift(f) - s * label(image(f)) in Z * label(oe).  Raises ValueError
+    when no sign fits (the bijection is not compatible) or when both do
+    (adjacent labels fail linear independence).
+    """
+    le = g.label(oe.edge)
+    signs = {}
+    for f in g.star(g.initial(oe)):
+        if f == oe:
+            continue
+        lift = g.label(f.edge) if lifts is None else lifts[f]
+        sign = transport_sign(lift, g.label(image[f].edge), le)
+        if sign == 0:
+            raise ValueError(
+                f"ambiguous transport sign along edge {oe.edge}: adjacent "
+                f"labels fail linear independence"
+            )
+        if sign is None:
+            raise ValueError(f"connection is not compatible along edge {oe.edge}")
+        signs[f] = sign
+    return signs
+
+
 def holonomy_signs(g: GkmGraph, c: Connection) -> dict:
     """Sign eta(e) for every oriented edge.
 
-    For each f in the source star, exactly one sign makes the label lift
-    of f congruent to the signed lift of its image; eta(e) is minus the
-    product of these signs over the star without e itself.  Ambiguity in
-    the sign would mean two adjacent labels are parallel, so it raises.
+    eta(e) is minus the product of the ``transport_signs`` along e over
+    the star without e itself.
     """
     eta: dict = {}
     for eid in range(len(g.edges)):
         for oe in (g.default_oriented(eid), g.default_oriented(eid).reverse()):
-            le = g.label(eid)
-            prod = 1
-            for f in g.star(g.initial(oe)):
-                if f == oe:
-                    continue
-                sign = transport_sign(g.label(f.edge), g.label(c.apply(oe, f).edge), le)
-                if sign == 0:
-                    raise ValueError(
-                        f"ambiguous transport sign along edge {eid}: adjacent "
-                        f"labels fail linear independence"
-                    )
-                if sign is None:
-                    raise ValueError(
-                        f"connection is not compatible along edge {eid}"
-                    )
-                prod *= sign
-            eta[oe] = -prod
+            eta[oe] = -prod(transport_signs(g, oe, c.map_along(oe)).values())
     return eta
 
 

@@ -47,31 +47,10 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row.copy() for row in self.data], cols=self.cols)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
-        )
-
-    def mulvec(self, v: list[int]) -> list[int]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(row[j] * v[j] for j in range(self.cols)) for row in self.data]
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = other.transpose().data
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data],
-            cols=other.cols,
         )
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":

@@ -424,9 +424,11 @@ def divide_by_linear(f: GradedPoly, w) -> GradedPoly | None:
 def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
     """Whether f - g is a polynomial multiple of the linear form of w.
 
-    Over Z this is exact divisibility; over F_p it is the test of
-    ``divisibility_rows``, where a weight that reduces to zero turns the
-    condition into equality.
+    Both rings read the ``divisibility_rows`` of w on the coefficient
+    difference: over Z a row must vanish where its modulus is 0 and be
+    divisible by the modulus otherwise; over F_p every row must vanish
+    mod p, so a weight that reduces to zero turns the condition into
+    equality.
     """
     if f.k != g.k or f.p != g.p:
         raise ValueError("ring mismatch")
@@ -434,16 +436,16 @@ def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
         raise ValueError("degree mismatch")
     if f.coeffs == g.coeffs:
         return True
-    diff = f - g
-    if diff.is_zero():
+    diff = [a - b for a, b in zip(f.coeffs, g.coeffs)]
+    if not any(diff):
         return True
-    if f.p == 0:
-        return divide_by_linear(diff, w) is not None
-    coeffs = diff.coeffs
-    return all(
-        sum(v * coeffs[c] for c, v in row) % f.p == 0
-        for row, _ in divisibility_rows(tuple(w), diff.degree, f.p)
-    )
+    for row, modulus in divisibility_rows(tuple(w), f.degree, f.p):
+        value = sum(v * diff[c] for c, v in row)
+        if f.p or modulus:
+            value %= f.p or modulus
+        if value:
+            return False
+    return True
 
 
 class PolySeries:

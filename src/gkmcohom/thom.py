@@ -19,6 +19,7 @@ from .connection import (
     find_connection,
     forced_lift,
     is_orientable,
+    transport_signs,
 )
 from .graph import DomainError, GkmGraph, InvariantError, OrientedEdge
 from .polyring import GradedPoly, linear_from_weight, sign_normalize
@@ -207,19 +208,13 @@ def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClassZ:
         raise ValueError("edge classes require a 3-valent graph")
     oe = g.default_oriented(edge_id)
     u, v = g.initial(oe), g.terminal(oe)
-    label = g.label(edge_id)
-    sources = [l for l in g.star(u) if l != oe]
+    image = c.map_along(oe)
     k = g.torus_rank
     src_product = GradedPoly.constant(k, 1)
     dst_product = GradedPoly.constant(k, 1)
-    for l in sources:
-        src_lift = g.label(l.edge)
-        dst = c.apply(oe, l)
-        forced = forced_lift(src_lift, g.label(dst.edge), label)
-        if forced is None:
-            raise ValueError(f"connection at edge {edge_id} admits no congruent signs")
-        src_product = src_product * linear_from_weight(src_lift)
-        dst_product = dst_product * linear_from_weight(forced)
+    for l, s in transport_signs(g, oe, image).items():
+        src_product = src_product * linear_from_weight(g.label(l.edge))
+        dst_product = dst_product * linear_from_weight(tuple(s * x for x in g.label(image[l].edge)))
     zero = GradedPoly.zero(k, 2)
     values = [zero] * len(g.vertices)
     values[u] = src_product
@@ -248,10 +243,14 @@ def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClassZ:
 
 
 def _sum_classes(g: GkmGraph, degree2: int, classes) -> GraphClassZ:
-    total = GraphClassZ.zero(g, degree2)
+    """Vertex-wise sum of classes, adding only the nonzero values (edge and
+    vertex classes vanish away from one or two vertices)."""
+    sums = [GradedPoly.zero(g.torus_rank, degree2 // 2)] * len(g.vertices)
     for cls in classes:
-        total = total + cls
-    return total
+        for v, f in enumerate(cls.values):
+            if not f.is_zero():
+                sums[v] = sums[v] + f
+    return GraphClassZ(g, degree2, sums)
 
 
 def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:

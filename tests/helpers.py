@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from gkmcohom import GkmGraph, find_connection, validate_gkm
+from gkmcohom import DEFAULT_CONVENTIONS, GkmGraph, GradedPoly, GraphClassZ, find_connection, validate_gkm
+from gkmcohom.intlinalg import IntMatrix, solve_with_image
 from gkmcohom.polyring import content, sign_normalize, weights_parallel
 
 
@@ -70,6 +71,60 @@ def edge_system_rows(g: GkmGraph, d: int) -> tuple[list[list[int]], list[list[in
             stacked.append(vertex_part + [-c for c in quotient_part])
             divisor.append(quotient_part)
     return stacked, divisor
+
+
+def integral_preimage_elimination(g: GkmGraph, target, conventions=DEFAULT_CONVENTIONS):
+    """An integral class reducing to the mod-p ``target``, or None.
+
+    The edge system [M | -D] of ``edge_system_rows`` holds exactly; below
+    it, selection rows pick every vertex coefficient and the signed
+    quotient of every special edge, and must meet the target modulo p
+    (p-scaled slack columns).  One integer elimination decides it, apart
+    from the basis solve of ``gkmcohom.integral_preimage``.
+    """
+    p, d, k = target.p, target.degree2 // 2, g.torus_rank
+    hi, lo = exponents(k, d), exponents(k, d - 1)
+    nv = len(g.vertices)
+    width = nv * len(hi) + len(g.edges) * len(lo)
+    stacked, _ = edge_system_rows(g, d)
+    select, wanted = [], []
+    for v, f in enumerate(target.values):
+        for i, mono in enumerate(hi):
+            select.append([int(c == v * len(hi) + i) for c in range(width)])
+            wanted.append(f.coefficient(mono))
+    for e in sorted(target.b_part):
+        # the system's quotient is (f_a - f_b) / label for the stored ends a, b;
+        # the target's follows the conventions' orientation and lift
+        oe = conventions.oriented(g, e)
+        sign = 1 if g.initial(oe) == g.edges[e][0] else -1
+        if conventions.lift(g, e) != g.label(e):
+            sign = -sign
+        for j, mono in enumerate(lo):
+            select.append([sign * (c == nv * len(hi) + e * len(lo) + j) for c in range(width)])
+            wanted.append(target.b_part[e].coefficient(mono))
+    ns = len(select)
+    slack = [[0] * ns for _ in stacked] + [[p * (i == j) for j in range(ns)] for i in range(ns)]
+    system = IntMatrix(stacked + select, cols=width)
+    solution = solve_with_image(system, IntMatrix(slack, cols=ns), [0] * len(stacked) + wanted)
+    if solution is None:
+        return None
+    values = [
+        GradedPoly.from_terms(k, d, {mono: solution[v * len(hi) + i] for i, mono in enumerate(hi)})
+        for v in range(nv)
+    ]
+    return GraphClassZ(g, target.degree2, values)
+
+
+def hilbert_rank_of_free(k: int, generator_degrees2, degree2: int) -> int:
+    """Rank in one degree of a free module over Z[x_1..x_k] with the given
+    generator degrees."""
+    halves = [(degree2 - gd) // 2 for gd in generator_degrees2 if (degree2 - gd) % 2 == 0]
+    return sum(len(exponents(k, h)) for h in halves)
+
+
+def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two integer matrices given as row lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from gkmcohom import (
     edges_div_p,
     enumerate_connections,
     find_connection,
-    hilbert_rank_of_free,
     integral_preimage,
     is_orientable,
     membership_z,
@@ -47,6 +46,7 @@ from gkmcohom.relations import variable_environment
 from helpers import (
     edge_system_rows,
     exponents,
+    hilbert_rank_of_free,
     in_column_image,
     modp_kernel_basis,
     modp_rank,

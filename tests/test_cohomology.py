@@ -11,9 +11,7 @@ from gkmcohom import (
     compute_h_modp,
     compute_h_z,
     edges_div_p,
-    hilbert_rank_of_free,
     integral_preimage,
-    integral_preimage_elimination,
     membership_modp,
     membership_z,
     product_modp,
@@ -23,7 +21,7 @@ from gkmcohom import (
 from gkmcohom import fixtures
 from gkmcohom.graph import Conventions
 
-from helpers import random_gkm_graphs
+from helpers import hilbert_rank_of_free, integral_preimage_elimination, random_gkm_graphs
 
 
 def poly(d: int, terms: dict | None, k: int = 2, p: int = 0) -> GradedPoly:

@@ -18,9 +18,16 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import fixtures
-from gkmcohom.connection import first_matching, forced_lift, residue, transport_sign
+from gkmcohom.connection import (
+    first_matching,
+    forced_lift,
+    residue,
+    transport_sign,
+    transport_signs,
+)
 
 from helpers import is_multiple_of, label_of_content, random_gkm_graphs, scaled_labels_graph
+from test_golden import SUBCOMMAND_FIXTURES
 
 
 def count_connections(g: GkmGraph, cap: int = 4096) -> int:
@@ -83,6 +90,9 @@ def test_ambiguous_pair_is_compatible_but_has_no_sign():
     c = connection_from_matchings(g, {})
     with pytest.raises(ValueError, match="ambiguous transport sign"):
         holonomy_signs(g, c)
+    e = g.default_oriented(0)
+    with pytest.raises(ValueError, match="ambiguous transport sign along edge 0"):
+        transport_signs(g, e, c.map_along(e))
 
 
 def test_find_connection_is_first_enumerated():
@@ -282,3 +292,46 @@ def test_edge_matchings_equal_brute_force_enumeration_in_order():
             assert first_matching(g, eid) == (got[0] if got else None), (g, eid)
             counts.add(min(len(got), 2))
     assert counts == {0, 1, 2}
+
+
+
+def _definitional_sign(lift, lh, le) -> int:
+    """The one s in (1, -1) with lift - s * lh in Z*le."""
+    (sign,) = (s for s in (1, -1) if is_multiple_of(tuple(a - s * b for a, b in zip(lift, lh)), le))
+    return sign
+
+
+def test_transport_signs_equal_the_definitional_congruence():
+    """At most four compatible bijections per edge, in both directions, with
+    label lifts and with randomly signed lifts; every fixture, random and
+    label-scaled graphs.  A bijection that breaks one congruence raises."""
+    rng = random.Random(43)
+    graphs = [fixtures.from_spec(spec) for spec in SUBCOMMAND_FIXTURES]
+    graphs += random_gkm_graphs(79, 8)
+    graphs += [
+        scaled_labels_graph(g, rng) for g in random_gkm_graphs(83, 8, require_connection=False)
+    ]
+    seen = set()
+    for g in graphs:
+        for eid in range(len(g.edges)):
+            e = g.default_oriented(eid)
+            for matching in edge_matchings(g, eid)[:4]:
+                inverse = {h: f for f, h in matching.items()}
+                for oe, image in ((e, matching), (e.reverse(), inverse)):
+                    star = [f for f in g.star(g.initial(oe)) if f != oe]
+                    for flips in ({}, {f: rng.choice((1, -1)) for f in star}):
+                        lifts = {f: tuple(flips.get(f, 1) * c for c in g.label(f.edge)) for f in star}
+                        want = {
+                            f: _definitional_sign(lifts[f], g.label(image[f].edge), g.label(eid))
+                            for f in star
+                        }
+                        assert transport_signs(g, oe, image, lifts if flips else None) == want
+                        seen.update(want.values())
+    assert seen == {1, -1}
+    # the one compatible bijection of this edge with two targets swapped
+    g = fixtures.product((1, 0), (0, 1), (2, 3))
+    e = g.default_oriented(0)
+    (good,) = edge_matchings(g, 0)
+    f1, f2 = (f for f in good if f != e)
+    with pytest.raises(ValueError, match="connection is not compatible along edge 0"):
+        transport_signs(g, e, {**good, f1: good[f2], f2: good[f1]})
