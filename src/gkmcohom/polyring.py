@@ -432,13 +432,13 @@ def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
     """
     if f.k != g.k or f.p != g.p:
         raise ValueError("ring mismatch")
-    if f.degree != g.degree and not (f.is_zero() and g.is_zero()):
+    if f.degree != g.degree:
+        if f.is_zero() and g.is_zero():
+            return True
         raise ValueError("degree mismatch")
     if f.coeffs == g.coeffs:
         return True
     diff = [a - b for a, b in zip(f.coeffs, g.coeffs)]
-    if not any(diff):
-        return True
     for row, modulus in divisibility_rows(tuple(w), f.degree, f.p):
         value = sum(v * diff[c] for c, v in row)
         if f.p or modulus:

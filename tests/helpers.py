@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from gkmcohom import DEFAULT_CONVENTIONS, GkmGraph, GradedPoly, GraphClassZ, find_connection, validate_gkm
+from gkmcohom import membership_z, reduce_class_mod_p
 from gkmcohom.intlinalg import IntMatrix, solve_with_image
 from gkmcohom.polyring import content, sign_normalize, weights_parallel
 
@@ -80,7 +81,8 @@ def integral_preimage_elimination(g: GkmGraph, target, conventions=DEFAULT_CONVE
     it, selection rows pick every vertex coefficient and the signed
     quotient of every special edge, and must meet the target modulo p
     (p-scaled slack columns).  One integer elimination decides it, apart
-    from the basis solve of ``gkmcohom.integral_preimage``.
+    from the basis solve of ``gkmcohom.integral_preimage``; the answer must
+    pass ``membership_z`` and reduce to the target.
     """
     p, d, k = target.p, target.degree2 // 2, g.torus_rank
     hi, lo = exponents(k, d), exponents(k, d - 1)
@@ -112,7 +114,10 @@ def integral_preimage_elimination(g: GkmGraph, target, conventions=DEFAULT_CONVE
         GradedPoly.from_terms(k, d, {mono: solution[v * len(hi) + i] for i, mono in enumerate(hi)})
         for v in range(nv)
     ]
-    return GraphClassZ(g, target.degree2, values)
+    out = GraphClassZ(g, target.degree2, values)
+    assert membership_z(g, out), "elimination produced a non-class"
+    assert reduce_class_mod_p(g, out, p, conventions) == target, "eliminated preimage does not reduce to the target"
+    return out
 
 
 def hilbert_rank_of_free(k: int, generator_degrees2, degree2: int) -> int:
