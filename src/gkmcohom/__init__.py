@@ -3,7 +3,9 @@
 Validation, graded equivariant cohomology over Z and Z/p, mod-2
 characteristic classes, spin conditions, path classes on 3-valent
 graphs, and an integral-preimage obstruction — all in exact integer
-arithmetic.  See the ``gkmcohom`` command-line tool for the same
+arithmetic.  A class of either ring is a ``GraphClass``; ``p = 0``
+means Z, and over Z/p a class also carries quotient values on the
+edges whose label vanishes mod p, with ``a * b`` the mod-p product.  See the ``gkmcohom`` command-line tool for the same
 functionality on JSON graph files.
 """
 
@@ -18,14 +20,12 @@ from .charclasses import (
 )
 from .cohomology import (
     CohomLattice,
-    GraphClassModP,
-    GraphClassZ,
+    GraphClass,
     compute_h_modp,
     compute_h_z,
     integral_preimage,
     membership_modp,
     membership_z,
-    product_modp,
     reduce_class_mod_p,
 )
 from .connection import (
@@ -70,8 +70,7 @@ __all__ = [
     "DEFAULT_CONVENTIONS",
     "GkmGraph",
     "GradedPoly",
-    "GraphClassModP",
-    "GraphClassZ",
+    "GraphClass",
     "GraphFormatError",
     "ObstructionVerdict",
     "OrientedEdge",
@@ -100,7 +99,6 @@ __all__ = [
     "membership_modp",
     "membership_z",
     "parse",
-    "product_modp",
     "realizability_obstruction",
     "reduce_class_mod_p",
     "spin_check",

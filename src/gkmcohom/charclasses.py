@@ -13,12 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cohomology import (
-    GraphClassModP,
-    GraphClassZ,
-    integral_preimage,
-    membership_modp,
-)
+from .cohomology import GraphClass, integral_preimage, membership_modp
 from .connection import Connection, edge_matchings, find_connection, first_matching, transport_signs
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
 from .polyring import (
@@ -85,10 +80,10 @@ class TotalSwClass:
         self.graph = graph
         self.components = dict(components)
 
-    def component(self, degree2: int) -> GraphClassModP:
+    def component(self, degree2: int) -> GraphClass:
         got = self.components.get(degree2)
         if got is None:
-            return GraphClassModP.zero(self.graph, 2, degree2)
+            return GraphClass.zero(self.graph, degree2, 2)
         return got
 
     def degrees(self) -> list[int]:
@@ -133,7 +128,7 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
     for d in range(n + 1):
         values = [s.component(d) for s in vertex_series]
         b_part = {e: q.component(d - 1) for e, q in quotients.items()}
-        cls = GraphClassModP(g, 2, 2 * d, values, b_part)
+        cls = GraphClass(g, 2 * d, values, 2, b_part)
         if not membership_modp(g, cls):
             raise InvariantError("vertex parts violate a mod-2 congruence")
         components[2 * d] = cls
@@ -286,7 +281,7 @@ def realizability_obstruction(
 ) -> ObstructionVerdict:
     """Test every even component of the total class for an integral origin."""
     sw = total_sw(g)
-    preimages: dict[int, GraphClassZ | None] = {}
+    preimages: dict[int, GraphClass | None] = {}
     failing = None
     for degree2 in sw.degrees():
         target = sw.component(degree2)

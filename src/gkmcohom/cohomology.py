@@ -1,5 +1,11 @@
 """Graded equivariant graph cohomology over Z and Z/p.
 
+One type, ``GraphClass``, holds a class of either ring; ``p = 0`` means
+Z, as for ``GradedPoly``.  A class is one polynomial per vertex and, over
+Z/p only, one quotient polynomial per edge whose label vanishes mod p
+(over Z no label vanishes).  ``a * b`` is the product of that enlarged
+ring, (f, g)(f', g') = (ff', fg' + f'g); over Z it is vertex-wise.
+
 A degree-2d class assigns a homogeneous degree-d polynomial to every
 vertex such that across each edge the difference of the endpoint values
 is divisible by the edge label.  The condition is local to each edge and
@@ -15,9 +21,8 @@ classes form the HNF lattice of vertex vectors meeting those rows, with
 one slack column of value m per row of an edge with m > 1.  Over Z/p an
 edge with p | m forces equal endpoint values; on any other edge m is a
 unit, so only the y1-free rows remain, and the classes are the RREF basis
-of the F_p kernel.  Over Z/p the edges with p | m also carry an extra
-summand of difference quotients; the comparison map
-``reduce_class_mod_p`` lands in that enlarged ring and
+of the F_p kernel.  The comparison map ``reduce_class_mod_p`` fills in
+the quotient part from the difference quotients across those edges, and
 ``integral_preimage`` decides whether a mod-p class comes from an
 integral one.
 """
@@ -58,103 +63,19 @@ def _normalize_values(k: int, d: int, p: int, values) -> tuple:
     return tuple(out)
 
 
-class GraphClassZ:
-    """Integral class: one degree-d polynomial per vertex, degree2 = 2d."""
+class GraphClass:
+    """A class over Z (p = 0) or Z/p: one degree-d polynomial per vertex,
+    degree2 = 2d, and over Z/p one quotient polynomial of degree d-1 (a
+    cohomological shift of 2 down) per edge whose label vanishes mod p.
 
-    __slots__ = ("graph", "degree2", "values")
-
-    def __init__(self, graph: GkmGraph, degree2: int, values):
-        if degree2 < 0 or degree2 % 2:
-            raise ValueError("cohomological degree must be even and non-negative")
-        if len(values) != len(graph.vertices):
-            raise ValueError("one value per vertex required")
-        self.graph = graph
-        self.degree2 = degree2
-        self.values = _normalize_values(graph.torus_rank, degree2 // 2, 0, values)
-
-    @classmethod
-    def zero(cls, graph: GkmGraph, degree2: int) -> "GraphClassZ":
-        d = degree2 // 2
-        z = GradedPoly.zero(graph.torus_rank, d)
-        return cls(graph, degree2, (z,) * len(graph.vertices))
-
-    def to_vector(self) -> list[int]:
-        out: list[int] = []
-        for f in self.values:
-            out.extend(f.coeffs)
-        return out
-
-    def _check_peer(self, other: "GraphClassZ") -> None:
-        if self.graph is not other.graph and self.graph != other.graph:
-            raise ValueError("classes live on different graphs")
-
-    def __add__(self, other: "GraphClassZ") -> "GraphClassZ":
-        self._check_peer(other)
-        if self.degree2 != other.degree2:
-            raise ValueError("degree mismatch")
-        return GraphClassZ(
-            self.graph,
-            self.degree2,
-            [a + b for a, b in zip(self.values, other.values)],
-        )
-
-    def __sub__(self, other: "GraphClassZ") -> "GraphClassZ":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "GraphClassZ":
-        return GraphClassZ(self.graph, self.degree2, [f.scale(c) for f in self.values])
-
-    def __neg__(self) -> "GraphClassZ":
-        return self.scale(-1)
-
-    def __mul__(self, other: "GraphClassZ") -> "GraphClassZ":
-        self._check_peer(other)
-        return GraphClassZ(
-            self.graph,
-            self.degree2 + other.degree2,
-            [a * b for a, b in zip(self.values, other.values)],
-        )
-
-    def module_mul(self, poly: GradedPoly) -> "GraphClassZ":
-        """Multiply by a global polynomial (same value at every vertex)."""
-        if poly.p != 0 or poly.k != self.graph.torus_rank:
-            raise ValueError("module multiplier must be integral in the same variables")
-        shift = 2 * poly.degree if not poly.is_zero() else 0
-        return GraphClassZ(self.graph, self.degree2 + shift, [f * poly for f in self.values])
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphClassZ):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.degree2 == other.degree2
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree2, self.values))
-
-    def render_values(self) -> list[str]:
-        return [f.render() for f in self.values]
-
-    def __repr__(self) -> str:
-        return f"GraphClassZ(deg {self.degree2}: {', '.join(self.render_values())})"
-
-
-class GraphClassModP:
-    """Mod-p class with vertex part and difference-quotient part.
-
-    The quotient part assigns to every edge whose label vanishes mod p a
-    polynomial of degree d-1 (a cohomological shift of 2 down).
+    Over Z no label vanishes, so the quotient part ``b_part`` is empty and
+    the constructor does not scan the edges.
     """
 
     __slots__ = ("graph", "p", "degree2", "values", "b_part")
 
-    def __init__(self, graph: GkmGraph, p: int, degree2: int, values, b_part=None):
-        if not is_prime(p):
+    def __init__(self, graph: GkmGraph, degree2: int, values, p: int = 0, b_part=None):
+        if p and not is_prime(p):
             raise ValueError("p must be prime")
         if degree2 < 0 or degree2 % 2:
             raise ValueError("cohomological degree must be even and non-negative")
@@ -165,7 +86,7 @@ class GraphClassModP:
         self.degree2 = degree2
         d = degree2 // 2
         self.values = _normalize_values(graph.torus_rank, d, p, values)
-        special = edges_div_p(graph, p)
+        special = edges_div_p(graph, p) if p else ()
         b_part = dict(b_part or {})
         for e in b_part:
             if e not in special:
@@ -183,41 +104,74 @@ class GraphClassModP:
         self.b_part = fixed
 
     @classmethod
-    def zero(cls, graph: GkmGraph, p: int, degree2: int) -> "GraphClassModP":
-        d = degree2 // 2
-        z = GradedPoly.zero(graph.torus_rank, d, p)
-        return cls(graph, p, degree2, (z,) * len(graph.vertices))
+    def zero(cls, graph: GkmGraph, degree2: int, p: int = 0) -> "GraphClass":
+        z = GradedPoly.zero(graph.torus_rank, degree2 // 2, p)
+        return cls(graph, degree2, (z,) * len(graph.vertices), p)
 
-    def _check_peer(self, other: "GraphClassModP") -> None:
-        if self.graph != other.graph or self.p != other.p:
+    def _check_peer(self, other: "GraphClass") -> None:
+        if self.graph is not other.graph and self.graph != other.graph:
+            raise ValueError("classes live on different graphs")
+        if self.p != other.p:
             raise ValueError("classes live in different rings")
 
-    def __add__(self, other: "GraphClassModP") -> "GraphClassModP":
+    def __add__(self, other: "GraphClass") -> "GraphClass":
         self._check_peer(other)
         if self.degree2 != other.degree2:
             raise ValueError("degree mismatch")
-        return GraphClassModP(
+        return GraphClass(
             self.graph,
-            self.p,
             self.degree2,
             [a + b for a, b in zip(self.values, other.values)],
+            self.p,
             {e: self.b_part[e] + other.b_part[e] for e in self.b_part},
         )
 
-    def scale(self, c: int) -> "GraphClassModP":
-        return GraphClassModP(
+    def scale(self, c: int) -> "GraphClass":
+        return GraphClass(
             self.graph,
-            self.p,
             self.degree2,
             [f.scale(c) for f in self.values],
+            self.p,
             {e: f.scale(c) for e, f in self.b_part.items()},
         )
 
-    def __sub__(self, other: "GraphClassModP") -> "GraphClassModP":
+    def __sub__(self, other: "GraphClass") -> "GraphClass":
         return self + other.scale(-1)
 
-    def __mul__(self, other: "GraphClassModP") -> "GraphClassModP":
-        return product_modp(self, other)
+    def __neg__(self) -> "GraphClass":
+        return self.scale(-1)
+
+    def __mul__(self, other: "GraphClass") -> "GraphClass":
+        """(f, g)(f', g') = (ff', fg' + f'g), using the common endpoint value.
+
+        Well-defined because an edge with vanishing label mod p forces
+        equal endpoint values, which is checked.  Over Z there is no
+        quotient part and this is the vertex-wise product.
+        """
+        self._check_peer(other)
+        g = self.graph
+        b_out = {}
+        for e in self.b_part:
+            oe = g.default_oriented(e)
+            u, v = g.initial(oe), g.terminal(oe)
+            if self.values[u] != self.values[v] or other.values[u] != other.values[v]:
+                raise ValueError(f"endpoint values differ across edge {e}; not a valid class")
+            b_out[e] = self.values[u] * other.b_part[e] + other.values[u] * self.b_part[e]
+        values = [a * b for a, b in zip(self.values, other.values)]
+        return GraphClass(g, self.degree2 + other.degree2, values, self.p, b_out)
+
+    def module_mul(self, poly: GradedPoly) -> "GraphClass":
+        """Multiply by a global polynomial (same value at every vertex)."""
+        if poly.p != self.p or poly.k != self.graph.torus_rank:
+            raise ValueError("module multiplier must be in the ring of the class")
+        shift = 2 * poly.degree if not poly.is_zero() else 0
+        return GraphClass(
+            self.graph,
+            self.degree2 + shift,
+            [f * poly for f in self.values],
+            self.p,
+            {e: f * poly for e, f in self.b_part.items()},
+        )
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.values) and all(
@@ -225,7 +179,7 @@ class GraphClassModP:
         )
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphClassModP):
+        if not isinstance(other, GraphClass):
             return NotImplemented
         return (
             self.graph == other.graph
@@ -255,30 +209,12 @@ class GraphClassModP:
 
     def __repr__(self) -> str:
         vals = ", ".join(self.render_values())
-        bs = "; ".join(f"e{e}: {f.render()}" for e, f in sorted(self.b_part.items()))
-        return f"GraphClassModP(p={self.p}, deg {self.degree2}: {vals} | {bs})"
+        if self.b_part:
+            vals += " | " + "; ".join(f"e{e}: {s}" for e, s in self.render_b_part().items())
+        return f"GraphClass(p={self.p}, deg {self.degree2}: {vals})"
 
 
-def product_modp(a: GraphClassModP, b: GraphClassModP) -> GraphClassModP:
-    """(f, g)(f', g') = (ff', fg' + f'g), using the common endpoint value.
-
-    Well-defined because an edge with vanishing label mod p forces equal
-    endpoint values, which is asserted.
-    """
-    a._check_peer(b)
-    g = a.graph
-    values = [x * y for x, y in zip(a.values, b.values)]
-    b_out = {}
-    for e in a.b_part:
-        oe = g.default_oriented(e)
-        u, v = g.initial(oe), g.terminal(oe)
-        if a.values[u] != a.values[v] or b.values[u] != b.values[v]:
-            raise ValueError(f"endpoint values differ across edge {e}; not a valid class")
-        b_out[e] = a.values[u] * b.b_part[e] + b.values[u] * a.b_part[e]
-    return GraphClassModP(g, a.p, a.degree2 + b.degree2, values, b_out)
-
-
-def membership_z(g: GkmGraph, cls: GraphClassZ | GraphClassModP) -> bool:
+def membership_z(g: GkmGraph, cls: GraphClass) -> bool:
     """True iff endpoint differences are divisible by the edge labels.
 
     Serves both rings: over Z the divisibility is exact, over Z/p it is
@@ -347,22 +283,16 @@ class CohomLattice:
 
     def coordinates_of(self, cls):
         """Coordinates in this basis, or None if outside the span."""
+        if not isinstance(cls, GraphClass) or cls.p != self.p:
+            raise TypeError(f"expected a class over {self.ring}")
         if self.p == 0:
-            if not isinstance(cls, GraphClassZ):
-                raise TypeError("expected an integral class")
             return self.lattice.coordinates_of(cls.to_vector())
-        if not isinstance(cls, GraphClassModP) or cls.p != self.p:
-            raise TypeError(f"expected a mod-{self.p} class")
         if any(not f.is_zero() for f in cls.b_part.values()):
             return None
         target = []
         for f in cls.values:
             target.extend(f.coeffs)
-        if not self._modp_vectors:
-            return [] if all(c % self.p == 0 for c in target) else None
-        rows = [
-            [vec[i] for vec in self._modp_vectors] for i in range(len(self._modp_vectors[0]))
-        ]
+        rows = [[vec[i] for vec in self._modp_vectors] for i in range(len(target))]
         return modp_solve(rows, target, self.p)
 
     def to_report(self) -> dict:
@@ -404,7 +334,7 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
     basis = []
     for vec in vectors:
         vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p or 0) for i in range(len(g.vertices))]
-        cls = GraphClassZ(g, degree2, vals) if p is None else GraphClassModP(g, p, degree2, vals)
+        cls = GraphClass(g, degree2, vals, p or 0)
         if not membership_z(g, cls):
             raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
         basis.append(cls)
@@ -430,10 +360,10 @@ def compute_h_modp(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
 
 def reduce_class_mod_p(
     g: GkmGraph,
-    cls: GraphClassZ,
+    cls: GraphClass,
     p: int,
     conventions: Conventions = DEFAULT_CONVENTIONS,
-) -> GraphClassModP:
+) -> GraphClass:
     """Vertex-wise reduction plus difference quotients across the edges
     whose label vanishes mod p.
 
@@ -455,14 +385,14 @@ def reduce_class_mod_p(
         if quotient is None:
             raise ValueError(f"difference across edge {e} is not divisible by its label")
         b_part[e] = reduce_mod_p(quotient, p)
-    return GraphClassModP(g, p, cls.degree2, values, b_part)
+    return GraphClass(g, cls.degree2, values, p, b_part)
 
 
 def integral_preimage(
     g: GkmGraph,
-    target: GraphClassModP,
+    target: GraphClass,
     conventions: Conventions = DEFAULT_CONVENTIONS,
-) -> GraphClassZ | None:
+) -> GraphClass | None:
     """An integral class reducing to the target, or None.
 
     The reduction map kills exactly p times the integral piece, so its
@@ -474,13 +404,11 @@ def integral_preimage(
         reduce_class_mod_p(g, cls, target.p, conventions).to_vector() for cls in lattice.basis
     ]
     target_vec = target.to_vector()
-    if not images:
-        return None if any(c % target.p for c in target_vec) else GraphClassZ.zero(g, target.degree2)
     rows = [[img[i] for img in images] for i in range(len(target_vec))]
     coeffs = modp_solve(rows, target_vec, target.p)
     if coeffs is None:
         return None
-    out = GraphClassZ.zero(g, target.degree2)
+    out = GraphClass.zero(g, target.degree2)
     for c, cls in zip(coeffs, lattice.basis):
         if c:
             out = out + cls.scale(c)

@@ -72,18 +72,14 @@ def residue(v, le) -> tuple:
     return tuple(v)
 
 
-def transport_sign(src_lift, dst_label, edge_label, unique: bool = True) -> int | None:
+def transport_sign(src_lift, dst_label, edge_label) -> int | None:
     """The sign s with src_lift - s * dst_label a multiple of edge_label.
 
     Returns 1 or -1 when one sign fits, None when neither does, and 0 when
-    both do (adjacent labels that fail linear independence).  With
-    ``unique`` false any fitting sign will do: -1 is tested only when +1
-    fails, so a pair where both fit reads as 1.
+    both do (adjacent labels that fail linear independence).
     """
     key = residue(src_lift, edge_label)
     fits_pos = key == residue(dst_label, edge_label)
-    if fits_pos and not unique:
-        return 1
     fits_neg = key == residue(tuple(-c for c in dst_label), edge_label)
     if fits_pos:
         return 0 if fits_neg else 1
@@ -214,7 +210,7 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
             raise ValueError(f"edge {eid}: matching must send the edge to its reverse")
         le = g.label(eid)
         for f, h in m.items():
-            if f != e and transport_sign(g.label(f.edge), g.label(h.edge), le, unique=False) is None:
+            if f != e and transport_sign(g.label(f.edge), g.label(h.edge), le) is None:
                 raise ValueError(
                     f"edge {eid}: pair {f.render()} -> {h.render()} violates the "
                     f"congruence"

@@ -36,7 +36,7 @@ def paper8_generators() -> dict:
 
     Degrees 0, 4, 4, 8; components in vertex order (lr, ur, ul, ll).
     """
-    from .cohomology import GraphClassZ
+    from .cohomology import GraphClass
     from .polyring import GradedPoly
 
     g = paper8()
@@ -47,7 +47,7 @@ def paper8_generators() -> dict:
             GradedPoly.from_terms(2, d, terms) if terms else GradedPoly.zero(2, d)
             for terms in (lr, ur, ul, ll)
         ]
-        return GraphClassZ(g, degree2, tuple(polys))
+        return GraphClass(g, degree2, tuple(polys))
 
     a1 = cls(0, {(0, 0): 1}, {(0, 0): 1}, {(0, 0): 1}, {(0, 0): 1})
     a2 = cls(

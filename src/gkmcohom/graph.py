@@ -148,9 +148,6 @@ class GkmGraph:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def parse(source: str | dict) -> GkmGraph:
     """Build a graph from its JSON description.

@@ -176,12 +176,6 @@ class LatticeBasis:
                 residual[k] -= c * row[k]
         return residual, coords
 
-    def contains(self, v) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        residual, _ = self._reduce(v)
-        return not any(residual)
-
     def coordinates_of(self, v) -> list[int] | None:
         """Integer coordinates of v in this basis, or None if outside."""
         if len(v) != self.ambient_dim:

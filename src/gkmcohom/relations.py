@@ -16,9 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cohomology import GraphClassModP, GraphClassZ
+from .cohomology import GraphClass
 from .graph import GkmGraph
-from .polyring import GradedPoly, reduce_mod_p, var_names
+from .polyring import GradedPoly, var_names
 
 __all__ = [
     "RelationError",
@@ -156,18 +156,13 @@ def _type_name(v) -> str:
         return "integer"
     if isinstance(v, GradedPoly):
         return "polynomial"
-    if isinstance(v, GraphClassZ):
-        return "class over Z"
-    if isinstance(v, GraphClassModP):
-        return f"class mod {v.p}"
+    if isinstance(v, GraphClass):
+        return "class over Z" if v.p == 0 else f"class mod {v.p}"
     return type(v).__name__
 
 
-def _const_class_modp(template: GraphClassModP, poly: GradedPoly) -> GraphClassModP:
-    """The globally constant class with the given polynomial value."""
-    g = template.graph
-    f = reduce_mod_p(poly, template.p) if poly.p == 0 else poly
-    return GraphClassModP(g, template.p, 2 * f.degree, [f] * len(g.vertices), {})
+def _same_ring_classes(a, b) -> bool:
+    return isinstance(a, GraphClass) and isinstance(b, GraphClass) and a.p == b.p
 
 
 def _add(a, b):
@@ -180,7 +175,7 @@ def _add(a, b):
             b = GradedPoly.constant(a.k, b, a.p)
         if isinstance(a, GradedPoly) and isinstance(b, GradedPoly):
             return a + b
-    if isinstance(a, (GraphClassZ, GraphClassModP)) and type(a) is type(b):
+    if _same_ring_classes(a, b):
         return a + b
     raise RelationError(f"cannot add {_type_name(a)} and {_type_name(b)}")
 
@@ -204,11 +199,9 @@ def _mul(a, b):
     if isinstance(b, GradedPoly):
         if isinstance(a, GradedPoly):
             return a * b
-        if isinstance(a, GraphClassZ):
+        if isinstance(a, GraphClass):
             return a.module_mul(b)
-        if isinstance(a, GraphClassModP):
-            return a * _const_class_modp(a, b)
-    if isinstance(a, (GraphClassZ, GraphClassModP)) and type(a) is type(b):
+    if _same_ring_classes(a, b):
         return a * b
     raise RelationError(f"cannot multiply {_type_name(a)} and {_type_name(b)}")
 
@@ -242,7 +235,7 @@ def _equal(a, b) -> bool:
             )
     if isinstance(a, GradedPoly) and isinstance(b, GradedPoly):
         return a == b
-    if type(a) is type(b):
+    if _same_ring_classes(a, b):
         return a == b
     raise RelationError(f"cannot compare {_type_name(a)} and {_type_name(b)}")
 
@@ -253,8 +246,8 @@ def render_value(v) -> str:
     if isinstance(v, GradedPoly):
         return v.render()
     parts = ", ".join(v.render_values())
-    if isinstance(v, GraphClassModP) and v.b_part:
-        parts += "; b: " + ", ".join(v.render_b_part())
+    if v.b_part:
+        parts += "; b: " + ", ".join(f"e{e}: {s}" for e, s in v.render_b_part().items())
     return f"({parts})"
 
 
@@ -325,7 +318,7 @@ def check_relations(texts, env: dict) -> list[RelationResult]:
 
 def class_from_values(
     g: GkmGraph, degree2: int, values: dict, env: dict | None = None
-) -> GraphClassZ:
+) -> GraphClass:
     """Build an integral class from per-vertex polynomial strings.
 
     ``values`` maps vertex names to expression strings; missing vertices
@@ -353,7 +346,7 @@ def class_from_values(
                 f"vertex {name!r}: expected degree {d}, got {value.degree}"
             )
         out[g.vertex_index(name)] = value
-    return GraphClassZ(g, degree2, out)
+    return GraphClass(g, degree2, out)
 
 
 def classes_from_json(g: GkmGraph, spec: dict) -> dict:

@@ -12,7 +12,7 @@ components.
 from __future__ import annotations
 
 from .charclasses import total_sw
-from .cohomology import GraphClassZ, membership_z, reduce_class_mod_p
+from .cohomology import GraphClass, membership_z, reduce_class_mod_p
 from .connection import (
     Connection,
     enumerate_connections,
@@ -150,7 +150,7 @@ def connection_paths(g: GkmGraph, c: Connection | None = None) -> list[Connectio
 
 def thom_class_of_path(
     g: GkmGraph, c: Connection, path: ConnectionPath, initial_sign: int = 1
-) -> GraphClassZ:
+) -> GraphClass:
     """Degree-2 class of a connection path via normal-label sign transport.
 
     The lift of the lexicographically smallest normal edge is the
@@ -194,13 +194,13 @@ def thom_class_of_path(
                 for i in range(k):
                     total[i] += w[i]
         values.append(linear_from_weight(tuple(total)) if any(total) else GradedPoly.zero(k, 1))
-    cls = GraphClassZ(g, 2, values)
+    cls = GraphClass(g, 2, values)
     if not membership_z(g, cls):
         raise InvariantError("path class violates an edge congruence")
     return cls
 
 
-def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClassZ:
+def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
     """Degree-4 class supported on the endpoints of one edge."""
     if g.torus_rank != 2:
         raise ValueError("edge classes require torus rank 2")
@@ -219,13 +219,13 @@ def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClassZ:
     values = [zero] * len(g.vertices)
     values[u] = src_product
     values[v] = dst_product
-    cls = GraphClassZ(g, 4, values)
+    cls = GraphClass(g, 4, values)
     if not membership_z(g, cls):
         raise InvariantError("edge class violates an edge congruence")
     return cls
 
 
-def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClassZ:
+def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClass:
     """Degree-6 class supported on one vertex: product of its star labels."""
     if g.valence != 3:
         raise ValueError("vertex classes require a 3-valent graph")
@@ -236,13 +236,13 @@ def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClassZ:
     zero = GradedPoly.zero(k, 3)
     values = [zero] * len(g.vertices)
     values[vertex] = product
-    cls = GraphClassZ(g, 6, values)
+    cls = GraphClass(g, 6, values)
     if not membership_z(g, cls):
         raise InvariantError("vertex class violates an edge congruence")
     return cls
 
 
-def _sum_classes(g: GkmGraph, degree2: int, classes) -> GraphClassZ:
+def _sum_classes(g: GkmGraph, degree2: int, classes) -> GraphClass:
     """Vertex-wise sum of classes, adding only the nonzero values (edge and
     vertex classes vanish away from one or two vertices)."""
     sums = [GradedPoly.zero(g.torus_rank, degree2 // 2)] * len(g.vertices)
@@ -250,7 +250,7 @@ def _sum_classes(g: GkmGraph, degree2: int, classes) -> GraphClassZ:
         for v, f in enumerate(cls.values):
             if not f.is_zero():
                 sums[v] = sums[v] + f
-    return GraphClassZ(g, degree2, sums)
+    return GraphClass(g, degree2, sums)
 
 
 def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from gkmcohom import DEFAULT_CONVENTIONS, GkmGraph, GradedPoly, GraphClassZ, find_connection, validate_gkm
+from gkmcohom import DEFAULT_CONVENTIONS, GkmGraph, GradedPoly, GraphClass, find_connection, validate_gkm
 from gkmcohom import membership_z, reduce_class_mod_p
 from gkmcohom.intlinalg import IntMatrix, solve_with_image
 from gkmcohom.polyring import content, sign_normalize, weights_parallel
@@ -114,7 +114,7 @@ def integral_preimage_elimination(g: GkmGraph, target, conventions=DEFAULT_CONVE
         GradedPoly.from_terms(k, d, {mono: solution[v * len(hi) + i] for i, mono in enumerate(hi)})
         for v in range(nv)
     ]
-    out = GraphClassZ(g, target.degree2, values)
+    out = GraphClass(g, target.degree2, values)
     assert membership_z(g, out), "elimination produced a non-class"
     assert reduce_class_mod_p(g, out, p, conventions) == target, "eliminated preimage does not reduce to the target"
     return out

@@ -6,7 +6,7 @@ import pytest
 
 from gkmcohom import (
     GkmGraph,
-    GraphClassModP,
+    GraphClass,
     edges_div_p,
     find_connection,
     integral_preimage,
@@ -32,7 +32,7 @@ def modp_class(g, degree2, vertex_terms, b_terms=None, p=2):
 
     values = [mk(d, t) for t in vertex_terms]
     b_part = {e: mk(d - 1, t) for e, t in (b_terms or {}).items()}
-    return GraphClassModP(g, p, degree2, values, b_part)
+    return GraphClass(g, degree2, values, p, b_part)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,6 @@ def test_transport_sign_outcomes():
     assert transport_sign((1, 0), (-1, 0), (0, 1)) == -1
     assert transport_sign((1, 0), (0, 1), (2, 3)) is None
     assert transport_sign((1, 0), (1, 0), (1, 0)) == 0  # both signs fit
-    assert transport_sign((1, 0), (1, 0), (1, 0), unique=False) == 1
-    assert transport_sign((1, 0), (0, 1), (2, 3), unique=False) is None
     assert forced_lift((1, 0), (-1, 0), (0, 1)) == (1, 0)
     assert forced_lift((1, 0), (0, 1), (2, 3)) is None
     with pytest.raises(ValueError, match="ambiguous"):
@@ -243,8 +241,6 @@ def test_residue_test_equals_the_definitional_congruence():
                 assert (residue(lf, le) == residue(tuple(-c for c in lh), le)) == neg
                 want = {(True, True): 0, (True, False): 1, (False, True): -1}.get((pos, neg))
                 assert transport_sign(lf, lh, le) == want, (lf, lh, le)
-                loose = 1 if pos else (-1 if neg else None)
-                assert transport_sign(lf, lh, le, unique=False) == loose
                 outcomes.add(want)
     assert outcomes == {0, 1, -1, None}
     assert leading_signs == {True, False}

@@ -5,10 +5,12 @@ content 2, 3, 5 and 6 among them) is run over Z, Z2, Z3 and Z5 up to
 degree 8.  The connection and characteristic-class subcommands (``sw``,
 with and without sampled alternative choices, ``spin``, ``validate``,
 ``validate --require-spin``, ``thom`` and ``obstruction``) run on the
-same fixtures plus an octagonal prism and a label-scaled product.  All
-runs are in process; the digests of stdout and the exit codes must match
-the files under ``golden/``; any change to a basis string, a class
-value, a verdict or the report layout shows up here.
+same fixtures plus an octagonal prism and a label-scaled product.
+``relations`` checks the paper8 generator relations and a zero
+multiplier over Z, Z2 and Z3, one check per run.  All runs are in
+process; the digests of stdout and the exit codes must match the files
+under ``golden/``; any change to a basis string, a class value, a
+verdict or the report layout shows up here.
 
 Regenerate (only for an intended output change) with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -27,6 +29,7 @@ from gkmcohom.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cohomology_digests.json"
 GOLDEN_SUBCOMMANDS = Path(__file__).parent / "golden" / "subcommand_digests.json"
+GOLDEN_RELATIONS = Path(__file__).parent / "golden" / "relations_digests.json"
 
 FIXTURES = (
     "paper8",
@@ -53,6 +56,8 @@ SUBCOMMANDS = (
     ("thom",),
     ("obstruction",),
 )
+RELATIONS = ("a2*a3 == -a4 + 2*x*y*a2", "a1*a1 == a1", "a2*(x-x) == a2-a2")
+RELATION_RINGS = ("Z", "Z2", "Z3")
 
 
 def _run(argv: list[str]) -> dict:
@@ -80,6 +85,14 @@ def compute_subcommand_digests() -> dict:
     }
 
 
+def compute_relations_digests() -> dict:
+    return {
+        f"{ring} {rel}": _run(["relations", "fixtures:paper8", "--ring", ring, "--check", rel, "--json"])
+        for ring in RELATION_RINGS
+        for rel in RELATIONS
+    }
+
+
 def _assert_matches(path: Path, got: dict) -> None:
     expected = json.loads(path.read_text())
     assert sorted(got) == sorted(expected)
@@ -95,8 +108,16 @@ def test_connection_and_class_subcommands_match_golden_digests():
     _assert_matches(GOLDEN_SUBCOMMANDS, compute_subcommand_digests())
 
 
+def test_relations_match_golden_digests():
+    _assert_matches(GOLDEN_RELATIONS, compute_relations_digests())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    for path, digests in ((GOLDEN, compute_digests()), (GOLDEN_SUBCOMMANDS, compute_subcommand_digests())):
+    for path, digests in (
+        (GOLDEN, compute_digests()),
+        (GOLDEN_SUBCOMMANDS, compute_subcommand_digests()),
+        (GOLDEN_RELATIONS, compute_relations_digests()),
+    ):
         path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -6,7 +6,7 @@ import pytest
 
 from gkmcohom import check_identity, check_relations, classes_from_json, evaluate
 from gkmcohom import fixtures
-from gkmcohom.cohomology import GraphClassZ, reduce_class_mod_p
+from gkmcohom.cohomology import GraphClass, reduce_class_mod_p
 from gkmcohom.relations import RelationError, variable_environment
 
 
@@ -53,6 +53,13 @@ def test_relation_survives_reduction_mod_3():
     assert check_identity("a2*a3 == -a4 + 2*x*y*a2", square_env(3)).holds
     # mod 3 the sign flips fold into the coefficients
     assert check_identity("a2*a3 == 2*a4 + 2*x*y*a2", square_env(3)).holds
+
+
+def test_zero_multiplier_keeps_the_degree_in_every_ring():
+    # one class type for both rings: multiplying by a zero polynomial gives
+    # the zero class of the same degree over Z and over Z/p alike
+    for p in (0, 3):
+        assert check_identity("a2*(x-x) == a2-a2", square_env(p)).holds, p
 
 
 def test_polynomial_arithmetic_alone():
@@ -118,7 +125,7 @@ def test_classes_from_json_square_rule():
     }
     env = variable_environment(2)
     env.update(classes_from_json(g, spec))
-    assert isinstance(env["b1"], GraphClassZ)
+    assert isinstance(env["b1"], GraphClass) and env["b1"].p == 0
     assert check_identity("b1*b1 == b2", env).holds
 
 
