@@ -49,7 +49,7 @@ from .graph import (
     parse,
     validate_gkm,
 )
-from .polyring import GradedPoly, PolySeries, divide_by_linear, linear_from_weight
+from .polyring import GradedPoly, divide_by_linear, linear_from_weight
 from .relations import check_identity, check_relations, classes_from_json, evaluate
 from .thom import (
     ConnectionPath,
@@ -74,7 +74,6 @@ __all__ = [
     "GraphFormatError",
     "ObstructionVerdict",
     "OrientedEdge",
-    "PolySeries",
     "SpinVerdict",
     "TotalSwClass",
     "check_coprimality",

@@ -1,11 +1,13 @@
 """Characteristic classes mod 2, spin criteria, and the realizability verdict.
 
-The total class has one vertex series per vertex (product of 1 + label
-over the star) and, for every edge whose label is even, a quotient
-series obtained from the difference of the two endpoint star products
-divided by a lift of the edge label.  All choices entering the quotient
-(local bijection, sign lifts) are provably irrelevant mod 2; covered by
-``sw_choice_independence``.
+The total class is built one degree at a time.  At a vertex its degree-d
+component is the d-th elementary symmetric polynomial of the star labels
+mod 2 (the degree-d part of the product of 1 + label over the star).  On
+every edge whose label is even, the degree-d quotient is the difference
+of the degree-d components of the two endpoint star products, built from
+integral lifts, divided by a lift of the edge label and reduced mod 2.
+All choices entering the quotient (local bijection, sign lifts) are
+provably irrelevant mod 2; covered by ``sw_choice_independence``.
 """
 
 from __future__ import annotations
@@ -16,33 +18,30 @@ from dataclasses import dataclass, field
 from .cohomology import GraphClass, integral_preimage, membership_modp
 from .connection import Connection, edge_matchings, find_connection, first_matching, transport_signs
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
-from .polyring import (
-    PolySeries,
-    divide_by_linear,
-    linear_from_weight,
-    reduce_mod_p,
-)
+from .polyring import GradedPoly, divide_by_linear, linear_from_weight, reduce_mod_p
 
 
-def _star_product(k: int, weights, p: int = 0) -> PolySeries:
-    """Product of (1 + w) over the given weights, over Z (p = 0) or Z_p."""
-    one = PolySeries.one(k, p)
-    series = one
+def _star_components(k: int, weights, p: int = 0) -> list[GradedPoly]:
+    """Components 0..n of the product of (1 + w) over the n weights, over
+    Z (p = 0) or Z_p: entry d is the d-th elementary symmetric polynomial
+    of their linear forms, built by e_d <- e_d + e_{d-1} * w per weight."""
+    comps = [GradedPoly.constant(k, 1, p)]
     for w in weights:
-        series = series * (one + PolySeries.from_poly(linear_from_weight(w, p)))
-    return series
+        lin = linear_from_weight(w, p)
+        comps = [comps[0]] + [a + b * lin for a, b in zip(comps[1:], comps)] + [comps[-1] * lin]
+    return comps
 
 
-def _edge_quotient_series(
-    g: GkmGraph, edge_id: int, matching: dict, signs: dict
-) -> PolySeries:
-    """The SW quotient series at one even-label edge, reduced mod 2.
+def _edge_quotients(g: GkmGraph, edge_id: int, matching: dict, signs: dict) -> list[GradedPoly]:
+    """The SW quotients at one even-label edge, reduced mod 2, per degree.
 
     ``matching`` maps the full star of the initial vertex onto the star
     of the terminal vertex (edge to reversed edge included); ``signs``
     gives a sign per source oriented edge.  Target lifts are forced by
     the congruence (``transport_signs``), and the reversed edge takes the
-    lift of the edge; the division per degree is exact by compatibility.
+    lift of the edge.  Entry d is the difference of the degree-d star
+    components divided by the edge lift, of degree d - 1; the division is
+    exact by compatibility.
     """
     oe = g.default_oriented(edge_id)
     src_lifts = {l: tuple(signs[l] * c for c in g.label(l.edge)) for l in g.star(g.initial(oe))}
@@ -51,14 +50,12 @@ def _edge_quotient_series(
         for l, s in transport_signs(g, oe, matching, src_lifts).items()
     ]
     k = g.torus_rank
-    numerator = _star_product(k, src_lifts.values()) - _star_product(k, dst_lifts)
-    denominator = src_lifts[oe]
-    out = PolySeries(k, p=2)
-    for d in numerator.degrees():
-        quotient = divide_by_linear(numerator.component(d), denominator)
+    out = []
+    for a, b in zip(_star_components(k, src_lifts.values()), _star_components(k, dst_lifts)):
+        quotient = divide_by_linear(a - b, src_lifts[oe])
         if quotient is None:
             raise InvariantError("SW numerator not divisible by the edge lift")
-        out = out + PolySeries.from_poly(reduce_mod_p(quotient, 2))
+        out.append(reduce_mod_p(quotient, 2))
     return out
 
 
@@ -89,45 +86,35 @@ class TotalSwClass:
     def degrees(self) -> list[int]:
         return sorted(self.components)
 
-    def to_report(self) -> dict:
-        out = {}
-        for d2 in self.degrees():
-            cls = self.components[d2]
-            out[str(d2)] = {
-                "vertex_part": cls.render_values(),
-                "b_part": {str(e): s for e, s in cls.render_b_part().items()},
-            }
-        return out
-
 
 def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
-    """Total characteristic class: vertex star products and edge quotients.
+    """Total characteristic class: vertex star components and edge quotients.
 
-    Over Z_2 a vertex series depends only on the multiset of its star
-    labels mod 2 (-w = w, and the product commutes), so it is built once
-    per distinct sorted mod-2 star; all vertices of a flag manifold or a
-    cube share one.
+    Over Z_2 the components at a vertex depend only on the multiset of its
+    star labels mod 2 (-w = w, and the product commutes), so they are built
+    once per distinct sorted mod-2 star; all vertices of a flag manifold or
+    a cube share one list.
     """
     n = g.valence
     k = g.torus_rank
     if connection is None:
         connection = find_connection(g)
-    series_of_star: dict[tuple, PolySeries] = {}
-    vertex_series = []
+    components_of_star: dict[tuple, list[GradedPoly]] = {}
+    vertex_components = []
     for v in range(len(g.vertices)):
         star = tuple(sorted(tuple(c % 2 for c in g.label(oe.edge)) for oe in g.star(v)))
-        if star not in series_of_star:
-            series_of_star[star] = _star_product(k, star, p=2)
-        vertex_series.append(series_of_star[star])
+        if star not in components_of_star:
+            components_of_star[star] = _star_components(k, star, p=2)
+        vertex_components.append(components_of_star[star])
     quotients = {}
     for e in edges_div_p(g, 2):
         matching = _default_matching(g, e, connection)
         signs = {l: 1 for l in g.star(g.initial(g.default_oriented(e)))}
-        quotients[e] = _edge_quotient_series(g, e, matching, signs)
+        quotients[e] = _edge_quotients(g, e, matching, signs)
     components = {}
     for d in range(n + 1):
-        values = [s.component(d) for s in vertex_series]
-        b_part = {e: q.component(d - 1) for e, q in quotients.items()}
+        values = [s[d] for s in vertex_components]
+        b_part = {e: q[d] for e, q in quotients.items()}
         cls = GraphClass(g, 2 * d, values, 2, b_part)
         if not membership_modp(g, cls):
             raise InvariantError("vertex parts violate a mod-2 congruence")
@@ -138,7 +125,7 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
 def sw_choice_independence(
     g: GkmGraph, edge_id: int, trials: int = 64, seed: int = 0
 ) -> bool:
-    """Recompute the quotient series across bijections and sign lifts.
+    """Recompute the edge quotients across bijections and sign lifts.
 
     Exhausts the whole choice space when it has at most ``trials``
     elements, otherwise samples that many random choices.
@@ -165,9 +152,7 @@ def sw_choice_independence(
         ]
     for m_idx, mask in choices:
         signs = {l: (-1 if (mask >> i) & 1 else 1) for i, l in enumerate(star)}
-        series = _edge_quotient_series(g, edge_id, matchings[m_idx], signs)
-        key = tuple((d, series.component(d)) for d in series.degrees())
-        seen.add(key)
+        seen.add(tuple(_edge_quotients(g, edge_id, matchings[m_idx], signs)))
         if len(seen) > 1:
             return False
     return True

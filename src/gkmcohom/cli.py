@@ -246,18 +246,14 @@ def cmd_thom(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_relations(cfg: RunConfig) -> tuple[int, dict]:
     g = _load(cfg)
-    env = dict(variable_environment(g.torus_rank, cfg.ring))
-    if g == fixtures.paper8() and cfg.ring == 0:
-        env.update(fixtures.paper8_generators())
-    elif g == fixtures.paper8():
-        gens = fixtures.paper8_generators()
-        env.update(
-            {name: reduce_class_mod_p(g, cls, cfg.ring) for name, cls in gens.items()}
-        )
+    classes = fixtures.paper8_generators() if g == fixtures.paper8() else {}
     if cfg.classes_path is not None:
         with open(cfg.classes_path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-        env.update(classes_from_json(g, spec))
+        classes.update(classes_from_json(g, spec))
+    if cfg.ring:
+        classes = {name: reduce_class_mod_p(g, cls, cfg.ring) for name, cls in classes.items()}
+    env = {**variable_environment(g.torus_rank, cfg.ring), **classes}
     if not cfg.relations:
         raise ValueError("no relations given")
     results = check_relations(cfg.relations, env)

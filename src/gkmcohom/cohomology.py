@@ -117,7 +117,11 @@ class GraphClass:
     def __add__(self, other: "GraphClass") -> "GraphClass":
         self._check_peer(other)
         if self.degree2 != other.degree2:
-            raise ValueError("degree mismatch")
+            if not (self.is_zero() or other.is_zero()):
+                raise ValueError("degree mismatch")
+            # a zero multiplier keeps the degree of its class, so a zero
+            # summand of another degree is absorbed, as zeros are for GradedPoly
+            return max(self, other, key=lambda c: (not c.is_zero(), c.degree2))
         return GraphClass(
             self.graph,
             self.degree2,
@@ -234,7 +238,7 @@ def membership_z(g: GkmGraph, cls: GraphClass) -> bool:
 membership_modp = membership_z
 
 
-def _edge_rows(g: GkmGraph, d: int, p: int | None) -> tuple[list[list[int]], list[int]]:
+def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[list[int]], list[int]]:
     """Divisibility across every edge as rows on the vertex coefficients.
 
     Returns (rows, moduli): ``polyring.divisibility_rows`` of each label,
@@ -247,7 +251,7 @@ def _edge_rows(g: GkmGraph, d: int, p: int | None) -> tuple[list[list[int]], lis
     for e in range(len(g.edges)):
         oe = g.default_oriented(e)
         u, v = g.initial(oe), g.terminal(oe)
-        for entries, modulus in divisibility_rows(g.label(e), d, p or 0):
+        for entries, modulus in divisibility_rows(g.label(e), d, p):
             row = [0] * width
             for c, val in entries:
                 row[u * n + c] = val
@@ -306,8 +310,8 @@ class CohomLattice:
         return report
 
 
-def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
-    """One graded piece over Z (p is None) or Z/p, from the edge rows.
+def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
+    """One graded piece over Z (p = 0) or Z/p, from the edge rows.
 
     Only the kernel step depends on the ring: over Z the HNF lattice of
     vertex vectors whose rows meet their moduli (one slack column per
@@ -315,7 +319,7 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
     """
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
-    key = ("h_z", degree2) if p is None else ("h_modp", degree2, p)
+    key = ("graded_piece", degree2, p)
     if key in g._cache:
         return g._cache[key]
     d = degree2 // 2
@@ -323,7 +327,7 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
     n = num_monomials(k, d)
     rows, moduli = _edge_rows(g, d, p)
     system = IntMatrix(rows, cols=len(g.vertices) * n)
-    if p is None:
+    if not p:
         slack_rows = [i for i, modulus in enumerate(moduli) if modulus]
         slack = [[mod if i == j else 0 for j in slack_rows] for i, mod in enumerate(moduli)]
         lat = kernel_into_cokernel(system, IntMatrix(slack, cols=len(slack_rows)))
@@ -333,14 +337,12 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
         vectors, _ = modp_rref(modp_kernel(system, p), p)
     basis = []
     for vec in vectors:
-        vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p or 0) for i in range(len(g.vertices))]
-        cls = GraphClass(g, degree2, vals, p or 0)
+        vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p) for i in range(len(g.vertices))]
+        cls = GraphClass(g, degree2, vals, p)
         if not membership_z(g, cls):
             raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
         basis.append(cls)
-    result = CohomLattice(
-        g, degree2, p or 0, basis, lattice=lat, modp_vectors=None if p is None else vectors
-    )
+    result = CohomLattice(g, degree2, p, basis, lattice=lat, modp_vectors=vectors if p else None)
     g._cache[key] = result
     return result
 
@@ -348,7 +350,7 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int | None) -> CohomLattice:
 def compute_h_z(g: GkmGraph, degree2: int) -> CohomLattice:
     """Integral graded piece: vertex vectors whose differences are in the
     image of multiplication by the edge labels."""
-    return _graded_piece(g, degree2, None)
+    return _graded_piece(g, degree2, 0)
 
 
 def compute_h_modp(g: GkmGraph, degree2: int, p: int) -> CohomLattice:

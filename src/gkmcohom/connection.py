@@ -263,57 +263,32 @@ def holonomy_signs(g: GkmGraph, c: Connection) -> dict:
 def is_orientable(g: GkmGraph, c: Connection | None = None) -> bool:
     """Whether eta-products along all closed edge paths are +1.
 
-    Checked on two-step paths (e, reverse e) and on the fundamental
-    cycles of a spanning forest; those generate all closed-path products
-    once the two-step products are trivial.
+    On the two-step paths (e, reverse e) this asks for a symmetric eta;
+    then every closed-path product is +1 iff there is a vertex sign
+    sigma with eta(e) = sigma(u) * sigma(v) on every edge.  One
+    breadth-first pass per component fixes sigma from its root along
+    tree edges; one pass over the edges checks both orientations of
+    every edge against it.
     """
     if c is None:
         c = find_connection(g)
         if c is None:
             raise ValueError("graph admits no compatible connection")
     eta = holonomy_signs(g, c)
-    for eid in range(len(g.edges)):
-        oe = g.default_oriented(eid)
-        if eta[oe] * eta[oe.reverse()] != 1:
-            return False
-    # spanning forest
-    nv = len(g.vertices)
-    parent: dict[int, OrientedEdge] = {}
-    seen = [False] * nv
-    tree_edges: set[int] = set()
-    for root in range(nv):
-        if seen[root]:
+    sigma: dict[int, int] = {}
+    for root in range(len(g.vertices)):
+        if root in sigma:
             continue
-        seen[root] = True
+        sigma[root] = 1
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             for f in g.star(v):
                 w = g.terminal(f)
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = f
-                    tree_edges.add(f.edge)
+                if w not in sigma:
+                    sigma[w] = sigma[v] * eta[f]
                     queue.append(w)
-
-    def walk(v: int) -> int:
-        """eta-product along the tree path between v and its root.
-
-        The two-step check above made eta symmetric, so the product is the
-        same in both directions.
-        """
-        prod = 1
-        while v in parent:
-            f = parent[v]
-            prod *= eta[f]
-            v = g.initial(f)
-        return prod
-
     for eid in range(len(g.edges)):
-        if eid in tree_edges:
-            continue
         oe = g.default_oriented(eid)
-        u, v = g.initial(oe), g.terminal(oe)
-        if eta[oe] * walk(v) * walk(u) != 1:
+        if not eta[oe] == eta[oe.reverse()] == sigma[g.initial(oe)] * sigma[g.terminal(oe)]:
             return False
     return True

@@ -446,72 +446,3 @@ def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
         if value:
             return False
     return True
-
-
-class PolySeries:
-    """Finite sum of homogeneous components, one per degree."""
-
-    __slots__ = ("k", "p", "parts")
-
-    def __init__(self, k: int, p: int = 0, parts: dict | None = None):
-        self.k = k
-        self.p = p
-        self.parts: dict[int, GradedPoly] = {}
-        for d, f in (parts or {}).items():
-            if f.k != k or f.p != p:
-                raise ValueError("ring mismatch")
-            if not f.is_zero():
-                self.parts[d] = f
-
-    @classmethod
-    def one(cls, k: int, p: int = 0) -> "PolySeries":
-        return cls(k, p, {0: GradedPoly.constant(k, 1, p)})
-
-    @classmethod
-    def from_poly(cls, f: GradedPoly) -> "PolySeries":
-        return cls(f.k, f.p, {f.degree: f})
-
-    def component(self, d: int) -> GradedPoly:
-        return self.parts.get(d, GradedPoly.zero(self.k, d, self.p))
-
-    def degrees(self) -> list[int]:
-        return sorted(self.parts)
-
-    def __add__(self, other: "PolySeries") -> "PolySeries":
-        if self.k != other.k or self.p != other.p:
-            raise ValueError("ring mismatch")
-        out: dict[int, GradedPoly] = dict(self.parts)
-        for d, f in other.parts.items():
-            out[d] = out[d] + f if d in out else f
-        return PolySeries(self.k, self.p, out)
-
-    def __sub__(self, other: "PolySeries") -> "PolySeries":
-        neg = PolySeries(other.k, other.p, {d: -f for d, f in other.parts.items()})
-        return self + neg
-
-    def __mul__(self, other: "PolySeries") -> "PolySeries":
-        if self.k != other.k or self.p != other.p:
-            raise ValueError("ring mismatch")
-        out: dict[int, GradedPoly] = {}
-        for d1, f in self.parts.items():
-            for d2, g in other.parts.items():
-                prod = f * g
-                d = d1 + d2
-                out[d] = out[d] + prod if d in out else prod
-        return PolySeries(self.k, self.p, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PolySeries)
-            and self.k == other.k
-            and self.p == other.p
-            and self.parts == other.parts
-        )
-
-    def render(self) -> str:
-        if not self.parts:
-            return "0"
-        return " + ".join(f"({self.parts[d].render()})" for d in self.degrees())
-
-    def __repr__(self) -> str:
-        return f"<series {self.render()}>"

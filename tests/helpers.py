@@ -24,6 +24,19 @@ from gkmcohom.polyring import content, sign_normalize, weights_parallel
 # weights
 
 
+def star_product_component(k: int, weights, d: int, p: int = 0) -> GradedPoly:
+    """Degree-d part of the product of (1 + w) over the weights, from the
+    definition: the sum over the d-subsets of the product of their linear
+    forms, over Z (p = 0) or Z_p."""
+    total = GradedPoly.zero(k, d, p)
+    for subset in itertools.combinations(weights, d):
+        term = GradedPoly.constant(k, 1, p)
+        for w in subset:
+            term = term * GradedPoly(k, 1, list(w), p)
+        total = total + term
+    return total
+
+
 def is_multiple_of(v, w) -> bool:
     """True if v lies in Z*w: the definitional congruence test."""
     if not any(v):

@@ -16,9 +16,9 @@ from gkmcohom import (
     total_sw,
 )
 from gkmcohom import fixtures
-from gkmcohom.polyring import GradedPoly, PolySeries, linear_from_weight
+from gkmcohom.polyring import GradedPoly, reduce_mod_p
 
-from helpers import random_gkm_graphs
+from helpers import random_gkm_graphs, star_product_component
 
 
 def modp_class(g, degree2, vertex_terms, b_terms=None, p=2):
@@ -71,14 +71,6 @@ def test_total_class_degree_zero_is_always_one():
 def test_missing_component_reads_as_zero():
     g = fixtures.paper8()
     assert total_sw(g).component(10).is_zero()
-
-
-def test_report_degrees_and_b_edges():
-    g = fixtures.paper8()
-    rep = total_sw(g).to_report()
-    assert sorted(rep) == ["0", "2", "4", "6", "8"]
-    assert rep["2"]["vertex_part"] == ["x + y"] * 4
-    assert rep["2"]["b_part"] == {"1": "1", "5": "1"}
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +126,9 @@ def test_vertex_parts_satisfy_mod2_congruences():
 
 
 def test_shared_vertex_series_equal_per_vertex_star_products():
-    """One series per distinct mod-2 star gives the same vertex parts as a
-    product of (1 + label) over Z_2 built separately at every vertex."""
+    """One component list per distinct mod-2 star gives the same vertex
+    parts as the elementary symmetric polynomials of the labels over Z_2,
+    taken separately at every vertex."""
     # the moment trapezoid (0,0), (2,0), (1,1), (0,1): stars {x, y} and {x, x - y}
     trapezoid = GkmGraph(
         2,
@@ -155,19 +148,12 @@ def test_shared_vertex_series_equal_per_vertex_star_products():
     for g in graphs:
         c = find_connection(g)
         k = g.torus_rank
-        one = PolySeries.one(k, 2)
-        per_vertex = []
-        stars = set()
-        for v in range(len(g.vertices)):
-            series = one
-            for oe in g.star(v):
-                series = series * (one + PolySeries.from_poly(linear_from_weight(g.label(oe.edge), 2)))
-            per_vertex.append(series)
-            stars.add(tuple(sorted(tuple(x % 2 for x in g.label(oe.edge)) for oe in g.star(v))))
+        per_vertex = [[g.label(oe.edge) for oe in g.star(v)] for v in range(len(g.vertices))]
+        stars = {tuple(sorted(tuple(x % 2 for x in w) for w in labels)) for labels in per_vertex}
         mixed += len(stars) > 1
         sw = total_sw(g, c)
         for d2 in sw.degrees():
-            want = tuple(series.component(d2 // 2) for series in per_vertex)
+            want = tuple(star_product_component(k, labels, d2 // 2, 2) for labels in per_vertex)
             assert sw.component(d2).values == want, (g, d2)
     assert mixed == 3
 
@@ -175,26 +161,20 @@ def test_shared_vertex_series_equal_per_vertex_star_products():
 def test_primitive_labels_reduce_to_plain_star_product():
     # without even edges the class is just the star product of (1 + label)
     # reduced mod 2, and the quotient summand is empty
-    from gkmcohom.polyring import PolySeries, linear_from_weight, reduce_mod_p
-
     graphs = [fixtures.triangle_x_edge(), fixtures.product((1, 0), (0, 1), (1, 1))]
     graphs += [g for g in random_gkm_graphs(61, 10) if not edges_div_p(g, 2)]
     assert len(graphs) > 2
     for g in graphs:
         sw = total_sw(g)
         for v in range(len(g.vertices)):
-            series = PolySeries.one(g.torus_rank)
-            for oe in g.star(v):
-                series = series * (
-                    PolySeries.one(g.torus_rank)
-                    + PolySeries.from_poly(linear_from_weight(g.label(oe.edge)))
-                )
+            labels = [g.label(oe.edge) for oe in g.star(v)]
             for d2 in sw.degrees():
                 comp = sw.component(d2)
                 assert not comp.b_part or all(
                     f.is_zero() for f in comp.b_part.values()
                 )
-                assert comp.values[v] == reduce_mod_p(series.component(d2 // 2), 2)
+                want = star_product_component(g.torus_rank, labels, d2 // 2)
+                assert comp.values[v] == reduce_mod_p(want, 2)
 
 
 # ---------------------------------------------------------------------------

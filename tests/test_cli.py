@@ -378,6 +378,27 @@ def test_relations_from_class_file(tmp_path, capsys):
     assert "b1" in report["names"] and "b2" in report["names"]
 
 
+def test_relations_reduce_class_file_entries_mod_p(tmp_path, capsys):
+    # --classes entries are reduced mod p like the paper8 generators, so
+    # they multiply with them over Z3
+    spec = {"b1": {"degree": 2, "values": {v: "x" for v in ["lr", "ur", "ul", "ll"]}}}
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps(spec))
+    code, report, _ = run_json(
+        capsys,
+        "relations",
+        "fixtures:paper8",
+        "--ring",
+        "Z3",
+        "--classes",
+        str(path),
+        "--check",
+        "b1*a1 == b1",
+    )
+    assert code == 0
+    assert report["relations"][0]["holds"] is True
+
+
 def test_relation_syntax_error_is_a_usage_error(capsys):
     code, _, err = run(
         capsys, "relations", "fixtures:paper8", "--check", "a1 =="

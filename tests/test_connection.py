@@ -26,7 +26,14 @@ from gkmcohom.connection import (
     transport_signs,
 )
 
-from helpers import is_multiple_of, label_of_content, random_gkm_graphs, scaled_labels_graph
+from helpers import (
+    is_multiple_of,
+    label_of_content,
+    random_gkm_graphs,
+    random_unimodular,
+    scaled_labels_graph,
+    twist_graph,
+)
 from test_golden import SUBCOMMAND_FIXTURES
 
 
@@ -217,6 +224,63 @@ def test_orientability_matches_exhaustive_walk_products():
         c = find_connection(g)
         eta = holonomy_signs(g, c)
         assert _all_short_walk_products_positive(g, eta) == is_orientable(g, c), g
+
+
+def _disjoint_union(a: GkmGraph, b: GkmGraph) -> GkmGraph:
+    va = [f"a{v}" for v in a.vertices]
+    vb = [f"b{v}" for v in b.vertices]
+    edges = [(va[u], va[v], w) for u, v, w in a.edges] + [(vb[u], vb[v], w) for u, v, w in b.edges]
+    return GkmGraph(2, va + vb, edges)
+
+
+def _times_edge(a: GkmGraph, label) -> GkmGraph:
+    """The product of a with one edge of the given label."""
+    v0 = [f"{v}-0" for v in a.vertices]
+    v1 = [f"{v}-1" for v in a.vertices]
+    edges = [(vs[u], vs[v], w) for vs in (v0, v1) for u, v, w in a.edges]
+    return GkmGraph(2, v0 + v1, edges + [(x, y, label) for x, y in zip(v0, v1)])
+
+
+def _sign_exists(g, eta) -> bool:
+    """Some vertex sign sigma in {+-1}^V has eta(e) = sigma(u) * sigma(v)
+    on both orientations of every edge, by trying every sigma."""
+    edges = [g.default_oriented(eid) for eid in range(len(g.edges))]
+    return any(
+        all(
+            eta[oe] == eta[oe.reverse()] == sigma[g.initial(oe)] * sigma[g.terminal(oe)]
+            for oe in edges
+        )
+        for sigma in itertools.product((1, -1), repeat=len(g.vertices))
+    )
+
+
+def test_orientability_matches_brute_force_vertex_signs():
+    # up to 12 vertices, disconnected unions included, several connections each
+    k4 = fixtures.k4()
+    graphs = [
+        fixtures.paper8(),
+        k4,
+        fixtures.triangle(),
+        fixtures.triangle_x_edge(),
+        fixtures.polygon2n_x_edge(2),
+        fixtures.polygon2n_x_edge(3),
+        fixtures.from_spec("product(2,0;2,-3;3,-3)"),
+        twist_graph(k4, random_unimodular(random.Random(7))),
+        _times_edge(k4, (1, -1)),
+        _disjoint_union(k4, fixtures.triangle_x_edge()),
+        _disjoint_union(fixtures.triangle_x_edge(), fixtures.triangle_x_edge()),
+    ]
+    graphs += random_gkm_graphs(59, 6)
+    outcomes = []
+    for g in graphs:
+        assert len(g.vertices) <= 12
+        for c in itertools.islice(enumerate_connections(g), 4):
+            eta = holonomy_signs(g, c)
+            assert is_orientable(g, c) == _sign_exists(g, eta), g
+            outcomes.append((is_orientable(g, c), -1 in eta.values()))
+    # non-orientable cases, and orientable ones where some eta is -1
+    assert outcomes.count((False, True)) >= 8
+    assert outcomes.count((True, True)) >= 8
 
 
 def test_residue_test_equals_the_definitional_congruence():

@@ -9,7 +9,6 @@ import pytest
 from gkmcohom.intlinalg import IntMatrix
 from gkmcohom.polyring import (
     GradedPoly,
-    PolySeries,
     compose_linear,
     congruent_mod_weight,
     content,
@@ -245,19 +244,6 @@ def test_substitution_matrix_is_the_definitional_substitution_and_immutable():
             assert divide_by_linear(linear_from_weight(w) * q, w) == q
         for (d, inv), cols in snapshot.items():
             assert substitution_matrix(w0, d, inv) == cols
-
-
-def test_series_products():
-    a = linear_from_weight((1, 0))
-    b = linear_from_weight((1, 1))
-    s = (PolySeries.one(2) + PolySeries.from_poly(a)) * (
-        PolySeries.one(2) + PolySeries.from_poly(b)
-    )
-    assert s.component(0) == GradedPoly.constant(2, 1)
-    assert s.component(1) == a + b
-    assert s.component(2) == a * b
-    assert s.component(3).is_zero()
-    assert s.degrees() == [0, 1, 2]
 
 
 def test_graded_poly_render():

@@ -62,6 +62,13 @@ def test_zero_multiplier_keeps_the_degree_in_every_ring():
         assert check_identity("a2*(x-x) == a2-a2", square_env(p)).holds, p
 
 
+def test_zero_summand_of_another_degree_is_absorbed():
+    # a2*(x-x) is the zero class of degree 4; adding it to the degree-8 a4
+    # leaves a4, as adding a zero polynomial of another degree does
+    for p in (0, 2, 3):
+        assert check_identity("a2*(x-x) + a4 == a4", square_env(p)).holds, p
+
+
 def test_polynomial_arithmetic_alone():
     env = variable_environment(2)
     assert check_identity("(x + y)**2 == x**2 + 2*x*y + y**2", env).holds
