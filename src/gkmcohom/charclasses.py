@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cohomology import GraphClass, integral_preimage, membership_modp
-from .connection import Connection, edge_matchings, find_connection, first_matching, transport_signs
+from .connection import Connection, edge_matchings, first_matching, transport_signs
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
 from .polyring import GradedPoly, divide_by_linear, linear_from_weight, reduce_mod_p
 
@@ -97,8 +97,6 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
     """
     n = g.valence
     k = g.torus_rank
-    if connection is None:
-        connection = find_connection(g)
     components_of_star: dict[tuple, list[GradedPoly]] = {}
     vertex_components = []
     for v in range(len(g.vertices)):
@@ -189,7 +187,8 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
 
     The quotient in the edge condition is computed from the sum formula
     directly, independently of total_sw, so the two can cross-check.
-    Without a connection the first compatible one is used.
+    Without a connection each even-label edge takes its first compatible
+    bijection, the one the first compatible connection takes there.
     """
     k = g.torus_rank
     sums = []
@@ -203,8 +202,6 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
     parities = {tuple(c % 2 for c in s) for s in sums}
     cond_a_prime = len(parities) <= 1
 
-    if connection is None:
-        connection = find_connection(g)
     edge_values = {}
     cond_b = True
     for e in edges_div_p(g, 2):

@@ -2,7 +2,11 @@
 
 One subcommand per question: ``validate``, ``cohomology``, ``sw``,
 ``spin``, ``obstruction``, ``thom``, ``relations``.  Graphs come from a
-JSON file or a built-in ``fixtures:`` reference.  Exit codes are stable:
+JSON file or a built-in ``fixtures:`` reference.  ``main`` checks the
+parsed arguments, loads the graph once and calls the subcommand with
+``(args, graph)``; the subcommand returns ``(code, fields)`` and ``main``
+puts the envelope (``command``, ``graph``, ``conventions``) in front of
+the fields.  Exit codes are stable:
 0 = success / check passes, 1 = obstruction or check failure (including
 a graph the question does not apply to), 2 = usage, I/O, or parse error,
 3 = internal error (an invariant check failed; a bug, reported without a
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import fixtures
 from .charclasses import realizability_obstruction, spin_check, sw_choice_independence, total_sw
@@ -43,27 +46,9 @@ from .relations import (
 )
 from .thom import verify_sw3valent
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _DEFAULT_DEGREE_BOUND = 12
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from argv."""
-
-    command: str
-    source: str
-    ring: int = 0  # 0 = integers, otherwise the prime
-    degree: int | None = None
-    max_degree: int = _DEFAULT_DEGREE_BOUND
-    conventions: Conventions = field(default_factory=Conventions)
-    as_json: bool = False
-    seed: int = 0
-    require_spin: bool = False
-    independence_trials: int = 0
-    relations: list[str] = field(default_factory=list)
-    classes_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +59,6 @@ def load_graph(source: str) -> GkmGraph:
         return fixtures.from_spec(source)
     with open(source, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def _load(cfg: "RunConfig") -> GkmGraph:
-    g = load_graph(cfg.source)
-    cfg.conventions.validate_against(g)
-    return g
 
 
 def _parse_overrides(orientation: list[str], lifts: list[str]) -> Conventions:
@@ -100,29 +79,16 @@ def _parse_overrides(orientation: list[str], lifts: list[str]) -> Conventions:
     return Conventions(frozenset(reversed_edges), lift_map)
 
 
-def _degrees(cfg: RunConfig) -> list[int]:
-    if cfg.degree is not None:
-        return [cfg.degree]
-    return list(range(0, cfg.max_degree + 1, 2))
-
-
-def _envelope(cfg: RunConfig, g: GkmGraph) -> dict:
-    return {
-        "command": cfg.command,
-        "graph": {
-            "torus_rank": g.torus_rank,
-            "vertices": len(g.vertices),
-            "edges": len(g.edges),
-        },
-        "conventions": cfg.conventions.to_dict(g),
-    }
+def _degrees(args: argparse.Namespace) -> list[int]:
+    if args.degree is not None:
+        return [args.degree]
+    return list(range(0, args.max_degree + 1, 2))
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (exit_code, report)
+# subcommands; each takes (args, graph) and returns (exit_code, fields)
 
-def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
-    g = _load(cfg)
+def cmd_validate(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     checks = [validate_gkm(g), check_coprimality(g)]
     effective = is_effective(g)
     checks.append(
@@ -145,7 +111,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
                 [] if orientable else ["some closed path has sign product -1"],
             )
         )
-    if cfg.require_spin:
+    if args.require_spin:
         verdict = spin_check(g, conn)
         checks.append(
             CheckReport(
@@ -155,23 +121,17 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
                 verdict.to_dict(),
             )
         )
-    report = _envelope(cfg, g)
-    report["checks"] = [c.to_dict() for c in checks]
     ok = all(c.ok for c in checks)
-    report["ok"] = ok
-    return (0 if ok else 1), report
+    return (0 if ok else 1), {"checks": [c.to_dict() for c in checks], "ok": ok}
 
 
-def cmd_cohomology(cfg: RunConfig) -> tuple[int, dict]:
-    g = _load(cfg)
-    report = _envelope(cfg, g)
-    report["ring"] = "Z" if cfg.ring == 0 else f"Z_{cfg.ring}"
+def cmd_cohomology(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     rows = []
-    for degree2 in _degrees(cfg):
-        if cfg.ring == 0:
+    for degree2 in _degrees(args):
+        if args.ring == 0:
             rows.append(compute_h_z(g, degree2).to_report())
             continue
-        p = cfg.ring
+        p = args.ring
         entry = compute_h_modp(g, degree2, p).to_report()
         lat_z = compute_h_z(g, degree2)
         entry["integral_rank"] = lat_z.rank
@@ -188,17 +148,14 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[int, dict]:
                 "the missing classes reappear in the b-part summand"
             )
         rows.append(entry)
-    report["degrees"] = rows
-    return 0, report
+    return 0, {"ring": "Z" if args.ring == 0 else f"Z_{args.ring}", "degrees": rows}
 
 
-def cmd_sw(cfg: RunConfig) -> tuple[int, dict]:
-    g = _load(cfg)
+def cmd_sw(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     sw = total_sw(g)
-    report = _envelope(cfg, g)
-    wanted = set(_degrees(cfg))
-    report["special_edges"] = edges_div_p(g, 2)
-    report["components"] = [
+    wanted = set(_degrees(args))
+    fields = {"special_edges": edges_div_p(g, 2)}
+    fields["components"] = [
         {
             "degree": degree2,
             "vertex_values": sw.component(degree2).render_values(),
@@ -210,59 +167,52 @@ def cmd_sw(cfg: RunConfig) -> tuple[int, dict]:
         for degree2 in sw.degrees()
         if degree2 in wanted
     ]
-    if cfg.independence_trials > 0:
-        report["choice_independence"] = {
+    if args.independence_trials > 0:
+        fields["choice_independence"] = {
             str(eid): sw_choice_independence(
-                g, eid, trials=cfg.independence_trials, seed=cfg.seed
+                g, eid, trials=args.independence_trials, seed=args.seed
             )
             for eid in edges_div_p(g, 2)
         }
-    return 0, report
+    return 0, fields
 
 
-def cmd_spin(cfg: RunConfig) -> tuple[int, dict]:
-    g = _load(cfg)
+def cmd_spin(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     verdict = spin_check(g)
-    report = _envelope(cfg, g)
-    report.update(verdict.to_dict())
-    return (0 if verdict.spin else 1), report
+    return (0 if verdict.spin else 1), verdict.to_dict()
 
 
-def cmd_obstruction(cfg: RunConfig) -> tuple[int, dict]:
-    g = _load(cfg)
-    verdict = realizability_obstruction(g, cfg.conventions)
-    report = _envelope(cfg, g)
-    report.update(verdict.to_dict())
-    return (0 if verdict.passes else 1), report
+def cmd_obstruction(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
+    verdict = realizability_obstruction(g, args.conventions)
+    return (0 if verdict.passes else 1), verdict.to_dict()
 
 
-def cmd_thom(cfg: RunConfig) -> tuple[int, dict]:
-    g = _load(cfg)
+def cmd_thom(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     result = verify_sw3valent(g)
-    report = _envelope(cfg, g)
-    report.update(result)
-    return (0 if result["all_match"] else 1), report
+    return (0 if result["all_match"] else 1), result
 
 
-def cmd_relations(cfg: RunConfig) -> tuple[int, dict]:
-    g = _load(cfg)
+def cmd_relations(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     classes = fixtures.paper8_generators() if g == fixtures.paper8() else {}
-    if cfg.classes_path is not None:
-        with open(cfg.classes_path, "r", encoding="utf-8") as fh:
+    if args.classes is not None:
+        with open(args.classes, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
         classes.update(classes_from_json(g, spec))
-    if cfg.ring:
-        classes = {name: reduce_class_mod_p(g, cls, cfg.ring) for name, cls in classes.items()}
-    env = {**variable_environment(g.torus_rank, cfg.ring), **classes}
-    if not cfg.relations:
+    if args.ring:
+        classes = {
+            name: reduce_class_mod_p(g, cls, args.ring, args.conventions)
+            for name, cls in classes.items()
+        }
+    env = {**variable_environment(g.torus_rank, args.ring), **classes}
+    if not args.check:
         raise ValueError("no relations given")
-    results = check_relations(cfg.relations, env)
-    report = _envelope(cfg, g)
-    report["names"] = sorted(n for n in env)
-    report["relations"] = [r.to_dict() for r in results]
+    results = check_relations(args.check, env)
     ok = all(r.holds for r in results)
-    report["ok"] = ok
-    return (0 if ok else 1), report
+    return (0 if ok else 1), {
+        "names": sorted(env),
+        "relations": [r.to_dict() for r in results],
+        "ok": ok,
+    }
 
 
 _COMMANDS = {
@@ -386,35 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    source = args.graph
-    if getattr(args, "fixture", None):
-        if source is not None:
+def _check_args(args: argparse.Namespace) -> None:
+    """Normalize argv in place before any graph is loaded: ``args.graph`` is
+    the source, ``args.ring`` the prime (0 = Z), ``args.conventions`` the overrides."""
+    if args.fixture:
+        if args.graph is not None:
             raise ValueError("give either a positional graph or --fixture, not both")
-        source = args.fixture if args.fixture.startswith("fixtures:") else f"fixtures:{args.fixture}"
-    if source is None:
+        args.graph = args.fixture if args.fixture.startswith("fixtures:") else f"fixtures:{args.fixture}"
+    if args.graph is None:
         raise ValueError("no input graph (positional path or --fixture)")
-    ring = _parse_ring(getattr(args, "ring", "Z"), getattr(args, "p", 2))
-    degree = getattr(args, "degree", None)
-    if degree is not None and (degree < 0 or degree % 2):
-        raise ValueError("--degree must be even and non-negative")
-    max_degree = getattr(args, "max_degree", _DEFAULT_DEGREE_BOUND)
-    if max_degree < 0:
-        raise ValueError("--max-degree must be non-negative")
-    return RunConfig(
-        command=args.command,
-        source=source,
-        ring=ring,
-        degree=degree,
-        max_degree=max_degree,
-        conventions=_parse_overrides(args.orientation_override, args.lift_override),
-        as_json=args.json,
-        seed=getattr(args, "seed", 0),
-        require_spin=getattr(args, "require_spin", False),
-        independence_trials=getattr(args, "independence_trials", 0),
-        relations=list(getattr(args, "check", [])),
-        classes_path=getattr(args, "classes", None),
-    )
+    if "ring" in args:
+        args.ring = _parse_ring(args.ring, args.p)
+    if "degree" in args:
+        if args.degree is not None and (args.degree < 0 or args.degree % 2):
+            raise ValueError("--degree must be even and non-negative")
+        if args.max_degree < 0:
+            raise ValueError("--max-degree must be non-negative")
+    args.conventions = _parse_overrides(args.orientation_override, args.lift_override)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +373,22 @@ def _emit_text(report: dict, indent: str = "") -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        code, report = _COMMANDS[cfg.command](cfg)
+        _check_args(args)
+        g = load_graph(args.graph)
+        args.conventions.validate_against(g)
+        code, fields = _COMMANDS[args.command](args, g)
+        report = {
+            "command": args.command,
+            "graph": {
+                "torus_rank": g.torus_rank,
+                "vertices": len(g.vertices),
+                "edges": len(g.edges),
+            },
+            "conventions": args.conventions.to_dict(g),
+            **fields,
+        }
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -449,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if cfg.as_json:
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         _emit_text(report)

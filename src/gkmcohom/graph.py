@@ -258,8 +258,13 @@ def edges_div_p(g: GkmGraph, p: int) -> list[int]:
 
 
 def is_effective(g: GkmGraph) -> bool:
-    """Whether the labels span the full rational weight space."""
-    h, _ = hnf(IntMatrix([list(lab) for _, _, lab in g.edges], cols=g.torus_rank))
+    """Whether the labels span the full rational weight space.
+
+    Labels are stored sign-normalized, so the distinct labels span the
+    same space as all of them.
+    """
+    labels = sorted({lab for _, _, lab in g.edges})
+    h, _ = hnf(IntMatrix([list(lab) for lab in labels], cols=g.torus_rank))
     rank = sum(1 for row in h.data if any(row))
     return rank == g.torus_rank
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cohomology import GraphClass
+from .cohomology import GraphClass, membership_z
 from .graph import GkmGraph
 from .polyring import GradedPoly, var_names
 
@@ -354,14 +354,18 @@ def classes_from_json(g: GkmGraph, spec: dict) -> dict:
 
     Each entry is ``{"degree": <even int>, "values": {vertex: expr}}``.
     Later entries may refer to earlier ones by name inside their value
-    expressions.
+    expressions.  An entry whose values break the divisibility across
+    some edge is not a class and is rejected.
     """
     env: dict = {}
     for name in sorted(spec):
         body = spec[name]
         if not isinstance(body, dict) or "degree" not in body:
             raise RelationError(f"class {name!r}: need a dict with 'degree'")
-        env[name] = class_from_values(
-            g, int(body["degree"]), body.get("values", {}), env
-        )
+        cls = class_from_values(g, int(body["degree"]), body.get("values", {}), env)
+        if not membership_z(g, cls):
+            raise RelationError(
+                f"class {name!r}: some endpoint difference is not divisible by its edge label"
+            )
+        env[name] = cls
     return env

@@ -214,7 +214,7 @@ def test_class_checks_exit_3_without_traceback_under_optimize(module, name, argv
 
 
 def test_validate_require_spin_finds_the_connection_once(capsys, monkeypatch):
-    from gkmcohom import charclasses, cli
+    from gkmcohom import cli
 
     calls = []
     real = cli.find_connection
@@ -224,7 +224,6 @@ def test_validate_require_spin_finds_the_connection_once(capsys, monkeypatch):
         return real(g)
 
     monkeypatch.setattr(cli, "find_connection", counting)
-    monkeypatch.setattr(charclasses, "find_connection", counting)
     code, report, _ = run_json(capsys, "validate", "fixtures:paper8", "--require-spin")
     assert code == 1
     assert [c["check"] for c in report["checks"]][-1] == "spin"
@@ -397,6 +396,37 @@ def test_relations_reduce_class_file_entries_mod_p(tmp_path, capsys):
     )
     assert code == 0
     assert report["relations"][0]["holds"] is True
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z2"])
+def test_relations_reject_a_class_file_entry_that_is_not_a_class(tmp_path, capsys, ring):
+    # y at one vertex of paper8 and 0 elsewhere: y - 0 is not divisible by
+    # the label (1, 0) of edge 0
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps({"b1": {"degree": 2, "values": {"lr": "y"}}}))
+    code, out, err = run(
+        capsys, "relations", "fixtures:paper8", "--ring", ring, "--classes", str(path),
+        "--check", "b1*a1 == b1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: class 'b1'")
+
+
+@pytest.mark.parametrize("overrides, quotient", [((), "e8: 2"), (("--lift-override", "8:-3,-3"), "e8: 1")])
+def test_relations_mod_p_quotients_follow_the_overrides(tmp_path, capsys, overrides, quotient):
+    # 3x + 3y on the top face of the cube whose vertical label (3, 3)
+    # vanishes mod 3: the quotient across edge 8 is 1 or -1 = 2 by the sign
+    # of the lift
+    top = ("001", "101", "011", "111")
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps({"b1": {"degree": 2, "values": {v: "3*x + 3*y" for v in top}}}))
+    code, report, _ = run_json(
+        capsys, "relations", "fixtures:product(1,0;0,1;3,3)", "--ring", "Z3",
+        "--classes", str(path), "--check", "b1 == b1", *overrides,
+    )
+    assert code == 0
+    assert f"b: {quotient}, e9: 2" in report["relations"][0]["lhs"]
 
 
 def test_relation_syntax_error_is_a_usage_error(capsys):

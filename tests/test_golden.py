@@ -12,6 +12,12 @@ process; the digests of stdout and the exit codes must match the files
 under ``golden/``; any change to a basis string, a class value, a
 verdict or the report layout shows up here.
 
+``--json`` sorts its keys, so the text-mode runs pin the key order of
+the reports: every subcommand on paper8 and ``polygon2n_x_edge(2)``
+without ``--json``, plus the argument errors (stderr and exit code),
+alone and in pairs, so the order in which they are reported -- all
+before the graph is loaded -- is pinned too.
+
 Regenerate (only for an intended output change) with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
 """
@@ -30,6 +36,7 @@ from gkmcohom.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "cohomology_digests.json"
 GOLDEN_SUBCOMMANDS = Path(__file__).parent / "golden" / "subcommand_digests.json"
 GOLDEN_RELATIONS = Path(__file__).parent / "golden" / "relations_digests.json"
+GOLDEN_TEXT = Path(__file__).parent / "golden" / "text_digests.json"
 
 FIXTURES = (
     "paper8",
@@ -58,13 +65,54 @@ SUBCOMMANDS = (
 )
 RELATIONS = ("a2*a3 == -a4 + 2*x*y*a2", "a1*a1 == a1", "a2*(x-x) == a2-a2")
 RELATION_RINGS = ("Z", "Z2", "Z3")
+TEXT_FIXTURES = ("paper8", "polygon2n_x_edge(2)")
+TEXT_RUNS = (
+    ("validate",),
+    ("validate", "--require-spin"),
+    ("cohomology", "--max-degree", "6"),
+    ("cohomology", "--ring", "Z2", "--degree", "4"),
+    ("cohomology", "--ring", "Zp", "--p", "3", "--degree", "2"),
+    ("sw",),
+    ("sw", "--degree", "2", "--independence-trials", "4"),
+    ("spin",),
+    ("obstruction",),
+    ("obstruction", "--orientation-override", "1:-"),
+    ("thom",),
+    ("relations", "--check", "x*x == x*x", "--check", "x == y"),
+    ("relations", "--ring", "Z2", "--check", "a1*a1 == a1"),
+    # argument errors
+    ("cohomology", "--degree", "3"),
+    ("cohomology", "--max-degree", "-2"),
+    ("cohomology", "--ring", "Z4"),
+    ("validate", "--fixture", "k4"),
+    ("sw", "--lift-override", "1:1,1"),
+    ("sw", "--lift-override", "x:1"),
+    ("spin", "--orientation-override", "1:up"),
+    ("relations",),
+    ("cohomology", "--ring", "Z4", "--degree", "3"),
+    ("cohomology", "--degree", "3", "--max-degree", "-2"),
+    ("cohomology", "--max-degree", "-2", "--lift-override", "x:1"),
+)
+# argument errors that need no graph, or that come before loading it
+TEXT_SOURCELESS_RUNS = (
+    ("validate",),
+    ("cohomology", "--ring", "Z4"),
+    ("validate", "--fixture", "paper8"),
+    ("sw", "--fixture", "fixtures:polygon2n_x_edge(2)"),
+    ("cohomology", "fixtures:nonsense", "--ring", "Z4"),
+    ("spin", "fixtures:nonsense", "--lift-override", "x:1"),
+    ("relations", "fixtures:nonsense"),
+)
 
 
-def _run(argv: list[str]) -> dict:
+def _run(argv: list[str], with_stderr: bool = False) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    got = {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    if with_stderr:
+        got["stderr"] = err.getvalue()
+    return got
 
 
 def compute_digests() -> dict:
@@ -93,6 +141,12 @@ def compute_relations_digests() -> dict:
     }
 
 
+def compute_text_digests() -> dict:
+    runs = [[cmd[0], f"fixtures:{spec}", *cmd[1:]] for cmd in TEXT_RUNS for spec in TEXT_FIXTURES]
+    runs += [list(cmd) for cmd in TEXT_SOURCELESS_RUNS]
+    return {" ".join(argv): _run(argv, with_stderr=True) for argv in runs}
+
+
 def _assert_matches(path: Path, got: dict) -> None:
     expected = json.loads(path.read_text())
     assert sorted(got) == sorted(expected)
@@ -112,6 +166,10 @@ def test_relations_match_golden_digests():
     _assert_matches(GOLDEN_RELATIONS, compute_relations_digests())
 
 
+def test_text_output_matches_golden_digests():
+    _assert_matches(GOLDEN_TEXT, compute_text_digests())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
@@ -119,5 +177,6 @@ if __name__ == "__main__":
         (GOLDEN, compute_digests()),
         (GOLDEN_SUBCOMMANDS, compute_subcommand_digests()),
         (GOLDEN_RELATIONS, compute_relations_digests()),
+        (GOLDEN_TEXT, compute_text_digests()),
     ):
         path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -18,6 +18,8 @@ from gkmcohom import (
 )
 from gkmcohom import fixtures
 
+from helpers import random_gkm_graphs, rational_rank
+
 
 def test_parse_round_trip():
     g = fixtures.paper8()
@@ -123,6 +125,16 @@ def test_edges_div_p():
 def test_effectiveness():
     assert is_effective(fixtures.paper8())
     assert not is_effective(fixtures.sphere((1, 0)))  # labels span a line only
+
+
+def test_effectiveness_matches_the_rational_rank_of_all_labels():
+    # the cube with axis labels e1, e2, e1 + e2 in rank 3 repeats each label
+    # four times and spans a plane only
+    flat = fixtures.product((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    assert not is_effective(flat)
+    for g in random_gkm_graphs(5, 20, require_connection=False) + [flat]:
+        rank = rational_rank([list(lab) for _, _, lab in g.edges])
+        assert is_effective(g) == (rank == g.torus_rank)
 
 
 def test_conventions_overrides():
