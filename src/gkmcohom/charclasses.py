@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 from .cohomology import GraphClass, integral_preimage, membership_modp
 from .connection import Connection, edge_matchings, first_matching, transport_signs
-from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
+from .graph import (
+    Conventions, DEFAULT_CONVENTIONS, DomainError, GkmGraph, InvariantError, edges_div_p
+)
 from .polyring import GradedPoly, divide_by_linear, linear_from_weight, reduce_mod_p
 
 
@@ -64,7 +66,7 @@ def _default_matching(g: GkmGraph, edge_id: int, connection: Connection | None) 
         return connection.map_along(g.default_oriented(edge_id))
     matching = first_matching(g, edge_id)
     if matching is None:
-        raise ValueError(f"no compatible local bijection at edge {edge_id}")
+        raise DomainError(f"no compatible local bijection at edge {edge_id}")
     return matching
 
 
@@ -134,7 +136,7 @@ def sw_choice_independence(
     star = g.star(g.initial(oe))
     matchings = edge_matchings(g, edge_id)
     if not matchings:
-        raise ValueError(f"no compatible local bijection at edge {edge_id}")
+        raise DomainError(f"no compatible local bijection at edge {edge_id}")
     total = len(matchings) * (2 ** len(star))
     seen = set()
     if total <= trials:

@@ -204,8 +204,6 @@ def cmd_relations(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
             for name, cls in classes.items()
         }
     env = {**variable_environment(g.torus_rank, args.ring), **classes}
-    if not args.check:
-        raise ValueError("no relations given")
     results = check_relations(args.check, env)
     ok = all(r.holds for r in results)
     return (0 if ok else 1), {
@@ -353,6 +351,8 @@ def _check_args(args: argparse.Namespace) -> None:
         if args.max_degree < 0:
             raise ValueError("--max-degree must be non-negative")
     args.conventions = _parse_overrides(args.orientation_override, args.lift_override)
+    if "check" in args and not args.check:
+        raise ValueError("no relations given")
 
 
 # ---------------------------------------------------------------------------

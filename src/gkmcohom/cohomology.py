@@ -149,15 +149,14 @@ class GraphClass:
         """(f, g)(f', g') = (ff', fg' + f'g), using the common endpoint value.
 
         Well-defined because an edge with vanishing label mod p forces
-        equal endpoint values, which is checked.  Over Z there is no
-        quotient part and this is the vertex-wise product.
+        equal endpoint values (checked, so either endpoint serves).  Over
+        Z there is no quotient part and this is the vertex-wise product.
         """
         self._check_peer(other)
         g = self.graph
         b_out = {}
         for e in self.b_part:
-            oe = g.default_oriented(e)
-            u, v = g.initial(oe), g.terminal(oe)
+            u, v, _ = g.edges[e]
             if self.values[u] != self.values[v] or other.values[u] != other.values[v]:
                 raise ValueError(f"endpoint values differ across edge {e}; not a valid class")
             b_out[e] = self.values[u] * other.b_part[e] + other.values[u] * self.b_part[e]
@@ -227,10 +226,8 @@ def membership_z(g: GkmGraph, cls: GraphClass) -> bool:
     """
     if cls.graph != g:
         raise ValueError("class belongs to a different graph")
-    for e in range(len(g.edges)):
-        oe = g.default_oriented(e)
-        u, v = g.initial(oe), g.terminal(oe)
-        if not congruent_mod_weight(cls.values[u], cls.values[v], g.label(e)):
+    for u, v, label in g.edges:
+        if not congruent_mod_weight(cls.values[u], cls.values[v], label):
             return False
     return True
 
@@ -242,16 +239,15 @@ def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[list[int]], list[int]]
     """Divisibility across every edge as rows on the vertex coefficients.
 
     Returns (rows, moduli): ``polyring.divisibility_rows`` of each label,
-    applied to f_u - f_v.  A class is a vertex vector whose every row is
-    divisible by its modulus over Z, or vanishes over Z/p.
+    applied to f_u - f_v for the stored endpoints (u, v).  A class is a
+    vertex vector whose every row is divisible by its modulus over Z, or
+    vanishes over Z/p; neither depends on a row's sign, nor on direction.
     """
     n = num_monomials(g.torus_rank, d)
     width = len(g.vertices) * n
     rows, moduli = [], []
-    for e in range(len(g.edges)):
-        oe = g.default_oriented(e)
-        u, v = g.initial(oe), g.terminal(oe)
-        for entries, modulus in divisibility_rows(g.label(e), d, p):
+    for u, v, label in g.edges:
+        for entries, modulus in divisibility_rows(label, d, p):
             row = [0] * width
             for c, val in entries:
                 row[u * n + c] = val

@@ -28,7 +28,10 @@ from .graph import GkmGraph, OrientedEdge
 
 
 class Connection:
-    """Family of star bijections, one per oriented edge."""
+    """Family of star bijections, one per oriented edge.
+
+    The reverse of an edge carries the inverse bijection: ``_assemble``,
+    the only builder, stores it so, and ``holonomy_signs`` relies on it."""
 
     __slots__ = ("graph", "_maps")
 
@@ -251,24 +254,26 @@ def holonomy_signs(g: GkmGraph, c: Connection) -> dict:
     """Sign eta(e) for every oriented edge.
 
     eta(e) is minus the product of the ``transport_signs`` along e over
-    the star without e itself.
+    the star without e itself.  It is computed once per unoriented edge
+    and stored under both orientations, as eta(reverse e) = eta(e): the
+    reverse edge carries the inverse bijection (see ``Connection``), and
+    the residue test is symmetric (lf - s * lh is in Z * le iff lh - s * lf is).
     """
     eta: dict = {}
     for eid in range(len(g.edges)):
-        for oe in (g.default_oriented(eid), g.default_oriented(eid).reverse()):
-            eta[oe] = -prod(transport_signs(g, oe, c.map_along(oe)).values())
+        oe = g.default_oriented(eid)
+        eta[oe] = eta[oe.reverse()] = -prod(transport_signs(g, oe, c.map_along(oe)).values())
     return eta
 
 
 def is_orientable(g: GkmGraph, c: Connection | None = None) -> bool:
     """Whether eta-products along all closed edge paths are +1.
 
-    On the two-step paths (e, reverse e) this asks for a symmetric eta;
-    then every closed-path product is +1 iff there is a vertex sign
-    sigma with eta(e) = sigma(u) * sigma(v) on every edge.  One
-    breadth-first pass per component fixes sigma from its root along
-    tree edges; one pass over the edges checks both orientations of
-    every edge against it.
+    eta is symmetric (see ``holonomy_signs``), so every closed-path
+    product is +1 iff there is a vertex sign sigma with eta(e) =
+    sigma(u) * sigma(v) on every edge.  One breadth-first pass per
+    component fixes sigma from its root along tree edges and checks it on
+    every other star edge as it reads it.
     """
     if c is None:
         c = find_connection(g)
@@ -287,8 +292,6 @@ def is_orientable(g: GkmGraph, c: Connection | None = None) -> bool:
                 if w not in sigma:
                     sigma[w] = sigma[v] * eta[f]
                     queue.append(w)
-    for eid in range(len(g.edges)):
-        oe = g.default_oriented(eid)
-        if not eta[oe] == eta[oe.reverse()] == sigma[g.initial(oe)] * sigma[g.terminal(oe)]:
-            return False
+                elif sigma[w] != sigma[v] * eta[f]:
+                    return False
     return True

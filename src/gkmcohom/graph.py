@@ -116,7 +116,7 @@ class GkmGraph:
     def valence(self) -> int:
         vals = set(self.valences())
         if len(vals) != 1:
-            raise ValueError("graph is not regular")
+            raise DomainError("graph is not regular")
         return vals.pop()
 
     def __eq__(self, other: object) -> bool:

@@ -194,16 +194,17 @@ def kernel(m: IntMatrix) -> LatticeBasis:
 def kernel_into_cokernel(m: IntMatrix, d: IntMatrix) -> LatticeBasis:
     """Basis of {v : m v lies in the column image of d}.
 
-    Computed as the projection of ker([m | -d]) onto the first block and
-    HNF-reduced.  Deliberately no saturation: the result is exactly the
-    preimage lattice, torsion quotients and all.
+    The projection of ker([m | -d]) onto the first block.  The slack
+    coordinates of d come last, so the HNF rows of that kernel whose
+    pivot lies among the first ``m.cols`` coordinates, cut there, are
+    already the HNF of the projection, and every other row cuts to zero.
+    Deliberately no saturation: the result is exactly the preimage
+    lattice, torsion quotients and all.
     """
     if m.rows != d.rows:
         raise ValueError("row count mismatch")
-    stacked = m.hstack(d.neg())
-    joint = kernel(stacked)
-    proj = [vec[: m.cols] for vec in joint.vectors]
-    return LatticeBasis.from_vectors(m.cols, proj)
+    joint = kernel(m.hstack(d.neg()))
+    return LatticeBasis(m.cols, tuple(v[: m.cols] for v in joint.vectors if any(v[: m.cols])))
 
 
 def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:
@@ -211,27 +212,14 @@ def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:
     if len(target) != a.rows:
         raise ValueError("target length mismatch")
     h, u = hnf(a.transpose())
-    # row i of h equals a applied to row i of u, so greedy reduction of the
-    # target against h decides membership in the image lattice
-    residual = list(target)
-    coeffs = [0] * h.rows
-    for i in range(h.rows):
-        row = h.data[i]
-        j = next((k for k, x in enumerate(row) if x != 0), None)
-        if j is None:
-            continue
-        if residual[j] == 0:
-            continue
-        if residual[j] % row[j] != 0:
-            return None
-        c = residual[j] // row[j]
-        coeffs[i] = c
-        for k in range(j, a.rows):
-            residual[k] -= c * row[k]
+    # row i of h equals a applied to row i of u, and the nonzero rows of h
+    # come first, so they are the HNF basis of the image lattice
+    image = LatticeBasis(a.rows, tuple(tuple(row) for row in h.data if any(row)))
+    residual, coords = image._reduce(target)
     if any(residual):
         return None
     z = [0] * a.cols
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate(coords):
         if c:
             _row_addmul(z, u.data[i], c)
     return z

@@ -357,12 +357,21 @@ def classes_from_json(g: GkmGraph, spec: dict) -> dict:
     expressions.  An entry whose values break the divisibility across
     some edge is not a class and is rejected.
     """
+    if not isinstance(spec, dict):
+        raise RelationError("class file: need an object {name: {degree, values}}")
     env: dict = {}
     for name in sorted(spec):
         body = spec[name]
         if not isinstance(body, dict) or "degree" not in body:
             raise RelationError(f"class {name!r}: need a dict with 'degree'")
-        cls = class_from_values(g, int(body["degree"]), body.get("values", {}), env)
+        try:
+            degree = int(body["degree"])
+        except (TypeError, ValueError):
+            raise RelationError(f"class {name!r}: non-integer degree {body['degree']!r}") from None
+        values = body.get("values", {})
+        if not isinstance(values, dict):
+            raise RelationError(f"class {name!r}: 'values' must be an object {{vertex: expr}}")
+        cls = class_from_values(g, degree, values, env)
         if not membership_z(g, cls):
             raise RelationError(
                 f"class {name!r}: some endpoint difference is not divisible by its edge label"

@@ -22,7 +22,7 @@ from .connection import (
     transport_signs,
 )
 from .graph import DomainError, GkmGraph, InvariantError, OrientedEdge
-from .polyring import GradedPoly, linear_from_weight, sign_normalize
+from .polyring import GradedPoly, linear_from_weight
 
 
 class ConnectionPath:
@@ -167,7 +167,7 @@ def thom_class_of_path(
     start = min(range(l), key=lambda j: slots[j][1])
     rotated = slots[start:] + slots[:start]
     beta: dict[OrientedEdge, tuple] = {}
-    current = tuple(initial_sign * x for x in sign_normalize(g.label(rotated[0][1].edge)))
+    current = tuple(initial_sign * x for x in g.label(rotated[0][1].edge))
     beta[rotated[0][1]] = current
     for j in range(1, l):
         _, normal, between = rotated[j]

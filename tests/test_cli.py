@@ -139,6 +139,51 @@ def test_exit_codes_across_subcommands(capsys, argv, spec, expected):
         assert (argv[0], code) in {("thom", 1), ("relations", 2)} and err.startswith("error: ")
 
 
+# well-formed graphs outside a computation's domain: the path a-b-c is not
+# regular, and the triangle with labels (2,0), (0,1), (1,1) admits no
+# compatible bijection at edge 0
+_DOMAIN_GRAPHS = {
+    "path": [("a", "b", [1, 0]), ("b", "c", [0, 1])],
+    "triangle": [("a", "b", [2, 0]), ("b", "c", [0, 1]), ("a", "c", [1, 1])],
+}
+
+
+@pytest.mark.parametrize(
+    "command, graph, message",
+    [(cmd, "path", "graph is not regular") for cmd in ("sw", "obstruction", "thom")]
+    + [
+        (cmd, "triangle", "no compatible local bijection at edge 0")
+        for cmd in ("sw", "spin", "obstruction")
+    ],
+)
+def test_graphs_outside_the_domain_exit_1(tmp_path, capsys, command, graph, message):
+    edges = [{"u": u, "v": v, "label": w} for u, v, w in _DOMAIN_GRAPHS[graph]]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"torus_rank": 2, "vertices": ["a", "b", "c"], "edges": edges}))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (["a"], "class file: need an object {name: {degree, values}}"),
+        (
+            {"b1": {"degree": 2, "values": ["x"]}},
+            "class 'b1': 'values' must be an object {vertex: expr}",
+        ),
+        ({"b1": {"degree": [2]}}, "class 'b1': non-integer degree [2]"),
+    ],
+)
+def test_malformed_class_file_is_a_usage_error(tmp_path, capsys, spec, message):
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(
+        capsys, "relations", "fixtures:paper8", "--check", "a1 == a1", "--classes", str(path)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

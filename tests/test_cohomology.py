@@ -17,9 +17,10 @@ from gkmcohom import (
     total_sw,
 )
 from gkmcohom import fixtures
-from gkmcohom.graph import Conventions
+from gkmcohom.graph import Conventions, GkmGraph
 
 from helpers import hilbert_rank_of_free, integral_preimage_elimination, random_gkm_graphs
+from test_golden import SUBCOMMAND_FIXTURES
 
 
 def poly(d: int, terms: dict | None, k: int = 2, p: int = 0) -> GradedPoly:
@@ -35,6 +36,38 @@ def modp_class(g, p, degree2, vertex_terms, b_terms=None):
         e: poly(d - 1, t, g.torus_rank, p) for e, t in (b_terms or {}).items()
     }
     return GraphClass(g, degree2, values, p, b_part)
+
+
+def test_edge_direction_does_not_change_the_graded_pieces():
+    """Every golden fixture and ten random graphs, rebuilt with each edge's
+    endpoints swapped: the same basis vectors over Z, Z2 and Z3 up to
+    degree 4, and the same membership verdict on the basis classes and on
+    each of them with x_1^d added at one vertex."""
+    graphs = [fixtures.from_spec(spec) for spec in SUBCOMMAND_FIXTURES]
+    graphs += random_gkm_graphs(101, 10)
+    verdicts = set()
+    for g in graphs:
+        swapped = GkmGraph(
+            g.torus_rank, g.vertices, [(g.vertices[v], g.vertices[u], w) for u, v, w in g.edges]
+        )
+        for degree2 in (0, 2, 4):
+            for p in (0, 2, 3):
+                pieces = [
+                    compute_h_z(h, degree2) if p == 0 else compute_h_modp(h, degree2, p)
+                    for h in (g, swapped)
+                ]
+                stored, reversed_ = ([c.to_vector() for c in h.basis] for h in pieces)
+                assert stored == reversed_, (g, degree2, p)
+                k, d = g.torus_rank, degree2 // 2
+                bump = GradedPoly.from_terms(k, d, {(d,) + (0,) * (k - 1): 1}, p)
+                for cls in pieces[0].basis:
+                    for values in (cls.values, (cls.values[0] + bump,) + cls.values[1:]):
+                        verdict, verdict_swapped = (
+                            membership_z(h, GraphClass(h, degree2, values, p)) for h in (g, swapped)
+                        )
+                        assert verdict == verdict_swapped
+                        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

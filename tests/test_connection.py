@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -141,13 +142,26 @@ def test_connection_from_matchings_validation():
 
 
 def test_holonomy_signs_are_symmetric_units():
-    for g in (fixtures.paper8(), fixtures.triangle(), fixtures.k4()):
-        c = find_connection(g)
-        eta = holonomy_signs(g, c)
-        for eid in range(len(g.edges)):
-            oe = g.default_oriented(eid)
-            assert eta[oe] in (-1, 1)
-            assert eta[oe.reverse()] == eta[oe]
+    """eta is stored once per edge; the reverse orientation, transported
+    on its own, gives the same sign (up to four connections per graph)."""
+    rng = random.Random(47)
+    graphs = [fixtures.from_spec(spec) for spec in SUBCOMMAND_FIXTURES]
+    graphs += random_gkm_graphs(89, 8)
+    graphs += [
+        scaled_labels_graph(g, rng) for g in random_gkm_graphs(97, 8, require_connection=False)
+    ]
+    seen = set()
+    for g in graphs:
+        for c in itertools.islice(enumerate_connections(g), 4):
+            eta = holonomy_signs(g, c)
+            for eid in range(len(g.edges)):
+                oe = g.default_oriented(eid)
+                rev = oe.reverse()
+                assert eta[oe] in (-1, 1)
+                assert eta[rev] == -prod(transport_signs(g, rev, c.map_along(rev)).values())
+                assert eta[rev] == eta[oe]
+                seen.add(eta[oe])
+    assert seen == {1, -1}
 
 
 def test_triangle_fixtures_are_orientable():

@@ -9,6 +9,7 @@ import pytest
 
 from gkmcohom.intlinalg import (
     IntMatrix,
+    LatticeBasis,
     hnf,
     is_prime,
     kernel,
@@ -79,6 +80,20 @@ def test_kernel_into_cokernel_brute_force():
             expected = in_column_image([row[:] for row in d.data], mx)
             got = lat.coordinates_of(list(x)) is not None
             assert expected == got, (m.data, d.data, x)
+
+
+def test_kernel_into_cokernel_equals_the_hnf_of_the_projection():
+    """Cutting the joint HNF gives what a fresh HNF of the projected kernel
+    gives, for general (not diagonal) d, whose own kernel gives joint rows
+    with a zero first block."""
+    rng = random.Random(12)
+    for _ in range(200):
+        rows = rng.randint(1, 4)
+        m = random_matrix(rng, rows, rng.randint(1, 5), bound=4)
+        d = random_matrix(rng, rows, rng.randint(1, 5), bound=4)
+        joint = kernel(m.hstack(d.neg()))
+        want = LatticeBasis.from_vectors(m.cols, [v[: m.cols] for v in joint.vectors])
+        assert kernel_into_cokernel(m, d) == want, (m.data, d.data)
 
 
 def test_solve_with_image_round_trip():
