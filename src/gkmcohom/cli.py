@@ -17,6 +17,7 @@ Reports are deterministic byte-for-byte for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -241,7 +242,13 @@ def _parse_ring(text: str, p: int) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged: an ``append`` action copies its
+    ``[]`` default before it appends, so one call's lists never reach the
+    next."""
     parser = argparse.ArgumentParser(
         prog="gkmcohom",
         description="Exact computations on labeled graphs with connections.",

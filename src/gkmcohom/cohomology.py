@@ -21,7 +21,11 @@ classes form the HNF lattice of vertex vectors meeting those rows, with
 one slack column of value m per row of an edge with m > 1.  Over Z/p an
 edge with p | m forces equal endpoint values; on any other edge m is a
 unit, so only the y1-free rows remain, and the classes are the RREF basis
-of the F_p kernel.  The comparison map ``reduce_class_mod_p`` fills in
+of the F_p kernel.  Both kernels come from elimination on the sparse
+rows, pivoting only on units (+-1 over Z, any nonzero entry over F_p):
+over Z the rows left without a unit entry go to the dense HNF, and the
+kernel is lifted back through the pivot rows before it is made
+canonical.  The comparison map ``reduce_class_mod_p`` fills in
 the quotient part from the difference quotients across those edges, and
 ``integral_preimage`` decides whether a mod-p class comes from an
 integral one.
@@ -30,14 +34,7 @@ integral one.
 from __future__ import annotations
 
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
-from .intlinalg import (
-    IntMatrix,
-    is_prime,
-    kernel_into_cokernel,
-    modp_kernel,
-    modp_rref,
-    modp_solve,
-)
+from .intlinalg import is_prime, modp_solve, sparse_kernel, sparse_modp_kernel
 from .polyring import (
     GradedPoly,
     congruent_mod_weight,
@@ -235,20 +232,20 @@ def membership_z(g: GkmGraph, cls: GraphClass) -> bool:
 membership_modp = membership_z
 
 
-def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Divisibility across every edge as rows on the vertex coefficients.
+def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Divisibility across every edge as sparse rows on the vertex coefficients.
 
     Returns (rows, moduli): ``polyring.divisibility_rows`` of each label,
-    applied to f_u - f_v for the stored endpoints (u, v).  A class is a
-    vertex vector whose every row is divisible by its modulus over Z, or
-    vanishes over Z/p; neither depends on a row's sign, nor on direction.
+    applied to f_u - f_v for the stored endpoints (u, v), each row a
+    ``{column: value}`` dict.  A class is a vertex vector whose every row
+    is divisible by its modulus over Z, or vanishes over Z/p; neither
+    depends on a row's sign, nor on direction.
     """
     n = num_monomials(g.torus_rank, d)
-    width = len(g.vertices) * n
     rows, moduli = [], []
     for u, v, label in g.edges:
         for entries, modulus in divisibility_rows(label, d, p):
-            row = [0] * width
+            row = {}
             for c, val in entries:
                 row[u * n + c] = val
                 row[v * n + c] = -val
@@ -307,11 +304,18 @@ class CohomLattice:
 
 
 def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
-    """One graded piece over Z (p = 0) or Z/p, from the edge rows.
+    """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
 
-    Only the kernel step depends on the ring: over Z the HNF lattice of
-    vertex vectors whose rows meet their moduli (one slack column per
-    row of modulus > 1), over Z/p the RREF of the F_p kernel of the rows.
+    One kernel step per ring, both by unit-pivot elimination on the sparse
+    rows.  Over Z, ``intlinalg.sparse_kernel`` pivots on the +-1 entries
+    of the vertex columns (one slack column of value -m per row of modulus
+    m > 1, which never pivots), hands the rows left without a unit entry
+    to the dense ``kernel``, lifts that kernel and the free columns back
+    through the pivot rows and returns the HNF lattice of the vertex part.
+    Over Z/p, ``intlinalg.sparse_modp_kernel`` pivots on any nonzero
+    entry, so no rows are left over, and returns the RREF of the lifted
+    free columns.  Both results are canonical, so the basis does not
+    depend on the pivot order.
     """
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
@@ -322,15 +326,13 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     k = g.torus_rank
     n = num_monomials(k, d)
     rows, moduli = _edge_rows(g, d, p)
-    system = IntMatrix(rows, cols=len(g.vertices) * n)
+    width = len(g.vertices) * n
     if not p:
-        slack_rows = [i for i, modulus in enumerate(moduli) if modulus]
-        slack = [[mod if i == j else 0 for j in slack_rows] for i, mod in enumerate(moduli)]
-        lat = kernel_into_cokernel(system, IntMatrix(slack, cols=len(slack_rows)))
+        lat = sparse_kernel(rows, moduli, width)
         vectors = lat.vectors
     else:
         lat = None
-        vectors, _ = modp_rref(modp_kernel(system, p), p)
+        vectors = sparse_modp_kernel(rows, width, p)
     basis = []
     for vec in vectors:
         vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p) for i in range(len(g.vertices))]

@@ -6,7 +6,10 @@ solvers, so this module keeps them small and auditable.  No floats, no
 numpy; arbitrary precision throughout.
 
 Conventions:
-  * matrices are dense, row major;
+  * ``IntMatrix`` is dense, row major; the sparse eliminator behind
+    ``sparse_kernel`` and ``sparse_modp_kernel`` takes rows as
+    ``{column: value}`` dicts and leaves only a small remainder, if any,
+    to the dense ``kernel``;
   * ``hnf`` is row-style: pivots positive, strictly increasing pivot
     columns, entries above a pivot reduced into ``[0, pivot)``, zero rows
     at the bottom;
@@ -16,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -192,19 +196,169 @@ def kernel(m: IntMatrix) -> LatticeBasis:
 
 
 def kernel_into_cokernel(m: IntMatrix, d: IntMatrix) -> LatticeBasis:
-    """Basis of {v : m v lies in the column image of d}.
+    """Basis of {v : m v lies in the column image of d}, by dense HNF.
 
     The projection of ker([m | -d]) onto the first block.  The slack
     coordinates of d come last, so the HNF rows of that kernel whose
     pivot lies among the first ``m.cols`` coordinates, cut there, are
     already the HNF of the projection, and every other row cuts to zero.
     Deliberately no saturation: the result is exactly the preimage
-    lattice, torsion quotients and all.
+    lattice, torsion quotients and all.  The graded pieces use
+    ``sparse_kernel``; this dense version is the reference it is tested
+    against.
     """
     if m.rows != d.rows:
         raise ValueError("row count mismatch")
     joint = kernel(m.hstack(d.neg()))
     return LatticeBasis(m.cols, tuple(v[: m.cols] for v in joint.vectors if any(v[: m.cols])))
+
+
+def _eliminate(rows: list[dict[int, int]], ncols: int, p: int):
+    """Structured Gaussian elimination on sparse rows, which it consumes.
+
+    Only columns below ``ncols`` pivot, and only on a unit of the ring:
+    an entry of +-1 over Z (p = 0), any nonzero entry over F_p (entries
+    already reduced into [0, p)).  Markowitz order on the rows: the
+    shortest row with a unit entry pivots next.  Within it the rightmost
+    unit column pivots, so the columns that never pivot tend to be the
+    early ones and the lifted kernel basis comes out close to its HNF (or
+    RREF): on CP^4 degree 10 that makes the final ``hnf`` and
+    ``modp_rref`` more than ten times cheaper than the Markowitz choice
+    of the column met by the fewest rows, whose lower fill-in saves far
+    less.  The pivot column is cleared from every other row, so each
+    pivot row expresses its column through later pivot columns and the
+    columns that never pivot.  Returns ``(pivots, leftover)``: the
+    (column, inverse of the pivot entry, rest of the row as (column,
+    value) pairs) triples in pivot order, and the nonzero rows left
+    without a unit entry (always none over F_p).
+    """
+    colrows: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < ncols:
+                colrows.setdefault(c, set()).add(i)
+    active = {i for i, row in enumerate(rows) if row}
+    heap = [(len(rows[i]), i) for i in active]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        length, i = heapq.heappop(heap)
+        row = rows[i]
+        if i not in active or len(row) != length:
+            continue  # pivoted already, or changed and pushed again
+        units = [c for c, v in row.items() if c < ncols and (p or v == 1 or v == -1)]
+        if not units:
+            continue  # comes back on the heap if a later pivot changes it
+        c = max(units)
+        inv = pow(row.pop(c), p - 2, p) if p else row.pop(c)
+        rest = list(row.items())
+        active.discard(i)
+        for col, _ in rest:
+            if col < ncols:
+                colrows[col].discard(i)
+        colrows[c].discard(i)
+        for k in colrows.pop(c):
+            target = rows[k]
+            f = target.pop(c) * inv
+            for col, v in rest:
+                new = target.get(col, 0) - f * v
+                if p:
+                    new %= p
+                if new:
+                    if col < ncols and col not in target:
+                        colrows[col].add(k)
+                    target[col] = new
+                else:
+                    del target[col]
+                    if col < ncols:
+                        colrows[col].discard(k)
+            if target:
+                heapq.heappush(heap, (len(target), k))
+            else:
+                active.discard(k)
+        pivots.append((c, inv, rest))
+    return pivots, [rows[i] for i in sorted(active)]
+
+
+def _lift(pivots, gens: list[dict[int, int]], ncols: int, p: int) -> list[list[int]]:
+    """The kernel vectors with the given values off the pivot columns, cut
+    to the first ``ncols`` coordinates.  Each pivot value is solved from
+    its row, last pivot first, so the columns that row still meets are
+    known; the values are kept per column, as {generator: value}, so a
+    column no generator reaches costs nothing."""
+    values: dict[int, dict[int, int]] = {}
+    for g, gen in enumerate(gens):
+        for c, x in gen.items():
+            values.setdefault(c, {})[g] = x
+    for c, inv, rest in reversed(pivots):
+        acc: dict[int, int] = {}
+        for col, v in rest:
+            for g, x in values.get(col, {}).items():
+                acc[g] = acc.get(g, 0) + v * x
+        solved = {g: -inv * s % p if p else -inv * s for g, s in acc.items()}
+        solved = {g: x for g, x in solved.items() if x}
+        if solved:
+            values[c] = solved
+    vecs = [[0] * ncols for _ in gens]
+    for c, column in values.items():
+        if c < ncols:
+            for g, x in column.items():
+                vecs[g][c] = x
+    return vecs
+
+
+def sparse_kernel(rows: list[dict[int, int]], moduli: list[int], ncols: int) -> LatticeBasis:
+    """Lattice of x in Z^ncols with row_i . x divisible by moduli[i] >= 0
+    for every i (modulus 0: row_i . x = 0), rows given as ``{column:
+    value}`` on the columns below ``ncols``.
+
+    The kernel of the rows with one slack column of value -m per row of
+    modulus m > 1, projected onto x.  ``_eliminate`` pivots on +-1 entries
+    of the x columns only, so every pivot is a unimodular substitution and
+    the kernel stays exact; slack entries are multiples of their modulus
+    and never pivot.  The leftover rows (no unit entry) go to the dense
+    ``kernel`` on the columns they meet; every other non-pivot column is a
+    free generator.  Each generator is lifted through the pivot rows and
+    cut to x, and ``LatticeBasis.from_vectors`` makes the result
+    HNF-canonical, so it equals ``kernel_into_cokernel`` of the same
+    system.  No saturation, as there: torsion quotients stay.
+    """
+    if len(rows) != len(moduli):
+        raise ValueError("one modulus per row required")
+    work, slack = [], ncols
+    for row, modulus in zip(rows, moduli):
+        if modulus == 1:
+            continue  # every integer is divisible by 1
+        row = {c: v for c, v in row.items() if v}
+        if modulus > 1:
+            row[slack] = -modulus
+            slack += 1
+        work.append(row)
+    pivots, leftover = _eliminate(work, ncols, 0)
+    met = {c for row in leftover for c in row}
+    pivoted = {c for c, _, _ in pivots}
+    gens = [{c: 1} for c in range(slack) if c not in pivoted and c not in met]
+    if leftover:
+        cols = sorted(met)
+        dense = IntMatrix([[row.get(c, 0) for c in cols] for row in leftover], cols=len(cols))
+        gens += [{c: x for c, x in zip(cols, vec) if x} for vec in kernel(dense).vectors]
+    return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols, 0))
+
+
+def sparse_modp_kernel(rows: list[dict[int, int]], ncols: int, p: int) -> list[list[int]]:
+    """RREF basis of {x : row . x = 0 over F_p for every row}, rows given
+    as ``{column: value}``: ``_eliminate`` pivots on any nonzero entry, so
+    nothing is left over, and the free columns, lifted through the pivot
+    rows, are a kernel basis that ``modp_rref`` makes canonical."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    work = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+    pivots, leftover = _eliminate(work, ncols, p)
+    if leftover:
+        raise ValueError("row entry outside the first ncols columns")
+    pivoted = {c for c, _, _ in pivots}
+    gens = [{c: 1} for c in range(ncols) if c not in pivoted]
+    return modp_rref(_lift(pivots, gens, ncols, p), p)[0]
 
 
 def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:
@@ -272,22 +426,6 @@ def modp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
         if cur == len(mat):
             break
     return mat[:cur], pivots
-
-
-def modp_kernel(m: IntMatrix, p: int) -> list[list[int]]:
-    """Basis of the kernel of m over F_p, entries reduced into [0, p)."""
-    rref, pivots = modp_rref(m.data, p)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[j] = 1
-        for i, pj in enumerate(pivots):
-            v[pj] = (-rref[i][j]) % p
-        basis.append(v)
-    return basis
 
 
 def modp_solve(rows: list[list[int]], target: list[int], p: int) -> list[int] | None:

@@ -17,7 +17,7 @@ from math import gcd
 from gkmcohom import DEFAULT_CONVENTIONS, GkmGraph, GradedPoly, GraphClass, find_connection, validate_gkm
 from gkmcohom import membership_z, reduce_class_mod_p
 from gkmcohom.intlinalg import IntMatrix, solve_with_image
-from gkmcohom.polyring import content, sign_normalize, weights_parallel
+from gkmcohom.polyring import content, monomials, sign_normalize, weights_parallel
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +432,60 @@ def random_gkm_graphs(
     if len(out) < count:
         raise RuntimeError(f"only generated {len(out)} of {count} graphs")
     return out
+
+
+def projective_space(n: int) -> GkmGraph:
+    """CP^n: the complete graph on p_0..p_n, the edge p_i p_j labelled
+    x_i - x_j, torus rank n + 1."""
+    edges = []
+    for i, j in itertools.combinations(range(n + 1), 2):
+        label = [0] * (n + 1)
+        label[i], label[j] = 1, -1
+        edges.append((f"p{i}", f"p{j}", tuple(label)))
+    return GkmGraph(n + 1, [f"p{i}" for i in range(n + 1)], edges)
+
+
+def flag_manifold(n: int) -> GkmGraph:
+    """Fl_n: the Cayley graph of S_{n+1} by transpositions, torus rank n.
+
+    The edge w -- w(i j) carries e_{w(i)} - e_{w(j)}, written in simple
+    roots: e_a - e_b = alpha_a + ... + alpha_{b-1} for a < b.
+    """
+    perms = list(itertools.permutations(range(n + 1)))
+    name = {w: "".join(map(str, w)) for w in perms}
+    edges = []
+    for w in perms:
+        for i, j in itertools.combinations(range(n + 1), 2):
+            x = list(w)
+            x[i], x[j] = x[j], x[i]
+            x = tuple(x)
+            if w < x:
+                a, b = sorted((w[i], w[j]))
+                edges.append((name[w], name[x], tuple(1 if a <= t < b else 0 for t in range(n))))
+    return GkmGraph(n, [name[w] for w in perms], edges)
+
+
+def projective_schubert_span(n: int, d: int) -> list[list[int]]:
+    """Vertex vectors spanning degree 2d of CP^n over Z, in the package's
+    monomial order: every degree-(d - i) monomial times the equivariant
+    Schubert class tau_i, which is prod_{l < i} (x_l - x_j) at p_j for
+    j >= i and zero at p_j for j < i."""
+    k = n + 1
+    zero = [0] * len(monomials(k, d))
+    vectors = []
+    for i in range(min(d, n) + 1):
+        tau = {}
+        for j in range(i, k):
+            value = GradedPoly.constant(k, 1)
+            for l in range(i):
+                root = [0] * k
+                root[l], root[j] = 1, -1
+                value = value * GradedPoly(k, 1, root)
+            tau[j] = value
+        for mono in monomials(k, d - i):
+            m = GradedPoly.from_terms(k, d - i, {mono: 1})
+            vectors.append([c for j in range(k) for c in ((tau[j] * m).coeffs if j in tau else zero)])
+    return vectors
 
 
 def scaled_labels_graph(g: GkmGraph, rng: random.Random) -> GkmGraph:

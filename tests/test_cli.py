@@ -502,6 +502,30 @@ def test_overrides_are_recorded_but_inessential(capsys):
     assert tweaked["failing_degree"] == base["failing_degree"] == 2
 
 
+def test_repeatable_flags_do_not_carry_over_between_calls(capsys):
+    """``main`` reuses one parser; each call's --orientation-override,
+    --lift-override and --check lists are its own, and a later call
+    without them sees the empty defaults."""
+    from gkmcohom.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first = run_json(
+        capsys, "relations", "fixtures:paper8", "--check", "a1*a1 == a1",
+        "--orientation-override", "1:-", "--lift-override", "1:0,-2",
+    )[1]
+    second = run_json(
+        capsys, "relations", "fixtures:paper8", "--check", "a2 == a2", "--check", "x == x",
+        "--orientation-override", "2:reversed", "--lift-override", "3:-1,-2",
+    )[1]
+    third = run_json(capsys, "relations", "fixtures:paper8", "--check", "y == y")[1]
+    assert [r["relation"] for r in first["relations"]] == ["a1*a1 == a1"]
+    assert [r["relation"] for r in second["relations"]] == ["a2 == a2", "x == x"]
+    assert [r["relation"] for r in third["relations"]] == ["y == y"]
+    assert first["conventions"] == {"orientation": {"1": "reversed"}, "lifts": {"1": [0, -2]}}
+    assert second["conventions"] == {"orientation": {"2": "reversed"}, "lifts": {"3": [-1, -2]}}
+    assert third["conventions"] == {"orientation": {}, "lifts": {}}
+
+
 def test_json_output_is_deterministic(capsys):
     first = run(capsys, "cohomology", "fixtures:paper8", "--json")
     second = run(capsys, "cohomology", "fixtures:paper8", "--json")

@@ -8,20 +8,29 @@ import random
 import pytest
 
 from gkmcohom.intlinalg import (
+    _eliminate,
     IntMatrix,
     LatticeBasis,
     hnf,
     is_prime,
     kernel,
     kernel_into_cokernel,
-    modp_kernel,
     modp_rref,
     modp_solve,
     solve_with_image,
+    sparse_kernel,
+    sparse_modp_kernel,
     unimodular_inverse,
 )
 
-from helpers import fraction_det, in_column_image, matmul, modp_rank, rational_rank
+from helpers import (
+    fraction_det,
+    in_column_image,
+    matmul,
+    modp_kernel_basis,
+    modp_rank,
+    rational_rank,
+)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 4) -> IntMatrix:
@@ -96,6 +105,60 @@ def test_kernel_into_cokernel_equals_the_hnf_of_the_projection():
         assert kernel_into_cokernel(m, d) == want, (m.data, d.data)
 
 
+def dense_oracle(rows: list[dict], moduli: list[int], ncols: int) -> LatticeBasis:
+    """``kernel_into_cokernel`` of the sparse rows, one slack column per
+    row of modulus > 1 (a modulus of 1 constrains nothing)."""
+    m = IntMatrix([[row.get(c, 0) for c in range(ncols)] for row in rows], cols=ncols)
+    slack = [i for i, mod in enumerate(moduli) if mod]
+    d = IntMatrix([[moduli[i] if i == j else 0 for j in slack] for i in range(len(rows))], cols=len(slack))
+    return kernel_into_cokernel(m, d)
+
+
+def test_sparse_kernel_lifts_the_dense_kernel_of_the_leftover_rows():
+    """Rows 0, 2 and 3 have no +-1 entry, not even after the one unit
+    pivot (x3 from row 1) is substituted, so they go to the dense kernel,
+    slack column included, and the result comes back through row 1."""
+    rows = [{0: 2, 1: 3}, {1: 2, 2: 3, 3: 1}, {2: 2, 4: 3}, {0: 3, 3: 2, 4: 2}]
+    moduli = [0, 0, 5, 0]
+    pivots, leftover = _eliminate([{**r, **({5: -5} if i == 2 else {})} for i, r in enumerate(rows)], 5, 0)
+    assert [c for c, _, _ in pivots] == [3]
+    assert leftover == [{0: 2, 1: 3}, {2: 2, 4: 3, 5: -5}, {0: 3, 1: -4, 2: -6, 4: 2}]
+    lat = sparse_kernel(rows, moduli, 5)
+    assert lat.rank == 2
+    assert lat == dense_oracle(rows, moduli, 5)
+    members = 0
+    for a, b, c in itertools.product(range(-6, 7), repeat=3):
+        # every integer solution of rows 0 and 1; rows 2 and 3 decide
+        vec = [-3 * a, 2 * a, b, -(4 * a + 3 * b), c]
+        ok = (2 * b + 3 * c) % 5 == 0 and 3 * vec[0] + 2 * vec[3] + 2 * c == 0
+        assert (lat.coordinates_of(vec) is not None) == ok, vec
+        members += ok
+    assert members == 3
+
+
+def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
+    """Random sparse rows with entries in +-1..+-3 and moduli 0, 1, 2, 3,
+    4, 6 (slack columns), so units appear, vanish and reappear under the
+    substitutions; over F_p against the oracle RREF of the kernel."""
+    rng = random.Random(14)
+    leftover_seen = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            cols = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
+            rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols})
+        moduli = [rng.choice((0, 0, 0, 1, 2, 3, 4, 6)) for _ in rows]
+        lat = sparse_kernel(rows, moduli, ncols)
+        assert lat == dense_oracle(rows, moduli, ncols), (rows, moduli)
+        leftover_seen += bool(_eliminate([dict(r) for r in rows], ncols, 0)[1])
+        for p in (2, 3, 5):
+            dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+            want = modp_rref(modp_kernel_basis(dense, ncols, p), p)[0]
+            assert sparse_modp_kernel(rows, ncols, p) == want, (rows, p)
+    assert leftover_seen > 50
+
+
 def test_solve_with_image_round_trip():
     rng = random.Random(11)
     for _ in range(25):
@@ -139,11 +202,10 @@ def test_modp_helpers_against_gauss_oracle():
             rows = [r + [0] * (width - len(r)) for r in rows]
             _, pivots = modp_rref([r[:] for r in rows], p)
             assert len(pivots) == modp_rank(rows, p)
-            km = modp_kernel(IntMatrix(rows, cols=width), p)
+            sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+            km = sparse_modp_kernel(sparse, width, p)
             assert len(km) == width - len(pivots)
-            for vec in km:
-                for row in rows:
-                    assert sum(r * x for r, x in zip(row, vec)) % p == 0
+            assert km == modp_rref(modp_kernel_basis(rows, width, p), p)[0]
 
 
 def test_modp_solve_consistency():
