@@ -38,7 +38,7 @@ from .graph import (
     parse,
     validate_gkm,
 )
-from .intlinalg import is_prime, modp_rref
+from .intlinalg import LatticeBasis, is_prime
 from .relations import (
     RelationError,
     check_relations,
@@ -136,12 +136,10 @@ def cmd_cohomology(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
         entry = compute_h_modp(g, degree2, p).to_report()
         lat_z = compute_h_z(g, degree2)
         entry["integral_rank"] = lat_z.rank
-        # dimension of the kernel of H(Z) (x) Z_p -> H(Z_p): vertexwise
-        # reduction of the integral basis, then a rank count over F_p
-        reduced = [
-            [c % p for f in b.values for c in f.coeffs] for b in lat_z.basis
-        ]
-        image_rank = len(modp_rref(reduced, p)[1]) if reduced else 0
+        # dimension of the kernel of H(Z) (x) Z_p -> H(Z_p): the rank over
+        # F_p of the vertexwise reduction of the integral basis
+        lat = lat_z.lattice
+        image_rank = LatticeBasis.from_vectors(lat.ambient_dim, lat.vectors, p).rank
         entry["reduction_kernel_dim"] = lat_z.rank - image_rank
         if entry["reduction_kernel_dim"] > 0:
             entry["note"] = (

@@ -21,11 +21,11 @@ classes form the HNF lattice of vertex vectors meeting those rows, with
 one slack column of value m per row of an edge with m > 1.  Over Z/p an
 edge with p | m forces equal endpoint values; on any other edge m is a
 unit, so only the y1-free rows remain, and the classes are the RREF basis
-of the F_p kernel.  Both kernels come from elimination on the sparse
-rows, pivoting only on units (+-1 over Z, any nonzero entry over F_p):
-over Z the rows left without a unit entry go to the dense HNF, and the
-kernel is lifted back through the pivot rows before it is made
-canonical.  The comparison map ``reduce_class_mod_p`` fills in
+of the F_p kernel.  One ``intlinalg.sparse_kernel(..., p)`` serves both
+rings: elimination on the sparse rows, pivoting only on units (+-1 over
+Z, any nonzero entry over F_p; over Z the rows left without one go to
+the dense HNF), then the kernel is lifted back through the pivot rows
+and made canonical as a ``LatticeBasis`` of either ring.  The comparison map ``reduce_class_mod_p`` fills in
 the quotient part from the difference quotients across those edges, and
 ``integral_preimage`` decides whether a mod-p class comes from an
 integral one.
@@ -34,7 +34,7 @@ integral one.
 from __future__ import annotations
 
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
-from .intlinalg import is_prime, modp_solve, sparse_kernel, sparse_modp_kernel
+from .intlinalg import is_prime, modp_solve, sparse_kernel
 from .polyring import (
     GradedPoly,
     congruent_mod_weight,
@@ -255,17 +255,17 @@ def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[dict[int, int]], list[
 
 
 class CohomLattice:
-    """Basis of one graded piece, over Z or over Z/p."""
+    """Basis of one graded piece, over Z or over Z/p, with the canonical
+    ``LatticeBasis`` of its vertex vectors."""
 
-    __slots__ = ("graph", "degree2", "p", "basis", "lattice", "_modp_vectors")
+    __slots__ = ("graph", "degree2", "p", "basis", "lattice")
 
-    def __init__(self, graph, degree2, p, basis, lattice=None, modp_vectors=None):
+    def __init__(self, graph, degree2, p, basis, lattice):
         self.graph = graph
         self.degree2 = degree2
         self.p = p
         self.basis = tuple(basis)
         self.lattice = lattice
-        self._modp_vectors = modp_vectors
 
     @property
     def ring(self) -> str:
@@ -275,22 +275,14 @@ class CohomLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, cls) -> bool:
-        return self.coordinates_of(cls) is not None
-
     def coordinates_of(self, cls):
-        """Coordinates in this basis, or None if outside the span."""
+        """Coordinates in this basis, or None if outside the span (over
+        Z/p also when the quotient part is nonzero)."""
         if not isinstance(cls, GraphClass) or cls.p != self.p:
             raise TypeError(f"expected a class over {self.ring}")
-        if self.p == 0:
-            return self.lattice.coordinates_of(cls.to_vector())
         if any(not f.is_zero() for f in cls.b_part.values()):
             return None
-        target = []
-        for f in cls.values:
-            target.extend(f.coeffs)
-        rows = [[vec[i] for vec in self._modp_vectors] for i in range(len(target))]
-        return modp_solve(rows, target, self.p)
+        return self.lattice.coordinates_of([c for f in cls.values for c in f.coeffs])
 
     def to_report(self) -> dict:
         report = {
@@ -306,13 +298,13 @@ class CohomLattice:
 def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
 
-    One kernel step per ring, both by unit-pivot elimination on the sparse
-    rows.  Over Z, ``intlinalg.sparse_kernel`` pivots on the +-1 entries
-    of the vertex columns (one slack column of value -m per row of modulus
-    m > 1, which never pivots), hands the rows left without a unit entry
-    to the dense ``kernel``, lifts that kernel and the free columns back
-    through the pivot rows and returns the HNF lattice of the vertex part.
-    Over Z/p, ``intlinalg.sparse_modp_kernel`` pivots on any nonzero
+    One kernel step for both rings, ``intlinalg.sparse_kernel(rows,
+    moduli, width, p)``: unit-pivot elimination on the sparse rows.  Over
+    Z it pivots on the +-1 entries of the vertex columns (one slack column
+    of value -m per row of modulus m > 1, which never pivots), hands the
+    rows left without a unit entry to the dense ``kernel``, lifts that
+    kernel and the free columns back through the pivot rows and returns
+    the HNF lattice of the vertex part.  Over Z/p it pivots on any nonzero
     entry, so no rows are left over, and returns the RREF of the lifted
     free columns.  Both results are canonical, so the basis does not
     depend on the pivot order.
@@ -326,21 +318,15 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     k = g.torus_rank
     n = num_monomials(k, d)
     rows, moduli = _edge_rows(g, d, p)
-    width = len(g.vertices) * n
-    if not p:
-        lat = sparse_kernel(rows, moduli, width)
-        vectors = lat.vectors
-    else:
-        lat = None
-        vectors = sparse_modp_kernel(rows, width, p)
+    lat = sparse_kernel(rows, moduli, len(g.vertices) * n, p)
     basis = []
-    for vec in vectors:
+    for vec in lat.vectors:
         vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p) for i in range(len(g.vertices))]
         cls = GraphClass(g, degree2, vals, p)
         if not membership_z(g, cls):
             raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
         basis.append(cls)
-    result = CohomLattice(g, degree2, p, basis, lattice=lat, modp_vectors=vectors if p else None)
+    result = CohomLattice(g, degree2, p, basis, lat)
     g._cache[key] = result
     return result
 

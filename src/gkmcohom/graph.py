@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .intlinalg import IntMatrix, hnf
+from .intlinalg import LatticeBasis
 from .polyring import Weight, content, sign_normalize, weights_parallel
 
 
@@ -69,7 +69,7 @@ class GkmGraph:
                 raise GraphFormatError(
                     f"edges[{pos}]: label length {len(lab)} != torus_rank {torus_rank}"
                 )
-            if not all(isinstance(x, int) for x in lab):
+            if not all(type(x) is int for x in lab):  # bool is an int subclass
                 raise GraphFormatError(f"edges[{pos}]: non-integer label {label!r}")
             if not any(lab):
                 raise GraphFormatError(f"edges[{pos}]: zero label")
@@ -172,7 +172,7 @@ def parse(source: str | dict) -> GkmGraph:
     for key in ("torus_rank", "vertices", "edges"):
         if key not in doc:
             raise GraphFormatError(f"missing key {key!r}")
-    if not isinstance(doc["torus_rank"], int):
+    if type(doc["torus_rank"]) is not int:
         raise GraphFormatError("torus_rank must be an integer")
     if not isinstance(doc["vertices"], list) or not all(
         isinstance(v, str) for v in doc["vertices"]
@@ -186,6 +186,9 @@ def parse(source: str | dict) -> GkmGraph:
             raise GraphFormatError(f"edges[{pos}]: need keys u, v, label")
         if not isinstance(e["label"], list):
             raise GraphFormatError(f"edges[{pos}]: label must be a list")
+        for end in (e["u"], e["v"]):
+            if not isinstance(end, str):
+                raise GraphFormatError(f"edges[{pos}]: unknown vertex {end!r}")
         edges.append((e["u"], e["v"], e["label"]))
     return GkmGraph(doc["torus_rank"], doc["vertices"], edges)
 
@@ -264,9 +267,7 @@ def is_effective(g: GkmGraph) -> bool:
     same space as all of them.
     """
     labels = sorted({lab for _, _, lab in g.edges})
-    h, _ = hnf(IntMatrix([list(lab) for lab in labels], cols=g.torus_rank))
-    rank = sum(1 for row in h.data if any(row))
-    return rank == g.torus_rank
+    return LatticeBasis.from_vectors(g.torus_rank, labels).rank == g.torus_rank
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ numpy; arbitrary precision throughout.
 
 Conventions:
   * ``IntMatrix`` is dense, row major; the sparse eliminator behind
-    ``sparse_kernel`` and ``sparse_modp_kernel`` takes rows as
-    ``{column: value}`` dicts and leaves only a small remainder, if any,
-    to the dense ``kernel``;
+    ``sparse_kernel`` takes rows as ``{column: value}`` dicts and leaves
+    only a small remainder, if any, to the dense ``kernel``;
+  * ``LatticeBasis`` is the one canonical row basis of both rings: the
+    HNF over Z (p = 0), the RREF over F_p, so equal spans have equal
+    ``vectors`` and one ``coordinates_of`` serves both;
   * ``hnf`` is row-style: pivots positive, strictly increasing pivot
     columns, entries above a pivot reduced into ``[0, pivot)``, zero rows
     at the bottom;
@@ -84,54 +86,59 @@ def _row_addmul(target: list[int], source: list[int], factor: int) -> None:
         target[k] += factor * source[k]
 
 
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form.
+def _hnf_rows(h: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row Hermite normal form of ``h``, in place, pivoting only on the
+    first ``ncols`` columns; any later columns ride along with every row
+    operation (``hnf`` puts the identity there to record the transform).
 
-    Returns ``(h, u)`` with ``u`` unimodular and ``u * m == h``.  Column
-    elimination is euclidean: the smallest-magnitude entry is swapped into
-    pivot position and all other entries in the column are reduced by it
-    until one survivor remains.
+    Column elimination is euclidean: the smallest-magnitude entry is
+    swapped into pivot position and all other entries in the column are
+    reduced by it until one survivor remains.
     """
-    h = [row.copy() for row in m.data]
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    nrows = len(h)
     cur = 0
-    for j in range(m.cols):
-        if cur >= m.rows:
+    for j in range(ncols):
+        if cur >= nrows:
             break
         while True:
             piv = None
-            for i in range(cur, m.rows):
+            for i in range(cur, nrows):
                 if h[i][j] != 0 and (piv is None or abs(h[i][j]) < abs(h[piv][j])):
                     piv = i
             if piv is None:
                 break
             if piv != cur:
                 h[cur], h[piv] = h[piv], h[cur]
-                u[cur], u[piv] = u[piv], u[cur]
             p = h[cur][j]
             finished = True
-            for i in range(cur + 1, m.rows):
+            for i in range(cur + 1, nrows):
                 if h[i][j] != 0:
                     q = h[i][j] // p
                     if q:
                         _row_addmul(h[i], h[cur], -q)
-                        _row_addmul(u[i], u[cur], -q)
                     if h[i][j] != 0:
                         finished = False
             if finished:
                 break
-        if cur < m.rows and h[cur][j] != 0:
+        if h[cur][j] != 0:
             if h[cur][j] < 0:
                 h[cur] = [-x for x in h[cur]]
-                u[cur] = [-x for x in u[cur]]
             p = h[cur][j]
             for i in range(cur):
                 q = h[i][j] // p
                 if q:
                     _row_addmul(h[i], h[cur], -q)
-                    _row_addmul(u[i], u[cur], -q)
             cur += 1
-    return IntMatrix(h, cols=m.cols), IntMatrix(u, cols=m.rows)
+    return h
+
+
+def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite normal form: ``(h, u)`` with ``u`` unimodular and
+    ``u * m == h``, from ``_hnf_rows`` on ``[m | I]``."""
+    rows = [row + [int(i == r) for i in range(m.rows)] for r, row in enumerate(m.data)]
+    _hnf_rows(rows, m.cols)
+    h = IntMatrix([row[: m.cols] for row in rows], cols=m.cols)
+    return h, IntMatrix([row[m.cols :] for row in rows], cols=m.rows)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -144,44 +151,53 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Sublattice of Z^n given by an HNF-canonical row basis.
+    """Span of row vectors in Z^n (p = 0) or F_p^n, given by its canonical
+    row basis: the nonzero HNF rows over Z, the RREF rows over F_p.
 
-    Two equal sublattices always produce identical ``vectors``, so lattice
-    equality is tuple equality.
+    Two equal spans always produce identical ``vectors``, so equality is
+    tuple equality.
     """
 
     ambient_dim: int
     vectors: tuple[tuple[int, ...], ...]
+    p: int = 0
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vecs: list) -> "LatticeBasis":
-        if not vecs:
-            return cls(ambient_dim, ())
-        h, _ = hnf(IntMatrix([list(v) for v in vecs], cols=ambient_dim))
-        rows = [tuple(row) for row in h.data if any(row)]
-        return cls(ambient_dim, tuple(rows))
+    def from_vectors(cls, ambient_dim: int, vecs: list, p: int = 0) -> "LatticeBasis":
+        rows = [list(v) for v in vecs]
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("vector length mismatch")
+        rows = modp_rref(rows, p)[0] if p else _hnf_rows(rows, ambient_dim)
+        return cls(ambient_dim, tuple(tuple(row) for row in rows if any(row)), p)
 
     @property
     def rank(self) -> int:
         return len(self.vectors)
 
     def _reduce(self, v) -> tuple[list[int], list[int]]:
+        """Subtract the basis rows from v, pivot by pivot; returns the
+        residual (reduced mod p over F_p) and the coordinates so far.
+        Over F_p every pivot is 1, so only Z can stop on a non-multiple."""
+        p = self.p
         residual = list(v)
         coords = [0] * len(self.vectors)
         for i, row in enumerate(self.vectors):
             j = next(k for k, x in enumerate(row) if x != 0)
-            if residual[j] == 0:
+            x = residual[j] % p if p else residual[j]
+            if x == 0:
                 continue
-            if residual[j] % row[j] != 0:
+            if x % row[j] != 0:
                 return residual, coords
-            c = residual[j] // row[j]
-            coords[i] = c
+            c = coords[i] = x // row[j]
             for k in range(j, self.ambient_dim):
                 residual[k] -= c * row[k]
+        if p:
+            residual = [x % p for x in residual]
         return residual, coords
 
     def coordinates_of(self, v) -> list[int] | None:
-        """Integer coordinates of v in this basis, or None if outside."""
+        """Coordinates of v in this basis (in [0, p) over F_p), or None if
+        v lies outside the span."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         residual, coords = self._reduce(v)
@@ -307,34 +323,45 @@ def _lift(pivots, gens: list[dict[int, int]], ncols: int, p: int) -> list[list[i
     return vecs
 
 
-def sparse_kernel(rows: list[dict[int, int]], moduli: list[int], ncols: int) -> LatticeBasis:
+def sparse_kernel(
+    rows: list[dict[int, int]], moduli: list[int], ncols: int, p: int = 0
+) -> LatticeBasis:
     """Lattice of x in Z^ncols with row_i . x divisible by moduli[i] >= 0
-    for every i (modulus 0: row_i . x = 0), rows given as ``{column:
-    value}`` on the columns below ``ncols``.
+    for every i (modulus 0: row_i . x = 0), or over F_p (p > 0) the space
+    of x with every row_i . x = 0; rows are given as ``{column: value}``
+    on the columns below ``ncols``, and a modulus of 1 drops its row.
 
-    The kernel of the rows with one slack column of value -m per row of
-    modulus m > 1, projected onto x.  ``_eliminate`` pivots on +-1 entries
-    of the x columns only, so every pivot is a unimodular substitution and
-    the kernel stays exact; slack entries are multiples of their modulus
-    and never pivot.  The leftover rows (no unit entry) go to the dense
-    ``kernel`` on the columns they meet; every other non-pivot column is a
-    free generator.  Each generator is lifted through the pivot rows and
-    cut to x, and ``LatticeBasis.from_vectors`` makes the result
-    HNF-canonical, so it equals ``kernel_into_cokernel`` of the same
-    system.  No saturation, as there: torsion quotients stay.
+    Over Z the kernel of the rows with one slack column of value -m per
+    row of modulus m > 1, projected onto x.  ``_eliminate`` pivots on the
+    units of the x columns only (+-1 over Z, any nonzero entry over F_p),
+    so every pivot is an invertible substitution and the kernel stays
+    exact; slack entries are multiples of their modulus and never pivot.
+    The leftover rows (no unit entry; none over F_p) go to the dense
+    ``kernel`` on the columns they meet; every other non-pivot column is
+    a free generator.  Each generator is lifted through the pivot rows
+    and cut to x, and ``LatticeBasis.from_vectors`` makes the result
+    canonical (HNF or RREF), so over Z it equals ``kernel_into_cokernel``
+    of the same system.  No saturation, as there: torsion quotients stay.
     """
     if len(rows) != len(moduli):
         raise ValueError("one modulus per row required")
+    if p and not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     work, slack = [], ncols
     for row, modulus in zip(rows, moduli):
         if modulus == 1:
             continue  # every integer is divisible by 1
+        if any(not 0 <= c < ncols for c in row):
+            raise ValueError("row entry outside the first ncols columns")
+        row = {c: v % p if p else v for c, v in row.items()}
         row = {c: v for c, v in row.items() if v}
         if modulus > 1:
+            if p:
+                raise ValueError("over F_p every modulus must be 0 or 1")
             row[slack] = -modulus
             slack += 1
         work.append(row)
-    pivots, leftover = _eliminate(work, ncols, 0)
+    pivots, leftover = _eliminate(work, ncols, p)
     met = {c for row in leftover for c in row}
     pivoted = {c for c, _, _ in pivots}
     gens = [{c: 1} for c in range(slack) if c not in pivoted and c not in met]
@@ -342,23 +369,7 @@ def sparse_kernel(rows: list[dict[int, int]], moduli: list[int], ncols: int) -> 
         cols = sorted(met)
         dense = IntMatrix([[row.get(c, 0) for c in cols] for row in leftover], cols=len(cols))
         gens += [{c: x for c, x in zip(cols, vec) if x} for vec in kernel(dense).vectors]
-    return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols, 0))
-
-
-def sparse_modp_kernel(rows: list[dict[int, int]], ncols: int, p: int) -> list[list[int]]:
-    """RREF basis of {x : row . x = 0 over F_p for every row}, rows given
-    as ``{column: value}``: ``_eliminate`` pivots on any nonzero entry, so
-    nothing is left over, and the free columns, lifted through the pivot
-    rows, are a kernel basis that ``modp_rref`` makes canonical."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    work = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    pivots, leftover = _eliminate(work, ncols, p)
-    if leftover:
-        raise ValueError("row entry outside the first ncols columns")
-    pivoted = {c for c, _, _ in pivots}
-    gens = [{c: 1} for c in range(ncols) if c not in pivoted]
-    return modp_rref(_lift(pivots, gens, ncols, p), p)[0]
+    return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols, p), p)
 
 
 def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:

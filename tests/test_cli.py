@@ -287,6 +287,15 @@ def test_missing_file_is_a_usage_error(capsys):
     assert err
 
 
+def test_graph_with_a_boolean_vertex_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    edge = {"u": "a", "v": True, "label": [True, 0]}
+    path.write_text(json.dumps({"torus_rank": 2, "vertices": ["a", "b"], "edges": [edge]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == "" and "unknown vertex True" in err
+
+
 def test_graph_required(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2

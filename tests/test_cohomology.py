@@ -28,7 +28,6 @@ from gkmcohom.intlinalg import (
     kernel_into_cokernel,
     modp_rref,
     sparse_kernel,
-    sparse_modp_kernel,
 )
 from gkmcohom.polyring import num_monomials
 
@@ -116,7 +115,8 @@ def test_sparse_elimination_equals_the_dense_oracle():
                 rows_p, _ = _edge_rows(g, d, p)
                 dense_p = [[row.get(c, 0) for c in range(width)] for row in rows_p]
                 want_p = modp_rref(modp_kernel_basis(dense_p, width, p), p)[0]
-                assert sparse_modp_kernel(rows_p, width, p) == want_p, (g, d, p)
+                got_p = sparse_kernel(rows_p, [0] * len(rows_p), width, p).vectors
+                assert got_p == tuple(map(tuple, want_p)), (g, d, p)
     assert slack_seen > 0
 
 
@@ -170,7 +170,6 @@ def test_generators_are_integral_classes():
         cls = gens[name]
         assert membership_z(g, cls), name
         lattice = compute_h_z(g, cls.degree2)
-        assert lattice.contains(cls)
         coords = lattice.coordinates_of(cls)
         assert coords is not None
         rebuilt = GraphClass.zero(g, cls.degree2)
@@ -257,9 +256,9 @@ def test_reduction_lands_in_modp_lattice():
             assert membership_modp(g, img), (name, p)
             lattice = compute_h_modp(g, cls.degree2, p)
             vertex_only = GraphClass(g, cls.degree2, img.values, p)
-            assert lattice.contains(vertex_only), (name, p)
+            assert lattice.coordinates_of(vertex_only) is not None, (name, p)
             if any(not f.is_zero() for f in img.b_part.values()):
-                assert not lattice.contains(img), (name, p)
+                assert lattice.coordinates_of(img) is None, (name, p)
 
 
 def test_reduction_is_additive_and_multiplicative():

@@ -63,10 +63,27 @@ def test_parse_rejects_malformed_input():
                 {**good, "edges": [{"u": "a", "v": "b", "label": [1.5, 0]}]}
             ),
         ),
+        # JSON booleans are Python ints, and an int vertex reference would
+        # be read as an index; neither is a name or a label entry
+        (
+            "boolean vertex",
+            json.dumps({**good, "edges": [{"u": "a", "v": True, "label": [1, 0]}]}),
+        ),
+        (
+            "index vertex",
+            json.dumps({**good, "edges": [{"u": 0, "v": "b", "label": [1, 0]}]}),
+        ),
+        (
+            "boolean label",
+            json.dumps({**good, "edges": [{"u": "a", "v": "b", "label": [True, 0]}]}),
+        ),
+        ("boolean torus_rank", json.dumps({**good, "torus_rank": True, "edges": []})),
     ]
     for name, text in bad_cases:
         with pytest.raises(GraphFormatError):
             parse(text)
+    with pytest.raises(GraphFormatError, match="non-integer label"):
+        GkmGraph(1, ["a", "b"], [(0, 1, (True,))])
 
 
 def test_labels_stored_sign_normalized():

@@ -19,7 +19,6 @@ from gkmcohom.intlinalg import (
     modp_solve,
     solve_with_image,
     sparse_kernel,
-    sparse_modp_kernel,
     unimodular_inverse,
 )
 
@@ -56,8 +55,10 @@ def test_hnf_reproduces_matrix_and_staircase():
             assert nz[0] > last
             assert row[nz[0]] > 0
             last = nz[0]
-        nonzero_rows = sum(1 for row in h.data if any(row))
-        assert nonzero_rows == rational_rank(m.data)
+        nonzero_rows = [tuple(row) for row in h.data if any(row)]
+        assert len(nonzero_rows) == rational_rank(m.data)
+        # the transform-free echelon of from_vectors is the same HNF
+        assert LatticeBasis.from_vectors(m.cols, m.data).vectors == tuple(nonzero_rows)
 
 
 def test_kernel_annihilates_and_is_complete():
@@ -134,6 +135,11 @@ def test_sparse_kernel_lifts_the_dense_kernel_of_the_leftover_rows():
         assert (lat.coordinates_of(vec) is not None) == ok, vec
         members += ok
     assert members == 3
+    # an entry outside the first ncols columns, over Z and over F_2, and a
+    # modulus other than 0 or 1 over F_3
+    for bad, bad_moduli, p in (([{5: 1}], [0], 0), ([{5: 1}], [0], 2), ([{0: 1}], [2], 3)):
+        with pytest.raises(ValueError):
+            sparse_kernel(bad, bad_moduli, 5, p)
 
 
 def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
@@ -155,7 +161,8 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
         for p in (2, 3, 5):
             dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
             want = modp_rref(modp_kernel_basis(dense, ncols, p), p)[0]
-            assert sparse_modp_kernel(rows, ncols, p) == want, (rows, p)
+            got = sparse_kernel(rows, [0] * len(rows), ncols, p).vectors
+            assert got == tuple(map(tuple, want)), (rows, p)
     assert leftover_seen > 50
 
 
@@ -203,9 +210,9 @@ def test_modp_helpers_against_gauss_oracle():
             _, pivots = modp_rref([r[:] for r in rows], p)
             assert len(pivots) == modp_rank(rows, p)
             sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-            km = sparse_modp_kernel(sparse, width, p)
+            km = sparse_kernel(sparse, [0] * len(sparse), width, p).vectors
             assert len(km) == width - len(pivots)
-            assert km == modp_rref(modp_kernel_basis(rows, width, p), p)[0]
+            assert km == tuple(map(tuple, modp_rref(modp_kernel_basis(rows, width, p), p)[0]))
 
 
 def test_modp_solve_consistency():
@@ -220,6 +227,15 @@ def test_modp_solve_consistency():
             assert sol is not None
             for row, t in zip(rows, target):
                 assert sum(r * c for r, c in zip(row, sol)) % p == t % p
+            # coordinates in the RREF basis of the row span, for one vector
+            # inside the span (entries not reduced mod p) and one random
+            # vector, against modp_solve on the basis columns
+            basis = LatticeBasis.from_vectors(n, rows, p)
+            columns = [[vec[j] for vec in basis.vectors] for j in range(n)]
+            inside = [sum(c * row[j] for c, row in zip(x, rows)) for j in range(n)]
+            for v in (inside, [rng.randint(0, p - 1) for _ in range(n)]):
+                assert basis.coordinates_of(v) == modp_solve(columns, v, p), (rows, v)
+            assert basis.coordinates_of(inside) is not None
 
 
 def test_unimodular_inverse():
