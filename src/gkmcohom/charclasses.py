@@ -117,6 +117,10 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
         b_part = {e: q[d] for e, q in quotients.items()}
         cls = GraphClass(g, 2 * d, values, 2, b_part)
         if not membership_modp(g, cls):
+            # only even edges took a bijection above; a missing one is a domain error
+            for e in range(len(g.edges)):
+                if first_matching(g, e) is None:
+                    raise DomainError(f"no compatible local bijection at edge {e}")
             raise InvariantError("vertex parts violate a mod-2 congruence")
         components[2 * d] = cls
     return TotalSwClass(g, components)

@@ -103,25 +103,23 @@ def cmd_validate(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
             [] if conn is not None else ["no compatible connection"],
         )
     )
+    # a DomainError here (parallel adjacent labels) is a failed check
     if conn is not None:
-        orientable = is_orientable(g, conn)
-        checks.append(
-            CheckReport(
-                "orientable",
-                orientable,
-                [] if orientable else ["some closed path has sign product -1"],
-            )
-        )
+        try:
+            orientable = is_orientable(g, conn)
+        except DomainError as exc:
+            orientable, issues = False, [str(exc)]
+        else:
+            issues = [] if orientable else ["some closed path has sign product -1"]
+        checks.append(CheckReport("orientable", orientable, issues))
     if args.require_spin:
-        verdict = spin_check(g, conn)
-        checks.append(
-            CheckReport(
-                "spin",
-                verdict.spin,
-                [] if verdict.spin else ["spin conditions fail"],
-                verdict.to_dict(),
-            )
-        )
+        try:
+            verdict = spin_check(g, conn)
+        except DomainError as exc:
+            checks.append(CheckReport("spin", False, [str(exc)]))
+        else:
+            issues = [] if verdict.spin else ["spin conditions fail"]
+            checks.append(CheckReport("spin", verdict.spin, issues, verdict.to_dict()))
     ok = all(c.ok for c in checks)
     return (0 if ok else 1), {"checks": [c.to_dict() for c in checks], "ok": ok}
 

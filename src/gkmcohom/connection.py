@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import islice, product as iproduct
 from math import prod
 
-from .graph import GkmGraph, OrientedEdge
+from .graph import DomainError, GkmGraph, OrientedEdge
 
 
 class Connection:
@@ -93,7 +93,7 @@ def forced_lift(src_lift, dst_label, edge_label) -> tuple | None:
     """The signed copy of dst_label congruent to src_lift mod edge_label, or None."""
     sign = transport_sign(src_lift, dst_label, edge_label)
     if sign == 0:
-        raise ValueError("ambiguous sign transport; adjacent labels not independent")
+        raise DomainError("ambiguous sign transport; adjacent labels not independent")
     return None if sign is None else tuple(sign * c for c in dst_label)
 
 
@@ -229,8 +229,9 @@ def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
     ``lifts`` gives a signed lift per source edge (default: its label).
     For every f other than oe the result holds the sign s with
     lift(f) - s * label(image(f)) in Z * label(oe).  Raises ValueError
-    when no sign fits (the bijection is not compatible) or when both do
-    (adjacent labels fail linear independence).
+    when no sign fits (the bijection is not compatible), and its subclass
+    ``DomainError`` when both do (adjacent labels fail linear
+    independence, a property of the graph).
     """
     le = g.label(oe.edge)
     signs = {}
@@ -240,7 +241,7 @@ def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
         lift = g.label(f.edge) if lifts is None else lifts[f]
         sign = transport_sign(lift, g.label(image[f].edge), le)
         if sign == 0:
-            raise ValueError(
+            raise DomainError(
                 f"ambiguous transport sign along edge {oe.edge}: adjacent "
                 f"labels fail linear independence"
             )

@@ -49,10 +49,6 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = cols
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
@@ -139,14 +135,6 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     _hnf_rows(rows, m.cols)
     h = IntMatrix([row[: m.cols] for row in rows], cols=m.cols)
     return h, IntMatrix([row[m.cols :] for row in rows], cols=m.rows)
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix (its HNF must be the identity)."""
-    h, u = hnf(m)
-    if h != IntMatrix.identity(m.rows):
-        raise ValueError("matrix is not unimodular")
-    return u
 
 
 @dataclass(frozen=True)

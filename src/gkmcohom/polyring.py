@@ -13,9 +13,10 @@ shows up as the natural home of difference quotients of degree-0 classes.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import gcd
 
-from .intlinalg import IntMatrix, kernel, unimodular_inverse
+from .intlinalg import IntMatrix, kernel
 
 Weight = tuple[int, ...]
 
@@ -91,15 +92,16 @@ def xgcd_vector(w) -> tuple[int, list[int]]:
 
 @lru_cache(maxsize=None)
 def monomials(k: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of degree d, graded-lex descending (x1 biggest)."""
+    """Exponent vectors of degree d, graded-lex descending (x1 biggest),
+    in the order of ``combinations_with_replacement(range(k), d)``."""
     if d < 0:
         return ()
-    if k == 1:
-        return ((d,),)
     out = []
-    for e in range(d, -1, -1):
-        for rest in monomials(k - 1, d - e):
-            out.append((e,) + rest)
+    for combo in combinations_with_replacement(range(k), d):
+        exps = [0] * k
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
     return tuple(out)
 
 
@@ -274,8 +276,8 @@ def reduce_mod_p(f: GradedPoly, p: int) -> GradedPoly:
 def compose_linear(f: GradedPoly, mat: IntMatrix) -> GradedPoly:
     """Substitute x_i = sum_j mat[i][j] * y_j; returns a polynomial in y.
 
-    The definitional, uncached form of any linear substitution; the
-    division and the edge rows use the cached ``substitution_matrix``.
+    The definitional, uncached form of any linear substitution; the edge
+    rows read the cached ``substitution_matrix`` of the split instead.
     """
     if mat.rows != f.k or mat.cols != f.k:
         raise ValueError("substitution matrix must be k x k")
@@ -299,27 +301,25 @@ def compose_linear(f: GradedPoly, mat: IntMatrix) -> GradedPoly:
 
 
 @lru_cache(maxsize=None)
-def _split_matrix(w0: Weight) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Rows of a unimodular A with w0^T A = (1, 0, ..., 0), then of A^-1.
+def _split_matrix(w0: Weight) -> tuple[tuple[int, ...], ...]:
+    """Rows of a unimodular A with w0^T A = (1, 0, ..., 0).
 
     Under x = A y the linear form of the primitive weight w0 becomes y1.
     """
-    k = len(w0)
     _, coeffs = xgcd_vector(w0)
     cols = [coeffs] + [list(v) for v in kernel(IntMatrix([list(w0)])).vectors]
-    a = IntMatrix(cols, cols=k).transpose()
-    return tuple(map(tuple, a.data)), tuple(map(tuple, unimodular_inverse(a).data))
+    return tuple(zip(*cols))
 
 
 @lru_cache(maxsize=None)
-def substitution_matrix(w0: Weight, d: int, inverse: bool = False) -> tuple:
+def substitution_matrix(w0: Weight, d: int) -> tuple:
     """The degree-d coefficient map T(w0, d) of the split substitution.
 
-    Column c is the image of the c-th degree-d monomial under x = A y
-    (A from ``_split_matrix``, so the linear form of w0 becomes y1), or
-    under y = A^-1 x when ``inverse``; it is stored sparse, as a tuple of
-    (row, coefficient) pairs in the degree-d monomial order.  Each degree
-    is one multiplication by a linear form per column of degree d - 1.
+    Column c is the image of the c-th degree-d monomial under x = A y (A
+    from ``_split_matrix``, so the linear form of w0 becomes y1); it is
+    stored sparse, as a tuple of (row, coefficient) pairs in the degree-d
+    monomial order.  Each degree is one multiplication by a linear form
+    per column of degree d - 1.  Only ``divisibility_rows`` reads it.
     ``w0`` must be a tuple; the result is shared, immutable and held for
     the life of the process.
     """
@@ -328,11 +328,11 @@ def substitution_matrix(w0: Weight, d: int, inverse: bool = False) -> tuple:
     if d == 0:
         return (((0, 1),),)
     k = len(w0)
-    rows = _split_matrix(w0)[1 if inverse else 0]
+    rows = _split_matrix(w0)
     lower = monomials(k, d - 1)
     lower_idx = monomial_index(k, d - 1)
     idx = monomial_index(k, d)
-    prev = substitution_matrix(w0, d - 1, inverse)
+    prev = substitution_matrix(w0, d - 1)
     cols = []
     for mono in monomials(k, d):
         i = next(j for j, e in enumerate(mono) if e)
@@ -346,16 +346,6 @@ def substitution_matrix(w0: Weight, d: int, inverse: bool = False) -> tuple:
                     acc[key] = acc.get(key, 0) + v * a
         cols.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
     return tuple(cols)
-
-
-def _substitute(cols: tuple, coeffs, size: int) -> list[int]:
-    """The vector T * coeffs for a ``substitution_matrix`` T."""
-    out = [0] * size
-    for c, x in enumerate(coeffs):
-        if x:
-            for r, v in cols[c]:
-                out[r] += v * x
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -390,10 +380,11 @@ def divisibility_rows(w: Weight, d: int, p: int = 0) -> tuple:
 def divide_by_linear(f: GradedPoly, w) -> GradedPoly | None:
     """Exact quotient f / (linear form of w) over Z, or None.
 
-    Works entirely over Z: after the unimodular change of coordinates of
-    ``substitution_matrix`` the divisor becomes m*y1 (m the content of
-    w), so divisibility is a check on y1-free monomials plus coefficient
-    divisibility by m; the quotient goes back by the inverse map.
+    Long division in the stored order, x_i the first variable of w: the
+    quotient coefficient of a degree-(d-1) monomial m is the remainder's
+    entry at m * x_i over w_i; it is final when m is reached, since the
+    other monomials m * x_i / x_j (x_j later in w) come before m.  Then
+    that multiple of m * w leaves the remainder, which must end at zero.
     """
     if f.p != 0:
         raise ValueError("integer division only; reduce afterwards")
@@ -404,21 +395,22 @@ def divide_by_linear(f: GradedPoly, w) -> GradedPoly | None:
     k, d = f.k, f.degree
     if f.is_zero():
         return GradedPoly.zero(k, d - 1)
-    m = content(w)
-    w0 = tuple(x // m for x in w)
-    g = _substitute(substitution_matrix(w0, d), f.coeffs, num_monomials(k, d))
+    terms = [(j, x) for j, x in enumerate(w) if x]
+    i, lead = terms[0]
     idx = monomial_index(k, d)
+    rem = list(f.coeffs)
     q = []
-    for exps in monomials(k, d - 1):
-        c = g[idx[(exps[0] + 1,) + exps[1:]]]
-        if c % m != 0:
+    for mono in monomials(k, d - 1):
+        c, r = divmod(rem[idx[mono[:i] + (mono[i] + 1,) + mono[i + 1 :]]], lead)
+        if r:
             return None
-        q.append(c // m)
-    for exps, c in zip(monomials(k, d), g):
-        if exps[0] == 0 and c != 0:
-            return None
-    n_lo = num_monomials(k, d - 1)
-    return GradedPoly(k, d - 1, _substitute(substitution_matrix(w0, d - 1, True), q, n_lo))
+        if c:
+            for j, x in terms:
+                rem[idx[mono[:j] + (mono[j] + 1,) + mono[j + 1 :]]] -= c * x
+        q.append(c)
+    if any(rem):
+        return None
+    return GradedPoly(k, d - 1, q)
 
 
 def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:

@@ -66,18 +66,23 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+_MAX_NESTING = 100  # five parser frames per level, well inside the default limit
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
     Precedence, loosest first: comparison, additive, multiplicative,
     unary minus, power.  Multiplication must be explicit -- ``2xy`` is a
-    name, not a product.
+    name, not a product.  Unary minus signs are read in a loop and
+    parentheses nest at most ``_MAX_NESTING`` deep: no recursion overflow.
     """
 
     def __init__(self, text: str, env: dict):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.env = env
 
     def peek(self) -> tuple[str, str]:
@@ -115,11 +120,14 @@ class _Parser:
                 return value
 
     def parse_unary(self):
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
+        negations = 0
+        while self.peek() == ("op", "-"):
             self.take()
-            return _neg(self.parse_unary())
-        return self.parse_power()
+            negations += 1
+        value = self.parse_power()
+        for _ in range(negations):
+            value = _neg(value)
+        return value
 
     def parse_power(self):
         base = self.parse_atom()
@@ -142,8 +150,12 @@ class _Parser:
                 raise RelationError(f"unknown name {val!r} (have: {known})")
             return self.env[val]
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise RelationError(f"parentheses nested more than {_MAX_NESTING} deep")
             value = self.parse_expression()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise RelationError(f"unexpected token {val!r} in {self.text!r}")
 
@@ -335,7 +347,7 @@ def class_from_values(
         if name not in g.vertices:
             raise RelationError(f"unknown vertex {name!r}")
         value = evaluate(text, env) if isinstance(text, str) else text
-        if isinstance(value, int):
+        if type(value) is int:  # a JSON true or false is not a value
             value = GradedPoly.constant(k, value)
         if not isinstance(value, GradedPoly):
             raise RelationError(f"vertex {name!r}: value is not a polynomial")
@@ -364,10 +376,9 @@ def classes_from_json(g: GkmGraph, spec: dict) -> dict:
         body = spec[name]
         if not isinstance(body, dict) or "degree" not in body:
             raise RelationError(f"class {name!r}: need a dict with 'degree'")
-        try:
-            degree = int(body["degree"])
-        except (TypeError, ValueError):
-            raise RelationError(f"class {name!r}: non-integer degree {body['degree']!r}") from None
+        degree = body["degree"]
+        if type(degree) is not int:  # not 2.5, "2" or true
+            raise RelationError(f"class {name!r}: non-integer degree {degree!r}")
         values = body.get("values", {})
         if not isinstance(values, dict):
             raise RelationError(f"class {name!r}: 'values' must be an object {{vertex: expr}}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import gkmcohom
+from gkmcohom import fixtures
 from gkmcohom.cli import main
+from gkmcohom.polyring import var_names
 
 
 def run(capsys, *argv):
@@ -140,12 +143,24 @@ def test_exit_codes_across_subcommands(capsys, argv, spec, expected):
 
 
 # well-formed graphs outside a computation's domain: the path a-b-c is not
-# regular, and the triangle with labels (2,0), (0,1), (1,1) admits no
-# compatible bijection at edge 0
+# regular; the triangle with labels (2,0), (0,1), (1,1) and the one with
+# labels (1,0), (0,1), (1,2) admit no compatible bijection at edge 0 (the
+# second has no even label); in the triangle with labels (1,0), (1,0), (2,0)
+# adjacent labels are parallel, so no transport sign is determined
 _DOMAIN_GRAPHS = {
     "path": [("a", "b", [1, 0]), ("b", "c", [0, 1])],
     "triangle": [("a", "b", [2, 0]), ("b", "c", [0, 1]), ("a", "c", [1, 1])],
+    "odd_triangle": [("a", "b", [1, 0]), ("b", "c", [0, 1]), ("a", "c", [1, 2])],
+    "parallel": [("a", "b", [1, 0]), ("b", "c", [1, 0]), ("a", "c", [2, 0])],
 }
+_AMBIGUOUS = "ambiguous transport sign along edge {}: adjacent labels fail linear independence"
+
+
+def _domain_graph(tmp_path, graph):
+    edges = [{"u": u, "v": v, "label": w} for u, v, w in _DOMAIN_GRAPHS[graph]]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"torus_rank": 2, "vertices": ["a", "b", "c"], "edges": edges}))
+    return str(path)
 
 
 @pytest.mark.parametrize(
@@ -154,14 +169,26 @@ _DOMAIN_GRAPHS = {
     + [
         (cmd, "triangle", "no compatible local bijection at edge 0")
         for cmd in ("sw", "spin", "obstruction")
-    ],
+    ]
+    + [
+        (cmd, "odd_triangle", "no compatible local bijection at edge 0")
+        for cmd in ("sw", "obstruction")
+    ]
+    + [(cmd, "parallel", _AMBIGUOUS.format(2)) for cmd in ("sw", "spin", "obstruction")],
 )
 def test_graphs_outside_the_domain_exit_1(tmp_path, capsys, command, graph, message):
-    edges = [{"u": u, "v": v, "label": w} for u, v, w in _DOMAIN_GRAPHS[graph]]
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps({"torus_rank": 2, "vertices": ["a", "b", "c"], "edges": edges}))
-    code, out, err = run(capsys, command, str(path))
+    code, out, err = run(capsys, command, _domain_graph(tmp_path, graph))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_validate_reports_parallel_adjacent_labels(tmp_path, capsys):
+    path = _domain_graph(tmp_path, "parallel")
+    code, report, err = run_json(capsys, "validate", path, "--require-spin")
+    assert (code, err) == (1, "")
+    issues = {c["check"]: c["issues"] for c in report["checks"]}
+    assert issues["orientable"] == [_AMBIGUOUS.format(0)]
+    assert issues["spin"] == [_AMBIGUOUS.format(2)]
+    assert report["ok"] is False
 
 
 @pytest.mark.parametrize(
@@ -173,6 +200,10 @@ def test_graphs_outside_the_domain_exit_1(tmp_path, capsys, command, graph, mess
             "class 'b1': 'values' must be an object {vertex: expr}",
         ),
         ({"b1": {"degree": [2]}}, "class 'b1': non-integer degree [2]"),
+        ({"b1": {"degree": 2.5, "values": {}}}, "class 'b1': non-integer degree 2.5"),
+        ({"b1": {"degree": "2", "values": {}}}, "class 'b1': non-integer degree '2'"),
+        ({"b1": {"degree": True, "values": {}}}, "class 'b1': non-integer degree True"),
+        ({"b1": {"degree": 0, "values": {"lr": True}}}, "vertex 'lr': value is not a polynomial"),
     ],
 )
 def test_malformed_class_file_is_a_usage_error(tmp_path, capsys, spec, message):
@@ -488,6 +519,84 @@ def test_relation_syntax_error_is_a_usage_error(capsys):
         capsys, "relations", "fixtures:paper8", "--check", "a1 =="
     )
     assert code == 2
+
+
+def test_deeply_nested_relations_exit_without_a_traceback(capsys):
+    def check(text):
+        return run(capsys, "relations", "fixtures:paper8", "--check", text)
+
+    assert check("(" * 100 + "x" + ")" * 100 + " == x")[0] == 0
+    deep = "(" * 400 + "x" + ")" * 400 + " == x"
+    assert check(deep) == (2, "", "error: parentheses nested more than 100 deep\n")
+    assert check("-" * 1200 + "x == x")[0] == 0
+    assert check("-" * 1201 + "x == x")[0] == 1
+
+
+def test_one_vertex_at_a_large_torus_rank(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"torus_rank": 1500, "vertices": ["a"], "edges": []}))
+    for argv in (("cohomology", "--degree", "0"), ("sw",)):
+        code, report, err = run_json(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        assert report["graph"]["torus_rank"] == 1500
+
+
+# ---------------------------------------------------------------------------
+# robustness sweep over mutated fixtures
+
+_SWEEP_FIXTURES = [
+    "paper8", "sphere(1,0)", "product(1,0;0,1;1,1)", "product(1,0,0;0,1,0;0,0,1)",
+    "polygon(4)", "polygon2n_x_edge(2)", "triangle", "triangle_x_edge", "k4",
+]
+
+
+def _mutate(rng: random.Random, doc: dict) -> dict:
+    """One seeded change to a graph document: drop an edge, scale a label
+    by 2, 3 or -1, copy another edge's label, draw a random nonzero label,
+    or swap the endpoints of an edge."""
+    edges = doc["edges"]
+    i = rng.randrange(len(edges))
+    kinds = ("drop", "scale", "copy", "random", "swap") if len(edges) > 1 else ("scale", "swap")
+    kind = rng.choice(kinds)
+    if kind == "drop":
+        del edges[i]
+    elif kind == "scale":
+        s = rng.choice((2, 3, -1))
+        edges[i]["label"] = [s * x for x in edges[i]["label"]]
+    elif kind == "copy":
+        edges[i]["label"] = list(rng.choice(edges[:i] + edges[i + 1 :])["label"])
+    elif kind == "random":
+        label = [0] * doc["torus_rank"]
+        while not any(label):
+            label = [rng.randint(-3, 3) for _ in label]
+        edges[i]["label"] = label
+    else:
+        edges[i]["u"], edges[i]["v"] = edges[i]["v"], edges[i]["u"]
+    return doc
+
+
+def test_mutated_fixtures_exit_0_or_1_with_at_most_one_error_line(tmp_path, capsys):
+    """Well-formed graphs never exit 2 or 3 and never leak an exception."""
+    rng = random.Random(1)
+    path = tmp_path / "graph.json"
+    for _ in range(40):
+        doc = _mutate(rng, fixtures.from_spec(rng.choice(_SWEEP_FIXTURES)).to_dict())
+        path.write_text(json.dumps(doc))
+        x = var_names(doc["torus_rank"])[0]
+        for argv in (
+            ("validate",),
+            ("validate", "--require-spin"),
+            ("cohomology", "--max-degree", "4"),
+            ("cohomology", "--ring", "Z2", "--max-degree", "4"),
+            ("sw",),
+            ("spin",),
+            ("obstruction",),
+            ("thom",),
+            ("relations", "--check", f"{x} == {x}"),
+        ):
+            code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code in (0, 1), (argv, doc, err)
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (argv, doc, err)
 
 
 # ---------------------------------------------------------------------------

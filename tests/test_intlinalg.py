@@ -19,7 +19,6 @@ from gkmcohom.intlinalg import (
     modp_solve,
     solve_with_image,
     sparse_kernel,
-    unimodular_inverse,
 )
 
 from helpers import (
@@ -236,14 +235,6 @@ def test_modp_solve_consistency():
             for v in (inside, [rng.randint(0, p - 1) for _ in range(n)]):
                 assert basis.coordinates_of(v) == modp_solve(columns, v, p), (rows, v)
             assert basis.coordinates_of(inside) is not None
-
-
-def test_unimodular_inverse():
-    m = IntMatrix([[2, 1], [1, 1]], cols=2)
-    inv = unimodular_inverse(m)
-    assert [[1, 0], [0, 1]] in (matmul(m.data, inv.data), matmul(inv.data, m.data))
-    with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix([[2, 0], [0, 1]], cols=2))
 
 
 def test_is_prime_small_values():
