@@ -6,6 +6,8 @@ mod 2 (the degree-d part of the product of 1 + label over the star).  On
 every edge whose label is even, the degree-d quotient is the difference
 of the degree-d components of the two endpoint star products, built from
 integral lifts, divided by a lift of the edge label and reduced mod 2.
+``polyring.elementary_symmetric`` builds every component of a star
+product in place on coefficient lists.
 All choices entering the quotient (local bijection, sign lifts) are
 provably irrelevant mod 2; covered by ``sw_choice_independence``.
 """
@@ -20,18 +22,9 @@ from .connection import Connection, edge_matchings, first_matching, transport_si
 from .graph import (
     Conventions, DEFAULT_CONVENTIONS, DomainError, GkmGraph, InvariantError, edges_div_p
 )
-from .polyring import GradedPoly, divide_by_linear, linear_from_weight, reduce_mod_p
-
-
-def _star_components(k: int, weights, p: int = 0) -> list[GradedPoly]:
-    """Components 0..n of the product of (1 + w) over the n weights, over
-    Z (p = 0) or Z_p: entry d is the d-th elementary symmetric polynomial
-    of their linear forms, built by e_d <- e_d + e_{d-1} * w per weight."""
-    comps = [GradedPoly.constant(k, 1, p)]
-    for w in weights:
-        lin = linear_from_weight(w, p)
-        comps = [comps[0]] + [a + b * lin for a, b in zip(comps[1:], comps)] + [comps[-1] * lin]
-    return comps
+from .polyring import (
+    GradedPoly, divide_by_linear, elementary_symmetric, linear_from_weight, reduce_mod_p
+)
 
 
 def _edge_quotients(g: GkmGraph, edge_id: int, matching: dict, signs: dict) -> list[GradedPoly]:
@@ -52,8 +45,9 @@ def _edge_quotients(g: GkmGraph, edge_id: int, matching: dict, signs: dict) -> l
         for l, s in transport_signs(g, oe, matching, src_lifts).items()
     ]
     k = g.torus_rank
+    src_components = elementary_symmetric(k, src_lifts.values())
     out = []
-    for a, b in zip(_star_components(k, src_lifts.values()), _star_components(k, dst_lifts)):
+    for a, b in zip(src_components, elementary_symmetric(k, dst_lifts)):
         quotient = divide_by_linear(a - b, src_lifts[oe])
         if quotient is None:
             raise InvariantError("SW numerator not divisible by the edge lift")
@@ -104,7 +98,7 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
     for v in range(len(g.vertices)):
         star = tuple(sorted(tuple(c % 2 for c in g.label(oe.edge)) for oe in g.star(v)))
         if star not in components_of_star:
-            components_of_star[star] = _star_components(k, star, p=2)
+            components_of_star[star] = elementary_symmetric(k, star, 2)
         vertex_components.append(components_of_star[star])
     quotients = {}
     for e in edges_div_p(g, 2):

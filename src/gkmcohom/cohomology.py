@@ -25,10 +25,17 @@ of the F_p kernel.  One ``intlinalg.sparse_kernel(..., p)`` serves both
 rings: elimination on the sparse rows, pivoting only on units (+-1 over
 Z, any nonzero entry over F_p; over Z the rows left without one go to
 the dense HNF), then the kernel is lifted back through the pivot rows
-and made canonical as a ``LatticeBasis`` of either ring.  The comparison map ``reduce_class_mod_p`` fills in
-the quotient part from the difference quotients across those edges, and
+and made canonical as a ``LatticeBasis`` of either ring.
+
+The comparison map ``reduce_class_mod_p`` takes one class to Z/p: it
+reduces the vertex part and fills in the quotient part from the
+difference quotients across the edges whose label vanishes mod p.
 ``integral_preimage`` decides whether a mod-p class comes from an
-integral one.
+integral one with one mod-p solve against the reductions of the integral
+basis.  It reads those reductions off the lattice vectors as coefficient
+lists (``_reduction_images``: each coefficient mod p, then the long
+division of the two endpoint slices per special edge), builds one class
+for the preimage, and checks it with ``reduce_class_mod_p``.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .polyring import (
     GradedPoly,
     congruent_mod_weight,
     divide_by_linear,
+    divide_coeffs,
     divisibility_rows,
     num_monomials,
     reduce_mod_p,
@@ -295,6 +303,15 @@ class CohomLattice:
         return report
 
 
+def _vertex_class(g: GkmGraph, degree2: int, vec, p: int) -> GraphClass:
+    """The class with the vertex coefficient vector ``vec`` (reduced mod p
+    over Z/p) and a zero quotient part."""
+    k, d = g.torus_rank, degree2 // 2
+    n = num_monomials(k, d)
+    values = [GradedPoly._of(k, d, tuple(vec[i : i + n]), p) for i in range(0, len(vec), n)]
+    return GraphClass(g, degree2, values, p)
+
+
 def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
 
@@ -315,14 +332,11 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     if key in g._cache:
         return g._cache[key]
     d = degree2 // 2
-    k = g.torus_rank
-    n = num_monomials(k, d)
     rows, moduli = _edge_rows(g, d, p)
-    lat = sparse_kernel(rows, moduli, len(g.vertices) * n, p)
+    lat = sparse_kernel(rows, moduli, len(g.vertices) * num_monomials(g.torus_rank, d), p)
     basis = []
     for vec in lat.vectors:
-        vals = [GradedPoly(k, d, vec[i * n : (i + 1) * n], p) for i in range(len(g.vertices))]
-        cls = GraphClass(g, degree2, vals, p)
+        cls = _vertex_class(g, degree2, vec, p)
         if not membership_z(g, cls):
             raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
         basis.append(cls)
@@ -374,6 +388,36 @@ def reduce_class_mod_p(
     return GraphClass(g, cls.degree2, values, p, b_part)
 
 
+def _reduction_images(
+    g: GkmGraph, lattice: CohomLattice, p: int, conventions: Conventions
+) -> list[list[int]]:
+    """``reduce_class_mod_p(g, cls, p, conventions).to_vector()`` for every
+    class of an integral basis, read off its lattice vectors.
+
+    The vertex part is each coefficient mod p.  Each edge whose label
+    vanishes mod p, in ascending order, adds the long-division quotient of
+    the initial minus the terminal slice by the lift (orientation and lift
+    from ``conventions``), reduced mod p.
+    """
+    k, d = g.torus_rank, lattice.degree2 // 2
+    n = num_monomials(k, d)
+    special = []
+    for e in edges_div_p(g, p):
+        oe = conventions.oriented(g, e)
+        special.append((e, g.initial(oe) * n, g.terminal(oe) * n, conventions.lift(g, e)))
+    images = []
+    for vec in lattice.lattice.vectors:
+        image = [c % p for c in vec]
+        for e, u, v, lift in special:
+            diff = [a - b for a, b in zip(vec[u : u + n], vec[v : v + n])]
+            quotient = divide_coeffs(k, d, diff, lift)
+            if quotient is None:
+                raise InvariantError(f"basis class not divisible across edge {e}")
+            image.extend(c % p for c in quotient)
+        images.append(image)
+    return images
+
+
 def integral_preimage(
     g: GkmGraph,
     target: GraphClass,
@@ -382,22 +426,27 @@ def integral_preimage(
     """An integral class reducing to the target, or None.
 
     The reduction map kills exactly p times the integral piece, so its
-    image is spanned over Z/p by the reductions of an integral basis;
-    one mod-p solve decides membership and produces a preimage.
+    image is spanned over Z/p by the reductions of an integral basis,
+    taken straight from the lattice vectors (``_reduction_images``); one
+    mod-p solve decides membership and produces a preimage, which
+    ``reduce_class_mod_p`` must map back to the target.
     """
+    p = target.p
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     lattice = compute_h_z(g, target.degree2)
-    images = [
-        reduce_class_mod_p(g, cls, target.p, conventions).to_vector() for cls in lattice.basis
-    ]
+    images = _reduction_images(g, lattice, p, conventions)
     target_vec = target.to_vector()
     rows = [[img[i] for img in images] for i in range(len(target_vec))]
-    coeffs = modp_solve(rows, target_vec, target.p)
+    coeffs = modp_solve(rows, target_vec, p)
     if coeffs is None:
         return None
-    out = GraphClass.zero(g, target.degree2)
-    for c, cls in zip(coeffs, lattice.basis):
+    vec = [0] * (len(g.vertices) * num_monomials(g.torus_rank, target.degree2 // 2))
+    for c, basis_vec in zip(coeffs, lattice.lattice.vectors):
         if c:
-            out = out + cls.scale(c)
-    if reduce_class_mod_p(g, out, target.p, conventions) != target:
+            for i, x in enumerate(basis_vec):
+                vec[i] += c * x
+    out = _vertex_class(g, target.degree2, vec, 0)
+    if reduce_class_mod_p(g, out, p, conventions) != target:
         raise InvariantError("integral preimage does not reduce to the target")
     return out

@@ -12,7 +12,9 @@ congruent to v' iff r(v) == r(v') (floor division picks one
 representative of v[i] mod le[i], also for non-primitive labels and a
 negative le[i]).  ``transport_sign`` compares residues, and
 ``edge_matchings`` computes r(lf) once per source and r(+-lh) once per
-target of an edge, then looks the allowed targets up by residue.
+target of an edge, then looks the allowed targets up by residue.  The
+residue of -v follows from that of v (``_negated_residue``), so each label
+takes one residue per edge.
 
 A star is carried across an edge with the congruence-forced signs by
 ``transport_signs`` alone: the holonomy signs, the Stiefel-Whitney
@@ -75,15 +77,32 @@ def residue(v, le) -> tuple:
     return tuple(v)
 
 
+def _negated_residue(r, le) -> tuple:
+    """residue(-v, le) from r = residue(v, le), with no second division.
+
+    With i the first nonzero coordinate of le, -r is canonical when
+    r[i] == 0 (le[i] divides v[i]); otherwise the floor quotient of -v[i]
+    is one less than minus that of v[i], so the residue is le - r.
+    """
+    for i, x in enumerate(le):
+        if x:
+            if r[i]:
+                return tuple(b - a for a, b in zip(r, le))
+            break
+    return tuple(-a for a in r)
+
+
 def transport_sign(src_lift, dst_label, edge_label) -> int | None:
     """The sign s with src_lift - s * dst_label a multiple of edge_label.
 
     Returns 1 or -1 when one sign fits, None when neither does, and 0 when
-    both do (adjacent labels that fail linear independence).
+    both do (adjacent labels that fail linear independence).  Takes one
+    residue of each vector; the residue of -dst_label is derived.
     """
     key = residue(src_lift, edge_label)
-    fits_pos = key == residue(dst_label, edge_label)
-    fits_neg = key == residue(tuple(-c for c in dst_label), edge_label)
+    dst_key = residue(dst_label, edge_label)
+    fits_pos = key == dst_key
+    fits_neg = key == _negated_residue(dst_key, edge_label)
     if fits_pos:
         return 0 if fits_neg else 1
     return -1 if fits_neg else None
@@ -109,8 +128,8 @@ def _matchings(g: GkmGraph, edge_id: int):
     le = g.label(edge_id)
     by_residue: dict[tuple, list] = {}
     for h in targets:
-        lh = g.label(h.edge)
-        for key in {residue(lh, le), residue(tuple(-c for c in lh), le)}:
+        r = residue(g.label(h.edge), le)
+        for key in {r, _negated_residue(r, le)}:
             by_residue.setdefault(key, []).append(h)
     allowed = [by_residue.get(residue(g.label(f.edge), le), ()) for f in sources]
     used: set = set()

@@ -254,10 +254,19 @@ def check_coprimality(g: GkmGraph) -> CheckReport:
 
 
 def edges_div_p(g: GkmGraph, p: int) -> list[int]:
-    """Edge ids whose label content is divisible by p."""
+    """Edge ids whose label content is divisible by p.
+
+    Found once per p and kept on the graph; every call returns a new list.
+    """
     if p < 2:
         raise ValueError("p must be at least 2")
-    return [eid for eid in range(len(g.edges)) if content(g.label(eid)) % p == 0]
+    key = ("edges_div_p", p)
+    found = g._cache.get(key)
+    if found is None:
+        found = g._cache[key] = tuple(
+            eid for eid, (_, _, label) in enumerate(g.edges) if content(label) % p == 0
+        )
+    return list(found)
 
 
 def is_effective(g: GkmGraph) -> bool:

@@ -8,6 +8,15 @@ the integer linear algebra with zero translation cost.
 
 Degree -1 is allowed and denotes the zero polynomial (no monomials); it
 shows up as the natural home of difference quotients of degree-0 classes.
+
+The public ``GradedPoly(...)`` checks and normalizes its input; the
+arithmetic builds its results, whose length is right by construction,
+with the unchecked ``GradedPoly._of``.  ``GradedPoly.zero`` is one shared
+object per (k, degree, p), and products read a cached table of monomial
+indices per (k, da, db).  The hot loops work on coefficient lists and
+wrap a result once: ``elementary_symmetric`` (the star components of the
+Stiefel-Whitney classes) and ``divide_coeffs`` (the long division behind
+``divide_by_linear``).
 """
 
 from __future__ import annotations
@@ -125,11 +134,29 @@ def var_names(k: int) -> list[str]:
 # graded polynomials
 
 
+def _reduced(coeffs, p: int) -> tuple:
+    """The integer coefficients as a tuple, reduced into [0, p) when p > 0."""
+    return tuple(c % p for c in coeffs) if p else tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _product_table(k: int, da: int, db: int) -> tuple[tuple[int, ...], ...]:
+    """Entry [i][j] is the index, in the degree-(da + db) order, of the
+    product of the i-th degree-da and the j-th degree-db monomial."""
+    idx = monomial_index(k, da + db)
+    return tuple(
+        tuple(idx[tuple(a + b for a, b in zip(ma, mb))] for mb in monomials(k, db))
+        for ma in monomials(k, da)
+    )
+
+
 class GradedPoly:
     """Homogeneous polynomial of one degree; immutable once built.
 
     ``p == 0`` means integer coefficients, otherwise coefficients live in
-    F_p and are kept reduced into [0, p).
+    F_p and are kept reduced into [0, p).  The public constructor checks
+    its input; arithmetic results, whose length is right by construction,
+    come from the unchecked ``_of``.
     """
 
     __slots__ = ("k", "degree", "p", "coeffs")
@@ -150,8 +177,20 @@ class GradedPoly:
         self.coeffs = coeffs
 
     @classmethod
+    def _of(cls, k: int, degree: int, coeffs: tuple, p: int) -> "GradedPoly":
+        """Unchecked: ``coeffs`` is a tuple of ints, already reduced mod p,
+        of the length of the degree (at least -1)."""
+        f = object.__new__(cls)
+        f.k = k
+        f.degree = degree
+        f.p = p
+        f.coeffs = coeffs
+        return f
+
+    @classmethod
     def zero(cls, k: int, degree: int, p: int = 0) -> "GradedPoly":
-        return cls(k, degree, [0] * num_monomials(k, degree), p)
+        """The zero of that degree; one shared immutable object per (k, degree, p)."""
+        return _zero(k, max(degree, -1), p)
 
     @classmethod
     def constant(cls, k: int, c: int, p: int = 0) -> "GradedPoly":
@@ -176,46 +215,40 @@ class GradedPoly:
             raise ValueError("ring mismatch")
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "GradedPoly", sign: int) -> "GradedPoly":
         self._check_compatible(other)
         if self.degree != other.degree:
             if self.is_zero() and other.is_zero():
                 return GradedPoly.zero(self.k, max(self.degree, other.degree), self.p)
             raise ValueError("degree mismatch")
-        return GradedPoly(
-            self.k,
-            self.degree,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.p,
-        )
+        coeffs = [a + sign * b for a, b in zip(self.coeffs, other.coeffs)]
+        return GradedPoly._of(self.k, self.degree, _reduced(coeffs, self.p), self.p)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.k, self.degree, [-c for c in self.coeffs], self.p)
-
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-other)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "GradedPoly":
-        return GradedPoly(self.k, self.degree, [c * x for x in self.coeffs], self.p)
+        coeffs = [c * x for x in self.coeffs]
+        return GradedPoly._of(self.k, self.degree, _reduced(coeffs, self.p), self.p)
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_compatible(other)
+        k, p = self.k, self.p
         if self.degree < 0 or other.degree < 0:
-            return GradedPoly.zero(self.k, self.degree + other.degree, self.p)
+            return GradedPoly.zero(k, self.degree + other.degree, p)
         d = self.degree + other.degree
-        idx = monomial_index(self.k, d)
-        out = [0] * num_monomials(self.k, d)
-        mons_a = monomials(self.k, self.degree)
-        mons_b = monomials(self.k, other.degree)
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            ma = mons_a[i]
-            for j, cb in enumerate(other.coeffs):
-                if cb == 0:
-                    continue
-                mb = mons_b[j]
-                out[idx[tuple(a + b for a, b in zip(ma, mb))]] += ca * cb
-        return GradedPoly(self.k, d, out, self.p)
+        out = [0] * num_monomials(k, d)
+        pairs = [(cb, j) for j, cb in enumerate(other.coeffs) if cb]
+        for ca, row in zip(self.coeffs, _product_table(k, self.degree, other.degree)):
+            if ca:
+                for cb, j in pairs:
+                    out[row[j]] += ca * cb
+        return GradedPoly._of(k, d, _reduced(out, p), p)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -261,6 +294,11 @@ class GradedPoly:
         return f"<{self.render()} ({ring}, deg {self.degree})>"
 
 
+@lru_cache(maxsize=None)
+def _zero(k: int, degree: int, p: int) -> GradedPoly:
+    return GradedPoly(k, degree, [0] * num_monomials(k, degree), p)
+
+
 def linear_from_weight(w, p: int = 0) -> GradedPoly:
     """The linear form with coefficient vector w."""
     return GradedPoly(len(w), 1, list(w), p)
@@ -270,7 +308,29 @@ def reduce_mod_p(f: GradedPoly, p: int) -> GradedPoly:
     """Reduce integer coefficients into F_p."""
     if f.p != 0:
         raise ValueError("polynomial is already modular")
-    return GradedPoly(f.k, f.degree, f.coeffs, p)
+    return GradedPoly._of(f.k, f.degree, _reduced(f.coeffs, p), p)
+
+
+def elementary_symmetric(k: int, weights, p: int = 0) -> list[GradedPoly]:
+    """Components 0..n of the product of (1 + w) over the n weights, over
+    Z (p = 0) or F_p: entry d is the d-th elementary symmetric polynomial
+    of their linear forms.
+
+    Built by e_d <- e_d + e_{d-1} * w per weight, d descending, in place
+    on integer coefficient lists through the product table of a degree
+    by a linear form; each degree is reduced and wrapped once at the end.
+    """
+    comps = [[1]]
+    for w in weights:
+        terms = [(j, x) for j, x in enumerate(w) if x]
+        comps.append([0] * num_monomials(k, len(comps)))
+        for d in range(len(comps) - 1, 0, -1):
+            out = comps[d]
+            for c, row in zip(comps[d - 1], _product_table(k, d - 1, 1)):
+                if c:
+                    for j, x in terms:
+                        out[row[j]] += c * x
+    return [GradedPoly._of(k, d, _reduced(cs, p), p) for d, cs in enumerate(comps)]
 
 
 def compose_linear(f: GradedPoly, mat: IntMatrix) -> GradedPoly:
@@ -392,25 +452,32 @@ def divide_by_linear(f: GradedPoly, w) -> GradedPoly | None:
         raise ValueError("cannot divide by the zero weight")
     if len(w) != f.k:
         raise ValueError("weight length mismatch")
-    k, d = f.k, f.degree
-    if f.is_zero():
-        return GradedPoly.zero(k, d - 1)
+    q = divide_coeffs(f.k, f.degree, f.coeffs, w)
+    return None if q is None else GradedPoly._of(f.k, max(f.degree - 1, -1), q, 0)
+
+
+def divide_coeffs(k: int, d: int, coeffs, w) -> tuple | None:
+    """``divide_by_linear`` on the integer coefficients of a degree-d
+    polynomial, unchecked: the quotient's coefficients (none below degree
+    0), or None.  ``w`` is a nonzero weight of length k."""
+    if not any(coeffs):
+        return (0,) * num_monomials(k, d - 1)
     terms = [(j, x) for j, x in enumerate(w) if x]
     i, lead = terms[0]
-    idx = monomial_index(k, d)
-    rem = list(f.coeffs)
+    table = _product_table(k, d - 1, 1)
+    rem = list(coeffs)
     q = []
-    for mono in monomials(k, d - 1):
-        c, r = divmod(rem[idx[mono[:i] + (mono[i] + 1,) + mono[i + 1 :]]], lead)
+    for row in table:
+        c, r = divmod(rem[row[i]], lead)
         if r:
             return None
         if c:
             for j, x in terms:
-                rem[idx[mono[:j] + (mono[j] + 1,) + mono[j + 1 :]]] -= c * x
+                rem[row[j]] -= c * x
         q.append(c)
     if any(rem):
         return None
-    return GradedPoly(k, d - 1, q)
+    return tuple(q)
 
 
 def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:

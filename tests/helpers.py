@@ -37,6 +37,23 @@ def star_product_component(k: int, weights, d: int, p: int = 0) -> GradedPoly:
     return total
 
 
+def mul_oracle(a: GradedPoly, b: GradedPoly) -> GradedPoly:
+    """The product from its definition, monomial by monomial: each pair of
+    terms adds ca * cb at the index of the summed exponent vector."""
+    if a.k != b.k or a.p != b.p:
+        raise ValueError("ring mismatch")
+    if a.degree < 0 or b.degree < 0:
+        return GradedPoly.zero(a.k, a.degree + b.degree, a.p)
+    d = a.degree + b.degree
+    idx = {m: i for i, m in enumerate(monomials(a.k, d))}
+    out = [0] * len(idx)
+    for ma, ca in zip(monomials(a.k, a.degree), a.coeffs):
+        for mb, cb in zip(monomials(b.k, b.degree), b.coeffs):
+            if ca and cb:
+                out[idx[tuple(x + y for x, y in zip(ma, mb))]] += ca * cb
+    return GradedPoly(a.k, d, out, a.p)
+
+
 def is_multiple_of(v, w) -> bool:
     """True if v lies in Z*w: the definitional congruence test."""
     if not any(v):
@@ -432,6 +449,20 @@ def random_gkm_graphs(
     if len(out) < count:
         raise RuntimeError(f"only generated {len(out)} of {count} graphs")
     return out
+
+
+def cube_graph(labels) -> GkmGraph:
+    """Q_n: the product of n one-edge graphs, axis i labelled labels[i];
+    vertex names are bit strings, bit i the coordinate on axis i."""
+    n = len(labels)
+    names = [format(i, f"0{n}b")[::-1] for i in range(2**n)]
+    edges = [
+        (names[i], names[i | (1 << axis)], w)
+        for axis, w in enumerate(labels)
+        for i in range(2**n)
+        if not i & (1 << axis)
+    ]
+    return GkmGraph(len(labels[0]), names, edges)
 
 
 def projective_space(n: int) -> GkmGraph:

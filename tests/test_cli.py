@@ -289,6 +289,46 @@ def test_class_checks_exit_3_without_traceback_under_optimize(module, name, argv
     assert proc.stderr == f"internal error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "module, patch, argv, message",
+    [
+        (
+            "cohomology",
+            "real = target.modp_solve\n"
+            "target.modp_solve = lambda rows, b, p: [(c + 1) % p for c in real(rows, b, p)]\n",
+            ["obstruction", "fixtures:paper8"],
+            "integral preimage does not reduce to the target",
+        ),
+        (
+            "charclasses",
+            "target.divide_by_linear = lambda f, w: None\n",
+            ["sw", "fixtures:paper8"],
+            "SW numerator not divisible by the edge lift",
+        ),
+    ],
+)
+def test_preimage_and_sw_quotient_checks_exit_3_under_optimize(module, patch, argv, message):
+    """The re-reduction of an integral preimage and the divisibility of an
+    SW quotient are explicit checks, so they still end in exit 3 under
+    ``python -O``."""
+    script = (
+        "import sys\n"
+        f"import gkmcohom.{module} as target\n"
+        "from gkmcohom.cli import main\n"
+        "assert False, 'asserts must be off'\n"
+        f"{patch}"
+        f"sys.exit(main({argv + ['--json']!r}))\n"
+    )
+    paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"internal error: {message}\n"
+
+
 def test_validate_require_spin_finds_the_connection_once(capsys, monkeypatch):
     from gkmcohom import cli
 

@@ -20,8 +20,9 @@ from gkmcohom import (
     total_sw,
 )
 from gkmcohom import fixtures
-from gkmcohom.cohomology import _edge_rows
-from gkmcohom.graph import Conventions, GkmGraph
+from gkmcohom import cohomology
+from gkmcohom.cohomology import _edge_rows, _reduction_images
+from gkmcohom.graph import DEFAULT_CONVENTIONS, Conventions, GkmGraph, InvariantError
 from gkmcohom.intlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -32,6 +33,7 @@ from gkmcohom.intlinalg import (
 from gkmcohom.polyring import num_monomials
 
 from helpers import (
+    cube_graph,
     flag_manifold,
     hilbert_rank_of_free,
     integral_preimage_elimination,
@@ -459,6 +461,56 @@ def test_preimage_solvers_agree_under_flipped_conventions():
                 assert reduce_class_mod_p(g, pre, target.p, conv) == target
         found += a is not None
     assert found and found < len(cases)
+
+
+@pytest.mark.parametrize(
+    "labels, p, top",
+    [
+        (((1, 0), (0, 1), (1, 1), (2, 4)), 2, 6),  # Q4
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 2)), 2, 6),  # Q4k3
+        (((1, 0), (0, 1), (3, 6)), 3, 6),  # a content-3 label over Z3
+    ],
+)
+def test_reduction_images_from_lattice_vectors_equal_the_class_map(labels, p, top):
+    """The preimage solve reads the reduction of each integral basis class
+    off its lattice vector; it must equal ``reduce_class_mod_p`` followed
+    by ``to_vector``, under the default conventions and overrides."""
+    g = cube_graph(labels)
+    special = edges_div_p(g, p)
+    assert special
+    flipped = {e: tuple(-c for c in g.label(e)) for e in special[1::2]}
+    conventions = [
+        DEFAULT_CONVENTIONS,
+        Conventions(frozenset(special[::2])),
+        Conventions(frozenset(), flipped),
+        Conventions(frozenset(special), flipped),
+    ]
+    nonzero_quotients = 0
+    for d2 in range(0, top + 1, 2):
+        lattice = compute_h_z(g, d2)
+        for conv in conventions:
+            want = [reduce_class_mod_p(g, cls, p, conv).to_vector() for cls in lattice.basis]
+            assert _reduction_images(g, lattice, p, conv) == want, (labels, d2, conv)
+            vertex_part = len(g.vertices) * num_monomials(g.torus_rank, d2 // 2)
+            nonzero_quotients += sum(any(img[vertex_part:]) for img in want)
+    assert nonzero_quotients
+
+
+def test_corrupted_preimage_raises_invariant_error(monkeypatch):
+    """The preimage is re-reduced with ``reduce_class_mod_p``: a wrong
+    solve is caught however the images were built."""
+    g = cube_graph(((1, 0), (0, 1), (1, 1), (2, 4)))
+    target = reduce_class_mod_p(g, compute_h_z(g, 4).basis[-1], 2)
+    assert integral_preimage(g, target) is not None
+    real = cohomology.modp_solve
+
+    def corrupt(rows, b, p):
+        x = real(rows, b, p)
+        return [(x[0] + 1) % p] + list(x[1:])
+
+    monkeypatch.setattr(cohomology, "modp_solve", corrupt)
+    with pytest.raises(InvariantError, match="does not reduce to the target"):
+        integral_preimage(g, target)
 
 
 def test_basis_strings_are_pinned():

@@ -19,7 +19,9 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import fixtures
+from gkmcohom import connection
 from gkmcohom.connection import (
+    _negated_residue,
     first_matching,
     forced_lift,
     residue,
@@ -322,6 +324,37 @@ def test_residue_test_equals_the_definitional_congruence():
                 outcomes.add(want)
     assert outcomes == {0, 1, -1, None}
     assert leading_signs == {True, False}
+
+
+def test_negated_residue_is_the_residue_of_the_negation():
+    rng = random.Random(5)
+    seen_shift = set()
+    for k in range(1, 5):
+        for m in range(1, 6):
+            for _ in range(30):
+                le = label_of_content(rng, k, m) if k > 1 else (rng.choice((1, -1)) * m,)
+                v = tuple(rng.randint(-9, 9) for _ in range(k))
+                r = residue(v, le)
+                assert _negated_residue(r, le) == residue(tuple(-c for c in v), le), (v, le)
+                seen_shift.add(_negated_residue(r, le) != tuple(-c for c in r))
+    assert seen_shift == {True, False}
+    assert _negated_residue((2, -3), (0, 0)) == (-2, 3) == residue((-2, 3), (0, 0))
+
+
+def test_holonomy_signs_take_one_residue_per_label_and_edge(monkeypatch):
+    """One residue of each source label and one of its image per edge of
+    the star: two per (edge, star edge) pair, not three."""
+    calls = []
+    real = connection.residue
+    monkeypatch.setattr(connection, "residue", lambda v, le: calls.append(v) or real(v, le))
+    graphs = [fixtures.paper8(), fixtures.product((1, 0), (0, 1), (1, 1))]
+    for g in graphs + random_gkm_graphs(3, 4):
+        c = find_connection(g)
+        calls.clear()
+        eta = holonomy_signs(g, c)
+        pairs = sum(len(g.star(g.initial(g.default_oriented(e)))) - 1 for e in range(len(g.edges)))
+        assert len(calls) == 2 * pairs, g
+        assert set(eta.values()) <= {1, -1}
 
 
 def _brute_force_matchings(g: GkmGraph, eid: int) -> list[dict]:

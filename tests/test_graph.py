@@ -139,6 +139,16 @@ def test_edges_div_p():
         edges_div_p(g, 1)
 
 
+def test_edges_div_p_is_kept_per_p_and_returns_a_new_list():
+    g = fixtures.paper8()
+    first = edges_div_p(g, 2)
+    first.append(7)
+    first.remove(1)
+    assert edges_div_p(g, 2) == [1, 5]
+    assert edges_div_p(g, 2) is not edges_div_p(g, 2)
+    assert edges_div_p(g, 3) == []
+
+
 def test_effectiveness():
     assert is_effective(fixtures.paper8())
     assert not is_effective(fixtures.sphere((1, 0)))  # labels span a line only

@@ -13,6 +13,7 @@ from gkmcohom.polyring import (
     congruent_mod_weight,
     content,
     divide_by_linear,
+    elementary_symmetric,
     linear_from_weight,
     monomial_index,
     monomials,
@@ -23,7 +24,13 @@ from gkmcohom.polyring import (
     weights_parallel,
 )
 
-from helpers import divisible_mod_p, is_multiple_of, label_of_content
+from helpers import (
+    divisible_mod_p,
+    is_multiple_of,
+    label_of_content,
+    mul_oracle,
+    star_product_component,
+)
 
 
 def poly(k: int, degree: int, terms: dict, p: int = 0) -> GradedPoly:
@@ -71,6 +78,77 @@ def test_arithmetic_identities():
     assert (x + y).scale(3) - (x + y) == (x + y).scale(2)
     assert (-(x + y)) + (x + y) == GradedPoly.zero(2, 1)
     assert GradedPoly.constant(2, 5) * x == x.scale(5)
+
+
+def test_table_product_equals_the_monomial_oracle():
+    rng = random.Random(14)
+    for k in range(1, 5):
+        for p in (0, 2, 3):
+            for da in range(-1, 5):
+                for db in range(-1, 5):
+                    a, b = random_poly(rng, k, da, p), random_poly(rng, k, db, p)
+                    got, want = a * b, mul_oracle(a, b)
+                    assert (got.k, got.degree, got.p, got.coeffs) == (
+                        want.k, want.degree, want.p, want.coeffs
+                    ), (k, p, da, db)
+
+
+def test_elementary_symmetric_equals_the_product_of_linear_factors():
+    """Against the product of (1 + w) in plain ``GradedPoly`` arithmetic,
+    and against the subset sums for each degree."""
+    rng = random.Random(2)
+    cases = [(1, []), (3, [])]
+    for _ in range(30):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        weights = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)]
+        weights.append(weights[0])  # repeated
+        weights.append(tuple(2 * c for c in weights[-1]))  # non-primitive
+        weights.append(tuple(-c for c in weights[1]))  # negated
+        cases.append((k, weights))
+    for k, weights in cases:
+        for p in (0, 2):
+            product = [GradedPoly.constant(k, 1, p)]
+            for w in weights:
+                lin = linear_from_weight(w, p)
+                top = GradedPoly.zero(k, len(product), p)
+                shifted = [GradedPoly.zero(k, 0, p)] + [mul_oracle(c, lin) for c in product]
+                product = [a + b for a, b in zip(product + [top], shifted)]
+            got = elementary_symmetric(k, weights, p)
+            assert [(f.degree, f.p, f.coeffs) for f in got] == [
+                (f.degree, f.p, f.coeffs) for f in product
+            ], (k, weights, p)
+            if len(weights) <= 5:
+                want = [star_product_component(k, weights, d, p) for d in range(len(weights) + 1)]
+                assert got == want
+
+
+def test_cached_zero_is_shared_and_arithmetic_never_mutates_it():
+    z = GradedPoly.zero(3, 2, 2)
+    assert z is GradedPoly.zero(3, 2, 2)
+    assert GradedPoly.zero(2, -4) is GradedPoly.zero(2, -1)
+    assert z is not GradedPoly.zero(3, 2) and z is not GradedPoly.zero(3, 2, 3)
+    assert isinstance(z.coeffs, tuple)
+    f = GradedPoly(3, 2, [1, 0, 1, 1, 0, 1], 2)
+    lin = linear_from_weight((1, 1, 0), 2)
+    results = [z + f, f + z, z - f, f - z, -z, z.scale(3), z * lin, lin * z, z * z]
+    assert results[0] == f and results[2] == f
+    assert all(r is not z for r in results)
+    assert z.coeffs == (0,) * 6 and z.degree == 2 and z.p == 2
+    with pytest.raises(TypeError):
+        z.coeffs[0] = 1  # type: ignore[index]
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match="expected 3 coefficients, got 2"):
+        GradedPoly(2, 2, [1, 2])
+    with pytest.raises(ValueError, match="expected 1 coefficients, got 0"):
+        GradedPoly(2, 0, [])
+    with pytest.raises(ValueError, match="at least one variable"):
+        GradedPoly(0, 1, [])
+    with pytest.raises(ValueError, match="at least one variable"):
+        GradedPoly.zero(0, 1)
+    assert GradedPoly(2, 1, [5, -1], 3).coeffs == (2, 2)
 
 
 def test_zero_degree_conventions():
