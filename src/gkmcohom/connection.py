@@ -10,11 +10,20 @@ Congruence modulo Z*le is decided by one canonical residue: with i the
 first nonzero coordinate of le, r(v) = v - (v[i] // le[i]) * le, and v is
 congruent to v' iff r(v) == r(v') (floor division picks one
 representative of v[i] mod le[i], also for non-primitive labels and a
-negative le[i]).  ``transport_sign`` compares residues, and
-``edge_matchings`` computes r(lf) once per source and r(+-lh) once per
-target of an edge, then looks the allowed targets up by residue.  The
-residue of -v follows from that of v (``_negated_residue``), so each label
-takes one residue per edge.
+negative le[i]).  The residue of -v follows from that of v
+(``_negated_residue``).
+
+Residues and signs depend on labels only, and a GKM graph carries far
+fewer distinct labels than edges (Fl5: 600 edges, 10 labels).  So both
+are kept per graph, in ``g._cache``, keyed by label tuples: the pair
+(r(v), r(-v)) per (vector, edge label), and the transport sign per
+(lift, image label, edge label).  Each label takes one residue per graph,
+and ``graph_sign`` is the one place that reads a sign: ``edge_matchings``
+looks the allowed targets up by residue, and ``transport_signs``,
+``forced_lift`` and ``connection_from_matchings`` read the sign table.
+The table holds the outcome, not a verdict: a cached 0 (both signs fit)
+or None (neither does) raises in the caller on every hit.  The uncached
+``transport_sign`` is the definition the table is tested against.
 
 A star is carried across an edge with the congruence-forced signs by
 ``transport_signs`` alone: the holonomy signs, the Stiefel-Whitney
@@ -92,25 +101,82 @@ def _negated_residue(r, le) -> tuple:
     return tuple(-a for a in r)
 
 
-def transport_sign(src_lift, dst_label, edge_label) -> int | None:
-    """The sign s with src_lift - s * dst_label a multiple of edge_label.
-
-    Returns 1 or -1 when one sign fits, None when neither does, and 0 when
-    both do (adjacent labels that fail linear independence).  Takes one
-    residue of each vector; the residue of -dst_label is derived.
-    """
-    key = residue(src_lift, edge_label)
-    dst_key = residue(dst_label, edge_label)
-    fits_pos = key == dst_key
-    fits_neg = key == _negated_residue(dst_key, edge_label)
+def _sign_of(r, dst_residues) -> int | None:
+    """The transport sign from the residue of the lift and the residues
+    (r(lh), r(-lh)) of the image label: 1 or -1 when one sign fits, None
+    when neither does, 0 when both do."""
+    fits_pos = r == dst_residues[0]
+    fits_neg = r == dst_residues[1]
     if fits_pos:
         return 0 if fits_neg else 1
     return -1 if fits_neg else None
 
 
-def forced_lift(src_lift, dst_label, edge_label) -> tuple | None:
-    """The signed copy of dst_label congruent to src_lift mod edge_label, or None."""
-    sign = transport_sign(src_lift, dst_label, edge_label)
+def transport_sign(src_lift, dst_label, edge_label) -> int | None:
+    """The sign s with src_lift - s * dst_label a multiple of edge_label.
+
+    Returns 1 or -1 when one sign fits, None when neither does, and 0 when
+    both do (adjacent labels that fail linear independence).  Uncached:
+    the definition that ``graph_sign`` keeps per graph.
+    """
+    dst = residue(dst_label, edge_label)
+    return _sign_of(residue(src_lift, edge_label), (dst, _negated_residue(dst, edge_label)))
+
+
+class _Residues(dict):
+    """(residue(v, le), residue(-v, le)) per vector v, for one edge label
+    le; each entry is computed on its first read."""
+
+    __slots__ = ("le",)
+
+    def __init__(self, le):
+        super().__init__()
+        self.le = le
+
+    def __missing__(self, v) -> tuple:
+        r = residue(v, self.le)
+        got = self[v] = (r, _negated_residue(r, self.le))
+        return got
+
+
+class _Signs(dict):
+    """``transport_sign`` per (lift, image label), for one edge label; each
+    entry is computed on its first read, from the residues of that label.
+    The outcome is kept as it is, 0 and None included, so a caller that
+    raises on it raises on every read."""
+
+    __slots__ = ("residues",)
+
+    def __init__(self, residues: _Residues):
+        super().__init__()
+        self.residues = residues
+
+    def __missing__(self, key) -> int | None:
+        lift, dst_label = key
+        sign = self[key] = _sign_of(self.residues[lift][0], self.residues[dst_label])
+        return sign
+
+
+def _tables(g: GkmGraph, edge_label) -> tuple[_Residues, _Signs]:
+    """The residue and sign tables of one edge label of g, kept in
+    ``g._cache`` so they die with the graph."""
+    key = ("transport", edge_label)
+    got = g._cache.get(key)
+    if got is None:
+        residues = _Residues(edge_label)
+        got = g._cache[key] = (residues, _Signs(residues))
+    return got
+
+
+def graph_sign(g: GkmGraph, src_lift, dst_label, edge_label) -> int | None:
+    """``transport_sign`` on label tuples of g, read from its table."""
+    return _tables(g, edge_label)[1][src_lift, dst_label]
+
+
+def forced_lift(g: GkmGraph, src_lift, dst_label, edge_label) -> tuple | None:
+    """The signed copy of dst_label congruent to src_lift mod edge_label, or
+    None; the sign is read from the table of g (``graph_sign``)."""
+    sign = graph_sign(g, src_lift, dst_label, edge_label)
     if sign == 0:
         raise DomainError("ambiguous sign transport; adjacent labels not independent")
     return None if sign is None else tuple(sign * c for c in dst_label)
@@ -125,13 +191,12 @@ def _matchings(g: GkmGraph, edge_id: int):
     targets = [h for h in g.star(g.terminal(e)) if h != ebar]
     if len(sources) != len(targets):
         return
-    le = g.label(edge_id)
+    residues = _tables(g, g.label(edge_id))[0]
     by_residue: dict[tuple, list] = {}
     for h in targets:
-        r = residue(g.label(h.edge), le)
-        for key in {r, _negated_residue(r, le)}:
+        for key in set(residues[g.label(h.edge)]):
             by_residue.setdefault(key, []).append(h)
-    allowed = [by_residue.get(residue(g.label(f.edge), le), ()) for f in sources]
+    allowed = [by_residue.get(residues[g.label(f.edge)][0], ()) for f in sources]
     used: set = set()
     current: dict = {}
 
@@ -149,7 +214,10 @@ def _matchings(g: GkmGraph, edge_id: int):
             del current[f]
             used.discard(h)
 
-    yield from backtrack(0)
+    try:
+        yield from backtrack(0)
+    finally:
+        del backtrack  # it refers to itself: break the cycle, or only the cyclic GC frees it
 
 
 def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
@@ -232,7 +300,7 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
             raise ValueError(f"edge {eid}: matching must send the edge to its reverse")
         le = g.label(eid)
         for f, h in m.items():
-            if f != e and transport_sign(g.label(f.edge), g.label(h.edge), le) is None:
+            if f != e and graph_sign(g, g.label(f.edge), g.label(h.edge), le) is None:
                 raise ValueError(
                     f"edge {eid}: pair {f.render()} -> {h.render()} violates the "
                     f"congruence"
@@ -252,13 +320,13 @@ def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
     ``DomainError`` when both do (adjacent labels fail linear
     independence, a property of the graph).
     """
-    le = g.label(oe.edge)
+    table = _tables(g, g.label(oe.edge))[1]
     signs = {}
     for f in g.star(g.initial(oe)):
         if f == oe:
             continue
         lift = g.label(f.edge) if lifts is None else lifts[f]
-        sign = transport_sign(lift, g.label(image[f].edge), le)
+        sign = table[lift, g.label(image[f].edge)]
         if sign == 0:
             raise DomainError(
                 f"ambiguous transport sign along edge {oe.edge}: adjacent "

@@ -114,10 +114,15 @@ class GkmGraph:
 
     @property
     def valence(self) -> int:
-        vals = set(self.valences())
-        if len(vals) != 1:
-            raise DomainError("graph is not regular")
-        return vals.pop()
+        """The common star size, found once per graph; raises DomainError
+        on every call when the graph is not regular."""
+        n = self._cache.get("valence")
+        if n is None:
+            vals = set(self.valences())
+            if len(vals) != 1:
+                raise DomainError("graph is not regular")
+            n = self._cache["valence"] = vals.pop()
+        return n
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -214,18 +219,27 @@ class CheckReport:
 
 
 def validate_gkm(g: GkmGraph) -> CheckReport:
-    """Constant valence and pairwise linear independence at every vertex."""
+    """Constant valence and pairwise linear independence at every vertex.
+
+    Parallelism depends on the two labels only, so it is decided once per
+    distinct label pair; the issues follow the stars in canonical order.
+    """
     issues = []
     vals = g.valences()
     if len(set(vals)) != 1:
         issues.append(f"valence not constant: {sorted(set(vals))}")
+    parallel: dict = {}
     for v in range(len(g.vertices)):
         star = g.star(v)
+        labels = [g.label(oe.edge) for oe in star]
         for i in range(len(star)):
             for j in range(i + 1, len(star)):
-                a = g.label(star[i].edge)
-                b = g.label(star[j].edge)
-                if weights_parallel(a, b):
+                a, b = labels[i], labels[j]
+                key = (a, b) if a <= b else (b, a)
+                found = parallel.get(key)
+                if found is None:
+                    found = parallel[key] = weights_parallel(a, b)
+                if found:
                     issues.append(
                         f"vertex {g.vertices[v]!r}: labels of edges "
                         f"{star[i].edge} and {star[j].edge} are parallel"
@@ -234,16 +248,19 @@ def validate_gkm(g: GkmGraph) -> CheckReport:
 
 
 def check_coprimality(g: GkmGraph) -> CheckReport:
-    """Contents of labels at a common vertex must be pairwise coprime."""
+    """Contents of labels at a common vertex must be pairwise coprime.
+
+    The content of each label is taken once per edge."""
     from math import gcd
 
+    contents = [content(label) for _, _, label in g.edges]
     issues = []
     for v in range(len(g.vertices)):
         star = g.star(v)
         for i in range(len(star)):
             for j in range(i + 1, len(star)):
-                ci = content(g.label(star[i].edge))
-                cj = content(g.label(star[j].edge))
+                ci = contents[star[i].edge]
+                cj = contents[star[j].edge]
                 if gcd(ci, cj) != 1:
                     issues.append(
                         f"vertex {g.vertices[v]!r}: contents of edges "

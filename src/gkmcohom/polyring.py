@@ -12,8 +12,9 @@ shows up as the natural home of difference quotients of degree-0 classes.
 The public ``GradedPoly(...)`` checks and normalizes its input; the
 arithmetic builds its results, whose length is right by construction,
 with the unchecked ``GradedPoly._of``.  ``GradedPoly.zero`` is one shared
-object per (k, degree, p), and products read a cached table of monomial
-indices per (k, da, db).  The hot loops work on coefficient lists and
+object per (k, degree, p), products read a cached table of monomial
+indices per (k, da, db), and ``render`` reads the monomials' strings
+from a cached table per (k, d).  The hot loops work on coefficient lists and
 wrap a result once: ``elementary_symmetric`` (the star components of the
 Stiefel-Whitney classes) and ``divide_coeffs`` (the long division behind
 ``divide_by_linear``).
@@ -128,6 +129,17 @@ def var_names(k: int) -> list[str]:
     if k <= 3:
         return ["x", "y", "z"][:k]
     return [f"x{i + 1}" for i in range(k)]
+
+
+@lru_cache(maxsize=None)
+def _monomial_strings(k: int, d: int) -> tuple[str, ...]:
+    """The degree-d monomials as ``render`` writes them, e.g. ``x^2*y``;
+    the empty string for the constant monomial."""
+    names = var_names(k)
+    return tuple(
+        "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+        for exps in monomials(k, d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +280,17 @@ class GradedPoly:
 
     def render(self) -> str:
         """Fixed-order textual form, e.g. ``x^2 - 3*x*y + 2*y^2``."""
-        names = var_names(self.k)
         parts: list[str] = []
-        for exps, c in zip(monomials(self.k, self.degree), self.coeffs):
+        for name, c in zip(_monomial_strings(self.k, self.degree), self.coeffs):
             if c == 0:
                 continue
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
             mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
+            if not name:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{name}"
+            else:
+                body = name
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

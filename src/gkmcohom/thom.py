@@ -7,6 +7,15 @@ at the current vertex; transporting a sign for the normal labels along
 the path yields a degree-2 class, and together with the classical edge
 and vertex classes these sums reproduce the even characteristic-class
 components.
+
+An edge class lives on the two endpoints of its edge and a vertex class
+on one vertex, so their values are built as {vertex: value} maps
+(``_edge_values``, ``_vertex_values``) and checked on the edges of the
+stars of that support alone: every other edge joins two zeros, so this
+is exactly the condition of ``membership_z``.  ``verify_sw3valent`` adds
+these local values straight into the per-vertex sums; the public
+``thom_class_of_edge`` and ``thom_class_of_vertex`` spread the same maps
+into whole classes.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from .connection import (
     transport_signs,
 )
 from .graph import DomainError, GkmGraph, InvariantError, OrientedEdge
-from .polyring import GradedPoly, linear_from_weight
+from .polyring import GradedPoly, congruent_mod_weight, linear_from_weight
 
 
 class ConnectionPath:
@@ -171,7 +180,7 @@ def thom_class_of_path(
     beta[rotated[0][1]] = current
     for j in range(1, l):
         _, normal, between = rotated[j]
-        forced = forced_lift(current, g.label(normal.edge), g.label(between))
+        forced = forced_lift(g, current, g.label(normal.edge), g.label(between))
         if forced is None:
             raise ValueError("sign transport failed; connection not compatible")
         if normal in beta and beta[normal] != forced:
@@ -181,7 +190,7 @@ def thom_class_of_path(
         beta[normal] = forced
         current = forced
     _, first_normal, between = rotated[0]
-    closing = forced_lift(current, g.label(first_normal.edge), g.label(between))
+    closing = forced_lift(g, current, g.label(first_normal.edge), g.label(between))
     if closing != beta[first_normal]:
         raise ValueError("closing congruence failed; the graph is not orientable")
     k = g.torus_rank
@@ -200,14 +209,27 @@ def thom_class_of_path(
     return cls
 
 
-def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
-    """Degree-4 class supported on the endpoints of one edge."""
-    if g.torus_rank != 2:
-        raise ValueError("edge classes require torus rank 2")
-    if g.valence != 3:
-        raise ValueError("edge classes require a 3-valent graph")
+def _check_local(g: GkmGraph, degree: int, values: dict, kind: str) -> None:
+    """``membership_z`` for a class of polynomial degree ``degree`` that
+    vanishes off the vertices of ``values``: only the edges of their stars
+    can fail, every other edge joins two zeros."""
+    zero = GradedPoly.zero(g.torus_rank, degree)
+    seen = set()
+    for vertex in values:
+        for oe in g.star(vertex):
+            if oe.edge in seen:
+                continue
+            seen.add(oe.edge)
+            u, v, label = g.edges[oe.edge]
+            if not congruent_mod_weight(values.get(u, zero), values.get(v, zero), label):
+                raise InvariantError(f"{kind} class violates an edge congruence")
+
+
+def _edge_values(g: GkmGraph, c: Connection, edge_id: int) -> dict:
+    """The two values of the degree-4 edge class, checked: the product of
+    the other star labels at the initial vertex, and of their images with
+    the transported signs at the terminal vertex."""
     oe = g.default_oriented(edge_id)
-    u, v = g.initial(oe), g.terminal(oe)
     image = c.map_along(oe)
     k = g.torus_rank
     src_product = GradedPoly.constant(k, 1)
@@ -215,41 +237,51 @@ def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
     for l, s in transport_signs(g, oe, image).items():
         src_product = src_product * linear_from_weight(g.label(l.edge))
         dst_product = dst_product * linear_from_weight(tuple(s * x for x in g.label(image[l].edge)))
-    zero = GradedPoly.zero(k, 2)
-    values = [zero] * len(g.vertices)
-    values[u] = src_product
-    values[v] = dst_product
-    cls = GraphClass(g, 4, values)
-    if not membership_z(g, cls):
-        raise InvariantError("edge class violates an edge congruence")
-    return cls
+    values = {g.initial(oe): src_product, g.terminal(oe): dst_product}
+    _check_local(g, 2, values, "edge")
+    return values
+
+
+def _vertex_values(g: GkmGraph, vertex: int) -> dict:
+    """The one value of the degree-6 vertex class, checked: the product of
+    the star labels."""
+    product = GradedPoly.constant(g.torus_rank, 1)
+    for oe in g.star(vertex):
+        product = product * linear_from_weight(g.label(oe.edge))
+    values = {vertex: product}
+    _check_local(g, 3, values, "vertex")
+    return values
+
+
+def _spread(g: GkmGraph, degree2: int, values: dict) -> GraphClass:
+    """The whole class with the local values ``values``, zero elsewhere."""
+    zero = GradedPoly.zero(g.torus_rank, degree2 // 2)
+    return GraphClass(g, degree2, [values.get(v, zero) for v in range(len(g.vertices))])
+
+
+def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
+    """Degree-4 class supported on the endpoints of one edge."""
+    if g.torus_rank != 2:
+        raise ValueError("edge classes require torus rank 2")
+    if g.valence != 3:
+        raise ValueError("edge classes require a 3-valent graph")
+    return _spread(g, 4, _edge_values(g, c, edge_id))
 
 
 def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClass:
     """Degree-6 class supported on one vertex: product of its star labels."""
     if g.valence != 3:
         raise ValueError("vertex classes require a 3-valent graph")
-    k = g.torus_rank
-    product = GradedPoly.constant(k, 1)
-    for oe in g.star(vertex):
-        product = product * linear_from_weight(g.label(oe.edge))
-    zero = GradedPoly.zero(k, 3)
-    values = [zero] * len(g.vertices)
-    values[vertex] = product
-    cls = GraphClass(g, 6, values)
-    if not membership_z(g, cls):
-        raise InvariantError("vertex class violates an edge congruence")
-    return cls
+    return _spread(g, 6, _vertex_values(g, vertex))
 
 
-def _sum_classes(g: GkmGraph, degree2: int, classes) -> GraphClass:
-    """Vertex-wise sum of classes, adding only the nonzero values (edge and
-    vertex classes vanish away from one or two vertices)."""
+def _sum_values(g: GkmGraph, degree2: int, supported) -> GraphClass:
+    """Vertex-wise sum of classes given by their nonzero values, each a
+    {vertex: value} map."""
     sums = [GradedPoly.zero(g.torus_rank, degree2 // 2)] * len(g.vertices)
-    for cls in classes:
-        for v, f in enumerate(cls.values):
-            if not f.is_zero():
-                sums[v] = sums[v] + f
+    for values in supported:
+        for v, f in values.items():
+            sums[v] = sums[v] + f
     return GraphClass(g, degree2, sums)
 
 
@@ -273,16 +305,16 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     if not is_orientable(g, connection):
         raise DomainError("graph is not orientable")
 
+    vertex_sum = _sum_values(g, 6, (_vertex_values(g, v) for v in range(len(g.vertices))))
+
     def matches(c: Connection) -> tuple[dict, list[ConnectionPath]]:
         sw = total_sw(g, c)
         paths = connection_paths(g, c)
-        path_sum = _sum_classes(g, 2, (thom_class_of_path(g, c, p) for p in paths))
-        edge_sum = _sum_classes(
-            g, 4, (thom_class_of_edge(g, c, e) for e in range(len(g.edges)))
-        )
-        vertex_sum = _sum_classes(
-            g, 6, (thom_class_of_vertex(g, v) for v in range(len(g.vertices)))
-        )
+        path_sum = _sum_values(g, 2, (
+            {v: f for v, f in enumerate(thom_class_of_path(g, c, p).values) if not f.is_zero()}
+            for p in paths
+        ))
+        edge_sum = _sum_values(g, 4, (_edge_values(g, c, e) for e in range(len(g.edges))))
         result = {
             "degree2_match": reduce_class_mod_p(g, path_sum, 2) == sw.component(2),
             "degree4_match": reduce_class_mod_p(g, edge_sum, 2) == sw.component(4),

@@ -17,7 +17,7 @@ from math import gcd
 from gkmcohom import DEFAULT_CONVENTIONS, GkmGraph, GradedPoly, GraphClass, find_connection, validate_gkm
 from gkmcohom import membership_z, reduce_class_mod_p
 from gkmcohom.intlinalg import IntMatrix, solve_with_image
-from gkmcohom.polyring import content, monomials, sign_normalize, weights_parallel
+from gkmcohom.polyring import content, monomials, sign_normalize, var_names, weights_parallel
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,32 @@ def mul_oracle(a: GradedPoly, b: GradedPoly) -> GradedPoly:
             if ca and cb:
                 out[idx[tuple(x + y for x, y in zip(ma, mb))]] += ca * cb
     return GradedPoly(a.k, d, out, a.p)
+
+
+def render_oracle(f: GradedPoly) -> str:
+    """``GradedPoly.render`` from its definition, monomial by monomial:
+    the factors ``name`` or ``name^e``, the magnitude in front unless it
+    is 1 on a non-constant monomial, signs between the terms."""
+    names = var_names(f.k)
+    parts: list[str] = []
+    for exps, c in zip(monomials(f.k, f.degree), f.coeffs):
+        if c == 0:
+            continue
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(c)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
 
 
 def is_multiple_of(v, w) -> bool:

@@ -266,17 +266,30 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
          "vertex parts violate a mod-2 congruence"),
         ("thom", "membership_z", ["thom", "fixtures:triangle_x_edge"],
          "path class violates an edge congruence"),
+        ("thom", "congruent_mod_weight", ["thom", "fixtures:triangle_x_edge"],
+         "edge class violates an edge congruence"),
+        ("thom", "congruent_mod_weight", ["thom", "fixtures:triangle_x_edge"],
+         "vertex class violates an edge congruence"),
     ],
 )
 def test_class_checks_exit_3_without_traceback_under_optimize(module, name, argv, message):
     """The total-class and Thom-class membership checks are explicit, so a
-    violation still ends in exit 3 under ``python -O``."""
+    violation still ends in exit 3 under ``python -O``.  The local edge
+    and vertex checks share the congruence test; each fault fails it only
+    at the polynomial degree of its kind of class (2 and 3)."""
+    fault = "lambda g, cls: False"
+    local_degree = {
+        "edge class violates an edge congruence": 2,
+        "vertex class violates an edge congruence": 3,
+    }.get(message)
+    if local_degree is not None:
+        fault = f"lambda f, h, w, real=target.{name}: f.degree != {local_degree} and real(f, h, w)"
     script = (
         "import sys\n"
         f"import gkmcohom.{module} as target\n"
         "from gkmcohom.cli import main\n"
         "assert False, 'asserts must be off'\n"
-        f"target.{name} = lambda g, cls: False\n"
+        f"target.{name} = {fault}\n"
         f"sys.exit(main({argv + ['--json']!r}))\n"
     )
     paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]

@@ -18,8 +18,11 @@ from gkmcohom import (
     is_orientable,
     validate_gkm,
 )
-from gkmcohom import fixtures
+from gkmcohom import connection_paths, edges_div_p, fixtures, sw_choice_independence
+from gkmcohom import thom_class_of_path, total_sw
 from gkmcohom import connection
+from gkmcohom.graph import DomainError, parse
+from gkmcohom.polyring import content, sign_normalize
 from gkmcohom.connection import (
     _negated_residue,
     first_matching,
@@ -30,8 +33,10 @@ from gkmcohom.connection import (
 )
 
 from helpers import (
+    cube_graph,
     is_multiple_of,
     label_of_content,
+    random_3valent_orientable,
     random_gkm_graphs,
     random_unimodular,
     scaled_labels_graph,
@@ -85,10 +90,11 @@ def test_transport_sign_outcomes():
     assert transport_sign((1, 0), (-1, 0), (0, 1)) == -1
     assert transport_sign((1, 0), (0, 1), (2, 3)) is None
     assert transport_sign((1, 0), (1, 0), (1, 0)) == 0  # both signs fit
-    assert forced_lift((1, 0), (-1, 0), (0, 1)) == (1, 0)
-    assert forced_lift((1, 0), (0, 1), (2, 3)) is None
+    g = GkmGraph(2, ["a"], [])  # the sign table is keyed by labels alone
+    assert forced_lift(g, (1, 0), (-1, 0), (0, 1)) == (1, 0)
+    assert forced_lift(g, (1, 0), (0, 1), (2, 3)) is None
     with pytest.raises(ValueError, match="ambiguous"):
-        forced_lift((1, 0), (1, 0), (1, 0))
+        forced_lift(g, (1, 0), (1, 0), (1, 0))
 
 
 def test_ambiguous_pair_is_compatible_but_has_no_sign():
@@ -342,19 +348,109 @@ def test_negated_residue_is_the_residue_of_the_negation():
 
 
 def test_holonomy_signs_take_one_residue_per_label_and_edge(monkeypatch):
-    """One residue of each source label and one of its image per edge of
-    the star: two per (edge, star edge) pair, not three."""
+    """Residues are kept per graph: at most one ``residue`` per distinct
+    (vector, edge label) of a graph, none for a second ``holonomy_signs``
+    on it, and a fresh graph with equal labels starts empty, so no memo
+    outlives its graph (repeated CLI calls in one process redo the work)."""
     calls = []
     real = connection.residue
-    monkeypatch.setattr(connection, "residue", lambda v, le: calls.append(v) or real(v, le))
+    monkeypatch.setattr(connection, "residue", lambda v, le: calls.append((v, le)) or real(v, le))
     graphs = [fixtures.paper8(), fixtures.product((1, 0), (0, 1), (1, 1))]
     for g in graphs + random_gkm_graphs(3, 4):
-        c = find_connection(g)
+        g = parse(g.to_dict())  # the generator already searched connections on g
         calls.clear()
-        eta = holonomy_signs(g, c)
-        pairs = sum(len(g.star(g.initial(g.default_oriented(e)))) - 1 for e in range(len(g.edges)))
-        assert len(calls) == 2 * pairs, g
+        eta = holonomy_signs(g, find_connection(g))
+        assert calls and len(calls) == len(set(calls)), g
+        first = sorted(calls)
+        calls.clear()
+        assert holonomy_signs(g, find_connection(g)) == eta
+        assert calls == [], g
+        fresh = parse(g.to_dict())
+        assert holonomy_signs(fresh, find_connection(fresh)) == eta
+        assert sorted(calls) == first, g
         assert set(eta.values()) <= {1, -1}
+
+
+def _tables_against_oracle(g: GkmGraph) -> set:
+    """Check every residue and sign kept on g against the uncached
+    definitions; return the sign keys (lift, image label, edge label)."""
+    keys = set()
+    for le in {label for _, _, label in g.edges}:
+        residues, signs = connection._tables(g, le)
+        for v, pair in residues.items():
+            assert pair == (residue(v, le), residue(tuple(-c for c in v), le)), (v, le)
+        for (lift, dst), sign in signs.items():
+            assert sign == transport_sign(lift, dst, le), (lift, dst, le)
+            keys.add((lift, dst, le))
+    return keys
+
+
+def test_sign_table_equals_the_uncached_transport_sign():
+    """Every residue and sign that ``edge_matchings``, ``transport_signs``
+    (holonomy, the SW quotients with signed source lifts) and
+    ``forced_lift`` (the running lifts of the path classes) read from the
+    per-graph table equals the definition, on random graphs, label-scaled
+    graphs and cubes with a content-2 label."""
+    rng = random.Random(89)
+    graphs = random_gkm_graphs(97, 8)
+    graphs += [
+        scaled_labels_graph(g, rng) for g in random_gkm_graphs(101, 10, require_connection=False)
+    ]
+    graphs += [cube_graph(((1, 0), (0, 1), (1, 1), (2, 4)))]
+    graphs += [cube_graph(((1, 0, 0), (0, 1, 0), (2, 0, 2)))]
+    read_by = {"holonomy": set(), "sw": set(), "thom": set()}
+    for g in graphs:
+        h = parse(g.to_dict())
+        c = find_connection(h)
+        if c is not None:
+            holonomy_signs(h, c)
+            connection_from_matchings(h, {})
+        read_by["holonomy"] |= _tables_against_oracle(h)
+        s = parse(g.to_dict())
+        if find_connection(s) is not None:
+            total_sw(s)
+            for e in edges_div_p(s, 2):
+                sw_choice_independence(s, e, trials=16)
+        read_by["sw"] |= _tables_against_oracle(s)
+    for g in random_3valent_orientable(103, 8):
+        c = find_connection(g)
+        for p in connection_paths(g, c):
+            thom_class_of_path(g, c, p)
+            thom_class_of_path(g, c, p, initial_sign=-1)
+        read_by["thom"] |= _tables_against_oracle(g)
+    # the signed source lifts of the SW quotients and the running lifts of
+    # the path classes reach the table with either sign
+    for name in ("sw", "thom"):
+        assert any(sign_normalize(lift) != lift for lift, _, _ in read_by[name]), name
+    assert any(content(le) > 1 for _, _, le in read_by["holonomy"])
+    assert any(content(le) % 2 == 0 for _, _, le in read_by["sw"])
+
+
+def test_cached_failures_raise_on_every_read():
+    """A cached 0 (parallel adjacent labels) raises DomainError and a cached
+    None (incompatible bijection) ValueError, on the second read as on the
+    first."""
+    g = GkmGraph(2, ["a", "b"], [("a", "b", (1, 0)), ("a", "b", (1, 0))])
+    c = connection_from_matchings(g, {})
+    for _ in range(2):
+        with pytest.raises(DomainError, match="ambiguous transport sign along edge 0"):
+            holonomy_signs(g, c)
+        with pytest.raises(DomainError, match="ambiguous sign transport"):
+            forced_lift(g, (1, 0), (1, 0), (1, 0))
+    assert connection._tables(g, (1, 0))[1][(1, 0), (1, 0)] == 0
+    g = fixtures.product((1, 0), (0, 1), (2, 3))
+    e = g.default_oriented(0)
+    (good,) = edge_matchings(g, 0)
+    f1, f2 = (f for f in good if f != e)
+    bad = {**good, f1: good[f2], f2: good[f1]}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="connection is not compatible along edge 0") as exc:
+            transport_signs(g, e, bad)
+        assert type(exc.value) is ValueError
+        with pytest.raises(ValueError, match="violates the congruence") as exc:
+            connection_from_matchings(g, {0: bad})
+        assert type(exc.value) is ValueError
+    assert None in connection._tables(g, g.label(0))[1].values()
 
 
 def _brute_force_matchings(g: GkmGraph, eid: int) -> list[dict]:

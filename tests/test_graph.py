@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from math import gcd
 
 import pytest
 
@@ -17,8 +19,10 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import fixtures
+from gkmcohom.graph import DomainError
+from gkmcohom.polyring import content, weights_parallel
 
-from helpers import random_gkm_graphs, rational_rank
+from helpers import random_gkm_graphs, rational_rank, scaled_labels_graph
 
 
 def test_parse_round_trip():
@@ -182,6 +186,55 @@ def test_valence_property():
     ragged = GkmGraph(2, ["a", "b", "c"], [("a", "b", (1, 0)), ("a", "c", (0, 1))])
     with pytest.raises(ValueError):
         _ = ragged.valence
+
+
+def test_valence_is_found_once_and_a_ragged_graph_raises_every_time():
+    g = fixtures.k4()
+    assert g.valence == 3
+    assert g._cache["valence"] == 3 and g.valence == 3
+    ragged = GkmGraph(2, ["a", "b", "c"], [("a", "b", (1, 0)), ("a", "c", (0, 1))])
+    for _ in range(3):
+        with pytest.raises(DomainError, match="graph is not regular"):
+            _ = ragged.valence
+
+
+def test_axiom_reports_equal_the_pairwise_definitions():
+    """Parallel labels decided once per label pair and contents once per
+    edge give the issues of the pairwise loop, in its order, on random,
+    label-scaled and mutated graphs (parallel and shared-content pairs)."""
+    rng = random.Random(19)
+    graphs = random_gkm_graphs(23, 10, require_connection=False)
+    graphs += [
+        scaled_labels_graph(g, rng) for g in random_gkm_graphs(29, 10, require_connection=False)
+    ]
+    mutated = []
+    for g in graphs[:12]:
+        edges = [(g.vertices[u], g.vertices[v], lab) for u, v, lab in g.edges]
+        i, j = rng.sample(range(len(edges)), 2)
+        edges[i] = (edges[i][0], edges[i][1], tuple(2 * c for c in edges[j][2]))
+        mutated.append(GkmGraph(g.torus_rank, list(g.vertices), edges))
+    flagged = set()
+    for g in graphs + mutated:
+        parallel, shared = [], []
+        for v in range(len(g.vertices)):
+            star = g.star(v)
+            for i in range(len(star)):
+                for j in range(i + 1, len(star)):
+                    a, b = g.label(star[i].edge), g.label(star[j].edge)
+                    where = f"vertex {g.vertices[v]!r}: "
+                    if weights_parallel(a, b):
+                        parallel.append(
+                            f"{where}labels of edges {star[i].edge} and {star[j].edge} are parallel"
+                        )
+                    if gcd(content(a), content(b)) != 1:
+                        shared.append(
+                            f"{where}contents of edges {star[i].edge} ({content(a)}) and "
+                            f"{star[j].edge} ({content(b)}) share a factor"
+                        )
+        assert validate_gkm(g).issues == parallel, g
+        assert check_coprimality(g).issues == shared, g
+        flagged.add((bool(parallel), bool(shared)))
+    assert {(True, True), (False, False)} <= flagged
 
 
 def test_fixture_registry():

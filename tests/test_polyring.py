@@ -29,6 +29,7 @@ from helpers import (
     is_multiple_of,
     label_of_content,
     mul_oracle,
+    render_oracle,
     star_product_component,
 )
 
@@ -334,6 +335,26 @@ def test_graded_poly_render():
     assert f.render() == "x^2 - 3*x*y + 2*y^2"
     assert GradedPoly.zero(2, 4).render() == "0"
     assert poly(3, 1, {(0, 0, 1): 1}).render() == "z"
+
+
+def test_render_equals_the_monomial_oracle():
+    """The cached monomial strings render as the per-monomial loop does:
+    k = 1..5 (names x, y, z and x1..xk), degrees -1..4, p = 0, 2, 3,
+    coefficients 0, +-1 and large, constants included."""
+    rng = random.Random(53)
+    values = (0, 0, 1, -1, 2, -7, 10**12, -(10**30))
+    seen = set()
+    for k in range(1, 6):
+        for p in (0, 2, 3):
+            for d in range(-1, 5):
+                for _ in range(6):
+                    coeffs = [rng.choice(values) for _ in range(num_monomials(k, d))]
+                    f = GradedPoly(k, d, coeffs, p)
+                    assert f.render() == render_oracle(f), (k, p, d, coeffs)
+                    seen.update(f.render().split())
+        constant = GradedPoly.constant(k, -5)
+        assert constant.render() == render_oracle(constant) == "-5"
+    assert {"x", "y", "z", "x1", "x5", "-1", "0"} <= {t.split("*")[0].split("^")[0] for t in seen}
 
 
 def test_wrong_ring_operations_raise():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -19,8 +20,9 @@ from gkmcohom import (
     total_sw,
     verify_sw3valent,
 )
-from gkmcohom import fixtures
-from gkmcohom.graph import OrientedEdge
+from gkmcohom import GraphClass, GradedPoly, fixtures
+from gkmcohom.graph import InvariantError, OrientedEdge
+from gkmcohom.thom import _check_local, _edge_values, _vertex_values
 
 from helpers import random_3valent_orientable
 
@@ -216,6 +218,53 @@ def test_all_constructors_integral_on_50_random_graphs():
             assert membership_z(g, thom_class_of_edge(g, c, e))
         for v in range(len(g.vertices)):
             assert membership_z(g, thom_class_of_vertex(g, v))
+
+
+def test_local_sums_equal_the_sums_of_the_public_classes():
+    """The edge and vertex sums of ``verify_sw3valent``, added from local
+    values, equal the sums of the whole classes, also for multi-edges."""
+    graphs = [fixtures.triangle_x_edge(), fixtures.polygon2n_x_edge(3)]
+    cases = [(g, find_connection(g)) for g in graphs + random_3valent_orientable(17, 6)]
+    for g, c in cases + [twisted_prism()]:
+        report = verify_sw3valent(g, c)
+        edge_sum = GraphClass.zero(g, 4)
+        for e in range(len(g.edges)):
+            edge_sum = edge_sum + thom_class_of_edge(g, c, e)
+        vertex_sum = GraphClass.zero(g, 6)
+        for v in range(len(g.vertices)):
+            vertex_sum = vertex_sum + thom_class_of_vertex(g, v)
+        assert report["sums"]["4"] == edge_sum.render_values(), g
+        assert report["sums"]["6"] == vertex_sum.render_values(), g
+
+
+def test_local_check_is_membership_z():
+    """On a class that vanishes off one or two vertices, checking the stars
+    of the support decides exactly what ``membership_z`` decides."""
+    rng = random.Random(41)
+    outcomes = set()
+    for g in random_3valent_orientable(43, 6) + [fixtures.polygon2n_x_edge(2)]:
+        c = find_connection(g)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                values = _edge_values(g, c, rng.randrange(len(g.edges)))
+            else:
+                values = _vertex_values(g, rng.randrange(len(g.vertices)))
+            degree = next(iter(values.values())).degree
+            if rng.random() < 0.6:
+                v = rng.choice(list(values))
+                noise = GradedPoly(2, degree, [rng.randint(-2, 2) for _ in range(degree + 1)])
+                values[v] = values[v] + noise
+            zero = GradedPoly.zero(2, degree)
+            cls = GraphClass(g, 2 * degree, [values.get(v, zero) for v in range(len(g.vertices))])
+            want = membership_z(g, cls)
+            try:
+                _check_local(g, degree, values, "local")
+                got = True
+            except InvariantError:
+                got = False
+            assert got == want, (g, values)
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_path_sum_reduces_to_degree2_component():
