@@ -14,8 +14,10 @@ m * w0 (m the content), the substitution
 ``polyring.substitution_matrix(w0, d)`` turns w0 into y1, and the label
 divides f_u - f_v iff the substituted difference vanishes at the y1-free
 monomials and is divisible by m at the others.  ``_edge_rows`` writes
-these rows on the vertex coefficients for the graded pieces, and
-``membership_z`` reads the same rows through
+these rows on the vertex coefficients for the graded pieces; each piece
+is solved from them and then checked against them once, as one sparse
+product of the rows with all its lattice vectors
+(``intlinalg.rows_hold``).  ``membership_z`` reads the same rows through
 ``polyring.congruent_mod_weight`` for single classes.  Over Z the
 classes form the HNF lattice of vertex vectors meeting those rows, with
 one slack column of value m per row of an edge with m > 1.  Over Z/p an
@@ -41,7 +43,7 @@ for the preimage, and checks it with ``reduce_class_mod_p``.
 from __future__ import annotations
 
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
-from .intlinalg import is_prime, modp_solve, sparse_kernel
+from .intlinalg import is_prime, modp_solve, rows_hold, sparse_kernel
 from .polyring import (
     GradedPoly,
     congruent_mod_weight,
@@ -325,6 +327,12 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     entry, so no rows are left over, and returns the RREF of the lifted
     free columns.  Both results are canonical, so the basis does not
     depend on the pivot order.
+
+    The solver is then checked on the same rows, which it copied and
+    left intact: ``intlinalg.rows_hold`` meets every row with every
+    lattice vector in one sparse product, and a vector that breaks an
+    edge congruence raises ``InvariantError`` before any basis class is
+    built.
     """
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
@@ -334,12 +342,9 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     d = degree2 // 2
     rows, moduli = _edge_rows(g, d, p)
     lat = sparse_kernel(rows, moduli, len(g.vertices) * num_monomials(g.torus_rank, d), p)
-    basis = []
-    for vec in lat.vectors:
-        cls = _vertex_class(g, degree2, vec, p)
-        if not membership_z(g, cls):
-            raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
-        basis.append(cls)
+    if not rows_hold(rows, moduli, lat.vectors, p):
+        raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
+    basis = [_vertex_class(g, degree2, vec, p) for vec in lat.vectors]
     result = CohomLattice(g, degree2, p, basis, lat)
     g._cache[key] = result
     return result

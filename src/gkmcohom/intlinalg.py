@@ -360,6 +360,35 @@ def sparse_kernel(
     return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols, p), p)
 
 
+def rows_hold(rows: list[dict[int, int]], moduli: list[int], vectors, p: int = 0) -> bool:
+    """Whether every vector meets every row in the sense of
+    ``sparse_kernel(rows, moduli, ncols, p)``: over Z, row . x is 0 where
+    the modulus is 0 and divisible by it otherwise; over F_p it is 0 mod
+    p; a modulus of 1 drops its row.
+
+    One sparse product for all vectors at once: the vectors are indexed
+    by column as {column: [(vector index, value)]}, and each row sums
+    its entries times the values of the vectors that meet its columns.
+    """
+    by_column: dict[int, list[tuple[int, int]]] = {}
+    for i, vec in enumerate(vectors):
+        for c, x in enumerate(vec):
+            if x:
+                by_column.setdefault(c, []).append((i, x))
+    for row, modulus in zip(rows, moduli):
+        if modulus == 1:
+            continue
+        acc: dict[int, int] = {}
+        for c, v in row.items():
+            for i, x in by_column.get(c, ()):
+                acc[i] = acc.get(i, 0) + v * x
+        m = p or modulus
+        for s in acc.values():
+            if s % m if m else s:
+                return False
+    return True
+
+
 def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:
     """One integer solution z of a z = target, or None."""
     if len(target) != a.rows:

@@ -8,11 +8,13 @@ the path yields a degree-2 class, and together with the classical edge
 and vertex classes these sums reproduce the even characteristic-class
 components.
 
-An edge class lives on the two endpoints of its edge and a vertex class
-on one vertex, so their values are built as {vertex: value} maps
-(``_edge_values``, ``_vertex_values``) and checked on the edges of the
-stars of that support alone: every other edge joins two zeros, so this
-is exactly the condition of ``membership_z``.  ``verify_sw3valent`` adds
+An edge class lives on the two endpoints of its edge, a vertex class on
+one vertex and a path class on the initial vertices of its normal edges,
+so their values are built as {vertex: value} maps (``_edge_values``,
+``_vertex_values``, the sums in ``thom_class_of_path``) and checked on
+the edges of the stars of that support alone (``_check_local``): every
+other edge joins two zeros, so this is exactly the condition of
+``membership_z``.  ``verify_sw3valent`` adds
 these local values straight into the per-vertex sums; the public
 ``thom_class_of_edge`` and ``thom_class_of_vertex`` spread the same maps
 into whole classes.
@@ -21,7 +23,7 @@ into whole classes.
 from __future__ import annotations
 
 from .charclasses import total_sw
-from .cohomology import GraphClass, membership_z, reduce_class_mod_p
+from .cohomology import GraphClass, reduce_class_mod_p
 from .connection import (
     Connection,
     enumerate_connections,
@@ -194,19 +196,13 @@ def thom_class_of_path(
     if closing != beta[first_normal]:
         raise ValueError("closing congruence failed; the graph is not orientable")
     k = g.torus_rank
-    values = []
-    for v in range(len(g.vertices)):
-        total = [0] * k
-        for oe in g.star(v):
-            w = beta.get(oe)
-            if w is not None:
-                for i in range(k):
-                    total[i] += w[i]
-        values.append(linear_from_weight(tuple(total)) if any(total) else GradedPoly.zero(k, 1))
-    cls = GraphClass(g, 2, values)
-    if not membership_z(g, cls):
-        raise InvariantError("path class violates an edge congruence")
-    return cls
+    sums: dict[int, tuple] = {}
+    for oe, w in beta.items():
+        v = g.initial(oe)
+        sums[v] = tuple(a + b for a, b in zip(sums.get(v, (0,) * k), w))
+    values = {v: linear_from_weight(w) for v, w in sums.items() if any(w)}
+    _check_local(g, 1, values, "path")
+    return _spread(g, 2, values)
 
 
 def _check_local(g: GkmGraph, degree: int, values: dict, kind: str) -> None:

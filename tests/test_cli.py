@@ -239,24 +239,35 @@ def test_invariant_error_is_not_a_usage_error():
 
 
 def test_invariant_violation_exits_3_without_traceback_under_optimize():
-    """The kernel non-class check is explicit, so it survives ``python -O``."""
-    script = (
-        "import sys\n"
-        "import gkmcohom.cohomology as cohomology\n"
-        "from gkmcohom.cli import main\n"
-        "assert False, 'asserts must be off'\n"
-        "cohomology.membership_z = lambda g, cls: False\n"
-        "sys.exit(main(['cohomology', 'fixtures:paper8', '--json']))\n"
-    )
-    paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("internal error: kernel solver produced a non-class")
-    assert "Traceback" not in proc.stderr
+    """The kernel non-class check is explicit, so it survives ``python -O``:
+    a kernel with one coordinate of its first vector changed (the constant
+    class of degree 0, which every edge then breaks) ends in exit 3, over
+    Z and over Z2."""
+    for ring in ("Z", "Z2"):
+        script = (
+            "import sys\n"
+            "import gkmcohom.cohomology as cohomology\n"
+            "from gkmcohom.cli import main\n"
+            "from gkmcohom.intlinalg import LatticeBasis\n"
+            "assert False, 'asserts must be off'\n"
+            "real = cohomology.sparse_kernel\n"
+            "def corrupted(rows, moduli, ncols, p=0):\n"
+            "    lat = real(rows, moduli, ncols, p)\n"
+            "    first = list(lat.vectors[0])\n"
+            "    first[0] = (first[0] + 1) % p if p else first[0] + 1\n"
+            "    return LatticeBasis(lat.ambient_dim, (tuple(first),) + lat.vectors[1:], lat.p)\n"
+            "cohomology.sparse_kernel = corrupted\n"
+            f"sys.exit(main(['cohomology', 'fixtures:paper8', '--ring', {ring!r}, '--json']))\n"
+        )
+        paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 3, (ring, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal error: kernel solver produced a non-class"), ring
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -264,8 +275,11 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
     [
         ("charclasses", "membership_modp", ["sw", "fixtures:paper8"],
          "vertex parts violate a mod-2 congruence"),
-        ("thom", "membership_z", ["thom", "fixtures:triangle_x_edge"],
-         "path class violates an edge congruence"),
+        # _check_local is the path class's membership_z on its support; the
+        # case keeps the id it has had since the check was a whole-class one.
+        pytest.param("thom", "congruent_mod_weight", ["thom", "fixtures:triangle_x_edge"],
+                     "path class violates an edge congruence",
+                     id="thom-membership_z-argv1-path class violates an edge congruence"),
         ("thom", "congruent_mod_weight", ["thom", "fixtures:triangle_x_edge"],
          "edge class violates an edge congruence"),
         ("thom", "congruent_mod_weight", ["thom", "fixtures:triangle_x_edge"],
@@ -274,11 +288,12 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
 )
 def test_class_checks_exit_3_without_traceback_under_optimize(module, name, argv, message):
     """The total-class and Thom-class membership checks are explicit, so a
-    violation still ends in exit 3 under ``python -O``.  The local edge
-    and vertex checks share the congruence test; each fault fails it only
-    at the polynomial degree of its kind of class (2 and 3)."""
+    violation still ends in exit 3 under ``python -O``.  The local path,
+    edge and vertex checks share the congruence test; each fault fails it
+    only at the polynomial degree of its kind of class (1, 2 and 3)."""
     fault = "lambda g, cls: False"
     local_degree = {
+        "path class violates an edge congruence": 1,
         "edge class violates an edge congruence": 2,
         "vertex class violates an edge congruence": 3,
     }.get(message)

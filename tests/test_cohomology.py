@@ -28,6 +28,7 @@ from gkmcohom.intlinalg import (
     LatticeBasis,
     kernel_into_cokernel,
     modp_rref,
+    rows_hold,
     sparse_kernel,
 )
 from gkmcohom.polyring import num_monomials
@@ -121,6 +122,81 @@ def test_sparse_elimination_equals_the_dense_oracle():
                 assert got_p == tuple(map(tuple, want_p)), (g, d, p)
     assert slack_seen > 0
 
+
+
+def test_piece_check_agrees_with_membership_on_perturbed_vectors():
+    """``rows_hold``, the one check of a whole graded piece, against
+    ``membership_z`` class by class: every basis vector of every piece
+    passes, and a piece with one coordinate of one basis vector changed
+    is rejected exactly when ``membership_z`` rejects the changed class.
+    Random graphs plain and with scaled (non-primitive) labels, a cube
+    with a content-2 label and the square with labels 2x and 3y, whose
+    change by 6 at xy stays a class; over Z, Z2 and Z3."""
+    rng = random.Random(57)
+    randoms = random_gkm_graphs(107, 5)
+    graphs = randoms + [scaled_labels_graph(g, rng) for g in randoms]
+    graphs += [cube_graph(((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 2))), cube_graph(((2, 0), (0, 3)))]
+    verdicts = {p: set() for p in (0, 2, 3)}
+    for g in graphs:
+        for degree2 in (2, 4):
+            d = degree2 // 2
+            for p in (0, 2, 3):
+                piece = compute_h_z(g, degree2) if p == 0 else compute_h_modp(g, degree2, p)
+                rows, moduli = _edge_rows(g, d, p)
+                vectors = piece.lattice.vectors
+                assert rows_hold(rows, moduli, vectors, p), (g, degree2, p)
+                # x1 * x2 at the first vertex, and three random coordinates
+                columns = [1] if d == 2 else []
+                for i, vec in enumerate(vectors):
+                    assert rows_hold(rows, moduli, [vec], p)
+                    for c in columns + rng.sample(range(len(vec)), 3):
+                        for delta in (1, -1, 2, 3, 6):
+                            changed = list(vec)
+                            changed[c] += delta
+                            want = membership_z(g, cohomology._vertex_class(g, degree2, changed, p))
+                            others = vectors[:i] + (tuple(changed),) + vectors[i + 1 :]
+                            assert rows_hold(rows, moduli, others, p) == want, (g, degree2, p, i, c)
+                            verdicts[p].add(want)
+    assert verdicts == {0: {True, False}, 2: {True, False}, 3: {True, False}}
+
+
+@pytest.mark.parametrize(
+    "g, degree2, p",
+    [
+        (flag_manifold(3), 4, 0),
+        (cube_graph(((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 2))), 4, 2),
+    ],
+    ids=["Fl4-Z-degree4", "Q4-content2-Z2-degree4"],
+)
+def test_graded_piece_does_not_depend_on_the_vertex_order(g, degree2, p):
+    """Two seeded shuffles of the vertices and edges, with edges flipped at
+    random: each piece's lattice vectors, mapped back to one vertex order
+    by vertex name, span the same lattice, so ``LatticeBasis.from_vectors``
+    gives equal ``vectors``, equal to those of the unshuffled graph."""
+    n = num_monomials(g.torus_rank, degree2 // 2)
+    width = len(g.vertices) * n
+    spans = []
+    for seed in (None, 5, 6):
+        h = g
+        if seed is not None:
+            rng = random.Random(seed)
+            names = list(g.vertices)
+            rng.shuffle(names)
+            edges = [
+                (g.vertices[v], g.vertices[u], w) if rng.random() < 0.5 else (g.vertices[u], g.vertices[v], w)
+                for u, v, w in g.edges
+            ]
+            rng.shuffle(edges)
+            h = GkmGraph(g.torus_rank, names, edges)
+        piece = compute_h_z(h, degree2) if p == 0 else compute_h_modp(h, degree2, p)
+        block = {name: i for i, name in enumerate(h.vertices)}
+        mapped = [
+            [x for name in g.vertices for x in vec[block[name] * n : (block[name] + 1) * n]]
+            for vec in piece.lattice.vectors
+        ]
+        spans.append(LatticeBasis.from_vectors(width, mapped, p).vectors)
+    assert spans[0] == spans[1] == spans[2]
+    assert len(spans[0]) > 0
 
 def test_flag_manifold_fl5_degree_4_in_test_time():
     """Fl5 in degree 4: 1200 vertex columns, 3600 edge rows.  Rank 35 over
