@@ -128,6 +128,8 @@ def sw_choice_independence(
     Exhausts the whole choice space when it has at most ``trials``
     elements, otherwise samples that many random choices.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if edge_id not in edges_div_p(g, 2):
         raise ValueError(f"edge {edge_id} has an odd label; no quotient defined")
     oe = g.default_oriented(edge_id)

@@ -377,7 +377,6 @@ def _emit_text(report: dict, indent: str = "") -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    g = None
     try:
         _check_args(args)
         g = load_graph(args.graph)
@@ -402,11 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if g is not None:
-            # cached graded pieces refer back to g; emptying the cache frees
-            # the graph now instead of at the next full cyclic collection
-            g._cache.clear()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

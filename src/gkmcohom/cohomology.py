@@ -336,18 +336,13 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
-    key = ("graded_piece", degree2, p)
-    if key in g._cache:
-        return g._cache[key]
     d = degree2 // 2
     rows, moduli = _edge_rows(g, d, p)
     lat = sparse_kernel(rows, moduli, len(g.vertices) * num_monomials(g.torus_rank, d), p)
     if not rows_hold(rows, moduli, lat.vectors, p):
         raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
     basis = [_vertex_class(g, degree2, vec, p) for vec in lat.vectors]
-    result = CohomLattice(g, degree2, p, basis, lat)
-    g._cache[key] = result
-    return result
+    return CohomLattice(g, degree2, p, basis, lat)
 
 
 def compute_h_z(g: GkmGraph, degree2: int) -> CohomLattice:

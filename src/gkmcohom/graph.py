@@ -114,15 +114,12 @@ class GkmGraph:
 
     @property
     def valence(self) -> int:
-        """The common star size, found once per graph; raises DomainError
-        on every call when the graph is not regular."""
-        n = self._cache.get("valence")
-        if n is None:
-            vals = set(self.valences())
-            if len(vals) != 1:
-                raise DomainError("graph is not regular")
-            n = self._cache["valence"] = vals.pop()
-        return n
+        """The common star size; raises DomainError when the graph is not
+        regular."""
+        vals = set(self.valences())
+        if len(vals) != 1:
+            raise DomainError("graph is not regular")
+        return vals.pop()
 
     def __eq__(self, other: object) -> bool:
         return (

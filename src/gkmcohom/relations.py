@@ -67,6 +67,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 _MAX_NESTING = 100  # five parser frames per level, well inside the default limit
+# a^n takes n - 1 products: with the cap it costs no more than writing out
+# its n factors, where a few digits of exponent could ask for millions
+_MAX_EXPONENT = 100
 
 
 class _Parser:
@@ -137,6 +140,8 @@ class _Parser:
             nkind, nval = self.take()
             if nkind != "num":
                 raise RelationError("exponent must be a literal nonnegative integer")
+            if int(nval) > _MAX_EXPONENT:
+                raise RelationError(f"exponent above {_MAX_EXPONENT}")
             return _pow(base, int(nval))
         return base
 

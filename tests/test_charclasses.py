@@ -98,6 +98,13 @@ def test_choice_independence_requires_even_edge():
         sw_choice_independence(g, 0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_choice_independence_needs_at_least_one_trial(trials):
+    # an empty sample would claim independence with no evidence
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        sw_choice_independence(fixtures.paper8(), 1, trials=trials)
+
+
 def test_degree2_b_part_agrees_with_spin_quantity():
     # the same per-edge quotient reaches the report along two different
     # code paths: as the degree-2 b_part and as the spin edge value

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -13,9 +14,12 @@ from pathlib import Path
 import pytest
 
 import gkmcohom
-from gkmcohom import fixtures
+from gkmcohom import cohomology, fixtures
 from gkmcohom.cli import main
+from gkmcohom.graph import GkmGraph
 from gkmcohom.polyring import var_names
+
+import test_golden as golden
 
 
 def run(capsys, *argv):
@@ -600,6 +604,15 @@ def test_deeply_nested_relations_exit_without_a_traceback(capsys):
     assert check("-" * 1201 + "x == x")[0] == 1
 
 
+def test_an_exponent_above_the_cap_exits_without_computing(capsys):
+    def check(text):
+        return run(capsys, "relations", "fixtures:sphere(1,0)", "--check", text)
+
+    assert check("x^100 == x^100")[0] == 0
+    assert check("x^101 == x") == (2, "", "error: exponent above 100\n")
+    assert check("x^99999999 == x")[0] == 2
+
+
 def test_one_vertex_at_a_large_torus_rank(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"torus_rank": 1500, "vertices": ["a"], "edges": []}))
@@ -665,6 +678,69 @@ def test_mutated_fixtures_exit_0_or_1_with_at_most_one_error_line(tmp_path, caps
             code, _, err = run(capsys, argv[0], str(path), *argv[1:])
             assert code in (0, 1), (argv, doc, err)
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (argv, doc, err)
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime and graded-piece traffic
+
+
+def _live_graphs() -> int:
+    return sum(isinstance(o, GkmGraph) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize(
+    "argv", [("cohomology", "--ring", "Z2"), ("obstruction",), ("thom",)]
+)
+def test_a_command_leaves_no_graph_alive(capsys, argv):
+    # with the cyclic collector off, only reference counting can free the graph
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_graphs()
+        assert run(capsys, argv[0], "fixtures:paper8", *argv[1:])[0] in (0, 1)
+        assert _live_graphs() == before
+    finally:
+        gc.enable()
+
+
+def test_no_command_solves_a_graded_piece_twice(capsys, monkeypatch):
+    # pins the measured traffic: each command asks for each (degree, p) piece
+    # at most once, so nothing needs to keep pieces on the graph
+    solved, asked = [], []
+    real_rows, real_kernel = cohomology._edge_rows, cohomology.sparse_kernel
+
+    def edge_rows(g, d, p):
+        asked.append((d, p))
+        return real_rows(g, d, p)
+
+    def kernel(rows, moduli, ncols, p):
+        solved.append(asked[-1])
+        return real_kernel(rows, moduli, ncols, p)
+
+    monkeypatch.setattr(cohomology, "_edge_rows", edge_rows)
+    monkeypatch.setattr(cohomology, "sparse_kernel", kernel)
+    runs = [
+        ["cohomology", f"fixtures:{spec}", "--ring", ring, "--max-degree", "8"]
+        for spec in golden.FIXTURES
+        for ring in golden.RINGS
+    ]
+    runs += [
+        [cmd[0], f"fixtures:{spec}", *cmd[1:]]
+        for cmd in golden.SUBCOMMANDS
+        for spec in golden.SUBCOMMAND_FIXTURES
+    ]
+    runs += [
+        ["relations", "fixtures:paper8", "--ring", ring, "--check", rel]
+        for ring in golden.RELATION_RINGS
+        for rel in golden.RELATIONS
+    ]
+    total = 0
+    for argv in runs:
+        solved.clear()
+        run(capsys, *argv)
+        assert len(set(solved)) == len(solved), (argv, solved)
+        total += len(solved)
+    assert total
 
 
 # ---------------------------------------------------------------------------

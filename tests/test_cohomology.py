@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 import time
 
 import pytest
@@ -16,6 +18,7 @@ from gkmcohom import (
     integral_preimage,
     membership_modp,
     membership_z,
+    realizability_obstruction,
     reduce_class_mod_p,
     total_sw,
 )
@@ -587,6 +590,25 @@ def test_corrupted_preimage_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(cohomology, "modp_solve", corrupt)
     with pytest.raises(InvariantError, match="does not reduce to the target"):
         integral_preimage(g, target)
+
+
+def test_dropped_results_leave_the_graph_to_reference_counting():
+    # nothing kept on the graph refers back to it, so dropping the results
+    # frees what they held without the cyclic collector
+    g = fixtures.paper8()
+    gc.collect()
+    gc.disable()
+    try:
+        start = sys.getrefcount(g)
+        lat = compute_h_z(g, 4)
+        results = [lat, compute_h_modp(g, 4, 2), realizability_obstruction(g)]
+        target = reduce_class_mod_p(g, lat.basis[0], 2)
+        results.append(integral_preimage(g, target))
+        assert sys.getrefcount(g) > start
+        del lat, target, results
+        assert sys.getrefcount(g) == start
+    finally:
+        gc.enable()
 
 
 def test_basis_strings_are_pinned():
