@@ -36,6 +36,8 @@ from .graph import (
     edges_div_p,
     is_effective,
     parse,
+    read_int,
+    read_json,
     validate_gkm,
 )
 from .intlinalg import LatticeBasis, is_prime
@@ -67,7 +69,7 @@ def _parse_overrides(orientation: list[str], lifts: list[str]) -> Conventions:
     for item in orientation:
         edge, _, direction = item.partition(":")
         if direction in ("-", "reversed"):
-            reversed_edges.add(int(edge))
+            reversed_edges.add(read_int(edge, "--orientation-override"))
         elif direction not in ("+", "default"):
             raise ValueError(
                 f"orientation override {item!r}: direction must be +, -, "
@@ -76,7 +78,9 @@ def _parse_overrides(orientation: list[str], lifts: list[str]) -> Conventions:
     lift_map = {}
     for item in lifts:
         edge, _, coords = item.partition(":")
-        lift_map[int(edge)] = tuple(int(c) for c in coords.split(","))
+        lift_map[read_int(edge, "--lift-override")] = tuple(
+            read_int(c, "--lift-override") for c in coords.split(",")
+        )
     return Conventions(frozenset(reversed_edges), lift_map)
 
 
@@ -193,7 +197,7 @@ def cmd_relations(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     classes = fixtures.paper8_generators() if g == fixtures.paper8() else {}
     if args.classes is not None:
         with open(args.classes, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            spec = read_json(fh.read(), f"class file {args.classes}")
         classes.update(classes_from_json(g, spec))
     if args.ring:
         classes = {
@@ -230,7 +234,7 @@ def _parse_ring(text: str, p: int) -> int:
     if text == "Zp":
         value = p
     elif text.startswith("Z") and text[1:].isdigit():
-        value = int(text[1:])
+        value = read_int(text[1:], "--ring")
     else:
         raise ValueError(f"ring must be Z, Zp, or Z<prime>, got {text!r}")
     if not is_prime(value):
@@ -389,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
                 "vertices": len(g.vertices),
                 "edges": len(g.edges),
             },
-            "conventions": args.conventions.to_dict(g),
+            "conventions": args.conventions.to_dict(),
             **fields,
         }
     except DomainError as exc:

@@ -265,17 +265,20 @@ def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[dict[int, int]], list[
 
 
 class CohomLattice:
-    """Basis of one graded piece, over Z or over Z/p, with the canonical
-    ``LatticeBasis`` of its vertex vectors."""
+    """One graded piece, over Z or over Z/p, held as the canonical
+    ``LatticeBasis`` of its vertex vectors; ``basis`` builds the classes
+    from that lattice on each read."""
 
-    __slots__ = ("graph", "degree2", "p", "basis", "lattice")
+    __slots__ = ("graph", "degree2", "lattice")
 
-    def __init__(self, graph, degree2, p, basis, lattice):
+    def __init__(self, graph, degree2, lattice):
         self.graph = graph
         self.degree2 = degree2
-        self.p = p
-        self.basis = tuple(basis)
         self.lattice = lattice
+
+    @property
+    def p(self) -> int:
+        return self.lattice.p
 
     @property
     def ring(self) -> str:
@@ -283,7 +286,14 @@ class CohomLattice:
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return self.lattice.rank
+
+    @property
+    def basis(self) -> tuple:
+        """The basis classes, one per lattice vector, built anew on each
+        read: bind the result to reuse it."""
+        g, degree2, p = self.graph, self.degree2, self.p
+        return tuple(_vertex_class(g, degree2, vec, p) for vec in self.lattice.vectors)
 
     def coordinates_of(self, cls):
         """Coordinates in this basis, or None if outside the span (over
@@ -295,14 +305,13 @@ class CohomLattice:
         return self.lattice.coordinates_of([c for f in cls.values for c in f.coeffs])
 
     def to_report(self) -> dict:
-        report = {
+        return {
             "degree": self.degree2,
             "ring": self.ring,
             "rank": self.rank,
             "basis": [cls.render_values() for cls in self.basis],
             "b_part_labels": [] if self.p == 0 else edges_div_p(self.graph, self.p),
         }
-        return report
 
 
 def _vertex_class(g: GkmGraph, degree2: int, vec, p: int) -> GraphClass:
@@ -331,8 +340,8 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     The solver is then checked on the same rows, which it copied and
     left intact: ``intlinalg.rows_hold`` meets every row with every
     lattice vector in one sparse product, and a vector that breaks an
-    edge congruence raises ``InvariantError`` before any basis class is
-    built.
+    edge congruence raises ``InvariantError``.  The piece is that lattice:
+    no class is built here (see ``CohomLattice.basis``).
     """
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
@@ -341,8 +350,7 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     lat = sparse_kernel(rows, moduli, len(g.vertices) * num_monomials(g.torus_rank, d), p)
     if not rows_hold(rows, moduli, lat.vectors, p):
         raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
-    basis = [_vertex_class(g, degree2, vec, p) for vec in lat.vectors]
-    return CohomLattice(g, degree2, p, basis, lat)
+    return CohomLattice(g, degree2, lat)
 
 
 def compute_h_z(g: GkmGraph, degree2: int) -> CohomLattice:

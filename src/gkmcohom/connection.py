@@ -13,17 +13,18 @@ representative of v[i] mod le[i], also for non-primitive labels and a
 negative le[i]).  The residue of -v follows from that of v
 (``_negated_residue``).
 
-Residues and signs depend on labels only, and a GKM graph carries far
-fewer distinct labels than edges (Fl5: 600 edges, 10 labels).  So both
-are kept per graph, in ``g._cache``, keyed by label tuples: the pair
-(r(v), r(-v)) per (vector, edge label), and the transport sign per
-(lift, image label, edge label).  Each label takes one residue per graph,
-and ``graph_sign`` is the one place that reads a sign: ``edge_matchings``
-looks the allowed targets up by residue, and ``transport_signs``,
-``forced_lift`` and ``connection_from_matchings`` read the sign table.
-The table holds the outcome, not a verdict: a cached 0 (both signs fit)
-or None (neither does) raises in the caller on every hit.  The uncached
-``transport_sign`` is the definition the table is tested against.
+Residues depend on labels only, and a GKM graph carries far fewer
+distinct labels than edges (Fl5: 600 edges, 10 labels).  So they are
+kept per graph, in ``g._cache``: one residue table per edge label, holding
+the pair (r(v), r(-v)) per vector.  A transport sign is two comparisons
+of residues from that table, so it is not stored: ``graph_sign`` is the
+one place that reads a sign, off the table its caller fetched
+(``_residues``), and ``transport_signs``, ``forced_lift`` and
+``connection_from_matchings`` all read it there (``edge_matchings`` looks
+the allowed targets up by residue).  A 0 (both signs fit) or None
+(neither does) is an outcome, not a verdict: the caller raises on it on
+every read.  The uncached ``transport_sign`` is the definition
+``graph_sign`` is tested against.
 
 A star is carried across an edge with the congruence-forced signs by
 ``transport_signs`` alone: the holonomy signs, the Stiefel-Whitney
@@ -117,7 +118,8 @@ def transport_sign(src_lift, dst_label, edge_label) -> int | None:
 
     Returns 1 or -1 when one sign fits, None when neither does, and 0 when
     both do (adjacent labels that fail linear independence).  Uncached:
-    the definition that ``graph_sign`` keeps per graph.
+    the definition that ``graph_sign`` reads off the residue table of a
+    graph.
     """
     dst = residue(dst_label, edge_label)
     return _sign_of(residue(src_lift, edge_label), (dst, _negated_residue(dst, edge_label)))
@@ -139,44 +141,26 @@ class _Residues(dict):
         return got
 
 
-class _Signs(dict):
-    """``transport_sign`` per (lift, image label), for one edge label; each
-    entry is computed on its first read, from the residues of that label.
-    The outcome is kept as it is, 0 and None included, so a caller that
-    raises on it raises on every read."""
-
-    __slots__ = ("residues",)
-
-    def __init__(self, residues: _Residues):
-        super().__init__()
-        self.residues = residues
-
-    def __missing__(self, key) -> int | None:
-        lift, dst_label = key
-        sign = self[key] = _sign_of(self.residues[lift][0], self.residues[dst_label])
-        return sign
-
-
-def _tables(g: GkmGraph, edge_label) -> tuple[_Residues, _Signs]:
-    """The residue and sign tables of one edge label of g, kept in
-    ``g._cache`` so they die with the graph."""
-    key = ("transport", edge_label)
+def _residues(g: GkmGraph, edge_label) -> _Residues:
+    """The residue table of one edge label of g, kept in ``g._cache`` so
+    it dies with the graph."""
+    key = ("residues", edge_label)
     got = g._cache.get(key)
     if got is None:
-        residues = _Residues(edge_label)
-        got = g._cache[key] = (residues, _Signs(residues))
+        got = g._cache[key] = _Residues(edge_label)
     return got
 
 
-def graph_sign(g: GkmGraph, src_lift, dst_label, edge_label) -> int | None:
-    """``transport_sign`` on label tuples of g, read from its table."""
-    return _tables(g, edge_label)[1][src_lift, dst_label]
+def graph_sign(residues: _Residues, src_lift, dst_label) -> int | None:
+    """``transport_sign(src_lift, dst_label, residues.le)``, read off the
+    residue table of that edge label."""
+    return _sign_of(residues[src_lift][0], residues[dst_label])
 
 
 def forced_lift(g: GkmGraph, src_lift, dst_label, edge_label) -> tuple | None:
     """The signed copy of dst_label congruent to src_lift mod edge_label, or
-    None; the sign is read from the table of g (``graph_sign``)."""
-    sign = graph_sign(g, src_lift, dst_label, edge_label)
+    None; the sign is read by ``graph_sign``."""
+    sign = graph_sign(_residues(g, edge_label), src_lift, dst_label)
     if sign == 0:
         raise DomainError("ambiguous sign transport; adjacent labels not independent")
     return None if sign is None else tuple(sign * c for c in dst_label)
@@ -191,7 +175,7 @@ def _matchings(g: GkmGraph, edge_id: int):
     targets = [h for h in g.star(g.terminal(e)) if h != ebar]
     if len(sources) != len(targets):
         return
-    residues = _tables(g, g.label(edge_id))[0]
+    residues = _residues(g, g.label(edge_id))
     by_residue: dict[tuple, list] = {}
     for h in targets:
         for key in set(residues[g.label(h.edge)]):
@@ -298,9 +282,9 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
             raise ValueError(f"edge {eid}: matching is not a star bijection")
         if m[e] != e.reverse():
             raise ValueError(f"edge {eid}: matching must send the edge to its reverse")
-        le = g.label(eid)
+        residues = _residues(g, g.label(eid))
         for f, h in m.items():
-            if f != e and graph_sign(g, g.label(f.edge), g.label(h.edge), le) is None:
+            if f != e and graph_sign(residues, g.label(f.edge), g.label(h.edge)) is None:
                 raise ValueError(
                     f"edge {eid}: pair {f.render()} -> {h.render()} violates the "
                     f"congruence"
@@ -320,13 +304,13 @@ def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
     ``DomainError`` when both do (adjacent labels fail linear
     independence, a property of the graph).
     """
-    table = _tables(g, g.label(oe.edge))[1]
+    residues = _residues(g, g.label(oe.edge))
     signs = {}
     for f in g.star(g.initial(oe)):
         if f == oe:
             continue
         lift = g.label(f.edge) if lifts is None else lifts[f]
-        sign = table[lift, g.label(image[f].edge)]
+        sign = graph_sign(residues, lift, g.label(image[f].edge))
         if sign == 0:
             raise DomainError(
                 f"ambiguous transport sign along edge {oe.edge}: adjacent "

@@ -10,6 +10,7 @@ from the endpoint with the smaller vertex index to the larger one.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -27,6 +28,35 @@ class DomainError(ValueError):
 
 class InvariantError(RuntimeError):
     """Raised when an internal consistency check fails: a bug, not bad input."""
+
+
+def _long_int(what: str) -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"{what}: an integer has more than {limit} digits, the longest this program reads"
+
+
+def read_int(text: str, what: str, error: type = ValueError) -> int:
+    """``int(text)``; an integer with more digits than the interpreter
+    converts raises ``error`` naming ``what`` and the limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(c.isdigit() for c in text) > limit:
+        raise error(_long_int(what))
+    return int(text)
+
+
+def read_json(text: str, what: str, error: type = ValueError):
+    """``json.loads(text)``; an integer with more digits than the
+    interpreter converts, or nesting deeper than its recursion limit,
+    raises ``error`` naming ``what``, and malformed JSON
+    ``json.JSONDecodeError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise error(_long_int(what)) from None
+    except RecursionError:
+        raise error(f"{what}: arrays or objects nested too deep to read") from None
 
 
 class OrientedEdge(NamedTuple):
@@ -164,7 +194,7 @@ def parse(source: str | dict) -> GkmGraph:
     """
     if isinstance(source, str):
         try:
-            doc = json.loads(source)
+            doc = read_json(source, "graph JSON", GraphFormatError)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"invalid JSON: {exc}") from exc
     else:
@@ -335,13 +365,9 @@ class Conventions:
         for eid in self.lifts:
             self.lift(g, eid)
 
-    def to_dict(self, g: GkmGraph) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "orientation": {
-                str(eid): ("reversed" if eid in self.reversed_edges else "default")
-                for eid in range(len(g.edges))
-                if eid in self.reversed_edges
-            },
+            "orientation": {str(eid): "reversed" for eid in sorted(self.reversed_edges)},
             "lifts": {str(eid): list(w) for eid, w in sorted(self.lifts.items())},
         }
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .cohomology import GraphClass, membership_z
-from .graph import GkmGraph
+from .graph import GkmGraph, read_int
 from .polyring import GradedPoly, var_names
 
 __all__ = [
@@ -45,8 +45,9 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
+def _tokenize(text: str) -> list[tuple[str, object]]:
+    """(kind, value) pairs; a number's value is its int."""
+    tokens: list[tuple[str, object]] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -55,7 +56,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise RelationError(f"bad character at position {pos}: {text[pos]!r}")
         if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
+            where = f"literal at position {m.start('num')}"
+            tokens.append(("num", read_int(m.group("num"), where, RelationError)))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:
@@ -88,10 +90,10 @@ class _Parser:
         self.depth = 0
         self.env = env
 
-    def peek(self) -> tuple[str, str]:
+    def peek(self) -> tuple[str, object]:
         return self.tokens[self.pos]
 
-    def take(self) -> tuple[str, str]:
+    def take(self) -> tuple[str, object]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -140,15 +142,15 @@ class _Parser:
             nkind, nval = self.take()
             if nkind != "num":
                 raise RelationError("exponent must be a literal nonnegative integer")
-            if int(nval) > _MAX_EXPONENT:
+            if nval > _MAX_EXPONENT:
                 raise RelationError(f"exponent above {_MAX_EXPONENT}")
-            return _pow(base, int(nval))
+            return _pow(base, nval)
         return base
 
     def parse_atom(self):
         kind, val = self.take()
         if kind == "num":
-            return int(val)
+            return val
         if kind == "name":
             if val not in self.env:
                 known = ", ".join(sorted(self.env))

@@ -592,3 +592,24 @@ def coprime_contents(g: GkmGraph) -> bool:
                 if gcd(content(g.label(star[i].edge)), content(g.label(star[j].edge))) != 1:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# traffic
+
+
+def record_vertex_classes(monkeypatch) -> list:
+    """Wrap ``cohomology._vertex_class``, the builder of basis and preimage
+    classes; returns the list every class it builds is appended to."""
+    from gkmcohom import cohomology
+
+    built = []
+    real = cohomology._vertex_class
+
+    def wrapped(g, degree2, vec, p):
+        cls = real(g, degree2, vec, p)
+        built.append(cls)
+        return cls
+
+    monkeypatch.setattr(cohomology, "_vertex_class", wrapped)
+    return built

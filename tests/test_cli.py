@@ -16,10 +16,11 @@ import pytest
 import gkmcohom
 from gkmcohom import cohomology, fixtures
 from gkmcohom.cli import main
-from gkmcohom.graph import GkmGraph
+from gkmcohom.graph import GkmGraph, GraphFormatError, parse
 from gkmcohom.polyring import var_names
 
 import test_golden as golden
+from helpers import record_vertex_classes
 
 
 def run(capsys, *argv):
@@ -611,6 +612,82 @@ def test_an_exponent_above_the_cap_exits_without_computing(capsys):
     assert check("x^100 == x^100")[0] == 0
     assert check("x^101 == x") == (2, "", "error: exponent above 100\n")
     assert check("x^99999999 == x")[0] == 2
+
+
+def _long_literal() -> str:
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    return "9" * (limit + 1)
+
+
+def _names_the_long_literal(result, what) -> bool:
+    limit = sys.get_int_max_str_digits()
+    message = f"error: {what}: an integer has more than {limit} digits, the longest this program reads\n"
+    return result == (2, "", message)
+
+
+def test_a_long_relation_literal_is_named(capsys):
+    n = _long_literal()
+    for text, position in ((f"x^{n} == x", 2), (f"x == {n}", 5)):
+        result = run(capsys, "relations", "fixtures:sphere(1,0)", "--check", text)
+        assert _names_the_long_literal(result, f"literal at position {position}"), text
+
+
+def test_a_long_override_or_ring_is_named(capsys):
+    n = _long_literal()
+    for flag, value in (
+        ("--orientation-override", f"{n}:-"),
+        ("--lift-override", f"{n}:1,0"),
+        ("--lift-override", f"0:1,{n}"),
+        ("--ring", f"Z{n}"),
+    ):
+        result = run(capsys, "cohomology", "fixtures:paper8", flag, value)
+        assert _names_the_long_literal(result, flag), (flag, value[:8])
+
+
+def test_a_long_label_in_a_graph_file_is_named(tmp_path, capsys):
+    n = _long_literal()
+    path = tmp_path / "graph.json"
+    path.write_text(
+        '{"torus_rank": 2, "vertices": ["a", "b"], '
+        f'"edges": [{{"u": "a", "v": "b", "label": [1, {n}]}}]}}'
+    )
+    assert _names_the_long_literal(run(capsys, "validate", str(path)), "graph JSON")
+    with pytest.raises(GraphFormatError, match="^graph JSON: an integer has more than"):
+        parse(path.read_text())
+
+
+def test_a_long_integer_in_a_class_file_is_named(tmp_path, capsys):
+    n = _long_literal()
+    path = tmp_path / "classes.json"
+    path.write_text(f'{{"b1": {{"degree": {n}, "values": {{}}}}}}')
+    result = run(
+        capsys, "relations", "fixtures:sphere(1,0)", "--classes", str(path), "--check", "x == x"
+    )
+    assert _names_the_long_literal(result, f"class file {path}")
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    message = "error: graph JSON: arrays or objects nested too deep to read\n"
+    assert run(capsys, "validate", str(path)) == (2, "", message)
+    argv = ("relations", "fixtures:sphere(1,0)", "--classes", str(path), "--check", "x == x")
+    message = f"error: class file {path}: arrays or objects nested too deep to read\n"
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_cohomology_mod_p_builds_only_the_classes_it_renders(capsys, monkeypatch):
+    # the integral piece beside each mod-p piece is read for its rank and
+    # lattice only, so no integral class is built
+    built = record_vertex_classes(monkeypatch)
+    code, report, _ = run_json(capsys, "cohomology", "fixtures:paper8", "--ring", "Z2")
+    assert code == 0
+    rendered = [values for row in report["degrees"] for values in row["basis"]]
+    assert rendered and [cls.render_values() for cls in built] == rendered
+    assert {cls.p for cls in built} == {2}
+    assert any(row["integral_rank"] for row in report["degrees"])
 
 
 def test_one_vertex_at_a_large_torus_rank(tmp_path, capsys):

@@ -45,6 +45,7 @@ from helpers import (
     projective_schubert_span,
     projective_space,
     random_gkm_graphs,
+    record_vertex_classes,
     scaled_labels_graph,
 )
 from test_golden import SUBCOMMAND_FIXTURES
@@ -534,7 +535,7 @@ def test_preimage_solvers_agree_under_flipped_conventions():
     for g, conv, target in cases:
         a = integral_preimage(g, target, conv)
         b = integral_preimage_elimination(g, target, conv)
-        assert (a is None) == (b is None), (g, conv.to_dict(g), target)
+        assert (a is None) == (b is None), (g, conv.to_dict(), target)
         for pre in (a, b):
             if pre is not None:
                 assert reduce_class_mod_p(g, pre, target.p, conv) == target
@@ -609,6 +610,27 @@ def test_dropped_results_leave_the_graph_to_reference_counting():
         assert sys.getrefcount(g) == start
     finally:
         gc.enable()
+
+
+def test_a_piece_builds_its_classes_only_when_read(monkeypatch):
+    # a piece is its lattice: rank and ring read the lattice, and
+    # only ``basis`` (built anew on each read) or a found preimage make classes
+    built = record_vertex_classes(monkeypatch)
+    g = fixtures.paper8()
+    pieces = [compute_h_z(g, 4), compute_h_modp(g, 4, 2), compute_h_z(g, 8)]
+    assert [(lat.rank, lat.ring) for lat in pieces] == [(5, "Z"), (4, "Z_2"), (12, "Z")]
+    assert built == []
+    basis = pieces[1].basis
+    assert len(basis) == 4 and built == list(basis)
+    assert all(cls.p == 2 and cls.degree2 == 4 for cls in basis)
+    assert pieces[1].basis == basis and len(built) == 8
+    built.clear()
+    report = pieces[0].to_report()
+    assert len(built) == 5 and report["basis"] == [cls.render_values() for cls in built]
+    built.clear()
+    verdict = realizability_obstruction(g)
+    found = [pre for _, pre in sorted(verdict.preimages.items()) if pre is not None]
+    assert found and built == found
 
 
 def test_basis_strings_are_pinned():

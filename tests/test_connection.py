@@ -371,26 +371,43 @@ def test_holonomy_signs_take_one_residue_per_label_and_edge(monkeypatch):
         assert set(eta.values()) <= {1, -1}
 
 
-def _tables_against_oracle(g: GkmGraph) -> set:
-    """Check every residue and sign kept on g against the uncached
-    definitions; return the sign keys (lift, image label, edge label)."""
-    keys = set()
+def _checked_sign_reads(monkeypatch) -> list:
+    """Wrap ``connection.graph_sign``, the one sign read, so that every
+    read is compared with the uncached ``transport_sign``; returns the list
+    the reads (lift, image label, edge label) are appended to."""
+    reads = []
+    real = connection.graph_sign
+
+    def checked(residues, lift, dst):
+        sign, le = real(residues, lift, dst), residues.le
+        assert sign == transport_sign(lift, dst, le), (lift, dst, le)
+        reads.append((lift, dst, le))
+        return sign
+
+    monkeypatch.setattr(connection, "graph_sign", checked)
+    return reads
+
+
+def _tables_against_oracle(g: GkmGraph, reads: list) -> set:
+    """Check every residue kept on g against the uncached definition;
+    return the sign reads taken since the last call (each already checked
+    by ``_checked_sign_reads``)."""
     for le in {label for _, _, label in g.edges}:
-        residues, signs = connection._tables(g, le)
-        for v, pair in residues.items():
+        for v, pair in connection._residues(g, le).items():
             assert pair == (residue(v, le), residue(tuple(-c for c in v), le)), (v, le)
-        for (lift, dst), sign in signs.items():
-            assert sign == transport_sign(lift, dst, le), (lift, dst, le)
-            keys.add((lift, dst, le))
+    keys = set(reads)
+    reads.clear()
     return keys
 
 
-def test_sign_table_equals_the_uncached_transport_sign():
-    """Every residue and sign that ``edge_matchings``, ``transport_signs``
-    (holonomy, the SW quotients with signed source lifts) and
-    ``forced_lift`` (the running lifts of the path classes) read from the
-    per-graph table equals the definition, on random graphs, label-scaled
-    graphs and cubes with a content-2 label."""
+def test_sign_table_equals_the_uncached_transport_sign(monkeypatch):
+    """Every residue that ``edge_matchings`` and ``graph_sign`` read from
+    the per-graph table, and every sign that ``transport_signs`` (holonomy,
+    the SW quotients with signed source lifts) and ``forced_lift`` (the
+    running lifts of the path classes) read through ``graph_sign``, equals
+    the definition, on random graphs, label-scaled graphs and cubes with a
+    content-2 label."""
+    reads = _checked_sign_reads(monkeypatch)
     rng = random.Random(89)
     graphs = random_gkm_graphs(97, 8)
     graphs += [
@@ -405,19 +422,19 @@ def test_sign_table_equals_the_uncached_transport_sign():
         if c is not None:
             holonomy_signs(h, c)
             connection_from_matchings(h, {})
-        read_by["holonomy"] |= _tables_against_oracle(h)
+        read_by["holonomy"] |= _tables_against_oracle(h, reads)
         s = parse(g.to_dict())
         if find_connection(s) is not None:
             total_sw(s)
             for e in edges_div_p(s, 2):
                 sw_choice_independence(s, e, trials=16)
-        read_by["sw"] |= _tables_against_oracle(s)
+        read_by["sw"] |= _tables_against_oracle(s, reads)
     for g in random_3valent_orientable(103, 8):
         c = find_connection(g)
         for p in connection_paths(g, c):
             thom_class_of_path(g, c, p)
             thom_class_of_path(g, c, p, initial_sign=-1)
-        read_by["thom"] |= _tables_against_oracle(g)
+        read_by["thom"] |= _tables_against_oracle(g, reads)
     # the signed source lifts of the SW quotients and the running lifts of
     # the path classes reach the table with either sign
     for name in ("sw", "thom"):
@@ -427,8 +444,8 @@ def test_sign_table_equals_the_uncached_transport_sign():
 
 
 def test_cached_failures_raise_on_every_read():
-    """A cached 0 (parallel adjacent labels) raises DomainError and a cached
-    None (incompatible bijection) ValueError, on the second read as on the
+    """A sign of 0 (parallel adjacent labels) raises DomainError and None
+    (incompatible bijection) ValueError, on the second read as on the
     first."""
     g = GkmGraph(2, ["a", "b"], [("a", "b", (1, 0)), ("a", "b", (1, 0))])
     c = connection_from_matchings(g, {})
@@ -437,7 +454,6 @@ def test_cached_failures_raise_on_every_read():
             holonomy_signs(g, c)
         with pytest.raises(DomainError, match="ambiguous sign transport"):
             forced_lift(g, (1, 0), (1, 0), (1, 0))
-    assert connection._tables(g, (1, 0))[1][(1, 0), (1, 0)] == 0
     g = fixtures.product((1, 0), (0, 1), (2, 3))
     e = g.default_oriented(0)
     (good,) = edge_matchings(g, 0)
@@ -450,7 +466,6 @@ def test_cached_failures_raise_on_every_read():
         with pytest.raises(ValueError, match="violates the congruence") as exc:
             connection_from_matchings(g, {0: bad})
         assert type(exc.value) is ValueError
-    assert None in connection._tables(g, g.label(0))[1].values()
 
 
 def _brute_force_matchings(g: GkmGraph, eid: int) -> list[dict]:
