@@ -40,7 +40,7 @@ from .graph import (
     read_json,
     validate_gkm,
 )
-from .intlinalg import LatticeBasis, is_prime
+from .intlinalg import PRIME_BOUND, LatticeBasis, is_prime
 from .relations import (
     RelationError,
     check_relations,
@@ -237,6 +237,11 @@ def _parse_ring(text: str, p: int) -> int:
         value = read_int(text[1:], "--ring")
     else:
         raise ValueError(f"ring must be Z, Zp, or Z<prime>, got {text!r}")
+    if value >= PRIME_BOUND:
+        flag = "--p" if text == "Zp" else "--ring"
+        raise ValueError(
+            f"{flag}: a prime must be below {PRIME_BOUND}, the bound of the primality test"
+        )
     if not is_prime(value):
         raise ValueError(f"{value} is not prime")
     return value

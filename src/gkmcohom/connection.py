@@ -4,7 +4,11 @@ A connection assigns to every oriented edge e a bijection between the
 stars of its endpoints sending e to its reverse, such that each edge of
 the source star is congruent to a signed copy of its image modulo the
 label of e.  Matchings are searched per unoriented edge (the reverse
-orientation carries the inverse bijection, so edges are independent).
+orientation carries the inverse bijection, so edges are independent), by
+one depth-first search on an explicit stack over the allowed targets of
+each source (``_matchings``).  A ``Connection`` keeps the matching dicts it
+is built from and ``map_along`` returns a read-only view of one, so no
+star map is copied per edge.
 
 Congruence modulo Z*le is decided by one canonical residue: with i the
 first nonzero coordinate of le, r(v) = v - (v[i] // le[i]) * le, and v is
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from itertools import islice, product as iproduct
 from math import prod
+from types import MappingProxyType
 
 from .graph import DomainError, GkmGraph, OrientedEdge
 
@@ -43,7 +48,8 @@ class Connection:
     """Family of star bijections, one per oriented edge.
 
     The reverse of an edge carries the inverse bijection: ``_assemble``,
-    the only builder, stores it so, and ``holonomy_signs`` relies on it."""
+    the only builder, stores it so, and ``holonomy_signs`` relies on it.
+    The maps are never changed, so connections may share them."""
 
     __slots__ = ("graph", "_maps")
 
@@ -54,8 +60,9 @@ class Connection:
     def apply(self, e: OrientedEdge, f: OrientedEdge) -> OrientedEdge:
         return self._maps[e][f]
 
-    def map_along(self, e: OrientedEdge) -> dict:
-        return dict(self._maps[e])
+    def map_along(self, e: OrientedEdge) -> MappingProxyType:
+        """The star bijection along e, as a read-only view."""
+        return MappingProxyType(self._maps[e])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Connection):
@@ -168,40 +175,48 @@ def forced_lift(g: GkmGraph, src_lift, dst_label, edge_label) -> tuple | None:
 
 def _matchings(g: GkmGraph, edge_id: int):
     """Generate the compatible bijections for one unoriented edge in
-    enumeration order (see ``edge_matchings``)."""
-    e = g.default_oriented(edge_id)
-    ebar = e.reverse()
-    sources = [f for f in g.star(g.initial(e)) if f != e]
-    targets = [h for h in g.star(g.terminal(e)) if h != ebar]
-    if len(sources) != len(targets):
+    enumeration order (see ``edge_matchings``): ``choice[i]`` is the next
+    allowed target to try for source i, ``picked[i]`` the target it holds."""
+    edges = g.edges
+    u, v, le = edges[edge_id]
+    e, ebar = OrientedEdge(edge_id, u > v), OrientedEdge(edge_id, u < v)
+    sources = [f for f in g.star(v if u > v else u) if f.edge != edge_id]
+    targets = [h for h in g.star(u if u > v else v) if h.edge != edge_id]
+    n = len(sources)
+    if n != len(targets):
         return
-    residues = _residues(g, g.label(edge_id))
+    residues = _residues(g, le)
     by_residue: dict[tuple, list] = {}
-    for h in targets:
-        for key in set(residues[g.label(h.edge)]):
-            by_residue.setdefault(key, []).append(h)
-    allowed = [by_residue.get(residues[g.label(f.edge)][0], ()) for f in sources]
-    used: set = set()
-    current: dict = {}
-
-    def backtrack(i: int):
-        if i == len(sources):
-            yield {e: ebar, **current}
-            return
-        f = sources[i]
-        for h in allowed[i]:
-            if h in used:
+    for j, h in enumerate(targets):
+        pos, neg = residues[edges[h.edge][2]]
+        by_residue.setdefault(pos, []).append(j)
+        if neg != pos:
+            by_residue.setdefault(neg, []).append(j)
+    allowed = [by_residue.get(residues[edges[f.edge][2]][0], ()) for f in sources]
+    taken = [False] * n
+    choice = [0] * n
+    picked = [0] * n
+    i = 0
+    while i >= 0:
+        if i == n:
+            matching = {e: ebar}
+            matching.update(zip(sources, [targets[j] for j in picked]))
+            yield matching
+        else:
+            row = allowed[i]
+            c = choice[i]
+            while c < len(row) and taken[row[c]]:
+                c += 1
+            if c < len(row):
+                choice[i] = c + 1
+                picked[i] = row[c]
+                taken[row[c]] = True
+                i += 1
                 continue
-            used.add(h)
-            current[f] = h
-            yield from backtrack(i + 1)
-            del current[f]
-            used.discard(h)
-
-    try:
-        yield from backtrack(0)
-    finally:
-        del backtrack  # it refers to itself: break the cycle, or only the cyclic GC frees it
+            choice[i] = 0
+        i -= 1
+        if i >= 0:
+            taken[picked[i]] = False
 
 
 def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
@@ -219,7 +234,7 @@ def _assemble(g: GkmGraph, chosen: dict) -> Connection:
     maps: dict = {}
     for eid, matching in chosen.items():
         e = g.default_oriented(eid)
-        maps[e] = dict(matching)
+        maps[e] = matching
         maps[e.reverse()] = {h: f for f, h in matching.items()}
     return Connection(g, maps)
 

@@ -9,9 +9,11 @@ from the endpoint with the smaller vertex index to the larger one.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
+from math import gcd
 from typing import NamedTuple
 
 from .intlinalg import LatticeBasis
@@ -30,9 +32,9 @@ class InvariantError(RuntimeError):
     """Raised when an internal consistency check fails: a bug, not bad input."""
 
 
-def _long_int(what: str) -> str:
+def _long_int(what: str, verb: str = "reads") -> str:
     limit = sys.get_int_max_str_digits()
-    return f"{what}: an integer has more than {limit} digits, the longest this program reads"
+    return f"{what}: an integer has more than {limit} digits, the longest this program {verb}"
 
 
 def read_int(text: str, what: str, error: type = ValueError) -> int:
@@ -245,55 +247,72 @@ class CheckReport:
         }
 
 
+def _star_pair_issues(g: GkmGraph, star_key, pair_issue) -> list[str]:
+    """``pair_issue(v, f, h)`` (an issue or None) for every pair of every
+    star, in canonical order, except in a star whose ``star_key`` (None:
+    no key) is that of a star found clean: the key must decide cleanness."""
+    issues: list[str] = []
+    clean = set()
+    for v in range(len(g.vertices)):
+        star = g.star(v)
+        key = star_key(star)
+        if key is not None and key in clean:
+            continue
+        before = len(issues)
+        for i in range(len(star)):
+            for j in range(i + 1, len(star)):
+                issue = pair_issue(v, star[i], star[j])
+                if issue is not None:
+                    issues.append(issue)
+        if key is not None and len(issues) == before:
+            clean.add(key)
+    return issues
+
+
 def validate_gkm(g: GkmGraph) -> CheckReport:
     """Constant valence and pairwise linear independence at every vertex.
 
     Parallelism depends on the two labels only, so it is decided once per
-    distinct label pair; the issues follow the stars in canonical order.
+    distinct label pair, and a star with no repeated label (a repeated
+    label is itself a parallel pair) is keyed by its label set.
     """
-    issues = []
     vals = g.valences()
-    if len(set(vals)) != 1:
-        issues.append(f"valence not constant: {sorted(set(vals))}")
-    parallel: dict = {}
-    for v in range(len(g.vertices)):
-        star = g.star(v)
-        labels = [g.label(oe.edge) for oe in star]
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
-                a, b = labels[i], labels[j]
-                key = (a, b) if a <= b else (b, a)
-                found = parallel.get(key)
-                if found is None:
-                    found = parallel[key] = weights_parallel(a, b)
-                if found:
-                    issues.append(
-                        f"vertex {g.vertices[v]!r}: labels of edges "
-                        f"{star[i].edge} and {star[j].edge} are parallel"
-                    )
+    issues = [f"valence not constant: {sorted(set(vals))}"] if len(set(vals)) != 1 else []
+    parallel = functools.cache(weights_parallel)
+
+    def label_set(star):
+        labels = frozenset(g.edges[oe.edge][2] for oe in star)
+        return labels if len(labels) == len(star) else None
+
+    def pair_issue(v, f, h):
+        if parallel(g.label(f.edge), g.label(h.edge)):
+            return f"vertex {g.vertices[v]!r}: labels of edges {f.edge} and {h.edge} are parallel"
+        return None
+
+    issues += _star_pair_issues(g, label_set, pair_issue)
     return CheckReport("gkm_axioms", not issues, issues, {"valences": vals})
 
 
 def check_coprimality(g: GkmGraph) -> CheckReport:
     """Contents of labels at a common vertex must be pairwise coprime.
 
-    The content of each label is taken once per edge."""
-    from math import gcd
-
+    The content of each label is taken once per edge, and a star is keyed
+    by its sorted contents."""
     contents = [content(label) for _, _, label in g.edges]
-    issues = []
-    for v in range(len(g.vertices)):
-        star = g.star(v)
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
-                ci = contents[star[i].edge]
-                cj = contents[star[j].edge]
-                if gcd(ci, cj) != 1:
-                    issues.append(
-                        f"vertex {g.vertices[v]!r}: contents of edges "
-                        f"{star[i].edge} ({ci}) and {star[j].edge} ({cj}) share "
-                        f"a factor"
-                    )
+
+    def pair_issue(v, f, h):
+        ci, cj = contents[f.edge], contents[h.edge]
+        if gcd(ci, cj) != 1:
+            return (
+                f"vertex {g.vertices[v]!r}: contents of edges {f.edge} ({ci}) and "
+                f"{h.edge} ({cj}) share a factor"
+            )
+        return None
+
+    def sorted_contents(star):
+        return tuple(sorted(contents[oe.edge] for oe in star))
+
+    issues = _star_pair_issues(g, sorted_contents, pair_issue)
     return CheckReport("coprimality", not issues, issues)
 
 

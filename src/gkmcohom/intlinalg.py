@@ -415,18 +415,35 @@ def solve_with_image(m: IntMatrix, d: IntMatrix, target: list[int]) -> list[int]
     return None if z is None else z[: m.cols]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND,
+# the least strong pseudoprime to all of them (Sorenson and Webster 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality for p < PRIME_BOUND; a larger p raises
+    ValueError."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

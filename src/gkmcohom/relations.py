@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .cohomology import GraphClass, membership_z
-from .graph import GkmGraph, read_int
+from .graph import GkmGraph, _long_int, read_int
 from .polyring import GradedPoly, var_names
 
 __all__ = [
@@ -323,9 +323,18 @@ def check_identity(text: str, env: dict) -> RelationResult:
     return RelationResult(
         relation=text.strip(),
         holds=_equal(lhs, rhs),
-        lhs=render_value(lhs),
-        rhs=render_value(rhs),
+        lhs=_render_side(lhs, "left", text),
+        rhs=_render_side(rhs, "right", text),
     )
+
+
+def _render_side(v, side: str, text: str) -> str:
+    """``render_value``; an integer past the interpreter's str-conversion
+    limit raises RelationError naming the side of the relation."""
+    try:
+        return render_value(v)
+    except ValueError:
+        raise RelationError(_long_int(f"{side} side of {text.strip()!r}", "writes")) from None
 
 
 def check_relations(texts, env: dict) -> list[RelationResult]:

@@ -26,6 +26,7 @@ from .charclasses import total_sw
 from .cohomology import GraphClass, reduce_class_mod_p
 from .connection import (
     Connection,
+    edge_matchings,
     enumerate_connections,
     find_connection,
     forced_lift,
@@ -287,15 +288,22 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     For a 3-valent orientable rank-2 graph the reductions of the three
     sums (over paths, edges, vertices) must equal the degree-2, 4 and 6
     components of the total class.  When at most eight connections exist
-    the comparison covers all of them, each checked once.
+    the comparison covers all of them, each assembled and checked once;
+    otherwise only the given or the first connection is assembled.
     """
     if g.valence != 3:
         raise DomainError("verification requires a 3-valent graph")
     if g.torus_rank != 2:
         raise DomainError("verification requires torus rank 2")
-    alternates = list(enumerate_connections(g, limit=9))
-    if connection is None and alternates:
-        connection = alternates[0]
+    # count before assembling: past eight connections only the first is checked
+    count = 1
+    for eid in range(len(g.edges)):
+        count *= len(edge_matchings(g, eid))
+        if count == 0 or count > 8:
+            break
+    alternates = list(enumerate_connections(g)) if count <= 8 else None
+    if connection is None:
+        connection = alternates[0] if alternates else find_connection(g)
     if connection is None:
         raise DomainError("graph admits no compatible connection")
     if not is_orientable(g, connection):
@@ -325,7 +333,7 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
 
     result, paths = matches(connection)
     checked = 1
-    if len(alternates) <= 8:
+    if alternates is not None:
         for alt in alternates:
             if alt == connection:
                 continue

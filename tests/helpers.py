@@ -583,15 +583,117 @@ def random_3valent_orientable(seed: int, count: int, bound: int = 3):
     return out
 
 
-def coprime_contents(g: GkmGraph) -> bool:
-    """Direct restatement of the coprimality condition for cross-checks."""
+def random_prisms_with_few_connections(seed: int, count: int, bound: int = 3):
+    """Seeded orientable triangle and square prisms with random vertical
+    labels and 2 to 8 compatible connections.
+
+    The families of ``random_3valent_orientable`` repeat every label on
+    at least four edges with the same neighbourhood, so their connection
+    counts are 1 or at least 16; random verticals break that symmetry.
+    """
+    from gkmcohom import enumerate_connections, fixtures, is_orientable
+
+    rng = random.Random(seed)
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < count * 2000:
+        attempts += 1
+        base = fixtures.triangle_x_edge() if rng.random() < 0.5 else fixtures.polygon2n_x_edge(2)
+        layers = len(base.edges) - len(base.vertices) // 2
+        edges = [
+            (base.vertices[u], base.vertices[v], lab if pos < layers else random_weight(rng, bound))
+            for pos, (u, v, lab) in enumerate(base.edges)
+        ]
+        g = GkmGraph(2, list(base.vertices), edges)
+        if not validate_gkm(g).ok:
+            continue
+        c = find_connection(g)
+        if c is None or not is_orientable(g, c):
+            continue
+        if 2 <= sum(1 for _ in itertools.islice(enumerate_connections(g), 9)) <= 8:
+            out.append(g)
+    if len(out) < count:
+        raise RuntimeError(f"only generated {len(out)} of {count} graphs")
+    return out
+
+
+def verify_sw3valent_oracle(g: GkmGraph) -> dict:
+    """The report of ``verify_sw3valent(g)`` from whole classes, with no
+    count taken first: the first nine connections are assembled as
+    ``enumerate_connections`` yields them, the report describes the first,
+    and its match flags cover all of them when there are at most eight."""
+    from gkmcohom import (
+        connection_paths,
+        enumerate_connections,
+        thom_class_of_edge,
+        thom_class_of_path,
+        thom_class_of_vertex,
+        total_sw,
+    )
+
+    def total(classes):
+        out = classes[0]
+        for cls in classes[1:]:
+            out = out + cls
+        return out
+
+    vertex_sum = total([thom_class_of_vertex(g, v) for v in range(len(g.vertices))])
+    connections = list(itertools.islice(enumerate_connections(g), 9))
+    reports = []
+    for c in connections if len(connections) <= 8 else connections[:1]:
+        sw = total_sw(g, c)
+        paths = connection_paths(g, c)
+        sums = {
+            2: total([thom_class_of_path(g, c, p) for p in paths]),
+            4: total([thom_class_of_edge(g, c, e) for e in range(len(g.edges))]),
+            6: vertex_sum,
+        }
+        reports.append({
+            "paths": [p.render() for p in paths],
+            "path_count": len(paths),
+            "self_reversed_paths": sum(1 for p in paths if p.self_reversed),
+            "connections_checked": len(connections) if len(connections) <= 8 else 1,
+            **{
+                f"degree{d}_match": reduce_class_mod_p(g, cls, 2) == sw.component(d)
+                for d, cls in sums.items()
+            },
+            "sums": {str(d): cls.render_values() for d, cls in sums.items()},
+        })
+    report = reports[0]
+    for key in ("degree2_match", "degree4_match", "degree6_match"):
+        report[key] = all(r[key] for r in reports)
+    report["all_match"] = all(report[f"degree{d}_match"] for d in (2, 4, 6))
+    return report
+
+
+def validate_gkm_oracle(g: GkmGraph) -> list[str]:
+    """The issues of ``validate_gkm``, every pair of every star tested."""
+    vals = g.valences()
+    issues = [f"valence not constant: {sorted(set(vals))}"] if len(set(vals)) != 1 else []
     for v in range(len(g.vertices)):
         star = g.star(v)
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
-                if gcd(content(g.label(star[i].edge)), content(g.label(star[j].edge))) != 1:
-                    return False
-    return True
+        for i, j in itertools.combinations(range(len(star)), 2):
+            if weights_parallel(g.label(star[i].edge), g.label(star[j].edge)):
+                issues.append(
+                    f"vertex {g.vertices[v]!r}: labels of edges "
+                    f"{star[i].edge} and {star[j].edge} are parallel"
+                )
+    return issues
+
+
+def coprimality_oracle(g: GkmGraph) -> list[str]:
+    """The issues of ``check_coprimality``, every pair of every star tested."""
+    issues = []
+    for v in range(len(g.vertices)):
+        star = g.star(v)
+        for i, j in itertools.combinations(range(len(star)), 2):
+            ci, cj = content(g.label(star[i].edge)), content(g.label(star[j].edge))
+            if gcd(ci, cj) != 1:
+                issues.append(
+                    f"vertex {g.vertices[v]!r}: contents of edges "
+                    f"{star[i].edge} ({ci}) and {star[j].edge} ({cj}) share a factor"
+                )
+    return issues
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import gkmcohom
 from gkmcohom import cohomology, fixtures
 from gkmcohom.cli import main
 from gkmcohom.graph import GkmGraph, GraphFormatError, parse
+from gkmcohom.intlinalg import PRIME_BOUND
 from gkmcohom.polyring import var_names
 
 import test_golden as golden
@@ -417,6 +418,32 @@ def test_bad_ring_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_a_large_ring_prime_is_decided_at_once(capsys):
+    """A ring prime near 10^18 is accepted within seconds, and a modulus
+    from the exact bound of the primality test on is a usage error that
+    names its flag."""
+    script = (
+        "import sys\n"
+        "from gkmcohom.cli import main\n"
+        "sys.exit(main(['cohomology', 'fixtures:paper8', '--ring', 'Z1000000000000000003',"
+        " '--degree', '0']))\n"
+    )
+    paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert "1000000000000000003" in proc.stdout
+    too_large = f"a prime must be below {PRIME_BOUND}, the bound of the primality test\n"
+    for args, flag in (
+        (("--ring", f"Z{PRIME_BOUND}"), "--ring"),
+        (("--ring", "Zp", "--p", str(PRIME_BOUND + 2)), "--p"),
+    ):
+        result = run(capsys, "cohomology", "fixtures:paper8", *args)
+        assert result == (2, "", f"error: {flag}: {too_large}")
+
+
 def test_bad_lift_override_is_a_usage_error(capsys):
     code, _, err = run(
         capsys, "sw", "fixtures:paper8", "--lift-override", "1:1,1"
@@ -632,6 +659,22 @@ def test_a_long_relation_literal_is_named(capsys):
     for text, position in ((f"x^{n} == x", 2), (f"x == {n}", 5)):
         result = run(capsys, "relations", "fixtures:sphere(1,0)", "--check", text)
         assert _names_the_long_literal(result, f"literal at position {position}"), text
+
+
+def test_a_long_relation_value_is_named(capsys):
+    """Literals the interpreter converts whose product it cannot: the
+    message names the side of the relation and the limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    n = "9" * (limit // 2 + 1)
+    for text, side in ((f"{n}*{n} == 1", "left"), (f"x == x*{n}*{n}", "right")):
+        result = run(capsys, "relations", "fixtures:sphere(1,0)", "--check", text)
+        message = (
+            f"error: {side} side of {text!r}: an integer has more than {limit} digits, "
+            f"the longest this program writes\n"
+        )
+        assert result == (2, "", message), side
 
 
 def test_a_long_override_or_ring_is_named(capsys):

@@ -21,7 +21,7 @@ from gkmcohom import (
 from gkmcohom import connection_paths, edges_div_p, fixtures, sw_choice_independence
 from gkmcohom import thom_class_of_path, total_sw
 from gkmcohom import connection
-from gkmcohom.graph import DomainError, parse
+from gkmcohom.graph import DomainError, OrientedEdge, parse
 from gkmcohom.polyring import content, sign_normalize
 from gkmcohom.connection import (
     _negated_residue,
@@ -491,12 +491,25 @@ def _brute_force_matchings(g: GkmGraph, eid: int) -> list[dict]:
     ]
 
 
+def _dead_end_graph() -> GkmGraph:
+    """Edge 0 (label (0, 1)) whose sources at a take labels congruent to
+    (1, 0), (2, 0), (1, 0) and whose targets at b take (1, 0), (2, 0),
+    (2, 0): the search assigns the first two sources before the third
+    finds no target left, and undoes both choices before it gives up."""
+    edges = [("a", "b", (0, 1))]
+    edges += [("a", end, lab) for end, lab in (("c", (1, 0)), ("d", (2, 1)), ("e", (1, 1)))]
+    edges += [("b", end, lab) for end, lab in (("c", (1, 2)), ("d", (2, 3)), ("e", (2, -1)))]
+    return GkmGraph(2, ["a", "b", "c", "d", "e"], edges)
+
+
 def test_edge_matchings_equal_brute_force_enumeration_in_order():
     rng = random.Random(37)
     graphs = [
         fixtures.from_spec(spec)
         for spec in ("paper8", "k4", "product(1,0;0,1;1,3)", "triangle_x_edge", "polygon2n_x_edge(3)")
     ]
+    # a dead end after two choices, and an edge with no other star edge
+    graphs += [_dead_end_graph(), fixtures.sphere((1, 0))]
     graphs += random_gkm_graphs(71, 10)
     graphs += [
         scaled_labels_graph(g, rng) for g in random_gkm_graphs(73, 10, require_connection=False)
@@ -510,6 +523,9 @@ def test_edge_matchings_equal_brute_force_enumeration_in_order():
             assert first_matching(g, eid) == (got[0] if got else None), (g, eid)
             counts.add(min(len(got), 2))
     assert counts == {0, 1, 2}
+    assert edge_matchings(_dead_end_graph(), 0) == []
+    e = OrientedEdge(0, False)
+    assert edge_matchings(fixtures.sphere((1, 0)), 0) == [{e: e.reverse()}]
 
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from math import gcd
 
 import pytest
 
@@ -20,9 +19,15 @@ from gkmcohom import (
 )
 from gkmcohom import fixtures
 from gkmcohom.graph import DomainError
-from gkmcohom.polyring import content, weights_parallel
 
-from helpers import random_gkm_graphs, rational_rank, scaled_labels_graph
+from helpers import (
+    coprimality_oracle,
+    flag_manifold,
+    random_gkm_graphs,
+    rational_rank,
+    scaled_labels_graph,
+    validate_gkm_oracle,
+)
 
 
 def test_parse_round_trip():
@@ -198,9 +203,15 @@ def test_a_ragged_graph_raises_on_every_valence_read():
 
 
 def test_axiom_reports_equal_the_pairwise_definitions():
-    """Parallel labels decided once per label pair and contents once per
-    edge give the issues of the pairwise loop, in its order, on random,
-    label-scaled and mutated graphs (parallel and shared-content pairs)."""
+    """Parallel labels decided once per label pair, contents once per edge,
+    and stars skipped when their label set (no label repeated) or sorted
+    contents are those of a star found clean give the issues of the
+    per-vertex pairwise oracle, in its order: on random, label-scaled and
+    mutated graphs (parallel and shared-content pairs), a flag manifold
+    (every star one label set), a cube with a parallel pair at two of its
+    vertices, a repeated label in a star whose label set is that of a clean
+    star, and cubes sharing one content multiset with and without a common
+    factor."""
     rng = random.Random(19)
     graphs = random_gkm_graphs(23, 10, require_connection=False)
     graphs += [
@@ -212,28 +223,27 @@ def test_axiom_reports_equal_the_pairwise_definitions():
         i, j = rng.sample(range(len(edges)), 2)
         edges[i] = (edges[i][0], edges[i][1], tuple(2 * c for c in edges[j][2]))
         mutated.append(GkmGraph(g.torus_rank, list(g.vertices), edges))
-    flagged = set()
-    for g in graphs + mutated:
-        parallel, shared = [], []
-        for v in range(len(g.vertices)):
-            star = g.star(v)
-            for i in range(len(star)):
-                for j in range(i + 1, len(star)):
-                    a, b = g.label(star[i].edge), g.label(star[j].edge)
-                    where = f"vertex {g.vertices[v]!r}: "
-                    if weights_parallel(a, b):
-                        parallel.append(
-                            f"{where}labels of edges {star[i].edge} and {star[j].edge} are parallel"
-                        )
-                    if gcd(content(a), content(b)) != 1:
-                        shared.append(
-                            f"{where}contents of edges {star[i].edge} ({content(a)}) and "
-                            f"{star[j].edge} ({content(b)}) share a factor"
-                        )
+    cube = fixtures.product((1, 0), (0, 1), (1, 1))
+    parallel_pair = [
+        (cube.vertices[u], cube.vertices[v], (2, 2) if pos == 0 else lab)
+        for pos, (u, v, lab) in enumerate(cube.edges)
+    ]
+    repeated = [("a", "b", (1, 0)), ("a", "c", (0, 1)), ("b", "d", (1, 0)), ("b", "c", (0, 1))]
+    shaped = [
+        flag_manifold(3),
+        GkmGraph(2, list(cube.vertices), parallel_pair),
+        GkmGraph(2, ["a", "b", "c", "d"], repeated),
+        fixtures.product((2, 0), (2, -3), (3, -3)),
+        fixtures.product((2, 0), (0, 2), (1, 1)),
+    ]
+    flagged = []
+    for g in graphs + mutated + shaped:
+        parallel, shared = validate_gkm_oracle(g), coprimality_oracle(g)
         assert validate_gkm(g).issues == parallel, g
         assert check_coprimality(g).issues == shared, g
-        flagged.add((bool(parallel), bool(shared)))
-    assert {(True, True), (False, False)} <= flagged
+        flagged.append((len(parallel), len(shared)))
+    assert {(True, True), (False, False)} <= {(bool(p), bool(c)) for p, c in flagged}
+    assert flagged[-5:] == [(0, 0), (2, 0), (3, 0), (0, 0), (0, 8)]
 
 
 def test_fixture_registry():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from gkmcohom.intlinalg import (
+    PRIME_BOUND,
     _eliminate,
     IntMatrix,
     LatticeBasis,
@@ -243,5 +244,31 @@ def test_is_prime_small_values():
             return False
         return all(n % d for d in range(2, int(n**0.5) + 1))
 
-    for n in range(-3, 200):
+    for n in range(-3, 10**5):
         assert is_prime(n) == oracle(n), n
+
+
+def test_is_prime_equals_sympy_below_its_bound():
+    """Seeded random n across every magnitude up to the bound, primes
+    among them, products of two primes, and strong pseudoprimes to the
+    first 4 and the first 12 prime bases; from the bound on it raises."""
+    from sympy import isprime, nextprime
+
+    rng = random.Random(211)
+    # strong pseudoprimes to the first 4 and the first 12 prime bases
+    cases = [3215031751, 318665857834031151167461, PRIME_BOUND - 1, PRIME_BOUND - 2]
+    for _ in range(400):
+        n = rng.randrange(2, 10 ** rng.randint(2, 24) + 1)
+        cases += [n, nextprime(n)]
+    for _ in range(40):
+        a, b = (nextprime(rng.randrange(2, 10**12)) for _ in range(2))
+        cases.append(a * b)
+    seen = set()
+    for n in cases:
+        if n < PRIME_BOUND:
+            assert is_prime(n) == isprime(n), n
+            seen.add(isprime(n))
+    assert seen == {True, False}
+    for n in (PRIME_BOUND, PRIME_BOUND + 2, 10**4000 + 1):
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(n)

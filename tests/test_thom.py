@@ -24,7 +24,11 @@ from gkmcohom import GraphClass, GradedPoly, fixtures
 from gkmcohom.graph import InvariantError, OrientedEdge
 from gkmcohom.thom import _check_local, _edge_values, _vertex_values
 
-from helpers import random_3valent_orientable
+from helpers import (
+    random_3valent_orientable,
+    random_prisms_with_few_connections,
+    verify_sw3valent_oracle,
+)
 
 
 def oe(text: str) -> OrientedEdge:
@@ -295,6 +299,31 @@ def test_verification_checks_each_connection_once(monkeypatch):
         report = verify_sw3valent(g, given)
         assert report["all_match"] and report["connections_checked"] == 1
         assert len(calls) == 1
+
+
+def test_thom_assembles_only_the_connections_it_checks(monkeypatch):
+    """Past eight connections only the first is assembled (2^24 on the
+    octagon prism); at most eight are each assembled once and all checked.
+    The report equals that of an oracle that assembles the first nine
+    without counting, from whole classes."""
+    from gkmcohom import connection
+
+    assembled = []
+    real = connection._assemble
+    monkeypatch.setattr(
+        connection, "_assemble", lambda g, chosen: assembled.append(1) or real(g, chosen)
+    )
+    cases = [(fixtures.polygon2n_x_edge(4), None), (fixtures.product((2, 0), (2, -3), (3, -3)), 1)]
+    few = random_prisms_with_few_connections(131, 2)
+    cases += [(g, len(list(enumerate_connections(g)))) for g in few]
+    assert {count for _, count in cases} >= {None, 1, 4}
+    for g, count in cases:
+        assembled.clear()
+        report = verify_sw3valent(g)
+        assert len(assembled) == (count or 1), (g, count)
+        assert report["connections_checked"] == (count or 1)
+        assert report == verify_sw3valent_oracle(g), g
+        assert report["all_match"]
 
 
 # ---------------------------------------------------------------------------
