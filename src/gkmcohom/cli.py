@@ -362,6 +362,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ValueError("--degree must be even and non-negative")
         if args.max_degree < 0:
             raise ValueError("--max-degree must be non-negative")
+    if "independence_trials" in args and args.independence_trials < 0:
+        raise ValueError("--independence-trials must be non-negative")
     args.conventions = _parse_overrides(args.orientation_override, args.lift_override)
     if "check" in args and not args.check:
         raise ValueError("no relations given")

@@ -47,9 +47,9 @@ from .graph import DomainError, GkmGraph, OrientedEdge
 class Connection:
     """Family of star bijections, one per oriented edge.
 
-    The reverse of an edge carries the inverse bijection: ``_assemble``,
-    the only builder, stores it so, and ``holonomy_signs`` relies on it.
-    The maps are never changed, so connections may share them."""
+    The reverse of an edge carries the inverse bijection, as the only
+    builder ``assemble_connection`` stores it; ``holonomy_signs`` relies
+    on it.  The maps are never changed, so connections may share them."""
 
     __slots__ = ("graph", "_maps")
 
@@ -230,7 +230,8 @@ def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
     return list(_matchings(g, edge_id))
 
 
-def _assemble(g: GkmGraph, chosen: dict) -> Connection:
+def assemble_connection(g: GkmGraph, chosen: dict) -> Connection:
+    """The connection with matching ``chosen[eid]`` along each edge eid, unchecked."""
     maps: dict = {}
     for eid, matching in chosen.items():
         e = g.default_oriented(eid)
@@ -256,7 +257,7 @@ def find_connection(g: GkmGraph) -> Connection | None:
         chosen[eid] = first_matching(g, eid)
         if chosen[eid] is None:
             return None
-    return _assemble(g, chosen)
+    return assemble_connection(g, chosen)
 
 
 def enumerate_connections(g: GkmGraph, limit: int | None = None):
@@ -275,7 +276,7 @@ def enumerate_connections(g: GkmGraph, limit: int | None = None):
     if limit is not None:
         combos = islice(combos, limit)
     for combo in combos:
-        yield _assemble(g, dict(enumerate(combo)))
+        yield assemble_connection(g, dict(enumerate(combo)))
 
 
 def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
@@ -305,7 +306,7 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
                     f"congruence"
                 )
         chosen[eid] = m
-    return _assemble(g, chosen)
+    return assemble_connection(g, chosen)
 
 
 def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:

@@ -32,7 +32,8 @@ class InvariantError(RuntimeError):
     """Raised when an internal consistency check fails: a bug, not bad input."""
 
 
-def _long_int(what: str, verb: str = "reads") -> str:
+def long_int_message(what: str, verb: str = "reads") -> str:
+    """Names ``what`` and the most digits the interpreter converts."""
     limit = sys.get_int_max_str_digits()
     return f"{what}: an integer has more than {limit} digits, the longest this program {verb}"
 
@@ -42,7 +43,7 @@ def read_int(text: str, what: str, error: type = ValueError) -> int:
     converts raises ``error`` naming ``what`` and the limit."""
     limit = sys.get_int_max_str_digits()
     if limit and sum(c.isdigit() for c in text) > limit:
-        raise error(_long_int(what))
+        raise error(long_int_message(what))
     return int(text)
 
 
@@ -56,7 +57,7 @@ def read_json(text: str, what: str, error: type = ValueError):
     except json.JSONDecodeError:
         raise
     except ValueError:
-        raise error(_long_int(what)) from None
+        raise error(long_int_message(what)) from None
     except RecursionError:
         raise error(f"{what}: arrays or objects nested too deep to read") from None
 

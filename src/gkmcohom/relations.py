@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .cohomology import GraphClass, membership_z
-from .graph import GkmGraph, _long_int, read_int
+from .graph import GkmGraph, long_int_message, read_int
 from .polyring import GradedPoly, var_names
 
 __all__ = [
@@ -334,7 +334,8 @@ def _render_side(v, side: str, text: str) -> str:
     try:
         return render_value(v)
     except ValueError:
-        raise RelationError(_long_int(f"{side} side of {text.strip()!r}", "writes")) from None
+        what = f"{side} side of {text.strip()!r}"
+        raise RelationError(long_int_message(what, "writes")) from None
 
 
 def check_relations(texts, env: dict) -> list[RelationResult]:

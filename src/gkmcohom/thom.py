@@ -8,33 +8,37 @@ the path yields a degree-2 class, and together with the classical edge
 and vertex classes these sums reproduce the even characteristic-class
 components.
 
-An edge class lives on the two endpoints of its edge, a vertex class on
-one vertex and a path class on the initial vertices of its normal edges,
-so their values are built as {vertex: value} maps (``_edge_values``,
-``_vertex_values``, the sums in ``thom_class_of_path``) and checked on
-the edges of the stars of that support alone (``_check_local``): every
-other edge joins two zeros, so this is exactly the condition of
-``membership_z``.  ``verify_sw3valent`` adds
-these local values straight into the per-vertex sums; the public
-``thom_class_of_edge`` and ``thom_class_of_vertex`` spread the same maps
-into whole classes.
+A path class lives on the initial vertices of its normal edges, an edge
+class on the two endpoints of its edge and a vertex class on one vertex,
+so all three are built as {vertex: value} maps (``_path_values``,
+``_edge_values``, ``_vertex_values``; the star products read
+``polyring.elementary_symmetric``) and checked on the edges of the stars
+of that support alone (``_check_local``): every other edge joins two
+zeros, so this is exactly the condition of ``membership_z``.
+``verify_sw3valent`` searches the matchings of each edge once, assembles
+every connection it checks from those lists, and adds these maps
+straight into the per-vertex sums; the public ``thom_class_of_*``
+functions spread the same maps into whole classes.
 """
 
 from __future__ import annotations
+
+from itertools import product as iproduct
+from math import prod
 
 from .charclasses import total_sw
 from .cohomology import GraphClass, reduce_class_mod_p
 from .connection import (
     Connection,
+    assemble_connection,
     edge_matchings,
-    enumerate_connections,
     find_connection,
     forced_lift,
     is_orientable,
     transport_signs,
 )
 from .graph import DomainError, GkmGraph, InvariantError, OrientedEdge
-from .polyring import GradedPoly, congruent_mod_weight, linear_from_weight
+from .polyring import GradedPoly, congruent_mod_weight, elementary_symmetric, linear_from_weight
 
 
 class ConnectionPath:
@@ -95,16 +99,6 @@ def _successor(c: Connection, pair: tuple) -> tuple:
     return (cur, c.apply(cur, prev.reverse()))
 
 
-def _canonical_rotation(edges: tuple) -> tuple:
-    best = None
-    l = len(edges)
-    for s in range(l):
-        cand = edges[s:] + edges[:s]
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def connection_paths(g: GkmGraph, c: Connection | None = None) -> list[ConnectionPath]:
     """All connection paths, deduplicated up to rotation and reversal.
 
@@ -149,7 +143,8 @@ def connection_paths(g: GkmGraph, c: Connection | None = None) -> list[Connectio
                 seen.add(rp)
             covered += 2 * len(orbit)
         reversed_edges = tuple(oe.reverse() for oe in reversed(edges))
-        canon = min(_canonical_rotation(edges), _canonical_rotation(reversed_edges))
+        # the smallest rotation in either direction
+        canon = min(e[s:] + e[:s] for e in (edges, reversed_edges) for s in range(len(e)))
         out.append(ConnectionPath(g, canon, self_reversed))
     n = g.valence
     if total != n * (n - 1) * len(g.vertices):
@@ -174,24 +169,26 @@ def thom_class_of_path(
     """
     if g.torus_rank != 2:
         raise ValueError("path classes require torus rank 2")
+    return _spread(g, 2, _path_values(g, c, path, initial_sign))
+
+
+def _path_values(g: GkmGraph, c: Connection, path: ConnectionPath, initial_sign: int) -> dict:
+    """The nonzero values of the path class, checked: at each initial
+    vertex of a normal edge, the sum of the transported lifts there."""
     slots = path.normal_slots()
     l = len(slots)
     start = min(range(l), key=lambda j: slots[j][1])
     rotated = slots[start:] + slots[:start]
-    beta: dict[OrientedEdge, tuple] = {}
     current = tuple(initial_sign * x for x in g.label(rotated[0][1].edge))
-    beta[rotated[0][1]] = current
+    beta: dict[OrientedEdge, tuple] = {rotated[0][1]: current}
     for j in range(1, l):
         _, normal, between = rotated[j]
         forced = forced_lift(g, current, g.label(normal.edge), g.label(between))
         if forced is None:
             raise ValueError("sign transport failed; connection not compatible")
         if normal in beta and beta[normal] != forced:
-            raise ValueError(
-                f"normal edge {normal.render()} crossed twice with conflicting signs"
-            )
-        beta[normal] = forced
-        current = forced
+            raise ValueError(f"normal edge {normal.render()} crossed twice with conflicting signs")
+        beta[normal] = current = forced
     _, first_normal, between = rotated[0]
     closing = forced_lift(g, current, g.label(first_normal.edge), g.label(between))
     if closing != beta[first_normal]:
@@ -203,7 +200,7 @@ def thom_class_of_path(
         sums[v] = tuple(a + b for a, b in zip(sums.get(v, (0,) * k), w))
     values = {v: linear_from_weight(w) for v, w in sums.items() if any(w)}
     _check_local(g, 1, values, "path")
-    return _spread(g, 2, values)
+    return values
 
 
 def _check_local(g: GkmGraph, degree: int, values: dict, kind: str) -> None:
@@ -228,13 +225,13 @@ def _edge_values(g: GkmGraph, c: Connection, edge_id: int) -> dict:
     the transported signs at the terminal vertex."""
     oe = g.default_oriented(edge_id)
     image = c.map_along(oe)
+    signs = transport_signs(g, oe, image)
+    dst_lifts = [tuple(s * x for x in g.label(image[l].edge)) for l, s in signs.items()]
     k = g.torus_rank
-    src_product = GradedPoly.constant(k, 1)
-    dst_product = GradedPoly.constant(k, 1)
-    for l, s in transport_signs(g, oe, image).items():
-        src_product = src_product * linear_from_weight(g.label(l.edge))
-        dst_product = dst_product * linear_from_weight(tuple(s * x for x in g.label(image[l].edge)))
-    values = {g.initial(oe): src_product, g.terminal(oe): dst_product}
+    values = {
+        g.initial(oe): elementary_symmetric(k, [g.label(l.edge) for l in signs])[-1],
+        g.terminal(oe): elementary_symmetric(k, dst_lifts)[-1],
+    }
     _check_local(g, 2, values, "edge")
     return values
 
@@ -242,10 +239,8 @@ def _edge_values(g: GkmGraph, c: Connection, edge_id: int) -> dict:
 def _vertex_values(g: GkmGraph, vertex: int) -> dict:
     """The one value of the degree-6 vertex class, checked: the product of
     the star labels."""
-    product = GradedPoly.constant(g.torus_rank, 1)
-    for oe in g.star(vertex):
-        product = product * linear_from_weight(g.label(oe.edge))
-    values = {vertex: product}
+    labels = [g.label(oe.edge) for oe in g.star(vertex)]
+    values = {vertex: elementary_symmetric(g.torus_rank, labels)[-1]}
     _check_local(g, 3, values, "vertex")
     return values
 
@@ -282,30 +277,37 @@ def _sum_values(g: GkmGraph, degree2: int, supported) -> GraphClass:
     return GraphClass(g, degree2, sums)
 
 
+_MATCHES = ("degree2_match", "degree4_match", "degree6_match")
+
+
 def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     """Compare reduced Thom-class sums with the characteristic components.
 
     For a 3-valent orientable rank-2 graph the reductions of the three
     sums (over paths, edges, vertices) must equal the degree-2, 4 and 6
     components of the total class.  When at most eight connections exist
-    the comparison covers all of them, each assembled and checked once;
-    otherwise only the given or the first connection is assembled.
+    the comparison covers all of them, each assembled from the per-edge
+    matching lists and checked once; otherwise only the given connection
+    is checked, or without one the first, assembled from the first
+    matching at every edge.
     """
     if g.valence != 3:
         raise DomainError("verification requires a 3-valent graph")
     if g.torus_rank != 2:
         raise DomainError("verification requires torus rank 2")
-    # count before assembling: past eight connections only the first is checked
-    count = 1
-    for eid in range(len(g.edges)):
-        count *= len(edge_matchings(g, eid))
-        if count == 0 or count > 8:
-            break
-    alternates = list(enumerate_connections(g)) if count <= 8 else None
+    # one matching search per edge; the connections are the combinations
+    per_edge = [edge_matchings(g, eid) for eid in range(len(g.edges))]
+    if prod(map(len, per_edge)) <= 8:
+        checked = [assemble_connection(g, dict(enumerate(combo))) for combo in iproduct(*per_edge)]
+    elif connection is None:
+        # the first matching at every edge: the connection find_connection gives
+        checked = [assemble_connection(g, {eid: ms[0] for eid, ms in enumerate(per_edge)})]
+    else:
+        checked = [connection]
     if connection is None:
-        connection = alternates[0] if alternates else find_connection(g)
-    if connection is None:
-        raise DomainError("graph admits no compatible connection")
+        if not checked:
+            raise DomainError("graph admits no compatible connection")
+        connection = checked[0]
     if not is_orientable(g, connection):
         raise DomainError("graph is not orientable")
 
@@ -314,10 +316,7 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     def matches(c: Connection) -> tuple[dict, list[ConnectionPath]]:
         sw = total_sw(g, c)
         paths = connection_paths(g, c)
-        path_sum = _sum_values(g, 2, (
-            {v: f for v, f in enumerate(thom_class_of_path(g, c, p).values) if not f.is_zero()}
-            for p in paths
-        ))
+        path_sum = _sum_values(g, 2, (_path_values(g, c, p, 1) for p in paths))
         edge_sum = _sum_values(g, 4, (_edge_values(g, c, e) for e in range(len(g.edges))))
         result = {
             "degree2_match": reduce_class_mod_p(g, path_sum, 2) == sw.component(2),
@@ -332,24 +331,18 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
         return result, paths
 
     result, paths = matches(connection)
-    checked = 1
-    if alternates is not None:
-        for alt in alternates:
-            if alt == connection:
-                continue
+    for alt in checked:
+        if alt != connection:
             alt_result, _ = matches(alt)
-            for key in ("degree2_match", "degree4_match", "degree6_match"):
+            for key in _MATCHES:
                 if not alt_result[key]:
                     result[key] = False
-        checked = len(alternates)
     report = {
         "paths": [p.render() for p in paths],
         "path_count": len(paths),
         "self_reversed_paths": sum(1 for p in paths if p.self_reversed),
-        "connections_checked": checked,
+        "connections_checked": len(checked),
         **result,
     }
-    report["all_match"] = all(
-        report[key] for key in ("degree2_match", "degree4_match", "degree6_match")
-    )
+    report["all_match"] = all(report[key] for key in _MATCHES)
     return report

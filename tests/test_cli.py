@@ -126,6 +126,7 @@ _EXIT_TABLE = [
     (("relations", "--check", "x == y"), (1, 1, 1)),
     # the paper8 generators exist on paper8 only; mod 2 their quotient parts print
     (("relations", "--ring", "Z2", "--check", "a1*a1 == a1"), (0, 2, 2)),
+    (("sw", "--independence-trials", "-3"), (2, 2, 2)),  # a usage error on any graph
 ]
 
 
@@ -143,9 +144,17 @@ def test_exit_codes_across_subcommands(capsys, argv, spec, expected):
     if out:
         assert json.loads(out)["command"] == argv[0]
     else:
-        # only a graph the question does not apply to, or a name the graph
-        # does not define, prints no report
-        assert (argv[0], code) in {("thom", 1), ("relations", 2)} and err.startswith("error: ")
+        # only a graph the question does not apply to, a name the graph
+        # does not define, or a usage error prints no report
+        assert (argv[0], code) in {("thom", 1), ("relations", 2), ("sw", 2)}
+        assert err.startswith("error: ")
+
+
+def test_a_negative_trial_count_is_a_usage_error(capsys):
+    """It is rejected before the graph loads, as a negative --max-degree is,
+    instead of silently dropping the choice-independence report."""
+    code, out, err = run(capsys, "sw", "fixtures:nonsense", "--independence-trials", "-3")
+    assert (code, out, err) == (2, "", "error: --independence-trials must be non-negative\n")
 
 
 # well-formed graphs outside a computation's domain: the path a-b-c is not

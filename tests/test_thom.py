@@ -225,18 +225,23 @@ def test_all_constructors_integral_on_50_random_graphs():
 
 
 def test_local_sums_equal_the_sums_of_the_public_classes():
-    """The edge and vertex sums of ``verify_sw3valent``, added from local
-    values, equal the sums of the whole classes, also for multi-edges."""
+    """The path, edge and vertex sums of ``verify_sw3valent``, added from
+    local values, equal the sums of the whole classes, also for
+    multi-edges."""
     graphs = [fixtures.triangle_x_edge(), fixtures.polygon2n_x_edge(3)]
     cases = [(g, find_connection(g)) for g in graphs + random_3valent_orientable(17, 6)]
     for g, c in cases + [twisted_prism()]:
         report = verify_sw3valent(g, c)
+        path_sum = GraphClass.zero(g, 2)
+        for p in connection_paths(g, c):
+            path_sum = path_sum + thom_class_of_path(g, c, p)
         edge_sum = GraphClass.zero(g, 4)
         for e in range(len(g.edges)):
             edge_sum = edge_sum + thom_class_of_edge(g, c, e)
         vertex_sum = GraphClass.zero(g, 6)
         for v in range(len(g.vertices)):
             vertex_sum = vertex_sum + thom_class_of_vertex(g, v)
+        assert report["sums"]["2"] == path_sum.render_values(), g
         assert report["sums"]["4"] == edge_sum.render_values(), g
         assert report["sums"]["6"] == vertex_sum.render_values(), g
 
@@ -301,29 +306,53 @@ def test_verification_checks_each_connection_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_thom_assembles_only_the_connections_it_checks(monkeypatch):
-    """Past eight connections only the first is assembled (2^24 on the
-    octagon prism); at most eight are each assembled once and all checked.
-    The report equals that of an oracle that assembles the first nine
-    without counting, from whole classes."""
-    from gkmcohom import connection
-
-    assembled = []
-    real = connection._assemble
-    monkeypatch.setattr(
-        connection, "_assemble", lambda g, chosen: assembled.append(1) or real(g, chosen)
-    )
+def _connection_counts() -> list:
+    """(graph, connection count or None past eight): 2^24 connections on
+    the octagon prism, one on a label-scaled product, four on each of two
+    random prisms."""
     cases = [(fixtures.polygon2n_x_edge(4), None), (fixtures.product((2, 0), (2, -3), (3, -3)), 1)]
     few = random_prisms_with_few_connections(131, 2)
     cases += [(g, len(list(enumerate_connections(g)))) for g in few]
     assert {count for _, count in cases} >= {None, 1, 4}
-    for g, count in cases:
+    return cases
+
+
+def test_thom_assembles_only_the_connections_it_checks(monkeypatch):
+    """Past eight connections only the first is assembled; at most eight
+    are each assembled once and all checked.  The report equals that of
+    an oracle that assembles the first nine without counting, from whole
+    classes."""
+    from gkmcohom import thom
+
+    assembled = []
+    real = thom.assemble_connection
+    monkeypatch.setattr(
+        thom, "assemble_connection", lambda g, chosen: assembled.append(1) or real(g, chosen)
+    )
+    for g, count in _connection_counts():
         assembled.clear()
         report = verify_sw3valent(g)
         assert len(assembled) == (count or 1), (g, count)
         assert report["connections_checked"] == (count or 1)
         assert report == verify_sw3valent_oracle(g), g
         assert report["all_match"]
+
+
+def test_thom_searches_each_edge_once(monkeypatch):
+    """One matching search per edge, with or without a given connection,
+    whatever the number of connections."""
+    from gkmcohom import connection
+
+    searched = []
+    real = connection._matchings
+    monkeypatch.setattr(
+        connection, "_matchings", lambda g, eid: searched.append(eid) or real(g, eid)
+    )
+    for g, _ in _connection_counts():
+        for given in (None, find_connection(g)):
+            searched.clear()
+            verify_sw3valent(g, given)
+            assert sorted(searched) == list(range(len(g.edges))), g
 
 
 # ---------------------------------------------------------------------------
