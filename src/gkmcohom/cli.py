@@ -64,12 +64,22 @@ def load_graph(source: str) -> GkmGraph:
         return parse(fh.read())
 
 
+def _override_int(text: str, flag: str, item: str) -> int:
+    """``read_int``; a value that is no integer names the flag and the item."""
+    try:
+        return read_int(text, flag, OverflowError)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+    except ValueError:
+        raise ValueError(f"{flag} {item!r}: {text!r} is not an integer") from None
+
+
 def _parse_overrides(orientation: list[str], lifts: list[str]) -> Conventions:
     reversed_edges = set()
     for item in orientation:
         edge, _, direction = item.partition(":")
         if direction in ("-", "reversed"):
-            reversed_edges.add(read_int(edge, "--orientation-override"))
+            reversed_edges.add(_override_int(edge, "--orientation-override", item))
         elif direction not in ("+", "default"):
             raise ValueError(
                 f"orientation override {item!r}: direction must be +, -, "
@@ -78,8 +88,8 @@ def _parse_overrides(orientation: list[str], lifts: list[str]) -> Conventions:
     lift_map = {}
     for item in lifts:
         edge, _, coords = item.partition(":")
-        lift_map[read_int(edge, "--lift-override")] = tuple(
-            read_int(c, "--lift-override") for c in coords.split(",")
+        lift_map[_override_int(edge, "--lift-override", item)] = tuple(
+            _override_int(c, "--lift-override", item) for c in coords.split(",")
         )
     return Conventions(frozenset(reversed_edges), lift_map)
 

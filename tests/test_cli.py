@@ -698,6 +698,17 @@ def test_a_long_override_or_ring_is_named(capsys):
         assert _names_the_long_literal(result, flag), (flag, value[:8])
 
 
+def test_a_non_integer_override_is_named(capsys):
+    for flag, value, text in (
+        ("--lift-override", "0:", ""),
+        ("--lift-override", "0:1,,0", ""),
+        ("--lift-override", "x:1,0", "x"),
+        ("--orientation-override", "x:-", "x"),
+    ):
+        result = run(capsys, "cohomology", "fixtures:paper8", flag, value)
+        assert result == (2, "", f"error: {flag} {value!r}: {text!r} is not an integer\n"), value
+
+
 def test_a_long_label_in_a_graph_file_is_named(tmp_path, capsys):
     n = _long_literal()
     path = tmp_path / "graph.json"

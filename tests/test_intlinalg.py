@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from gkmcohom import intlinalg
 from gkmcohom.intlinalg import (
     PRIME_BOUND,
     _eliminate,
@@ -16,7 +17,6 @@ from gkmcohom.intlinalg import (
     is_prime,
     kernel,
     kernel_into_cokernel,
-    modp_rref,
     modp_solve,
     solve_with_image,
     sparse_kernel,
@@ -27,7 +27,7 @@ from helpers import (
     in_column_image,
     matmul,
     modp_kernel_basis,
-    modp_rank,
+    modp_rref,
     rational_rank,
 )
 
@@ -160,7 +160,7 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
         leftover_seen += bool(_eliminate([dict(r) for r in rows], ncols, 0)[1])
         for p in (2, 3, 5):
             dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-            want = modp_rref(modp_kernel_basis(dense, ncols, p), p)[0]
+            want = modp_rref(modp_kernel_basis(dense, ncols, p), p)
             got = sparse_kernel(rows, [0] * len(rows), ncols, p).vectors
             assert got == tuple(map(tuple, want)), (rows, p)
     assert leftover_seen > 50
@@ -198,21 +198,39 @@ def test_solve_with_image_detects_unsolvable():
 
 
 def test_modp_helpers_against_gauss_oracle():
+    """``modp_rref`` (rows and pivots) and ``LatticeBasis.from_vectors``
+    over F_p equal the dense oracle row for row, on rows with negative
+    and unreduced entries, zero and duplicate rows, and more columns than
+    rows; the sparse kernel has the oracle's RREF and the nullity."""
     rng = random.Random(12)
-    for p in (2, 3, 5):
-        for _ in range(15):
+    assert intlinalg.modp_rref([], 3) == ([], [])
+    seen = {"zero": 0, "duplicate": 0, "wide": 0}
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            width = rng.randint(1, 7)
             rows = [
-                [rng.randint(0, p - 1) for _ in range(rng.randint(1, 5))]
+                [rng.randint(-2 * p, 2 * p) for _ in range(width)]
                 for _ in range(rng.randint(1, 5))
             ]
-            width = max(len(r) for r in rows)
-            rows = [r + [0] * (width - len(r)) for r in rows]
-            _, pivots = modp_rref([r[:] for r in rows], p)
-            assert len(pivots) == modp_rank(rows, p)
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), [0] * width)
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+            seen["zero"] += not all(any(r) for r in rows)
+            seen["duplicate"] += len(set(map(tuple, rows))) < len(rows)
+            seen["wide"] += width > len(rows)
+            given = [r[:] for r in rows]
+            want = modp_rref(rows, p)
+            got, pivots = intlinalg.modp_rref(given, p)
+            assert given == rows, "the input rows are left as they are"
+            assert got == want, (rows, p)
+            assert pivots == [next(j for j, x in enumerate(r) if x) for r in want]
+            assert LatticeBasis.from_vectors(width, rows, p).vectors == tuple(map(tuple, want))
             sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
             km = sparse_kernel(sparse, [0] * len(sparse), width, p).vectors
             assert len(km) == width - len(pivots)
-            assert km == tuple(map(tuple, modp_rref(modp_kernel_basis(rows, width, p), p)[0]))
+            assert km == tuple(map(tuple, modp_rref(modp_kernel_basis(rows, width, p), p)))
+    assert min(seen.values()) > 20, seen
 
 
 def test_modp_solve_consistency():
