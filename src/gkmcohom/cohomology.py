@@ -7,37 +7,26 @@ Z/p only, one quotient polynomial per edge whose label vanishes mod p
 ring, (f, g)(f', g') = (ff', fg' + f'g); over Z it is vertex-wise.
 
 A degree-2d class assigns a homogeneous degree-d polynomial to every
-vertex such that across each edge the difference of the endpoint values
-is divisible by the edge label.  The condition is local to each edge and
-has one encoding, the cached ``polyring.divisibility_rows``: with label =
-m * w0 (m the content), the substitution
-``polyring.substitution_matrix(w0, d)`` turns w0 into y1, and the label
-divides f_u - f_v iff the substituted difference vanishes at the y1-free
-monomials and is divisible by m at the others.  ``_edge_rows`` writes
-these rows on the vertex coefficients for the graded pieces; each piece
-is solved from them and then checked against them once, as one sparse
-product of the rows with all its lattice vectors
-(``intlinalg.rows_hold``).  ``membership_z`` reads the same rows through
-``polyring.congruent_mod_weight`` for single classes.  Over Z the
-classes form the HNF lattice of vertex vectors meeting those rows, with
-one slack column of value m per row of an edge with m > 1.  Over Z/p an
-edge with p | m forces equal endpoint values; on any other edge m is a
-unit, so only the y1-free rows remain, and the classes are the RREF basis
-of the F_p kernel.  One ``intlinalg.sparse_kernel(..., p)`` serves both
-rings: elimination on the sparse rows, pivoting only on units (+-1 over
-Z, any nonzero entry over F_p; over Z the rows left without one go to
-the dense HNF), then the kernel is lifted back through the pivot rows
-and made canonical as a ``LatticeBasis`` of either ring.
+vertex such that across each edge the label divides the difference of
+the endpoint values.  The condition has one encoding, the cached
+``polyring.divisibility_rows``: with label = m * w0 (m the content), the
+label divides f_u - f_v iff the difference, with w0 turned into y1 by
+``polyring.substitution_matrix(w0, d)``, vanishes at the y1-free
+monomials and is divisible by m at the others.  Over Z/p an edge with
+p | m forces equal endpoint values; on any other edge m is a unit, so
+only the y1-free rows remain.  ``_edge_rows`` writes these rows on the
+vertex coefficients, and each graded piece is their kernel, checked once
+against them (``_graded_piece``); ``membership_z`` reads the same rows
+through ``polyring.congruent_mod_weight`` for single classes.
 
 The comparison map ``reduce_class_mod_p`` takes one class to Z/p: it
 reduces the vertex part and fills in the quotient part from the
 difference quotients across the edges whose label vanishes mod p.
 ``integral_preimage`` decides whether a mod-p class comes from an
-integral one with one mod-p solve against the reductions of the integral
-basis.  It reads those reductions off the lattice vectors as coefficient
-lists (``_reduction_images``: each coefficient mod p, then the long
-division of the two endpoint slices per special edge), builds one class
-for the preimage, and checks it with ``reduce_class_mod_p``.
+integral one with one mod-p solve on the rank-many reductions of the
+integral basis, read off its lattice vectors as sparse rows
+(``_reduction_images``), and checks the preimage with
+``reduce_class_mod_p``.
 """
 
 from __future__ import annotations
@@ -243,14 +232,11 @@ membership_modp = membership_z
 
 
 def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[dict[int, int]], list[int]]:
-    """Divisibility across every edge as sparse rows on the vertex coefficients.
-
-    Returns (rows, moduli): ``polyring.divisibility_rows`` of each label,
-    applied to f_u - f_v for the stored endpoints (u, v), each row a
-    ``{column: value}`` dict.  A class is a vertex vector whose every row
-    is divisible by its modulus over Z, or vanishes over Z/p; neither
-    depends on a row's sign, nor on direction.
-    """
+    """Divisibility across every edge as (rows, moduli): the sparse
+    ``{column: value}`` rows of ``polyring.divisibility_rows`` of each
+    label, applied to f_u - f_v for the stored endpoints (u, v).  A class
+    is a vertex vector whose every row is divisible by its modulus over Z,
+    or vanishes over Z/p, whatever the row's sign or direction."""
     n = num_monomials(g.torus_rank, d)
     rows, moduli = [], []
     for u, v, label in g.edges:
@@ -327,22 +313,15 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
 
     One kernel step for both rings, ``intlinalg.sparse_kernel(rows,
-    moduli, width, p)``: unit-pivot elimination on the sparse rows.  Over
-    Z it pivots on the +-1 entries of the vertex columns (one slack column
-    of value -m per row of modulus m > 1, which never pivots), hands the
-    rows left without a unit entry to the dense ``kernel``, lifts that
-    kernel and the free columns back through the pivot rows and returns
-    the HNF lattice of the vertex part.  Over Z/p it pivots on any nonzero
-    entry, so no rows are left over, and returns the RREF of the lifted
-    free columns.  Both results are canonical, so the basis does not
-    depend on the pivot order.
-
-    The solver is then checked on the same rows, which it copied and
-    left intact: ``intlinalg.rows_hold`` meets every row with every
-    lattice vector in one sparse product, and a vector that breaks an
-    edge congruence raises ``InvariantError``.  The piece is that lattice:
-    no class is built here (see ``CohomLattice.basis``).
-    """
+    moduli, width, p)``: unit-pivot elimination on the sparse rows (+-1
+    over Z, with one never-pivoting slack column of value -m per row of
+    modulus m > 1; any nonzero entry over Z/p), the dense ``kernel`` on
+    the rows left without a unit (only over Z), and the lifted kernel made
+    canonical, HNF or RREF, so the basis does not depend on the pivot
+    order.  ``intlinalg.rows_hold`` then meets every row, left intact,
+    with every lattice vector in one sparse product, and a vector that
+    breaks an edge congruence raises ``InvariantError``.  The piece is
+    that lattice: no class is built here (see ``CohomLattice.basis``)."""
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
     d = degree2 // 2
@@ -398,15 +377,13 @@ def reduce_class_mod_p(
 
 def _reduction_images(
     g: GkmGraph, lattice: CohomLattice, p: int, conventions: Conventions
-) -> list[list[int]]:
+) -> list[dict[int, int]]:
     """``reduce_class_mod_p(g, cls, p, conventions).to_vector()`` for every
-    class of an integral basis, read off its lattice vectors.
-
-    The vertex part is each coefficient mod p.  Each edge whose label
-    vanishes mod p, in ascending order, adds the long-division quotient of
-    the initial minus the terminal slice by the lift (orientation and lift
-    from ``conventions``), reduced mod p.
-    """
+    class of an integral basis, read off its lattice vectors as
+    ``{column: value}`` rows of the nonzero entries: each coefficient mod
+    p, then per edge whose label vanishes mod p, in ascending order, the
+    long-division quotient of the initial minus the terminal slice by the
+    lift (orientation and lift from ``conventions``), reduced mod p."""
     k, d = g.torus_rank, lattice.degree2 // 2
     n = num_monomials(k, d)
     special = []
@@ -415,13 +392,17 @@ def _reduction_images(
         special.append((e, g.initial(oe) * n, g.terminal(oe) * n, conventions.lift(g, e)))
     images = []
     for vec in lattice.lattice.vectors:
-        image = [c % p for c in vec]
+        image = {c: y for c, x in enumerate(vec) if (y := x % p)}
+        offset = len(vec)
         for e, u, v, lift in special:
             diff = [a - b for a, b in zip(vec[u : u + n], vec[v : v + n])]
             quotient = divide_coeffs(k, d, diff, lift)
             if quotient is None:
                 raise InvariantError(f"basis class not divisible across edge {e}")
-            image.extend(c % p for c in quotient)
+            for c, x in enumerate(quotient, offset):
+                if x % p:
+                    image[c] = x % p
+            offset += len(quotient)
         images.append(image)
     return images
 
@@ -434,19 +415,15 @@ def integral_preimage(
     """An integral class reducing to the target, or None.
 
     The reduction map kills exactly p times the integral piece, so its
-    image is spanned over Z/p by the reductions of an integral basis,
-    taken straight from the lattice vectors (``_reduction_images``); one
-    mod-p solve decides membership and produces a preimage, which
-    ``reduce_class_mod_p`` must map back to the target.
+    image is spanned over Z/p by the rank-many reductions of an integral
+    basis (``_reduction_images``); one ``modp_solve`` on them finds the
+    preimage, which ``reduce_class_mod_p`` must map back to the target.
     """
     p = target.p
     if not is_prime(p):
         raise ValueError("p must be prime")
     lattice = compute_h_z(g, target.degree2)
-    images = _reduction_images(g, lattice, p, conventions)
-    target_vec = target.to_vector()
-    rows = [[img[i] for img in images] for i in range(len(target_vec))]
-    coeffs = modp_solve(rows, target_vec, p)
+    coeffs = modp_solve(_reduction_images(g, lattice, p, conventions), target.to_vector(), p)
     if coeffs is None:
         return None
     vec = [0] * (len(g.vertices) * num_monomials(g.torus_rank, target.degree2 // 2))

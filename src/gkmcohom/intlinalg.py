@@ -1,25 +1,20 @@
-"""Exact integer linear algebra over plain Python ints.
-
-Everything downstream (edge congruences, cohomology lattices, preimage
-searches) reduces to Hermite normal forms, integer kernels, and exact
-solvers, so this module keeps them small and auditable.  No floats, no
-numpy; arbitrary precision throughout.
+"""Exact linear algebra over plain Python ints: Hermite normal forms,
+integer kernels and solvers over Z, echelon forms over F_p.  No floats,
+no numpy; arbitrary precision throughout.
 
 Conventions:
-  * ``IntMatrix`` is dense, row major; the sparse eliminator behind
-    ``sparse_kernel`` takes rows as ``{column: value}`` dicts and leaves
-    only a small remainder, if any, to the dense ``kernel``;
+  * ``IntMatrix`` is dense, row major; the sparse routines take rows as
+    ``{column: value}`` dicts, and ``sparse_kernel`` leaves only a small
+    remainder, if any, to the dense ``kernel``;
   * ``LatticeBasis`` is the one canonical row basis of both rings: the
     HNF over Z (p = 0), the RREF over F_p, so equal spans have equal
     ``vectors`` and one ``coordinates_of`` serves both;
   * ``hnf`` is row-style: pivots positive, strictly increasing pivot
     columns, entries above a pivot reduced into ``[0, pivot)``, zero rows
-    at the bottom;
-  * ``_hnf_rows`` is the one dense echelon, HNF over Z and RREF over F_p
-    (``modp_rref`` wraps it): over a field the two coincide, as every
-    pivot scales to 1 and an entry reduced into ``[0, 1)`` is 0;
-  * pivot selection always takes the entry of smallest absolute value to
-    keep intermediate coefficients small.
+    at the bottom; the dense ``_hnf_rows`` computes it, pivoting on the
+    entry of smallest absolute value to keep coefficients small;
+  * over F_p the one echelon is the sparse Gauss-Jordan ``_fp_echelon``,
+    behind ``LatticeBasis.from_vectors``, ``modp_rref`` and ``modp_solve``.
 """
 
 from __future__ import annotations
@@ -80,25 +75,17 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-def _row_addmul(target: list[int], source: list[int], factor: int, p: int) -> None:
-    if p:
-        target[:] = [(x + factor * y) % p for x, y in zip(target, source)]
-    else:
-        for k in range(len(target)):
-            target[k] += factor * source[k]
+def _row_addmul(target: list[int], source: list[int], factor: int) -> None:
+    for k in range(len(target)):
+        target[k] += factor * source[k]
 
 
-def _hnf_rows(h: list[list[int]], ncols: int, p: int = 0) -> list[list[int]]:
-    """Row Hermite normal form of ``h`` over Z (p = 0), or its RREF over
-    F_p (entries already in [0, p)), in place, pivoting only on the first
-    ``ncols`` columns; any later columns ride along with every row
-    operation (``hnf`` puts the identity there to record the transform).
-
-    Column elimination is euclidean: the smallest-magnitude entry is
-    swapped into pivot position and all other entries in the column are
-    reduced by it until one survivor remains; over F_p the pivot is
-    first scaled to 1, so one pass clears the column.
-    """
+def _hnf_rows(h: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row Hermite normal form of ``h`` over Z, in place, pivoting only on
+    the first ``ncols`` columns; later columns ride along (``hnf`` records
+    the transform there).  Column elimination is euclidean: the first
+    entry of smallest magnitude is swapped into pivot position and the
+    others are reduced by it until one survivor remains."""
     nrows = len(h)
     cur = 0
     for j in range(ncols):
@@ -107,22 +94,22 @@ def _hnf_rows(h: list[list[int]], ncols: int, p: int = 0) -> list[list[int]]:
         while True:
             piv = None
             for i in range(cur, nrows):
-                if h[i][j] != 0 and (piv is None or abs(h[i][j]) < abs(h[piv][j])):
+                x = h[i][j]
+                if x != 0 and (piv is None or abs(x) < abs(h[piv][j])):
                     piv = i
+                    if x == 1 or x == -1:
+                        break  # no later entry is smaller
             if piv is None:
                 break
             if piv != cur:
                 h[cur], h[piv] = h[piv], h[cur]
-            if p and h[cur][j] != 1:
-                inv = pow(h[cur][j], p - 2, p)
-                h[cur] = [x * inv % p for x in h[cur]]
             d = h[cur][j]
             finished = True
             for i in range(cur + 1, nrows):
                 if h[i][j] != 0:
                     q = h[i][j] // d
                     if q:
-                        _row_addmul(h[i], h[cur], -q, p)
+                        _row_addmul(h[i], h[cur], -q)
                     if h[i][j] != 0:
                         finished = False
             if finished:
@@ -134,7 +121,7 @@ def _hnf_rows(h: list[list[int]], ncols: int, p: int = 0) -> list[list[int]]:
             for i in range(cur):
                 q = h[i][j] // d
                 if q:
-                    _row_addmul(h[i], h[cur], -q, p)
+                    _row_addmul(h[i], h[cur], -q)
             cur += 1
     return h
 
@@ -151,11 +138,8 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 @dataclass(frozen=True)
 class LatticeBasis:
     """Span of row vectors in Z^n (p = 0) or F_p^n, given by its canonical
-    row basis: the nonzero HNF rows over Z, the RREF rows over F_p.
-
-    Two equal spans always produce identical ``vectors``, so equality is
-    tuple equality.
-    """
+    row basis: the nonzero HNF rows over Z, the RREF rows over F_p.  Equal
+    spans have identical ``vectors``, so equality is tuple equality."""
 
     ambient_dim: int
     vectors: tuple[tuple[int, ...], ...]
@@ -163,11 +147,20 @@ class LatticeBasis:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vecs: list, p: int = 0) -> "LatticeBasis":
-        rows = [list(v) for v in vecs]
-        if any(len(row) != ambient_dim for row in rows):
+        if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length mismatch")
-        rows = modp_rref(rows, p)[0] if p else _hnf_rows(rows, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(row) for row in rows if any(row)), p)
+        if not p:
+            rows = _hnf_rows([list(v) for v in vecs], ambient_dim)
+            return cls(ambient_dim, tuple(tuple(row) for row in rows if any(row)))
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        pivots = _fp_echelon([{c: x for c, x in enumerate(v) if x} for v in vecs], ambient_dim, p)
+        rows = [[0] * ambient_dim for _ in pivots]
+        for row, c in zip(rows, sorted(pivots)):
+            row[c] = 1
+            for col, x in pivots[c].items():
+                row[col] = x
+        return cls(ambient_dim, tuple(map(tuple, rows)), p)
 
     @property
     def rank(self) -> int:
@@ -211,16 +204,12 @@ def kernel(m: IntMatrix) -> LatticeBasis:
 
 
 def kernel_into_cokernel(m: IntMatrix, d: IntMatrix) -> LatticeBasis:
-    """Basis of {v : m v lies in the column image of d}, by dense HNF.
-
-    The projection of ker([m | -d]) onto the first block.  The slack
-    coordinates of d come last, so the HNF rows of that kernel whose
-    pivot lies among the first ``m.cols`` coordinates, cut there, are
-    already the HNF of the projection, and every other row cuts to zero.
-    Deliberately no saturation: the result is exactly the preimage
-    lattice, torsion quotients and all.  The graded pieces use
-    ``sparse_kernel``; this dense version is the reference it is tested
-    against.
+    """Basis of {v : m v lies in the column image of d}, by dense HNF:
+    the projection of ker([m | -d]) onto the first block.  With the slack
+    coordinates last, the HNF rows of that kernel with a pivot among the
+    first ``m.cols`` coordinates, cut there, are already the HNF of the
+    projection.  No saturation: torsion quotients stay.  The reference
+    that ``sparse_kernel`` is tested against.
     """
     if m.rows != d.rows:
         raise ValueError("row count mismatch")
@@ -232,21 +221,16 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, p: int):
     """Structured Gaussian elimination on sparse rows, which it consumes.
 
     Only columns below ``ncols`` pivot, and only on a unit of the ring:
-    an entry of +-1 over Z (p = 0), any nonzero entry over F_p (entries
-    already reduced into [0, p)).  Markowitz order on the rows: the
-    shortest row with a unit entry pivots next.  Within it the rightmost
-    unit column pivots, so the columns that never pivot tend to be the
-    early ones and the lifted kernel basis comes out close to its HNF (or
-    RREF): on CP^4 degree 10 that makes the final dense echelon
-    ``_hnf_rows`` more than ten times cheaper than the Markowitz choice
-    of the column met by the fewest rows, whose lower fill-in saves far
-    less.  The pivot column is cleared from every other row, so each
-    pivot row expresses its column through later pivot columns and the
-    columns that never pivot.  Returns ``(pivots, leftover)``: the
-    (column, inverse of the pivot entry, rest of the row as (column,
-    value) pairs) triples in pivot order, and the nonzero rows left
-    without a unit entry (always none over F_p).
-    """
+    +-1 over Z (p = 0), any nonzero entry over F_p (entries already in
+    [0, p)).  The shortest row with a unit entry pivots next (Markowitz
+    order), on its rightmost unit column, so the columns that never pivot
+    tend to be the early ones and the lifted kernel basis comes out close
+    to its canonical form: on CP^4 degree 10 that made the final (then
+    dense) echelon more than ten times cheaper than pivoting on the column
+    met by the fewest rows.  Each pivot column is cleared from every other
+    row.  Returns ``(pivots, leftover)``: the (column, inverse of the pivot
+    entry, rest of the row as (column, value) pairs) triples in pivot
+    order, and the nonzero rows left without a unit entry (none over F_p)."""
     colrows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -299,8 +283,7 @@ def _lift(pivots, gens: list[dict[int, int]], ncols: int, p: int) -> list[list[i
     """The kernel vectors with the given values off the pivot columns, cut
     to the first ``ncols`` coordinates.  Each pivot value is solved from
     its row, last pivot first, so the columns that row still meets are
-    known; the values are kept per column, as {generator: value}, so a
-    column no generator reaches costs nothing."""
+    known; values are kept per column as {generator: value}."""
     values: dict[int, dict[int, int]] = {}
     for g, gen in enumerate(gens):
         for c, x in gen.items():
@@ -327,20 +310,18 @@ def sparse_kernel(
 ) -> LatticeBasis:
     """Lattice of x in Z^ncols with row_i . x divisible by moduli[i] >= 0
     for every i (modulus 0: row_i . x = 0), or over F_p (p > 0) the space
-    of x with every row_i . x = 0; rows are given as ``{column: value}``
-    on the columns below ``ncols``, and a modulus of 1 drops its row.
+    of x with every row_i . x = 0; rows are ``{column: value}`` on the
+    columns below ``ncols``, and a modulus of 1 drops its row.
 
     Over Z the kernel of the rows with one slack column of value -m per
     row of modulus m > 1, projected onto x.  ``_eliminate`` pivots on the
-    units of the x columns only (+-1 over Z, any nonzero entry over F_p),
-    so every pivot is an invertible substitution and the kernel stays
-    exact; slack entries are multiples of their modulus and never pivot.
-    The leftover rows (no unit entry; none over F_p) go to the dense
-    ``kernel`` on the columns they meet; every other non-pivot column is
-    a free generator.  Each generator is lifted through the pivot rows
-    and cut to x, and ``LatticeBasis.from_vectors`` makes the result
-    canonical (HNF or RREF), so over Z it equals ``kernel_into_cokernel``
-    of the same system.  No saturation, as there: torsion quotients stay.
+    units of the x columns only, so every pivot is an invertible
+    substitution; slack entries are multiples of their modulus and never
+    pivot.  The leftover rows go to the dense ``kernel`` on the columns
+    they meet; every other non-pivot column is a free generator.  The
+    generators, lifted through the pivot rows and cut to x, are made
+    canonical by ``LatticeBasis.from_vectors``, so over Z the result
+    equals ``kernel_into_cokernel`` of the same system.
     """
     if len(rows) != len(moduli):
         raise ValueError("one modulus per row required")
@@ -373,14 +354,10 @@ def sparse_kernel(
 
 def rows_hold(rows: list[dict[int, int]], moduli: list[int], vectors, p: int = 0) -> bool:
     """Whether every vector meets every row in the sense of
-    ``sparse_kernel(rows, moduli, ncols, p)``: over Z, row . x is 0 where
-    the modulus is 0 and divisible by it otherwise; over F_p it is 0 mod
-    p; a modulus of 1 drops its row.
-
-    One sparse product for all vectors at once: the vectors are indexed
-    by column as {column: [(vector index, value)]}, and each row sums
-    its entries times the values of the vectors that meet its columns.
-    """
+    ``sparse_kernel(rows, moduli, ncols, p)``, by one sparse product for
+    all vectors at once: the vectors indexed by column as {column:
+    [(vector index, value)]}, each row sums its entries times the values
+    of the vectors that meet its columns."""
     by_column: dict[int, list[tuple[int, int]]] = {}
     for i, vec in enumerate(vectors):
         for c, x in enumerate(vec):
@@ -414,7 +391,7 @@ def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:
     z = [0] * a.cols
     for i, c in enumerate(coords):
         if c:
-            _row_addmul(z, u.data[i], c, 0)
+            _row_addmul(z, u.data[i], c)
     return z
 
 
@@ -458,22 +435,67 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _addmul(target: dict[int, int], source: dict[int, int], f: int, p: int) -> None:
+    """target += f * source over F_p on ``{column: value}`` rows, f != 0."""
+    for c, x in source.items():
+        y = (target.get(c, 0) + f * x) % p
+        if y:
+            target[c] = y
+        else:
+            del target[c]  # f * x != 0, so c was in target
+
+
+def _fp_echelon(rows, ncols: int, p: int, track: bool = False) -> dict[int, dict[int, int]]:
+    """RREF over F_p of ``{column: value}`` rows (left intact, entries
+    unreduced) by incremental Gauss-Jordan in index order, as {pivot
+    column: rest of the pivot row}.  A row cleared of the pivots so far
+    pivots on its first column below ``ncols``, the one leading column it
+    adds to the span, scaled to 1 and cleared from the earlier pivot rows.
+    Later columns ride along: ``track`` puts 1 at ``ncols + i`` on row i,
+    so each pivot row carries its combination of the rows."""
+    pivots: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        v = {c: y for c, x in row.items() if (y := x % p)}
+        if track:
+            v[ncols + i] = 1
+        for c in [c for c in v if c in pivots]:  # a pivot row is 0 on the other pivots
+            _addmul(v, pivots[c], -v.pop(c), p)
+        lead = min(v, default=ncols)
+        if lead < ncols:
+            inv = pow(v.pop(lead), p - 2, p)
+            if inv != 1:
+                v = {c: x * inv % p for c, x in v.items()}
+            for rest in pivots.values():
+                if lead in rest:
+                    _addmul(rest, v, -rest.pop(lead), p)
+            pivots[lead] = v
+    return pivots
+
+
 def modp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    mat = _hnf_rows([[x % p for x in row] for row in rows], len(rows[0]) if rows else 0, p)
-    mat = [row for row in mat if any(row)]
+    mat = [list(v) for v in LatticeBasis.from_vectors(len(rows[0]) if rows else 0, rows, p).vectors]
     return mat, [row.index(1) for row in mat]  # the first nonzero entry is the pivot 1
 
 
-def modp_solve(rows: list[list[int]], target: list[int], p: int) -> list[int] | None:
-    """One solution x of rows * x = target over F_p, or None."""
-    if len(rows) != len(target):
-        raise ValueError("target length mismatch")
-    ncols = len(rows[0]) if rows else 0
-    rref, pivots = modp_rref([list(r) + [t] for r, t in zip(rows, target)], p)
-    if ncols in pivots:
+def modp_solve(images: list[dict[int, int]], target: list[int], p: int) -> list[int] | None:
+    """Coefficients x with sum_i x_i images[i] = target over F_p, 0 on each
+    image in the span of those before it, or None; the images are
+    ``{column: value}`` rows on the coordinates of target.  Cleared by the
+    tracked ``_fp_echelon`` of the images, target keeps -x on the tracking
+    columns, and nothing on its own exactly when it lies in their span."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    n = len(target)
+    if any(max(image, default=-1) >= n for image in images):
+        raise ValueError("image entry outside the target's coordinates")
+    pivots = _fp_echelon(images, n, p, track=True)
+    t = {c: y for c, x in enumerate(target) if (y := x % p)}
+    for c in [c for c in t if c in pivots]:
+        _addmul(t, pivots[c], -t.pop(c), p)
+    if min(t, default=n) < n:
         return None
-    solved = {j: row[ncols] for row, j in zip(rref, pivots)}
-    return [solved.get(j, 0) for j in range(ncols)]
+    x = [0] * len(images)
+    for c, v in t.items():
+        x[c - n] = -v % p
+    return x

@@ -7,6 +7,7 @@ import pytest
 from gkmcohom import (
     GkmGraph,
     GraphClass,
+    compute_h_z,
     edges_div_p,
     find_connection,
     integral_preimage,
@@ -15,10 +16,10 @@ from gkmcohom import (
     sw_choice_independence,
     total_sw,
 )
-from gkmcohom import fixtures
+from gkmcohom import cohomology, fixtures
 from gkmcohom.polyring import GradedPoly, reduce_mod_p
 
-from helpers import random_gkm_graphs, star_product_component
+from helpers import cube_graph, random_gkm_graphs, star_product_component
 
 
 def modp_class(g, degree2, vertex_terms, b_terms=None, p=2):
@@ -280,3 +281,27 @@ def test_obstruction_report_shape():
     assert d["preimages"]["2"] is None
     assert isinstance(d["preimages"]["4"], list)
     assert "necessary condition" in d["note"]
+
+
+@pytest.mark.parametrize(
+    "graph, unsolved",
+    [(lambda: cube_graph(((1, 0), (0, 1), (1, 1), (2, 4))), []), (fixtures.paper8, [2])],
+    ids=["Q4", "paper8"],
+)
+def test_each_preimage_solve_takes_rank_many_images(graph, unsolved, monkeypatch):
+    """The obstruction solves each degree on the reductions of an integral
+    basis, one image per basis class; paper8's degree-2 solve, and only
+    that one, finds no solution."""
+    g = graph()
+    real = cohomology.modp_solve
+    calls = []
+
+    def spy(images, target, p):
+        calls.append((len(images), real(images, target, p)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cohomology, "modp_solve", spy)
+    realizability_obstruction(g)
+    degrees = total_sw(g).degrees()
+    assert [n for n, _ in calls] == [compute_h_z(g, d2).rank for d2 in degrees]
+    assert [d2 for d2, (_, x) in zip(degrees, calls) if x is None] == unsolved

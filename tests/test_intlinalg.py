@@ -27,6 +27,7 @@ from helpers import (
     in_column_image,
     matmul,
     modp_kernel_basis,
+    modp_rank,
     modp_rref,
     rational_rank,
 )
@@ -234,26 +235,100 @@ def test_modp_helpers_against_gauss_oracle():
 
 
 def test_modp_solve_consistency():
+    """A combination of the images is found again up to the span, and the
+    coordinates in an RREF basis are the solve on the basis vectors."""
     rng = random.Random(13)
     for p in (2, 5):
         for _ in range(20):
             n, m_ = rng.randint(1, 4), rng.randint(1, 4)
             rows = [[rng.randint(0, p - 1) for _ in range(n)] for _ in range(m_)]
-            x = [rng.randint(0, p - 1) for _ in range(n)]
-            target = [sum(r * c for r, c in zip(row, x)) % p for row in rows]
-            sol = modp_solve([r[:] for r in rows], target, p)
-            assert sol is not None
-            for row, t in zip(rows, target):
-                assert sum(r * c for r, c in zip(row, sol)) % p == t % p
+            images = [{j: x for j, x in enumerate(row) if x} for row in rows]
+            x = [rng.randint(0, p - 1) for _ in range(m_)]
+            target = [sum(c * row[j] for c, row in zip(x, rows)) % p for j in range(n)]
+            sol = modp_solve(images, target, p)
+            assert sol is not None and len(sol) == m_
+            got = [sum(c * row[j] for c, row in zip(sol, rows)) % p for j in range(n)]
+            assert got == target
             # coordinates in the RREF basis of the row span, for one vector
             # inside the span (entries not reduced mod p) and one random
-            # vector, against modp_solve on the basis columns
+            # vector, against modp_solve on the basis vectors
             basis = LatticeBasis.from_vectors(n, rows, p)
-            columns = [[vec[j] for vec in basis.vectors] for j in range(n)]
+            vectors = [{j: c for j, c in enumerate(vec) if c} for vec in basis.vectors]
             inside = [sum(c * row[j] for c, row in zip(x, rows)) for j in range(n)]
             for v in (inside, [rng.randint(0, p - 1) for _ in range(n)]):
-                assert basis.coordinates_of(v) == modp_solve(columns, v, p), (rows, v)
+                assert basis.coordinates_of(v) == modp_solve(vectors, v, p), (rows, v)
             assert basis.coordinates_of(inside) is not None
+
+
+def dense_solve_oracle(rows: list[list[int]], target: list[int], p: int) -> list[int] | None:
+    """The solve of [A | t] by the oracle RREF, A with one column per
+    image: None on a pivot in the t column, else the pivot columns read
+    off the t column and every free column 0."""
+    r = len(rows)
+    rref = modp_rref([[row[i] for row in rows] + [t] for i, t in enumerate(target)], p)
+    pivots = [next(j for j, c in enumerate(row) if c) for row in rref]
+    if r in pivots:
+        return None
+    x = [0] * r
+    for row, j in zip(rref, pivots):
+        x[j] = row[r]
+    return x
+
+
+def test_modp_echelon_on_random_systems():
+    """The sparse F_p echelon through ``from_vectors``, ``modp_rref`` and
+    ``modp_solve`` against the dense oracle, on wide and tall systems
+    with zero and duplicate images and unreduced entries: the same RREF,
+    the oracle's solve of [A | t] (so every image in the span of the ones
+    before it gets 0), None off the span, and untouched inputs."""
+    rng = random.Random(22)
+    seen = {"zero": 0, "duplicate": 0, "wide": 0, "tall": 0, "none": 0, "dependent": 0}
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            n, r = rng.randint(1, 8), rng.randint(1, 8)
+            density = rng.random()
+            rows = [
+                [rng.randint(-2 * p, 2 * p) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(r)
+            ]
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), [0] * n)
+            if rng.random() < 0.3:
+                rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+            if rng.random() < 0.5:
+                x = [rng.randint(-p, p) for _ in rows]
+                target = [sum(c * row[j] for c, row in zip(x, rows)) for j in range(n)]
+            else:
+                target = [rng.randint(-p, 2 * p) for _ in range(n)]
+            images = [{j: c for j, c in enumerate(row) if c} for row in rows]
+            kept = ([row[:] for row in rows], [dict(img) for img in images], target[:])
+            want = modp_rref(rows, p)
+            assert LatticeBasis.from_vectors(n, rows, p).vectors == tuple(map(tuple, want))
+            assert intlinalg.modp_rref(rows, p) == (
+                want, [next(j for j, c in enumerate(row) if c) for row in want]
+            )
+            sol = modp_solve(images, target, p)
+            assert (rows, images, target) == kept, "the inputs are left as they are"
+            assert sol == dense_solve_oracle(rows, target, p), (rows, target, p)
+            if sol is None:
+                assert modp_rank(rows + [target], p) > modp_rank(rows, p)
+                seen["none"] += 1
+            else:
+                got = [sum(c * row[j] for c, row in zip(sol, rows)) % p for j in range(n)]
+                assert got == [t % p for t in target]
+                for i in range(len(rows)):
+                    if modp_rank(rows[: i + 1], p) == modp_rank(rows[:i], p):
+                        assert sol[i] == 0
+                        seen["dependent"] += 1
+            seen["zero"] += not all(any(row) for row in rows)
+            seen["duplicate"] += len(set(map(tuple, rows))) < len(rows)
+            seen["wide"] += len(rows) > n
+            seen["tall"] += len(rows) < n
+    assert min(seen.values()) > 20, seen
+    with pytest.raises(ValueError):
+        modp_solve([{3: 1}], [0, 0, 0], 2)
+    with pytest.raises(ValueError):
+        modp_solve([{0: 1}], [1], 4)
 
 
 def test_is_prime_small_values():
