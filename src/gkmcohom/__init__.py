@@ -24,7 +24,6 @@ from .cohomology import (
     compute_h_modp,
     compute_h_z,
     integral_preimage,
-    membership_modp,
     membership_z,
     reduce_class_mod_p,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "is_effective",
     "is_orientable",
     "linear_from_weight",
-    "membership_modp",
     "membership_z",
     "parse",
     "realizability_obstruction",

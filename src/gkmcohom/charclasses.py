@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cohomology import GraphClass, integral_preimage, membership_modp
+from .cohomology import GraphClass, integral_preimage, membership_z
 from .connection import Connection, edge_matchings, first_matching, transport_signs
 from .graph import (
     Conventions, DEFAULT_CONVENTIONS, DomainError, GkmGraph, InvariantError, edges_div_p
@@ -110,7 +110,7 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
         values = [s[d] for s in vertex_components]
         b_part = {e: q[d] for e, q in quotients.items()}
         cls = GraphClass(g, 2 * d, values, 2, b_part)
-        if not membership_modp(g, cls):
+        if not membership_z(g, cls):
             # only even edges took a bijection above; a missing one is a domain error
             for e in range(len(g.edges)):
                 if first_matching(g, e) is None:

@@ -313,15 +313,16 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
 
     One kernel step for both rings, ``intlinalg.sparse_kernel(rows,
-    moduli, width, p)``: unit-pivot elimination on the sparse rows (+-1
-    over Z, with one never-pivoting slack column of value -m per row of
-    modulus m > 1; any nonzero entry over Z/p), the dense ``kernel`` on
-    the rows left without a unit (only over Z), and the lifted kernel made
-    canonical, HNF or RREF, so the basis does not depend on the pivot
-    order.  ``intlinalg.rows_hold`` then meets every row, left intact,
-    with every lattice vector in one sparse product, and a vector that
-    breaks an edge congruence raises ``InvariantError``.  The piece is
-    that lattice: no class is built here (see ``CohomLattice.basis``)."""
+    moduli, width, p)``, canonical (HNF or RREF) so the basis does not
+    depend on the pivot order.  Over Z: elimination on the +-1 entries of
+    the sparse rows, with one never-pivoting slack column of value -m per
+    row of modulus m > 1, the dense ``kernel`` on the rows left without
+    one, and the lifted kernel put in HNF.  Over Z/p: the kernel read off
+    one sparse echelon of the rows.  ``intlinalg.rows_hold`` then meets
+    every row, left intact, with every lattice vector in one sparse
+    product, and a vector that breaks an edge congruence raises
+    ``InvariantError``.  The piece is that lattice: no class is built
+    here (see ``CohomLattice.basis``)."""
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
     d = degree2 // 2

@@ -4,8 +4,8 @@ no numpy; arbitrary precision throughout.
 
 Conventions:
   * ``IntMatrix`` is dense, row major; the sparse routines take rows as
-    ``{column: value}`` dicts, and ``sparse_kernel`` leaves only a small
-    remainder, if any, to the dense ``kernel``;
+    ``{column: value}`` dicts, and over Z ``sparse_kernel`` leaves only a
+    small remainder, if any, to the dense ``kernel``;
   * ``LatticeBasis`` is the one canonical row basis of both rings: the
     HNF over Z (p = 0), the RREF over F_p, so equal spans have equal
     ``vectors`` and one ``coordinates_of`` serves both;
@@ -14,7 +14,8 @@ Conventions:
     at the bottom; the dense ``_hnf_rows`` computes it, pivoting on the
     entry of smallest absolute value to keep coefficients small;
   * over F_p the one echelon is the sparse Gauss-Jordan ``_fp_echelon``,
-    behind ``LatticeBasis.from_vectors``, ``modp_rref`` and ``modp_solve``.
+    behind ``LatticeBasis.from_vectors``, ``modp_rref``, ``modp_solve``
+    and ``sparse_kernel``, which reads the kernel straight off it.
 """
 
 from __future__ import annotations
@@ -217,20 +218,19 @@ def kernel_into_cokernel(m: IntMatrix, d: IntMatrix) -> LatticeBasis:
     return LatticeBasis(m.cols, tuple(v[: m.cols] for v in joint.vectors if any(v[: m.cols])))
 
 
-def _eliminate(rows: list[dict[int, int]], ncols: int, p: int):
-    """Structured Gaussian elimination on sparse rows, which it consumes.
+def _eliminate(rows: list[dict[int, int]], ncols: int):
+    """Structured Gaussian elimination over Z on sparse rows, consumed.
 
-    Only columns below ``ncols`` pivot, and only on a unit of the ring:
-    +-1 over Z (p = 0), any nonzero entry over F_p (entries already in
-    [0, p)).  The shortest row with a unit entry pivots next (Markowitz
-    order), on its rightmost unit column, so the columns that never pivot
-    tend to be the early ones and the lifted kernel basis comes out close
-    to its canonical form: on CP^4 degree 10 that made the final (then
-    dense) echelon more than ten times cheaper than pivoting on the column
-    met by the fewest rows.  Each pivot column is cleared from every other
-    row.  Returns ``(pivots, leftover)``: the (column, inverse of the pivot
-    entry, rest of the row as (column, value) pairs) triples in pivot
-    order, and the nonzero rows left without a unit entry (none over F_p)."""
+    Only columns below ``ncols`` pivot, and only on an entry +-1.  The
+    shortest row with such an entry pivots next (Markowitz order), on its
+    rightmost one, so the columns that never pivot tend to be the early
+    ones and the lifted kernel basis comes out close to its canonical
+    form: on CP^4 degree 10 that made the final (then dense) echelon more
+    than ten times cheaper than pivoting on the column met by the fewest
+    rows.  Each pivot column is cleared from every other row.  Returns
+    ``(pivots, leftover)``: the (column, inverse of the pivot entry, rest
+    of the row as (column, value) pairs) triples in pivot order, and the
+    nonzero rows left without an entry +-1."""
     colrows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -245,11 +245,11 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, p: int):
         row = rows[i]
         if i not in active or len(row) != length:
             continue  # pivoted already, or changed and pushed again
-        units = [c for c, v in row.items() if c < ncols and (p or v == 1 or v == -1)]
+        units = [c for c, v in row.items() if c < ncols and (v == 1 or v == -1)]
         if not units:
             continue  # comes back on the heap if a later pivot changes it
         c = max(units)
-        inv = pow(row.pop(c), p - 2, p) if p else row.pop(c)
+        inv = row.pop(c)  # +-1 is its own inverse
         rest = list(row.items())
         active.discard(i)
         for col, _ in rest:
@@ -261,8 +261,6 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, p: int):
             f = target.pop(c) * inv
             for col, v in rest:
                 new = target.get(col, 0) - f * v
-                if p:
-                    new %= p
                 if new:
                     if col < ncols and col not in target:
                         colrows[col].add(k)
@@ -279,7 +277,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, p: int):
     return pivots, [rows[i] for i in sorted(active)]
 
 
-def _lift(pivots, gens: list[dict[int, int]], ncols: int, p: int) -> list[list[int]]:
+def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[list[int]]:
     """The kernel vectors with the given values off the pivot columns, cut
     to the first ``ncols`` coordinates.  Each pivot value is solved from
     its row, last pivot first, so the columns that row still meets are
@@ -293,8 +291,7 @@ def _lift(pivots, gens: list[dict[int, int]], ncols: int, p: int) -> list[list[i
         for col, v in rest:
             for g, x in values.get(col, {}).items():
                 acc[g] = acc.get(g, 0) + v * x
-        solved = {g: -inv * s % p if p else -inv * s for g, s in acc.items()}
-        solved = {g: x for g, x in solved.items() if x}
+        solved = {g: -inv * s for g, s in acc.items() if s}
         if solved:
             values[c] = solved
     vecs = [[0] * ncols for _ in gens]
@@ -313,15 +310,21 @@ def sparse_kernel(
     of x with every row_i . x = 0; rows are ``{column: value}`` on the
     columns below ``ncols``, and a modulus of 1 drops its row.
 
+    Over F_p the kernel is read off ``_fp_echelon`` of the rows with
+    their columns reversed: that RREF pivots on the latest columns, so the
+    vector that is 1 at a free column f and minus the pivot rows' entries
+    at f elsewhere is nonzero only at f and at later pivot columns, and
+    these vectors, by ascending f, are the kernel's RREF.
+
     Over Z the kernel of the rows with one slack column of value -m per
     row of modulus m > 1, projected onto x.  ``_eliminate`` pivots on the
-    units of the x columns only, so every pivot is an invertible
+    +-1 entries of the x columns only, so every pivot is an invertible
     substitution; slack entries are multiples of their modulus and never
     pivot.  The leftover rows go to the dense ``kernel`` on the columns
     they meet; every other non-pivot column is a free generator.  The
     generators, lifted through the pivot rows and cut to x, are made
-    canonical by ``LatticeBasis.from_vectors``, so over Z the result
-    equals ``kernel_into_cokernel`` of the same system.
+    canonical by ``LatticeBasis.from_vectors``, so the result equals
+    ``kernel_into_cokernel`` of the same system.
     """
     if len(rows) != len(moduli):
         raise ValueError("one modulus per row required")
@@ -333,7 +336,6 @@ def sparse_kernel(
             continue  # every integer is divisible by 1
         if any(not 0 <= c < ncols for c in row):
             raise ValueError("row entry outside the first ncols columns")
-        row = {c: v % p if p else v for c, v in row.items()}
         row = {c: v for c, v in row.items() if v}
         if modulus > 1:
             if p:
@@ -341,7 +343,17 @@ def sparse_kernel(
             row[slack] = -modulus
             slack += 1
         work.append(row)
-    pivots, leftover = _eliminate(work, ncols, p)
+    if p:
+        last = ncols - 1
+        pivots = _fp_echelon([{last - c: v for c, v in row.items()} for row in work], ncols, p)
+        vecs = {f: [0] * ncols for f in range(ncols) if last - f not in pivots}
+        for f, vec in vecs.items():
+            vec[f] = 1
+        for c, rest in pivots.items():
+            for f, x in rest.items():
+                vecs[last - f][last - c] = -x % p
+        return LatticeBasis(ncols, tuple(map(tuple, vecs.values())), p)
+    pivots, leftover = _eliminate(work, ncols)
     met = {c for row in leftover for c in row}
     pivoted = {c for c, _, _ in pivots}
     gens = [{c: 1} for c in range(slack) if c not in pivoted and c not in met]
@@ -349,7 +361,7 @@ def sparse_kernel(
         cols = sorted(met)
         dense = IntMatrix([[row.get(c, 0) for c in cols] for row in leftover], cols=len(cols))
         gens += [{c: x for c, x in zip(cols, vec) if x} for vec in kernel(dense).vectors]
-    return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols, p), p)
+    return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols))
 
 
 def rows_hold(rows: list[dict[int, int]], moduli: list[int], vectors, p: int = 0) -> bool:
@@ -377,10 +389,13 @@ def rows_hold(rows: list[dict[int, int]], moduli: list[int], vectors, p: int = 0
     return True
 
 
-def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:
-    """One integer solution z of a z = target, or None."""
-    if len(target) != a.rows:
+def solve_with_image(m: IntMatrix, d: IntMatrix, target: list[int]) -> list[int] | None:
+    """Some v with m v congruent to target modulo the column image of d."""
+    if m.rows != d.rows:
+        raise ValueError("row count mismatch")
+    if len(target) != m.rows:
         raise ValueError("target length mismatch")
+    a = m.hstack(d)
     h, u = hnf(a.transpose())
     # row i of h equals a applied to row i of u, and the nonzero rows of h
     # come first, so they are the HNF basis of the image lattice
@@ -392,15 +407,7 @@ def _solve_linear(a: IntMatrix, target: list[int]) -> list[int] | None:
     for i, c in enumerate(coords):
         if c:
             _row_addmul(z, u.data[i], c)
-    return z
-
-
-def solve_with_image(m: IntMatrix, d: IntMatrix, target: list[int]) -> list[int] | None:
-    """Some v with m v congruent to target modulo the column image of d."""
-    if m.rows != d.rows:
-        raise ValueError("row count mismatch")
-    z = _solve_linear(m.hstack(d), target)
-    return None if z is None else z[: m.cols]
+    return z[: m.cols]
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND,

@@ -169,7 +169,7 @@ def thom_class_of_path(
     """
     if g.torus_rank != 2:
         raise ValueError("path classes require torus rank 2")
-    return _spread(g, 2, _path_values(g, c, path, initial_sign))
+    return _sum_values(g, 2, [_path_values(g, c, path, initial_sign)])
 
 
 def _path_values(g: GkmGraph, c: Connection, path: ConnectionPath, initial_sign: int) -> dict:
@@ -245,26 +245,20 @@ def _vertex_values(g: GkmGraph, vertex: int) -> dict:
     return values
 
 
-def _spread(g: GkmGraph, degree2: int, values: dict) -> GraphClass:
-    """The whole class with the local values ``values``, zero elsewhere."""
-    zero = GradedPoly.zero(g.torus_rank, degree2 // 2)
-    return GraphClass(g, degree2, [values.get(v, zero) for v in range(len(g.vertices))])
-
-
 def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
     """Degree-4 class supported on the endpoints of one edge."""
     if g.torus_rank != 2:
         raise ValueError("edge classes require torus rank 2")
     if g.valence != 3:
         raise ValueError("edge classes require a 3-valent graph")
-    return _spread(g, 4, _edge_values(g, c, edge_id))
+    return _sum_values(g, 4, [_edge_values(g, c, edge_id)])
 
 
 def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClass:
     """Degree-6 class supported on one vertex: product of its star labels."""
     if g.valence != 3:
         raise ValueError("vertex classes require a 3-valent graph")
-    return _spread(g, 6, _vertex_values(g, vertex))
+    return _sum_values(g, 6, [_vertex_values(g, vertex)])
 
 
 def _sum_values(g: GkmGraph, degree2: int, supported) -> GraphClass:

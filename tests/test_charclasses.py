@@ -124,13 +124,13 @@ def test_degree2_b_part_agrees_with_spin_quantity():
 
 
 def test_vertex_parts_satisfy_mod2_congruences():
-    from gkmcohom import membership_modp
+    from gkmcohom import membership_z
 
     graphs = [fixtures.paper8(), fixtures.k4()] + random_gkm_graphs(43, 8)
     for g in graphs:
         sw = total_sw(g)
         for d2 in sw.degrees():
-            assert membership_modp(g, sw.component(d2)), (g, d2)
+            assert membership_z(g, sw.component(d2)), (g, d2)
 
 
 def test_shared_vertex_series_equal_per_vertex_star_products():

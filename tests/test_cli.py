@@ -288,8 +288,11 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
 @pytest.mark.parametrize(
     "module, name, argv, message",
     [
-        ("charclasses", "membership_modp", ["sw", "fixtures:paper8"],
-         "vertex parts violate a mod-2 congruence"),
+        # the case keeps the id it had when charclasses called the alias
+        # membership_modp
+        pytest.param("charclasses", "membership_z", ["sw", "fixtures:paper8"],
+                     "vertex parts violate a mod-2 congruence",
+                     id="charclasses-membership_modp-argv0-vertex parts violate a mod-2 congruence"),
         # _check_local is the path class's membership_z on its support; the
         # case keeps the id it has had since the check was a whole-class one.
         pytest.param("thom", "congruent_mod_weight", ["thom", "fixtures:triangle_x_edge"],

@@ -122,7 +122,7 @@ def test_sparse_kernel_lifts_the_dense_kernel_of_the_leftover_rows():
     slack column included, and the result comes back through row 1."""
     rows = [{0: 2, 1: 3}, {1: 2, 2: 3, 3: 1}, {2: 2, 4: 3}, {0: 3, 3: 2, 4: 2}]
     moduli = [0, 0, 5, 0]
-    pivots, leftover = _eliminate([{**r, **({5: -5} if i == 2 else {})} for i, r in enumerate(rows)], 5, 0)
+    pivots, leftover = _eliminate([{**r, **({5: -5} if i == 2 else {})} for i, r in enumerate(rows)], 5)
     assert [c for c, _, _ in pivots] == [3]
     assert leftover == [{0: 2, 1: 3}, {2: 2, 4: 3, 5: -5}, {0: 3, 1: -4, 2: -6, 4: 2}]
     lat = sparse_kernel(rows, moduli, 5)
@@ -146,9 +146,14 @@ def test_sparse_kernel_lifts_the_dense_kernel_of_the_leftover_rows():
 def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
     """Random sparse rows with entries in +-1..+-3 and moduli 0, 1, 2, 3,
     4, 6 (slack columns), so units appear, vanish and reappear under the
-    substitutions; over F_p against the oracle RREF of the kernel."""
+    substitutions; over F_p against the oracle RREF of the kernel, with
+    the rows of modulus 1 dropped and a row that vanishes mod p and a
+    duplicate row added.  The F_p result is its own canonical form, and
+    the rows are left as they are."""
     rng = random.Random(14)
     leftover_seen = 0
+    for p in (2, 3, 101):
+        assert sparse_kernel([{}, {}], [0, 1], 0, p) == LatticeBasis(0, (), p)
     for _ in range(300):
         ncols = rng.randint(1, 6)
         rows = []
@@ -158,13 +163,46 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
         moduli = [rng.choice((0, 0, 0, 1, 2, 3, 4, 6)) for _ in rows]
         lat = sparse_kernel(rows, moduli, ncols)
         assert lat == dense_oracle(rows, moduli, ncols), (rows, moduli)
-        leftover_seen += bool(_eliminate([dict(r) for r in rows], ncols, 0)[1])
-        for p in (2, 3, 5):
-            dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-            want = modp_rref(modp_kernel_basis(dense, ncols, p), p)
-            got = sparse_kernel(rows, [0] * len(rows), ncols, p).vectors
-            assert got == tuple(map(tuple, want)), (rows, p)
+        leftover_seen += bool(_eliminate([dict(r) for r in rows], ncols)[1])
+        for p in (2, 3, 5, 7, 101):
+            fp_rows = rows + [{c: p * v for c, v in rows[0].items()}, dict(rng.choice(rows))]
+            fp_moduli = [int(m == 1) for m in moduli] + [0, 0]
+            given = [dict(r) for r in fp_rows]
+            kept = [[r.get(c, 0) for c in range(ncols)] for r, m in zip(fp_rows, fp_moduli) if not m]
+            want = modp_rref(modp_kernel_basis(kept, ncols, p), p)
+            lat = sparse_kernel(given, fp_moduli, ncols, p)
+            assert given == fp_rows, "the input rows are left as they are"
+            assert lat.vectors == tuple(map(tuple, want)), (fp_rows, fp_moduli, p)
+            assert lat == LatticeBasis.from_vectors(ncols, list(lat.vectors), p)
     assert leftover_seen > 50
+
+
+def test_sparse_kernel_over_fp_is_one_echelon(monkeypatch):
+    """Over F_p the kernel is read off one ``_fp_echelon``: the Z
+    elimination, its lift and the canonical ``from_vectors`` pass are
+    never called, and the answer is the oracle's."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not an F_p stage")
+
+    calls = []
+    echelon = intlinalg._fp_echelon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return echelon(*args, **kwargs)
+
+    rows = [{0: 1, 2: 4, 3: 2}, {1: 3, 3: 1}, {0: 2, 1: 1, 2: 3, 3: 5}]
+    dense = [[row.get(c, 0) for c in range(5)] for row in rows]
+    monkeypatch.setattr(intlinalg, "_eliminate", forbidden)
+    monkeypatch.setattr(intlinalg, "_lift", forbidden)
+    monkeypatch.setattr(intlinalg.LatticeBasis, "from_vectors", forbidden)
+    monkeypatch.setattr(intlinalg, "_fp_echelon", counted)
+    for p in (2, 3, 5, 7):
+        calls.clear()
+        got = sparse_kernel(rows, [0, 0, 0], 5, p)
+        assert len(calls) == 1, p
+        assert got.vectors == tuple(map(tuple, modp_rref(modp_kernel_basis(dense, 5, p), p))), p
 
 
 def test_solve_with_image_round_trip():

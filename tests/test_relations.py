@@ -81,8 +81,27 @@ def test_class_compared_with_zero():
     assert not check_identity("a2 == 0", env).holds
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 + 3 == 5",  # integer plus integer
+        "2 + x^0 == 3",  # integer plus a degree-0 polynomial, compared with an integer
+        "y^0 - 1 == 0",  # polynomial minus integer
+        "2^3 == 8",  # integer power
+        "-a2 + a2 == 0",  # negated class
+    ],
+)
+def test_integer_and_polynomial_promotion(text):
+    assert check_identity(text, square_env()).holds
+
+
 # ---------------------------------------------------------------------------
 # rejected inputs
+
+
+def test_class_to_the_zeroth_power_is_an_error():
+    with pytest.raises(RelationError, match="class\\^0"):
+        evaluate("a2^0", square_env())
 
 
 def test_adding_class_and_polynomial_is_an_error():
