@@ -315,9 +315,10 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     One kernel step for both rings, ``intlinalg.sparse_kernel(rows,
     moduli, width, p)``, canonical (HNF or RREF) so the basis does not
     depend on the pivot order.  Over Z: elimination on the +-1 entries of
-    the sparse rows, with one never-pivoting slack column of value -m per
-    row of modulus m > 1, the dense ``kernel`` on the rows left without
-    one, and the lifted kernel put in HNF.  Over Z/p: the kernel read off
+    the sparse rows, with one slack column of value -m per row of modulus
+    m > 1, a second pass on any column over the leftover rows divided by
+    their content, the dense ``kernel`` on the rows still left without a
+    +-1, and the lifted kernel put in HNF.  Over Z/p: the kernel read off
     one sparse echelon of the rows.  ``intlinalg.rows_hold`` then meets
     every row, left intact, with every lattice vector in one sparse
     product, and a vector that breaks an edge congruence raises

@@ -4,8 +4,9 @@ no numpy; arbitrary precision throughout.
 
 Conventions:
   * ``IntMatrix`` is dense, row major; the sparse routines take rows as
-    ``{column: value}`` dicts, and over Z ``sparse_kernel`` leaves only a
-    small remainder, if any, to the dense ``kernel``;
+    ``{column: value}`` dicts, and over Z ``sparse_kernel`` leaves only the
+    rows that have no entry +-1 even when divided by their content, if
+    any, to the dense ``kernel``;
   * ``LatticeBasis`` is the one canonical row basis of both rings: the
     HNF over Z (p = 0), the RREF over F_p, so equal spans have equal
     ``vectors`` and one ``coordinates_of`` serves both;
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
 
 class IntMatrix:
@@ -221,7 +223,8 @@ def kernel_into_cokernel(m: IntMatrix, d: IntMatrix) -> LatticeBasis:
 def _eliminate(rows: list[dict[int, int]], ncols: int):
     """Structured Gaussian elimination over Z on sparse rows, consumed.
 
-    Only columns below ``ncols`` pivot, and only on an entry +-1.  The
+    Only columns below ``ncols`` pivot (later columns ride along), and
+    only on an entry +-1, so every pivot is a unimodular substitution.  The
     shortest row with such an entry pivots next (Markowitz order), on its
     rightmost one, so the columns that never pivot tend to be the early
     ones and the lifted kernel basis comes out close to its canonical
@@ -230,7 +233,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
     rows.  Each pivot column is cleared from every other row.  Returns
     ``(pivots, leftover)``: the (column, inverse of the pivot entry, rest
     of the row as (column, value) pairs) triples in pivot order, and the
-    nonzero rows left without an entry +-1."""
+    nonzero rows left without an entry +-1 below ``ncols``."""
     colrows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -277,6 +280,13 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
     return pivots, [rows[i] for i in sorted(active)]
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries, which has the same
+    integer solutions."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
 def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[list[int]]:
     """The kernel vectors with the given values off the pivot columns, cut
     to the first ``ncols`` coordinates.  Each pivot value is solved from
@@ -317,14 +327,18 @@ def sparse_kernel(
     these vectors, by ascending f, are the kernel's RREF.
 
     Over Z the kernel of the rows with one slack column of value -m per
-    row of modulus m > 1, projected onto x.  ``_eliminate`` pivots on the
-    +-1 entries of the x columns only, so every pivot is an invertible
-    substitution; slack entries are multiples of their modulus and never
-    pivot.  The leftover rows go to the dense ``kernel`` on the columns
-    they meet; every other non-pivot column is a free generator.  The
-    generators, lifted through the pivot rows and cut to x, are made
-    canonical by ``LatticeBasis.from_vectors``, so the result equals
-    ``kernel_into_cokernel`` of the same system.
+    row of modulus m > 1, projected onto x.  ``_eliminate`` first pivots
+    on the +-1 entries of the x columns.  Each row it leaves is an
+    equation over Z, so dividing it by its content keeps its integer
+    solutions; if a divided row has an entry +-1, a second pass pivots on
+    any column, slack columns included (on a content-2 label the rows
+    left read 2s + 2t = 0 on slack columns alone).  Every pivot is a
+    unimodular substitution of the joint (x, slack) system, so the
+    projection onto x is unchanged.  The rows still left go to the dense
+    ``kernel`` on the columns they meet; every other non-pivot column is a
+    free generator.  The generators, lifted through the pivot rows and
+    cut to x, are made canonical by ``LatticeBasis.from_vectors``, so the
+    result equals ``kernel_into_cokernel`` of the same system.
     """
     if len(rows) != len(moduli):
         raise ValueError("one modulus per row required")
@@ -354,6 +368,10 @@ def sparse_kernel(
                 vecs[last - f][last - c] = -x % p
         return LatticeBasis(ncols, tuple(map(tuple, vecs.values())), p)
     pivots, leftover = _eliminate(work, ncols)
+    leftover = [_primitive(row) for row in leftover]
+    if any(v == 1 or v == -1 for row in leftover for v in row.values()):
+        more, leftover = _eliminate(leftover, slack)
+        pivots += more
     met = {c for row in leftover for c in row}
     pivoted = {c for c, _, _ in pivots}
     gens = [{c: 1} for c in range(slack) if c not in pivoted and c not in met]

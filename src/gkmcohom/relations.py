@@ -184,17 +184,26 @@ def _same_ring_classes(a, b) -> bool:
     return isinstance(a, GraphClass) and isinstance(b, GraphClass) and a.p == b.p
 
 
+def _degree2(v) -> int:
+    return v.degree2 if isinstance(v, GraphClass) else 2 * v.degree
+
+
 def _add(a, b):
+    """a + b.  A zero integer or polynomial summand is absorbed, whatever
+    the other summand is; nonzero summands of two degrees do not add."""
     if isinstance(a, int) and isinstance(b, int):
         return a + b
+    for zero, other in ((a, b), (b, a)):
+        if isinstance(zero, int) and zero == 0 or isinstance(zero, GradedPoly) and zero.is_zero():
+            return other
     if isinstance(a, GradedPoly) or isinstance(b, GradedPoly):
         if isinstance(a, int):
             a = GradedPoly.constant(b.k, a, b.p)
         if isinstance(b, int):
             b = GradedPoly.constant(a.k, b, a.p)
-        if isinstance(a, GradedPoly) and isinstance(b, GradedPoly):
-            return a + b
-    if _same_ring_classes(a, b):
+    if isinstance(a, GradedPoly) and isinstance(b, GradedPoly) or _same_ring_classes(a, b):
+        if _degree2(a) != _degree2(b) and not (a.is_zero() or b.is_zero()):
+            raise RelationError(f"cannot add summands of degrees {_degree2(a)} and {_degree2(b)}")
         return a + b
     raise RelationError(f"cannot add {_type_name(a)} and {_type_name(b)}")
 

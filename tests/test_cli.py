@@ -551,6 +551,13 @@ def test_relations_positive_and_negative(capsys):
     assert bad[0] == 1
 
 
+def test_relations_zero_summands_and_degree_mismatch(capsys):
+    for text in ("(x-x)*y + x == x", "x + 0 == x", "0*x + 1 == 1"):
+        assert run(capsys, "relations", "fixtures:paper8", "--check", text)[0] == 0, text
+    code, out, err = run(capsys, "relations", "fixtures:paper8", "--check", "x + 2 == x")
+    assert (code, out, err) == (2, "", "error: cannot add summands of degrees 2 and 0\n")
+
+
 def test_relations_from_class_file(tmp_path, capsys):
     g_vertices = ["lr", "ur", "ul", "ll"]
     spec = {

@@ -22,7 +22,7 @@ from gkmcohom import (
     total_sw,
 )
 from gkmcohom import fixtures
-from gkmcohom import cohomology
+from gkmcohom import cohomology, intlinalg
 from gkmcohom.cohomology import _edge_rows, _reduction_images
 from gkmcohom.graph import DEFAULT_CONVENTIONS, Conventions, GkmGraph, InvariantError
 from gkmcohom.intlinalg import (
@@ -97,6 +97,18 @@ def test_edge_direction_does_not_change_the_graded_pieces():
     assert verdicts == {True, False}
 
 
+def slack_oracle(g: GkmGraph, d: int) -> LatticeBasis:
+    """The integral piece of polynomial degree d by dense HNF:
+    ``kernel_into_cokernel`` of the edge rows, one slack column per row of
+    modulus m > 0."""
+    width = len(g.vertices) * num_monomials(g.torus_rank, d)
+    rows, moduli = _edge_rows(g, d, 0)
+    dense = [[row.get(c, 0) for c in range(width)] for row in rows]
+    slack = [i for i, m in enumerate(moduli) if m]
+    d_mat = IntMatrix([[m if i == j else 0 for j in slack] for i, m in enumerate(moduli)], cols=len(slack))
+    return kernel_into_cokernel(IntMatrix(dense, cols=width), d_mat)
+
+
 def test_sparse_elimination_equals_the_dense_oracle():
     """The sparse kernels of the edge rows equal the dense ones: the HNF
     lattice of ``kernel_into_cokernel`` (slack columns from the moduli) over
@@ -111,12 +123,8 @@ def test_sparse_elimination_equals_the_dense_oracle():
         for d in (0, 1, 2):
             width = len(g.vertices) * num_monomials(g.torus_rank, d)
             rows, moduli = _edge_rows(g, d, 0)
-            dense = [[row.get(c, 0) for c in range(width)] for row in rows]
-            slack = [i for i, m in enumerate(moduli) if m]
-            slack_seen += len(slack)
-            d_mat = IntMatrix([[m if i == j else 0 for j in slack] for i, m in enumerate(moduli)], cols=len(slack))
-            want = kernel_into_cokernel(IntMatrix(dense, cols=width), d_mat)
-            assert sparse_kernel(rows, moduli, width) == want, (g, d)
+            slack_seen += sum(1 for m in moduli if m)
+            assert sparse_kernel(rows, moduli, width) == slack_oracle(g, d), (g, d)
             for p in (2, 3, 5):
                 rows_p, _ = _edge_rows(g, d, p)
                 dense_p = [[row.get(c, 0) for c in range(width)] for row in rows_p]
@@ -125,6 +133,27 @@ def test_sparse_elimination_equals_the_dense_oracle():
                 assert got_p == tuple(map(tuple, want_p)), (g, d, p)
     assert slack_seen > 0
 
+
+
+def test_special_edge_pieces_never_reach_the_dense_kernel(monkeypatch):
+    """On Q4 and Q4k3 (a content-2 label each) up to degree 10 and on
+    paper8 up to degree 6, every row left after the unit pivots of the x
+    columns becomes a unit row once divided by its content, so the second
+    pass solves all of it on its slack columns: the dense ``kernel`` is
+    never called, and each piece equals the dense oracle."""
+    cases = [
+        (cube_graph(((1, 0), (0, 1), (1, 1), (2, 4))), 10),
+        (cube_graph(((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 2))), 10),
+        (fixtures.paper8(), 6),
+    ]
+    wants = [(g, d2, slack_oracle(g, d2 // 2)) for g, top in cases for d2 in range(0, top + 1, 2)]
+
+    def forbidden(m):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(intlinalg, "kernel", forbidden)
+    for g, d2, want in wants:
+        assert compute_h_z(g, d2).lattice == want, (g, d2)
 
 
 def test_piece_check_agrees_with_membership_on_perturbed_vectors():

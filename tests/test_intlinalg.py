@@ -143,15 +143,71 @@ def test_sparse_kernel_lifts_the_dense_kernel_of_the_leftover_rows():
             sparse_kernel(bad, bad_moduli, 5, p)
 
 
-def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
+def kernel_calls(monkeypatch) -> list:
+    """Record the shape of every matrix given to the dense ``kernel``."""
+    calls = []
+    dense = intlinalg.kernel
+
+    def recorded(m):
+        calls.append((m.rows, m.cols))
+        return dense(m)
+
+    monkeypatch.setattr(intlinalg, "kernel", recorded)
+    return calls
+
+
+def test_sparse_kernel_pivots_on_the_content_divided_leftover(monkeypatch):
+    """Rows left without a +-1 entry on the x columns, divided by their
+    content, pivot again on any column, slack columns included, and never
+    reach the dense ``kernel``: leftover rows on slack columns only (x0 +
+    x1 and x1 + x2 even, each twice), a modulus-0 row of content 2, and a
+    modulus-4 row whose x part is divisible by 4, which constrains
+    nothing."""
+    calls = kernel_calls(monkeypatch)
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 1: 1}]
+    with_slack = [{**row, 3 + i: -2} for i, row in enumerate(rows)]
+    _, leftover = _eliminate(with_slack, 3)
+    assert leftover and all(min(row) >= 3 and set(map(abs, row.values())) == {2} for row in leftover)
+    cases = [(rows, [2, 2, 2, 2], 3), ([{0: 2, 1: 4}], [0], 2), ([{0: 4, 1: 8}], [4], 2)]
+    for rows, moduli, ncols in cases:
+        want = dense_oracle(rows, moduli, ncols)
+        calls.clear()
+        assert sparse_kernel(rows, moduli, ncols) == want, (rows, moduli)
+        assert calls == [], (rows, moduli)
+    assert want == LatticeBasis(2, ((1, 0), (0, 1)))
+
+
+def test_sparse_kernel_keeps_the_dense_path_for_leftover_without_a_unit(monkeypatch):
+    """Rows of content 2 with no slack column and no +-1 entry, even once
+    divided by their content (as on Fl4 in a skewed basis), still go to
+    the dense ``kernel`` on the columns they meet."""
+    calls = kernel_calls(monkeypatch)
+    rows, moduli = [{0: 4, 1: 6}, {1: 6, 2: 10}], [0, 0]
+    want = dense_oracle(rows, moduli, 3)
+    calls.clear()
+    assert sparse_kernel(rows, moduli, 3) == want
+    assert calls == [(2, 3)]
+
+
+def test_sparse_kernel_equals_the_dense_oracle_on_random_systems(monkeypatch):
     """Random sparse rows with entries in +-1..+-3 and moduli 0, 1, 2, 3,
     4, 6 (slack columns), so units appear, vanish and reappear under the
-    substitutions; over F_p against the oracle RREF of the kernel, with
-    the rows of modulus 1 dropped and a row that vanishes mod p and a
-    duplicate row added.  The F_p result is its own canonical form, and
+    substitutions, and rows left over often become unit rows once divided
+    by their content; over F_p against the oracle RREF of the kernel,
+    with the rows of modulus 1 dropped and a row that vanishes mod p and
+    a duplicate row added.  The F_p result is its own canonical form, and
     the rows are left as they are."""
     rng = random.Random(14)
-    leftover_seen = 0
+    leftover_seen = second_pass_seen = 0
+    passes = []
+    eliminate = intlinalg._eliminate
+
+    def recorded(rows, ncols):
+        pivots, leftover = eliminate(rows, ncols)
+        passes.append(len(pivots))
+        return pivots, leftover
+
+    monkeypatch.setattr(intlinalg, "_eliminate", recorded)
     for p in (2, 3, 101):
         assert sparse_kernel([{}, {}], [0, 1], 0, p) == LatticeBasis(0, (), p)
     for _ in range(300):
@@ -161,9 +217,11 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
             cols = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
             rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols})
         moduli = [rng.choice((0, 0, 0, 1, 2, 3, 4, 6)) for _ in rows]
+        passes.clear()
         lat = sparse_kernel(rows, moduli, ncols)
         assert lat == dense_oracle(rows, moduli, ncols), (rows, moduli)
         leftover_seen += bool(_eliminate([dict(r) for r in rows], ncols)[1])
+        second_pass_seen += len(passes) == 2 and passes[1] > 0
         for p in (2, 3, 5, 7, 101):
             fp_rows = rows + [{c: p * v for c, v in rows[0].items()}, dict(rng.choice(rows))]
             fp_moduli = [int(m == 1) for m in moduli] + [0, 0]
@@ -175,6 +233,7 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems():
             assert lat.vectors == tuple(map(tuple, want)), (fp_rows, fp_moduli, p)
             assert lat == LatticeBasis.from_vectors(ncols, list(lat.vectors), p)
     assert leftover_seen > 50
+    assert second_pass_seen > 100, second_pass_seen
 
 
 def test_sparse_kernel_over_fp_is_one_echelon(monkeypatch):

@@ -64,9 +64,21 @@ def test_zero_multiplier_keeps_the_degree_in_every_ring():
 
 def test_zero_summand_of_another_degree_is_absorbed():
     # a2*(x-x) is the zero class of degree 4; adding it to the degree-8 a4
-    # leaves a4, as adding a zero polynomial of another degree does
+    # leaves a4, as adding a zero polynomial or integer of another degree
+    # (or to a class) does
+    texts = ("a2*(x-x) + a4 == a4", "(x-x)*y + x == x", "x + 0 == x", "0*x + 1 == 1", "a2 + 0 == a2", "x*0 + a2 == a2")
     for p in (0, 2, 3):
-        assert check_identity("a2*(x-x) + a4 == a4", square_env(p)).holds, p
+        for text in texts:
+            assert check_identity(text, square_env(p)).holds, (text, p)
+
+
+@pytest.mark.parametrize(
+    "text, degrees",
+    [("x + 2 == x", "2 and 0"), ("x + x^2 == x", "2 and 4"), ("2 - x == 0", "0 and 2"), ("a2 + a4 == a4", "4 and 8")],
+)
+def test_nonzero_summands_of_two_degrees_are_an_error(text, degrees):
+    with pytest.raises(RelationError, match=f"cannot add summands of degrees {degrees}$"):
+        check_identity(text, square_env())
 
 
 def test_polynomial_arithmetic_alone():
