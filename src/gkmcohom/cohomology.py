@@ -19,6 +19,15 @@ vertex coefficients, and each graded piece is their kernel, checked once
 against them (``_graded_piece``); ``membership_z`` reads the same rows
 through ``polyring.congruent_mod_weight`` for single classes.
 
+The piece depends on the labels as elements of Z^k, not on the
+coordinates they are written in, but the cost of the elimination does.
+So a graph whose labels are cheaper in a basis B of Z^k made of k of its
+own labels (``_cheaper_basis``, found once per graph by ``_label_basis``)
+is solved on the rows of its re-based labels, and the solution is mapped
+back by the substitution y_i = b_i . x.  Fl4 with its labels in a skewed
+basis, for one, is solved on the labels of Fl4 with the coordinates
+permuted.  Every other graph is solved as given.
+
 The comparison map ``reduce_class_mod_p`` takes one class to Z/p: it
 reduces the vertex part and fills in the quotient part from the
 difference quotients across the edges whose label vanishes mod p.
@@ -32,15 +41,18 @@ integral basis, read off its lattice vectors as sparse rows
 from __future__ import annotations
 
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
-from .intlinalg import is_prime, modp_solve, rows_hold, sparse_kernel
+from .intlinalg import LatticeBasis, is_prime, modp_solve, rows_hold, sparse_kernel
 from .polyring import (
     GradedPoly,
     congruent_mod_weight,
+    content,
     divide_by_linear,
     divide_coeffs,
     divisibility_rows,
+    linear_substitution,
     num_monomials,
     reduce_mod_p,
+    sign_normalize,
 )
 
 
@@ -231,16 +243,19 @@ def membership_z(g: GkmGraph, cls: GraphClass) -> bool:
 membership_modp = membership_z
 
 
-def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[dict[int, int]], list[int]]:
+def _edge_rows(
+    g: GkmGraph, d: int, p: int, relabel: dict | None = None
+) -> tuple[list[dict[int, int]], list[int]]:
     """Divisibility across every edge as (rows, moduli): the sparse
     ``{column: value}`` rows of ``polyring.divisibility_rows`` of each
-    label, applied to f_u - f_v for the stored endpoints (u, v).  A class
-    is a vertex vector whose every row is divisible by its modulus over Z,
-    or vanishes over Z/p, whatever the row's sign or direction."""
+    label, or of its image under ``relabel``, applied to f_u - f_v for the
+    stored endpoints (u, v).  A class is a vertex vector whose every row
+    is divisible by its modulus over Z, or vanishes over Z/p, whatever the
+    row's sign or direction."""
     n = num_monomials(g.torus_rank, d)
     rows, moduli = [], []
     for u, v, label in g.edges:
-        for entries, modulus in divisibility_rows(label, d, p):
+        for entries, modulus in divisibility_rows(relabel[label] if relabel else label, d, p):
             row = {}
             for c, val in entries:
                 row[u * n + c] = val
@@ -248,6 +263,63 @@ def _edge_rows(g: GkmGraph, d: int, p: int) -> tuple[list[dict[int, int]], list[
             rows.append(row)
             moduli.append(modulus)
     return rows, moduli
+
+
+def _label_basis(g: GkmGraph):
+    """``_cheaper_basis`` of the graph's labels, found once and kept on
+    the graph: None, or the basis rows B and the re-based labels."""
+    key = "label_basis"
+    if key not in g._cache:
+        g._cache[key] = _cheaper_basis(g.torus_rank, {label for _, _, label in g.edges})
+    return g._cache[key]
+
+
+def _cheaper_basis(k: int, labels: set) -> tuple | None:
+    """A basis of Z^k made of the labels themselves, in which they are
+    cheaper to solve, or None to keep the coordinates they are given in.
+
+    The distinct primitive labels, sign-normalized and sorted, are taken
+    in turn, each kept when it raises the rank, until there are k of
+    them: the rows b_1..b_k of B (a B of signed unit vectors changes no
+    cost and is dropped at once).  The rank is read off a fraction-free
+    echelon of the rows kept, {pivot column: row}: a label raises it iff
+    something is left of it once each row has cleared its pivot column.
+    The HNF of [B | I] is [I | B^-1] if B is unimodular, and has some
+    other left block if not.  Then the label alpha is sum_j alpha'_j b_j
+    with alpha' = alpha B^-1, and in the variables y_j = b_j . x the
+    linear form of alpha is that of alpha'.  Returns ``(B, {label:
+    sign-normalized alpha'})`` when the alpha' have a smaller sum of
+    absolute entries than the labels, else None.
+    """
+    chosen: list[list[int]] = []
+    echelon: dict[int, list[int]] = {}
+    for w in sorted({sign_normalize([x // content(lab) for x in lab]) for lab in labels}):
+        left = list(w)
+        for c, row in echelon.items():  # each row is 0 at the pivots before its own
+            if left[c]:
+                left = [row[c] * a - left[c] * b for a, b in zip(left, row)]
+        lead = next((c for c, x in enumerate(left) if x), None)
+        if lead is not None:
+            echelon[lead] = left
+            chosen.append(list(w))
+            if len(chosen) == k:
+                break
+    else:
+        return None
+    if all(sum(map(bool, b)) == 1 for b in chosen):
+        return None  # B permutes the coordinates up to sign: no label gets cheaper
+    unit = [[int(i == j) for j in range(k)] for i in range(k)]
+    augmented = LatticeBasis.from_vectors(2 * k, [b + e for b, e in zip(chosen, unit)]).vectors
+    if [list(row[:k]) for row in augmented] != unit:
+        return None
+    inv = [row[k:] for row in augmented]
+    relabel = {
+        lab: sign_normalize([sum(lab[i] * inv[i][j] for i in range(k)) for j in range(k)])
+        for lab in labels
+    }
+    if sum(abs(x) for lab in relabel.values() for x in lab) >= sum(abs(x) for lab in labels for x in lab):
+        return None
+    return tuple(map(tuple, chosen)), relabel
 
 
 class CohomLattice:
@@ -309,8 +381,30 @@ def _vertex_class(g: GkmGraph, degree2: int, vec, p: int) -> GraphClass:
     return GraphClass(g, degree2, values, p)
 
 
+def _map_back(vectors, sub: tuple, n: int) -> list[list[int]]:
+    """Each vector with every vertex block of n coefficients taken through
+    the sparse coefficient map ``sub`` (column c: the image of the c-th
+    monomial as (row, coefficient) pairs)."""
+    out = []
+    for vec in vectors:
+        image = [0] * len(vec)
+        for c, x in enumerate(vec):
+            if x:
+                base, mono = divmod(c, n)
+                for r, v in sub[mono]:
+                    image[base * n + r] += x * v
+        out.append(image)
+    return out
+
+
 def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
+
+    The rows are solved in the basis of the graph's own labels that
+    ``_label_basis`` picks, if any: with y_j = b_j . x, a label alpha =
+    sum_j alpha'_j b_j is the linear form alpha' of y, and the
+    substitution is a ring automorphism over Z and Z/p alike, so the
+    piece in y is that of the re-based labels.
 
     One kernel step for both rings, ``intlinalg.sparse_kernel(rows,
     moduli, width, p)``, canonical (HNF or RREF) so the basis does not
@@ -319,16 +413,28 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     m > 1, a second pass on any column over the leftover rows divided by
     their content, the dense ``kernel`` on the rows still left without a
     +-1, and the lifted kernel put in HNF.  Over Z/p: the kernel read off
-    one sparse echelon of the rows.  ``intlinalg.rows_hold`` then meets
-    every row, left intact, with every lattice vector in one sparse
-    product, and a vector that breaks an edge congruence raises
-    ``InvariantError``.  The piece is that lattice: no class is built
-    here (see ``CohomLattice.basis``)."""
+    one sparse echelon of the rows.  A re-based solve is mapped back
+    vertex block by vertex block through the degree-d substitution y_i =
+    b_i . x (``polyring.linear_substitution`` of B) and made canonical
+    again by ``LatticeBasis.from_vectors``; the HNF and the RREF depend
+    on the lattice only, so the piece is the same whatever basis solved
+    it.  ``intlinalg.rows_hold`` then meets every row of the graph's own
+    labels, left intact, with every lattice vector in one sparse product,
+    and a vector that breaks an edge congruence, in the solve or in the
+    map-back, raises ``InvariantError``.  The piece is that lattice: no
+    class is built here (see ``CohomLattice.basis``)."""
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
     d = degree2 // 2
-    rows, moduli = _edge_rows(g, d, p)
-    lat = sparse_kernel(rows, moduli, len(g.vertices) * num_monomials(g.torus_rank, d), p)
+    n = num_monomials(g.torus_rank, d)
+    width = len(g.vertices) * n
+    basis = _label_basis(g)
+    rows, moduli = _edge_rows(g, d, p, basis[1] if basis else None)
+    lat = sparse_kernel(rows, moduli, width, p)
+    if basis:
+        back = _map_back(lat.vectors, linear_substitution(basis[0], d), n)
+        lat = LatticeBasis.from_vectors(width, back, p)
+        rows, moduli = _edge_rows(g, d, p)  # the check reads the labels as given
     if not rows_hold(rows, moduli, lat.vectors, p):
         raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
     return CohomLattice(g, degree2, lat)

@@ -78,8 +78,9 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-def _row_addmul(target: list[int], source: list[int], factor: int) -> None:
-    for k in range(len(target)):
+def _row_addmul(target: list[int], source: list[int], factor: int, start: int = 0) -> None:
+    """target += factor * source from column ``start`` on."""
+    for k in range(start, len(target)):
         target[k] += factor * source[k]
 
 
@@ -88,7 +89,9 @@ def _hnf_rows(h: list[list[int]], ncols: int) -> list[list[int]]:
     the first ``ncols`` columns; later columns ride along (``hnf`` records
     the transform there).  Column elimination is euclidean: the first
     entry of smallest magnitude is swapped into pivot position and the
-    others are reduced by it until one survivor remains."""
+    others are reduced by it until one survivor remains.  Every row from
+    ``cur`` on is zero left of column j, and so is every row update, so
+    each starts at column j."""
     nrows = len(h)
     cur = 0
     for j in range(ncols):
@@ -112,7 +115,7 @@ def _hnf_rows(h: list[list[int]], ncols: int) -> list[list[int]]:
                 if h[i][j] != 0:
                     q = h[i][j] // d
                     if q:
-                        _row_addmul(h[i], h[cur], -q)
+                        _row_addmul(h[i], h[cur], -q, j)
                     if h[i][j] != 0:
                         finished = False
             if finished:
@@ -124,7 +127,7 @@ def _hnf_rows(h: list[list[int]], ncols: int) -> list[list[int]]:
             for i in range(cur):
                 q = h[i][j] // d
                 if q:
-                    _row_addmul(h[i], h[cur], -q)
+                    _row_addmul(h[i], h[cur], -q, j)
             cur += 1
     return h
 

@@ -17,7 +17,10 @@ indices per (k, da, db), and ``render`` reads the monomials' strings
 from a cached table per (k, d).  The hot loops work on coefficient lists and
 wrap a result once: ``elementary_symmetric`` (the star components of the
 Stiefel-Whitney classes) and ``divide_coeffs`` (the long division behind
-``divide_by_linear``).
+``divide_by_linear``).  Every linear change of variables on coefficients
+is one cached builder, ``linear_substitution``: the split of a label for
+its divisibility rows (``substitution_matrix``), and the map back of a
+graded piece solved in a basis made of the labels.
 """
 
 from __future__ import annotations
@@ -345,7 +348,8 @@ def compose_linear(f: GradedPoly, mat: IntMatrix) -> GradedPoly:
     """Substitute x_i = sum_j mat[i][j] * y_j; returns a polynomial in y.
 
     The definitional, uncached form of any linear substitution; the edge
-    rows read the cached ``substitution_matrix`` of the split instead.
+    rows and the map-back of a re-based graded piece read the cached
+    coefficient map of ``linear_substitution`` instead.
     """
     if mat.rows != f.k or mat.cols != f.k:
         raise ValueError("substitution matrix must be k x k")
@@ -380,27 +384,25 @@ def _split_matrix(w0: Weight) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def substitution_matrix(w0: Weight, d: int) -> tuple:
-    """The degree-d coefficient map T(w0, d) of the split substitution.
+def linear_substitution(rows: tuple, d: int) -> tuple:
+    """The degree-d coefficient map of the substitution x_i = sum_j
+    rows[i][j] * y_j, for any k x k integer ``rows`` (a tuple of tuples).
 
-    Column c is the image of the c-th degree-d monomial under x = A y (A
-    from ``_split_matrix``, so the linear form of w0 becomes y1); it is
-    stored sparse, as a tuple of (row, coefficient) pairs in the degree-d
-    monomial order.  Each degree is one multiplication by a linear form
-    per column of degree d - 1.  Only ``divisibility_rows`` reads it.
-    ``w0`` must be a tuple; the result is shared, immutable and held for
-    the life of the process.
+    Column c is the image of the c-th degree-d monomial, stored sparse,
+    as a tuple of (row, coefficient) pairs in the degree-d monomial order.
+    Each degree is one multiplication by a linear form per column of
+    degree d - 1.  The result is shared, immutable and held for the life
+    of the process.
     """
     if d < 0:
         return ()
     if d == 0:
         return (((0, 1),),)
-    k = len(w0)
-    rows = _split_matrix(w0)
+    k = len(rows)
     lower = monomials(k, d - 1)
     lower_idx = monomial_index(k, d - 1)
     idx = monomial_index(k, d)
-    prev = substitution_matrix(w0, d - 1)
+    prev = linear_substitution(rows, d - 1)
     cols = []
     for mono in monomials(k, d):
         i = next(j for j, e in enumerate(mono) if e)
@@ -414,6 +416,14 @@ def substitution_matrix(w0: Weight, d: int) -> tuple:
                     acc[key] = acc.get(key, 0) + v * a
         cols.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
     return tuple(cols)
+
+
+def substitution_matrix(w0: Weight, d: int) -> tuple:
+    """The degree-d coefficient map T(w0, d) of the split substitution:
+    ``linear_substitution`` of x = A y, A from ``_split_matrix``, so the
+    linear form of w0 becomes y1.  Only ``divisibility_rows`` reads it.
+    ``w0`` must be a tuple."""
+    return linear_substitution(_split_matrix(w0), d)
 
 
 @lru_cache(maxsize=None)

@@ -288,6 +288,56 @@ def fraction_det(rows: list[list[int]]) -> int:
     return int(result)
 
 
+def hnf_rows_full_width(h: list[list[int]], ncols: int) -> list[list[int]]:
+    """The row Hermite normal form that ``intlinalg._hnf_rows`` computes,
+    by the same euclidean column elimination, but with every row update
+    over the full width of the rows: the reference that its updates from
+    the pivot column on are tested against."""
+
+    def addmul(target, source, factor):
+        for c in range(len(target)):
+            target[c] += factor * source[c]
+
+    nrows = len(h)
+    cur = 0
+    for j in range(ncols):
+        if cur >= nrows:
+            break
+        while True:
+            piv = None
+            for i in range(cur, nrows):
+                x = h[i][j]
+                if x != 0 and (piv is None or abs(x) < abs(h[piv][j])):
+                    piv = i
+                    if x == 1 or x == -1:
+                        break
+            if piv is None:
+                break
+            if piv != cur:
+                h[cur], h[piv] = h[piv], h[cur]
+            d = h[cur][j]
+            finished = True
+            for i in range(cur + 1, nrows):
+                if h[i][j] != 0:
+                    q = h[i][j] // d
+                    if q:
+                        addmul(h[i], h[cur], -q)
+                    if h[i][j] != 0:
+                        finished = False
+            if finished:
+                break
+        if h[cur][j] != 0:
+            if h[cur][j] < 0:
+                h[cur] = [-x for x in h[cur]]
+            d = h[cur][j]
+            for i in range(cur):
+                q = h[i][j] // d
+                if q:
+                    addmul(h[i], h[cur], -q)
+            cur += 1
+    return h
+
+
 # ---------------------------------------------------------------------------
 # integral image membership via sympy
 
@@ -347,29 +397,31 @@ def label_of_content(rng: random.Random, k: int, m: int) -> tuple[int, ...]:
             return tuple(m * x for x in w0)
 
 
-def random_unimodular(rng: random.Random, steps: int = 4) -> list[list[int]]:
-    m = [[1, 0], [0, 1]]
+def random_unimodular(rng: random.Random, steps: int = 4, k: int = 2) -> list[list[int]]:
+    """A k x k integer matrix of determinant +-1, k >= 2: ``steps``
+    random row additions m[i] += c * m[j], c in {-2, -1, 1, 2}, each
+    followed at random by a swap of the two rows.  Rank 2 draws no second
+    row index, so its seeded stream is the one it has always had."""
+    if k < 2:
+        raise ValueError("need two rows to add")
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
     for _ in range(steps):
         c = rng.choice((-2, -1, 1, 2))
-        if rng.random() < 0.5:
-            m[0] = [m[0][0] + c * m[1][0], m[0][1] + c * m[1][1]]
-        else:
-            m[1] = [m[1][0] + c * m[0][0], m[1][1] + c * m[0][1]]
+        i = int(rng.random() * k)
+        j = (i + 1 + (int(rng.random() * (k - 1)) if k > 2 else 0)) % k
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
         if rng.random() < 0.3:
-            m[0], m[1] = m[1], m[0]
+            m[i], m[j] = m[j], m[i]
     return m
 
 
 def twist_graph(g: GkmGraph, u: list[list[int]]) -> GkmGraph:
-    """Apply a basis change of the weight space to every label."""
-
-    def act(w):
-        return (
-            u[0][0] * w[0] + u[0][1] * w[1],
-            u[1][0] * w[0] + u[1][1] * w[1],
-        )
-
-    edges = [(g.vertices[a], g.vertices[b], act(lab)) for a, b, lab in g.edges]
+    """Apply a basis change of the weight space to every label: each
+    label w becomes u w."""
+    edges = [
+        (g.vertices[a], g.vertices[b], tuple(sum(x * y for x, y in zip(row, lab)) for row in u))
+        for a, b, lab in g.edges
+    ]
     return GkmGraph(g.torus_rank, list(g.vertices), edges)
 
 
@@ -698,6 +750,18 @@ def coprimality_oracle(g: GkmGraph) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # traffic
+
+
+def dropping_a_term(substitution):
+    """``polyring.linear_substitution`` with the first term of its first
+    column of more than one term dropped: a corrupted map-back."""
+
+    def dropped(rows, d):
+        cols = substitution(rows, d)
+        c = next((c for c, col in enumerate(cols) if len(col) > 1), None)
+        return cols if c is None else cols[:c] + (cols[c][1:],) + cols[c + 1 :]
+
+    return dropped
 
 
 def record_vertex_classes(monkeypatch) -> list:

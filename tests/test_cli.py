@@ -21,7 +21,7 @@ from gkmcohom.intlinalg import PRIME_BOUND
 from gkmcohom.polyring import var_names
 
 import test_golden as golden
-from helpers import record_vertex_classes
+from helpers import dropping_a_term, record_vertex_classes
 
 
 def run(capsys, *argv):
@@ -283,6 +283,21 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
         assert proc.stdout == ""
         assert proc.stderr.startswith("internal error: kernel solver produced a non-class"), ring
         assert "Traceback" not in proc.stderr
+
+
+def test_a_corrupted_map_back_exits_3(capsys, monkeypatch):
+    """The product with labels (2,0), (2,-3), (3,-3) is solved in a basis
+    of its own labels; a map-back substitution with one term dropped
+    gives non-classes, which the check on the graph's own edge rows
+    reports as an internal error, exit 3, over Z and Z2."""
+    argv = ["cohomology", "fixtures:product(2,0;2,-3;3,-3)", "--json", "--ring"]
+    assert run(capsys, *argv, "Z")[0] == 0
+    monkeypatch.setattr(cohomology, "linear_substitution", dropping_a_term(cohomology.linear_substitution))
+    for ring in ("Z", "Z2"):
+        code, out, err = run(capsys, *argv, ring)
+        assert code == 3, (ring, err)
+        assert out == ""
+        assert err == "internal error: kernel solver produced a non-class in degree 2\n", ring
 
 
 @pytest.mark.parametrize(
@@ -859,9 +874,9 @@ def test_no_command_solves_a_graded_piece_twice(capsys, monkeypatch):
     solved, asked = [], []
     real_rows, real_kernel = cohomology._edge_rows, cohomology.sparse_kernel
 
-    def edge_rows(g, d, p):
+    def edge_rows(g, d, p, relabel=None):
         asked.append((d, p))
-        return real_rows(g, d, p)
+        return real_rows(g, d, p, relabel)
 
     def kernel(rows, moduli, ncols, p):
         solved.append(asked[-1])

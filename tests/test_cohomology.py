@@ -32,10 +32,11 @@ from gkmcohom.intlinalg import (
     rows_hold,
     sparse_kernel,
 )
-from gkmcohom.polyring import num_monomials
+from gkmcohom.polyring import compose_linear, num_monomials
 
 from helpers import (
     cube_graph,
+    dropping_a_term,
     flag_manifold,
     hilbert_rank_of_free,
     integral_preimage_elimination,
@@ -44,10 +45,16 @@ from helpers import (
     projective_schubert_span,
     projective_space,
     random_gkm_graphs,
+    random_unimodular,
     record_vertex_classes,
     scaled_labels_graph,
+    twist_graph,
 )
-from test_golden import SUBCOMMAND_FIXTURES
+from test_golden import FIXTURES, SUBCOMMAND_FIXTURES
+
+Q4K3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 2))
+# the label change of the benchmark's Fl4-skew: each label w becomes SKEW w
+SKEW = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
 
 
 def poly(d: int, terms: dict | None, k: int = 2, p: int = 0) -> GradedPoly:
@@ -154,6 +161,109 @@ def test_special_edge_pieces_never_reach_the_dense_kernel(monkeypatch):
     monkeypatch.setattr(intlinalg, "kernel", forbidden)
     for g, d2, want in wants:
         assert compute_h_z(g, d2).lattice == want, (g, d2)
+
+
+def pushed_piece(piece, u) -> LatticeBasis:
+    """The piece of the graph with every label w replaced by u w, from
+    the definition: f is a class of g iff f(u^T x) is one of the twisted
+    graph, so each vertex block goes through ``compose_linear`` with u^T,
+    and ``from_vectors`` makes the pushed vectors canonical."""
+    k, d, p = piece.graph.torus_rank, piece.degree2 // 2, piece.p
+    n = num_monomials(k, d)
+    ut = IntMatrix([list(col) for col in zip(*u)], cols=k)
+    pushed = [
+        [c for i in range(0, len(vec), n) for c in compose_linear(GradedPoly(k, d, vec[i : i + n], p), ut).coeffs]
+        for vec in piece.lattice.vectors
+    ]
+    return LatticeBasis.from_vectors(len(piece.graph.vertices) * n, pushed, p)
+
+
+def test_pieces_follow_a_unimodular_change_of_coordinates():
+    """Coordinate-change oracle: each piece of a graph twisted by a random
+    unimodular U equals the piece of the graph pushed through x -> U^T x
+    (``pushed_piece``), whichever basis either solve ran in.  Every golden
+    fixture, Fl4, Q4k3 and random graphs, plain and with scaled
+    (non-primitive) labels, over Z, Z2 and Z3 up to degree 4; some of the
+    twisted graphs are re-based and some are not."""
+    rng = random.Random(89)
+    randoms = random_gkm_graphs(113, 4)
+    graphs = [fixtures.from_spec(spec) for spec in SUBCOMMAND_FIXTURES]
+    graphs += [flag_manifold(3), cube_graph(Q4K3)]
+    graphs += randoms + [scaled_labels_graph(g, rng) for g in randoms]
+    rebased = []
+    for g in graphs:
+        u = random_unimodular(rng, k=g.torus_rank)
+        twisted = twist_graph(g, u)
+        rebased.append(cohomology._label_basis(twisted) is not None)
+        for degree2 in (0, 2, 4):
+            for p in (0, 2, 3):
+                if p == 0:
+                    piece, got = compute_h_z(g, degree2), compute_h_z(twisted, degree2)
+                else:
+                    piece, got = compute_h_modp(g, degree2, p), compute_h_modp(twisted, degree2, p)
+                assert got.lattice == pushed_piece(piece, u), (g, u, degree2, p)
+    assert any(rebased) and not all(rebased)
+
+
+def test_only_labels_cheaper_in_a_basis_of_their_own_are_rebased():
+    """The golden fixtures, the benchmark's cubes and paper8, Fl4, Fl5,
+    CP^4 and the 64-gon prism are solved in their own coordinates.  The
+    product with labels (2,0), (2,-3), (3,-3) is re-based on (1,-1),
+    (1,0), and Fl4-skew on (0,1,1), (1,0,1), (1,1,1), where its labels
+    are those of Fl4 with the coordinates permuted."""
+    keep = [fixtures.from_spec(spec) for spec in FIXTURES]
+    keep += [
+        cube_graph(((1, 0), (0, 1), (1, 1), (2, 4))),
+        cube_graph(((1, 0), (0, 1), (1, 1), (2, 4), (1, -1))),
+        cube_graph(Q4K3),
+        flag_manifold(3),
+        flag_manifold(4),
+        projective_space(4),
+        fixtures.polygon2n_x_edge(32),
+    ]
+    assert [g for g in keep if cohomology._label_basis(g) is not None] == []
+    basis, relabel = cohomology._label_basis(fixtures.from_spec("product(2,0;2,-3;3,-3)"))
+    assert basis == ((1, -1), (1, 0))
+    assert relabel == {(2, 0): (0, 2), (2, -3): (3, -1), (3, -3): (3, 0)}
+    fl4 = flag_manifold(3)
+    skewed = twist_graph(fl4, SKEW)
+    basis, relabel = cohomology._label_basis(skewed)
+    assert basis == ((0, 1, 1), (1, 0, 1), (1, 1, 1))
+    assert [relabel[w] for _, _, w in skewed.edges] == [(w[2], w[0], w[1]) for _, _, w in fl4.edges]
+
+
+def test_skewed_fl4_pieces_never_reach_the_dense_kernel(monkeypatch):
+    """Solved on its re-based labels, Fl4-skew builds the rows of Fl4 up
+    to a permutation of the coordinates, which the unit pivots solve: up
+    to degree 6 the dense ``kernel`` is never called, and each piece is
+    that of Fl4 pushed through the change of coordinates."""
+    fl4 = flag_manifold(3)
+    skewed = twist_graph(fl4, SKEW)
+    wants = [(d2, pushed_piece(compute_h_z(fl4, d2), SKEW)) for d2 in range(0, 7, 2)]
+
+    def forbidden(m):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(intlinalg, "kernel", forbidden)
+    for d2, want in wants:
+        assert compute_h_z(skewed, d2).lattice == want, d2
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [("Fl4-skew", 0), ("Fl4-skew", 2), ("Fl4-skew", 3), ("product(2,0;2,-3;3,-3)", 0), ("product(2,0;2,-3;3,-3)", 2)],
+)
+def test_a_corrupted_map_back_raises_invariant_error(monkeypatch, spec, p):
+    """The edge rows of the graph's own labels check the mapped-back
+    piece, so a substitution with one term dropped is caught, on both
+    re-based graphs.  (Not the product over Z3: there its labels reduce
+    to multiples of x and to zero, so the first dropped term, x^2,
+    leaves every vector a class; the check is one of membership.)"""
+    g = twist_graph(flag_manifold(3), SKEW) if spec == "Fl4-skew" else fixtures.from_spec(spec)
+    assert cohomology._label_basis(g) is not None
+    monkeypatch.setattr(cohomology, "linear_substitution", dropping_a_term(cohomology.linear_substitution))
+    with pytest.raises(InvariantError, match="non-class in degree 4"):
+        compute_h_modp(g, 4, p) if p else compute_h_z(g, 4)
 
 
 def test_piece_check_agrees_with_membership_on_perturbed_vectors():

@@ -11,6 +11,7 @@ from gkmcohom import intlinalg
 from gkmcohom.intlinalg import (
     PRIME_BOUND,
     _eliminate,
+    _hnf_rows,
     IntMatrix,
     LatticeBasis,
     hnf,
@@ -24,6 +25,7 @@ from gkmcohom.intlinalg import (
 
 from helpers import (
     fraction_det,
+    hnf_rows_full_width,
     in_column_image,
     matmul,
     modp_kernel_basis,
@@ -38,6 +40,34 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 4) -> I
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
+
+
+def test_hnf_row_updates_from_the_pivot_column_equal_full_width_updates():
+    """``_hnf_rows`` starts each row update at the pivot column, left of
+    which every row it updates is already zero: on random matrices, dense
+    and sparse, tall and wide, of full and of low rank, with ride-along
+    columns after the pivoting ones and through the transform columns of
+    ``hnf``, the result equals that of the full-width reference."""
+    rng = random.Random(83)
+    for _ in range(300):
+        nrows, ncols, extra = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 3)
+        bound, density = rng.choice((1, 4, 30)), rng.choice((0.3, 0.7, 1.0))
+        data = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(ncols + extra)]
+            for _ in range(nrows)
+        ]
+        if rng.random() < 0.3:  # a row that repeats another, scaled
+            data.append([3 * x for x in rng.choice(data)])
+        assert _hnf_rows([list(r) for r in data], ncols) == hnf_rows_full_width(
+            [list(r) for r in data], ncols
+        )
+        m = IntMatrix([row[:ncols] for row in data], cols=ncols)
+        h, u = hnf(m)
+        want = hnf_rows_full_width(
+            [row + [int(i == r) for i in range(m.rows)] for r, row in enumerate(m.data)], ncols
+        )
+        assert h.data == [row[:ncols] for row in want]
+        assert u.data == [row[ncols:] for row in want]
 
 
 def test_hnf_reproduces_matrix_and_staircase():
