@@ -280,27 +280,18 @@ def _cheaper_basis(k: int, labels: set) -> tuple | None:
 
     The distinct primitive labels, sign-normalized and sorted, are taken
     in turn, each kept when it raises the rank, until there are k of
-    them: the rows b_1..b_k of B (a B of signed unit vectors changes no
-    cost and is dropped at once).  The rank is read off a fraction-free
-    echelon of the rows kept, {pivot column: row}: a label raises it iff
-    something is left of it once each row has cleared its pivot column.
-    The HNF of [B | I] is [I | B^-1] if B is unimodular, and has some
-    other left block if not.  Then the label alpha is sum_j alpha'_j b_j
-    with alpha' = alpha B^-1, and in the variables y_j = b_j . x the
-    linear form of alpha is that of alpha'.  Returns ``(B, {label:
-    sign-normalized alpha'})`` when the alpha' have a smaller sum of
-    absolute entries than the labels, else None.
+    them, the rank read off ``LatticeBasis.from_vectors``: the rows
+    b_1..b_k of B (a B of signed unit vectors changes no cost and is
+    dropped at once).  The HNF of [B | I] is [I | B^-1] if B is
+    unimodular, and has some other left block if not.  Then the label
+    alpha is sum_j alpha'_j b_j with alpha' = alpha B^-1, and in the
+    variables y_j = b_j . x the linear form of alpha is that of alpha'.
+    Returns ``(B, {label: sign-normalized alpha'})`` when the alpha' have
+    a smaller sum of absolute entries than the labels, else None.
     """
     chosen: list[list[int]] = []
-    echelon: dict[int, list[int]] = {}
     for w in sorted({sign_normalize([x // content(lab) for x in lab]) for lab in labels}):
-        left = list(w)
-        for c, row in echelon.items():  # each row is 0 at the pivots before its own
-            if left[c]:
-                left = [row[c] * a - left[c] * b for a, b in zip(left, row)]
-        lead = next((c for c, x in enumerate(left) if x), None)
-        if lead is not None:
-            echelon[lead] = left
+        if LatticeBasis.from_vectors(k, chosen + [list(w)]).rank > len(chosen):
             chosen.append(list(w))
             if len(chosen) == k:
                 break
@@ -408,12 +399,12 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
 
     One kernel step for both rings, ``intlinalg.sparse_kernel(rows,
     moduli, width, p)``, canonical (HNF or RREF) so the basis does not
-    depend on the pivot order.  Over Z: elimination on the +-1 entries of
-    the sparse rows, with one slack column of value -m per row of modulus
-    m > 1, a second pass on any column over the leftover rows divided by
-    their content, the dense ``kernel`` on the rows still left without a
-    +-1, and the lifted kernel put in HNF.  Over Z/p: the kernel read off
-    one sparse echelon of the rows.  A re-based solve is mapped back
+    depend on the pivot order.  Over Z: one elimination on the +-1
+    entries of the sparse rows, with one slack column of value -m per row
+    of modulus m > 1, that divides the rows it is left with by their
+    content and pivots on them again, the dense ``kernel`` on the rows
+    still left without a +-1, and the lifted kernel put in HNF.  Over
+    Z/p: the kernel read off one sparse echelon of the rows.  A re-based solve is mapped back
     vertex block by vertex block through the degree-d substitution y_i =
     b_i . x (``polyring.linear_substitution`` of B) and made canonical
     again by ``LatticeBasis.from_vectors``; the HNF and the RREF depend

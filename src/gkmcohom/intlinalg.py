@@ -4,9 +4,10 @@ no numpy; arbitrary precision throughout.
 
 Conventions:
   * ``IntMatrix`` is dense, row major; the sparse routines take rows as
-    ``{column: value}`` dicts, and over Z ``sparse_kernel`` leaves only the
-    rows that have no entry +-1 even when divided by their content, if
-    any, to the dense ``kernel``;
+    ``{column: value}`` dicts, and over Z ``sparse_kernel`` runs one
+    ``_eliminate`` on every column, which divides the rows it is left
+    with by their content and pivots on them again, and leaves only the
+    rows that have no entry +-1 even so, if any, to the dense ``kernel``;
   * ``LatticeBasis`` is the one canonical row basis of both rings: the
     HNF over Z (p = 0), the RREF over F_p, so equal spans have equal
     ``vectors`` and one ``coordinates_of`` serves both;
@@ -233,10 +234,14 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
     ones and the lifted kernel basis comes out close to its canonical
     form: on CP^4 degree 10 that made the final (then dense) echelon more
     than ten times cheaper than pivoting on the column met by the fewest
-    rows.  Each pivot column is cleared from every other row.  Returns
-    ``(pivots, leftover)``: the (column, inverse of the pivot entry, rest
-    of the row as (column, value) pairs) triples in pivot order, and the
-    nonzero rows left without an entry +-1 below ``ncols``."""
+    rows.  Each pivot column is cleared from every other row.  Each row is
+    an equation over Z, so once no row left has an entry +-1, every row
+    is divided by its content, which keeps its integer solutions, and the
+    divided rows look again; dividing only then keeps the unit pivots in
+    the order they had before any division.  Returns ``(pivots,
+    leftover)``: the (column, inverse of the pivot entry, rest of the row
+    as (column, value) pairs) triples in pivot order, and the nonzero rows
+    left, primitive and without an entry +-1 below ``ncols``."""
     colrows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -246,7 +251,16 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
     heap = [(len(rows[i]), i) for i in active]
     heapq.heapify(heap)
     pivots = []
-    while heap:
+    while True:
+        if not heap:  # drained: divide each row left by its content, look again
+            for k in active:
+                g = gcd(*rows[k].values())
+                if g > 1:
+                    rows[k] = {c: v // g for c, v in rows[k].items()}
+                    heap.append((len(rows[k]), k))
+            if not heap:
+                break
+            heapq.heapify(heap)
         length, i = heapq.heappop(heap)
         row = rows[i]
         if i not in active or len(row) != length:
@@ -281,13 +295,6 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
                 active.discard(k)
         pivots.append((c, inv, rest))
     return pivots, [rows[i] for i in sorted(active)]
-
-
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries, which has the same
-    integer solutions."""
-    g = gcd(*row.values())
-    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[list[int]]:
@@ -330,18 +337,17 @@ def sparse_kernel(
     these vectors, by ascending f, are the kernel's RREF.
 
     Over Z the kernel of the rows with one slack column of value -m per
-    row of modulus m > 1, projected onto x.  ``_eliminate`` first pivots
-    on the +-1 entries of the x columns.  Each row it leaves is an
-    equation over Z, so dividing it by its content keeps its integer
-    solutions; if a divided row has an entry +-1, a second pass pivots on
-    any column, slack columns included (on a content-2 label the rows
-    left read 2s + 2t = 0 on slack columns alone).  Every pivot is a
-    unimodular substitution of the joint (x, slack) system, so the
-    projection onto x is unchanged.  The rows still left go to the dense
-    ``kernel`` on the columns they meet; every other non-pivot column is a
-    free generator.  The generators, lifted through the pivot rows and
-    cut to x, are made canonical by ``LatticeBasis.from_vectors``, so the
-    result equals ``kernel_into_cokernel`` of the same system.
+    row of modulus m > 1, projected onto x.  ``_eliminate`` pivots on the
+    +-1 entries of every column, slack columns included: a slack entry
+    stays a multiple of its modulus until its row is divided by its
+    content (on a content-2 label the rows left read 2s + 2t = 0 on slack
+    columns alone).  Every pivot is a unimodular substitution of the joint
+    (x, slack) system, so the projection onto x is unchanged.  The rows
+    still left go to the dense ``kernel`` on the columns they meet; every
+    other non-pivot column is a free generator.  The generators, lifted
+    through the pivot rows and cut to x, are made canonical by
+    ``LatticeBasis.from_vectors``, so the result equals
+    ``kernel_into_cokernel`` of the same system.
     """
     if len(rows) != len(moduli):
         raise ValueError("one modulus per row required")
@@ -370,11 +376,7 @@ def sparse_kernel(
             for f, x in rest.items():
                 vecs[last - f][last - c] = -x % p
         return LatticeBasis(ncols, tuple(map(tuple, vecs.values())), p)
-    pivots, leftover = _eliminate(work, ncols)
-    leftover = [_primitive(row) for row in leftover]
-    if any(v == 1 or v == -1 for row in leftover for v in row.values()):
-        more, leftover = _eliminate(leftover, slack)
-        pivots += more
+    pivots, leftover = _eliminate(work, slack)
     met = {c for row in leftover for c in row}
     pivoted = {c for c, _, _ in pivots}
     gens = [{c: 1} for c in range(slack) if c not in pivoted and c not in met]

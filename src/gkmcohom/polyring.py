@@ -18,9 +18,13 @@ from a cached table per (k, d).  The hot loops work on coefficient lists and
 wrap a result once: ``elementary_symmetric`` (the star components of the
 Stiefel-Whitney classes) and ``divide_coeffs`` (the long division behind
 ``divide_by_linear``).  Every linear change of variables on coefficients
-is one cached builder, ``linear_substitution``: the split of a label for
-its divisibility rows (``substitution_matrix``), and the map back of a
-graded piece solved in a basis made of the labels.
+is one cached builder, ``linear_substitution``, on k x k integer rows:
+the split of a label for its divisibility rows (``substitution_matrix``),
+and the map back of a graded piece solved in a basis made of the labels.
+The split completes a primitive label to a unimodular matrix by 2 x 2
+Bezout steps (``_split_matrix``), so the module imports no linear
+algebra; ``compose_linear``, the definitional substitution, takes the
+same rows.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
-
-from .intlinalg import IntMatrix, kernel
 
 Weight = tuple[int, ...]
 
@@ -76,27 +78,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def xgcd_vector(w) -> tuple[int, list[int]]:
-    """(g, c) with g = gcd(w) >= 0 and sum(c_i * w_i) = g."""
-    g = 0
-    coeffs = [0] * len(w)
-    for i, wi in enumerate(w):
-        if wi == 0:
-            continue
-        if g == 0:
-            g = abs(wi)
-            coeffs = [0] * len(w)
-            coeffs[i] = 1 if wi > 0 else -1
-        else:
-            g2, s, t = _xgcd(g, wi)
-            if g2 < 0:  # floor-division Euclid may end on a negative remainder
-                g2, s, t = -g2, -s, -t
-            coeffs = [c * s for c in coeffs]
-            coeffs[i] += t
-            g = g2
-    return g, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +325,19 @@ def elementary_symmetric(k: int, weights, p: int = 0) -> list[GradedPoly]:
     return [GradedPoly._of(k, d, _reduced(cs, p), p) for d, cs in enumerate(comps)]
 
 
-def compose_linear(f: GradedPoly, mat: IntMatrix) -> GradedPoly:
-    """Substitute x_i = sum_j mat[i][j] * y_j; returns a polynomial in y.
+def compose_linear(f: GradedPoly, rows) -> GradedPoly:
+    """Substitute x_i = sum_j rows[i][j] * y_j; returns a polynomial in y.
 
-    The definitional, uncached form of any linear substitution; the edge
-    rows and the map-back of a re-based graded piece read the cached
+    The definitional, uncached form of any linear substitution, on k x k
+    integer ``rows`` as ``linear_substitution`` takes them; the edge rows
+    and the map-back of a re-based graded piece read the cached
     coefficient map of ``linear_substitution`` instead.
     """
-    if mat.rows != f.k or mat.cols != f.k:
+    if len(rows) != f.k or any(len(row) != f.k for row in rows):
         raise ValueError("substitution matrix must be k x k")
     if f.degree <= 0:
         return f
-    lin = [GradedPoly(f.k, 1, mat.data[i], f.p) for i in range(f.k)]
+    lin = [GradedPoly(f.k, 1, row, f.p) for row in rows]
     # incremental powers of each substituted variable
     powers: list[list[GradedPoly]] = [[GradedPoly.constant(f.k, 1, f.p)] for _ in lin]
     out = GradedPoly.zero(f.k, f.degree, f.p)
@@ -377,10 +359,25 @@ def _split_matrix(w0: Weight) -> tuple[tuple[int, ...], ...]:
     """Rows of a unimodular A with w0^T A = (1, 0, ..., 0).
 
     Under x = A y the linear form of the primitive weight w0 becomes y1.
+    A chain of 2 x 2 Bezout steps builds a unimodular U with U w0 = (g,
+    0, ..., 0): with s v0 + t vi = g = gcd(v0, vi) for the entries v of U
+    w0 so far, rows 0 and i of U become s r0 + t ri and (v0/g) ri - (vi/g)
+    r0, a step of determinant 1 that leaves g at 0 and 0 at i.  Then g =
+    +-1, and A is U^T with its first column multiplied by g.
     """
-    _, coeffs = xgcd_vector(w0)
-    cols = [coeffs] + [list(v) for v in kernel(IntMatrix([list(w0)])).vectors]
-    return tuple(zip(*cols))
+    k = len(w0)
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    v0 = w0[0]
+    for i, vi in enumerate(w0[1:], 1):
+        if vi:
+            g, s, t = _xgcd(v0, vi)
+            a, b = v0 // g, vi // g
+            r0, ri = u[0], u[i]
+            u[0] = [s * x + t * y for x, y in zip(r0, ri)]
+            u[i] = [a * y - b * x for x, y in zip(r0, ri)]
+            v0 = g
+    u[0] = [v0 * x for x in u[0]]
+    return tuple(zip(*u))
 
 
 @lru_cache(maxsize=None)
@@ -438,10 +435,13 @@ def divisibility_rows(w: Weight, d: int, p: int = 0) -> tuple:
     over Z the y1-free rows of T with modulus 0 and, when m > 1, the other
     rows with modulus m; over F_p with p | m the identity rows (w reduces
     to zero, which divides only zero); otherwise, m being a unit, the
-    y1-free rows of T.  ``w`` must be a tuple; the result is cached.
+    y1-free rows of T.  ``w`` must be a tuple, and a zero weight raises
+    ValueError; the result is cached.
     """
-    mons = monomials(len(w), d)
     m = content(w)
+    if not m:
+        raise ValueError("cannot divide by the zero weight")
+    mons = monomials(len(w), d)
     if p and m % p == 0:
         return tuple((((c, 1),), 0) for c in range(len(mons)))
     rows: list[list] = [[] for _ in mons]
@@ -505,10 +505,13 @@ def congruent_mod_weight(f: GradedPoly, g: GradedPoly, w) -> bool:
     difference: over Z a row must vanish where its modulus is 0 and be
     divisible by the modulus otherwise; over F_p every row must vanish
     mod p, so a weight that reduces to zero turns the condition into
-    equality.
+    equality.  A weight of the wrong length, or the zero weight when f !=
+    g, raises ValueError, as in ``divide_by_linear``.
     """
     if f.k != g.k or f.p != g.p:
         raise ValueError("ring mismatch")
+    if len(w) != f.k:
+        raise ValueError("weight length mismatch")
     if f.degree != g.degree:
         if f.is_zero() and g.is_zero():
             return True

@@ -170,7 +170,7 @@ def pushed_piece(piece, u) -> LatticeBasis:
     and ``from_vectors`` makes the pushed vectors canonical."""
     k, d, p = piece.graph.torus_rank, piece.degree2 // 2, piece.p
     n = num_monomials(k, d)
-    ut = IntMatrix([list(col) for col in zip(*u)], cols=k)
+    ut = tuple(zip(*u))
     pushed = [
         [c for i in range(0, len(vec), n) for c in compose_linear(GradedPoly(k, d, vec[i : i + n], p), ut).coeffs]
         for vec in piece.lattice.vectors

@@ -187,17 +187,20 @@ def kernel_calls(monkeypatch) -> list:
 
 
 def test_sparse_kernel_pivots_on_the_content_divided_leftover(monkeypatch):
-    """Rows left without a +-1 entry on the x columns, divided by their
-    content, pivot again on any column, slack columns included, and never
-    reach the dense ``kernel``: leftover rows on slack columns only (x0 +
-    x1 and x1 + x2 even, each twice), a modulus-0 row of content 2, and a
-    modulus-4 row whose x part is divisible by 4, which constrains
-    nothing."""
+    """Rows left without a +-1 entry are divided by their content and
+    pivot again, on any column below the bound, slack columns included,
+    and never reach the dense ``kernel``: leftover rows on slack columns
+    only (x0 + x1 and x1 + x2 even, each twice), a modulus-0 row of
+    content 2, and a modulus-4 row whose x part is divisible by 4, which
+    constrains nothing."""
     calls = kernel_calls(monkeypatch)
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 1: 1}]
     with_slack = [{**row, 3 + i: -2} for i, row in enumerate(rows)]
-    _, leftover = _eliminate(with_slack, 3)
-    assert leftover and all(min(row) >= 3 and set(map(abs, row.values())) == {2} for row in leftover)
+    # with the slack columns above the bound the divided rows stay left
+    _, leftover = _eliminate([dict(row) for row in with_slack], 3)
+    assert leftover == [{3: 1, 4: -1}, {5: 1, 6: -1}]
+    pivots, leftover = _eliminate(with_slack, 7)
+    assert [c for c, _, _ in pivots] == [1, 2, 4, 6] and leftover == []
     cases = [(rows, [2, 2, 2, 2], 3), ([{0: 2, 1: 4}], [0], 2), ([{0: 4, 1: 8}], [4], 2)]
     for rows, moduli, ncols in cases:
         want = dense_oracle(rows, moduli, ncols)
@@ -226,15 +229,19 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems(monkeypatch):
     by their content; over F_p against the oracle RREF of the kernel,
     with the rows of modulus 1 dropped and a row that vanishes mod p and
     a duplicate row added.  The F_p result is its own canonical form, and
-    the rows are left as they are."""
+    the rows are left as they are.  Both paths past the unit pivots are
+    taken often: a pivot on a slack column, whose entries stay multiples
+    of the modulus until the row is divided by its content, and leftover
+    rows that reach the dense ``kernel``."""
     rng = random.Random(14)
-    leftover_seen = second_pass_seen = 0
-    passes = []
+    divided_pivot_seen = dense_seen = 0
+    calls = kernel_calls(monkeypatch)
+    pivot_columns = []
     eliminate = intlinalg._eliminate
 
     def recorded(rows, ncols):
         pivots, leftover = eliminate(rows, ncols)
-        passes.append(len(pivots))
+        pivot_columns.extend(c for c, _, _ in pivots)
         return pivots, leftover
 
     monkeypatch.setattr(intlinalg, "_eliminate", recorded)
@@ -247,11 +254,12 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems(monkeypatch):
             cols = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
             rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols})
         moduli = [rng.choice((0, 0, 0, 1, 2, 3, 4, 6)) for _ in rows]
-        passes.clear()
+        pivot_columns.clear()
+        calls.clear()
         lat = sparse_kernel(rows, moduli, ncols)
+        dense_seen += bool(calls)  # before the oracle, which calls kernel too
+        divided_pivot_seen += any(c >= ncols for c in pivot_columns)
         assert lat == dense_oracle(rows, moduli, ncols), (rows, moduli)
-        leftover_seen += bool(_eliminate([dict(r) for r in rows], ncols)[1])
-        second_pass_seen += len(passes) == 2 and passes[1] > 0
         for p in (2, 3, 5, 7, 101):
             fp_rows = rows + [{c: p * v for c, v in rows[0].items()}, dict(rng.choice(rows))]
             fp_moduli = [int(m == 1) for m in moduli] + [0, 0]
@@ -262,8 +270,8 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems(monkeypatch):
             assert given == fp_rows, "the input rows are left as they are"
             assert lat.vectors == tuple(map(tuple, want)), (fp_rows, fp_moduli, p)
             assert lat == LatticeBasis.from_vectors(ncols, list(lat.vectors), p)
-    assert leftover_seen > 50
-    assert second_pass_seen > 100, second_pass_seen
+    assert dense_seen > 50, dense_seen
+    assert divided_pivot_seen > 100, divided_pivot_seen
 
 
 def test_sparse_kernel_over_fp_is_one_echelon(monkeypatch):

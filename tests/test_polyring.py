@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from gkmcohom.intlinalg import IntMatrix
 from gkmcohom.polyring import (
     GradedPoly,
     compose_linear,
@@ -26,6 +25,7 @@ from gkmcohom.polyring import (
 
 from helpers import (
     divisible_mod_p,
+    fraction_det,
     is_multiple_of,
     label_of_content,
     mul_oracle,
@@ -301,15 +301,49 @@ def test_congruence_short_cut_agrees_with_the_full_test():
         congruent_mod_weight(GradedPoly.constant(2, 1), GradedPoly.zero(2, 1), (1, 0))
 
 
+def test_congruent_mod_weight_checks_its_weight():
+    """As ``divide_by_linear`` does: the zero weight and a weight of the
+    wrong length raise ValueError over Z and over F_p, not a
+    ZeroDivisionError or a silent False."""
+    for p in (0, 2, 3):
+        f, g = poly(2, 2, {(2, 0): 1}, p), poly(2, 2, {(1, 1): 1}, p)
+        with pytest.raises(ValueError, match="zero weight"):
+            congruent_mod_weight(f, g, (0, 0))
+        with pytest.raises(ValueError, match="length mismatch"):
+            congruent_mod_weight(f, g, (1, 0, 0))
+        with pytest.raises(ValueError, match="length mismatch"):
+            congruent_mod_weight(f, f, (1,))
+
+
+def random_primitive_weight(rng: random.Random) -> tuple:
+    """A primitive weight of length 1..5 with entries up to +-60, about a
+    third of them zero."""
+    while True:
+        w = [rng.choice((0, rng.randint(-60, 60), rng.randint(-60, 60))) for _ in range(rng.randint(1, 5))]
+        if any(w):
+            g = content(w)
+            return tuple(x // g for x in w)
+
+
 def test_substitution_matrix_is_the_definitional_substitution_and_immutable():
+    """For each primitive w0 the split A, read off the degree-1 map, is
+    unimodular with w0^T A = e1, and every degree's map is the
+    definitional ``compose_linear``: fixed weights with leading zeros and
+    a negative first nonzero entry, then random ones with k = 1..5."""
     rng = random.Random(3)
-    for w0 in ((1, 0), (2, -3), (0, 1, 1), (3, 1, -2), (1, -1, -1, 1)):
+    fixed = ((1, 0), (2, -3), (0, 1, 1), (3, 1, -2), (1, -1, -1, 1), (0, 0, 3, 5), (-7, 4), (6, 10, 15), (-1,))
+    weights = fixed + tuple(random_primitive_weight(rng) for _ in range(60))
+    assert {len(w0) for w0 in weights} == {1, 2, 3, 4, 5}
+    assert any(w0[0] == 0 for w0 in weights[len(fixed) :])
+    assert any(next(x for x in w0 if x) < 0 for w0 in weights[len(fixed) :])
+    for w0 in weights:
         k = len(w0)
         first = {d: substitution_matrix(w0, d) for d in range(4)}
         images = substitution_matrix(w0, 1)  # x_i -> sum_j mat[i][j] y_j
-        mat = IntMatrix([[dict(images[i]).get(j, 0) for j in range(k)] for i in range(k)], cols=k)
-        # the linear form of w0 becomes y1
-        assert [sum(w0[i] * mat.data[i][j] for i in range(k)) for j in range(k)] == [1] + [0] * (k - 1)
+        mat = tuple(tuple(dict(images[i]).get(j, 0) for j in range(k)) for i in range(k))
+        # the linear form of w0 becomes y1, through a unimodular A
+        assert [sum(w0[i] * mat[i][j] for i in range(k)) for j in range(k)] == [1] + [0] * (k - 1), w0
+        assert abs(fraction_det([list(row) for row in mat])) == 1, w0
         for d, cols in first.items():
             assert isinstance(cols, tuple)
             assert all(isinstance(col, tuple) for col in cols)
