@@ -20,13 +20,14 @@ against them (``_graded_piece``); ``membership_z`` reads the same rows
 through ``polyring.congruent_mod_weight`` for single classes.
 
 The piece depends on the labels as elements of Z^k, not on the
-coordinates they are written in, but the cost of the elimination does.
-So a graph whose labels are cheaper in a basis B of Z^k made of k of its
-own labels (``_cheaper_basis``, found once per graph by ``_label_basis``)
-is solved on the rows of its re-based labels, and the solution is mapped
-back by the substitution y_i = b_i . x.  Fl4 with its labels in a skewed
-basis, for one, is solved on the labels of Fl4 with the coordinates
-permuted.  Every other graph is solved as given.
+coordinates they are written in, but the cost of the integer elimination
+does.  So over Z a graph whose labels are cheaper in a basis B of Z^k
+made of k of its own labels (``_label_basis``, read once per graph off
+one HNF) is solved on the rows of its re-based labels, and the solution
+is mapped back by the substitution y_i = b_i . x.  Fl4 with its labels in
+a skewed basis, for one, is solved on the labels of Fl4 with the
+coordinates permuted.  Every other graph, and every graph over Z/p, is
+solved as given.
 
 The comparison map ``reduce_class_mod_p`` takes one class to Z/p: it
 reduces the vertex part and fills in the quotient part from the
@@ -266,51 +267,48 @@ def _edge_rows(
 
 
 def _label_basis(g: GkmGraph):
-    """``_cheaper_basis`` of the graph's labels, found once and kept on
-    the graph: None, or the basis rows B and the re-based labels."""
-    key = "label_basis"
-    if key not in g._cache:
-        g._cache[key] = _cheaper_basis(g.torus_rank, {label for _, _, label in g.edges})
-    return g._cache[key]
+    """A basis of Z^k made of the graph's own labels, in which they are
+    cheaper to solve, found once and kept on the graph: None to keep the
+    coordinates they are given in, or ``(B, {label: sign-normalized
+    alpha'})``.
 
-
-def _cheaper_basis(k: int, labels: set) -> tuple | None:
-    """A basis of Z^k made of the labels themselves, in which they are
-    cheaper to solve, or None to keep the coordinates they are given in.
-
-    The distinct primitive labels, sign-normalized and sorted, are taken
-    in turn, each kept when it raises the rank, until there are k of
-    them, the rank read off ``LatticeBasis.from_vectors``: the rows
-    b_1..b_k of B (a B of signed unit vectors changes no cost and is
-    dropped at once).  The HNF of [B | I] is [I | B^-1] if B is
-    unimodular, and has some other left block if not.  Then the label
-    alpha is sum_j alpha'_j b_j with alpha' = alpha B^-1, and in the
-    variables y_j = b_j . x the linear form of alpha is that of alpha'.
-    Returns ``(B, {label: sign-normalized alpha'})`` when the alpha' have
-    a smaller sum of absolute entries than the labels, else None.
+    Let P be the distinct primitive labels, sign-normalized and sorted,
+    and E the HNF of the k rows [coordinate i of every label in P | e_i]:
+    E = U [P^T | I] with U unimodular.  Its pivot columns are the labels
+    that raise the rank in turn, the rows b_1..b_k of B; a pivot in the
+    identity block means the labels span less than Q^k.  B is unimodular
+    iff every pivot is 1, and then U B^T = I: the identity block of E is
+    U = (B^T)^-1, and the label alpha is sum_j alpha'_j b_j with alpha' =
+    U alpha.  In the variables y_j = b_j . x the linear form of alpha is
+    that of alpha'.  B is kept when it is not made of signed unit vectors
+    (which change no cost) and the alpha' have a smaller sum of absolute
+    entries than the labels.
     """
-    chosen: list[list[int]] = []
-    for w in sorted({sign_normalize([x // content(lab) for x in lab]) for lab in labels}):
-        if LatticeBasis.from_vectors(k, chosen + [list(w)]).rank > len(chosen):
-            chosen.append(list(w))
-            if len(chosen) == k:
-                break
-    else:
-        return None
-    if all(sum(map(bool, b)) == 1 for b in chosen):
-        return None  # B permutes the coordinates up to sign: no label gets cheaper
-    unit = [[int(i == j) for j in range(k)] for i in range(k)]
-    augmented = LatticeBasis.from_vectors(2 * k, [b + e for b, e in zip(chosen, unit)]).vectors
-    if [list(row[:k]) for row in augmented] != unit:
-        return None
-    inv = [row[k:] for row in augmented]
-    relabel = {
-        lab: sign_normalize([sum(lab[i] * inv[i][j] for i in range(k)) for j in range(k)])
-        for lab in labels
-    }
-    if sum(abs(x) for lab in relabel.values() for x in lab) >= sum(abs(x) for lab in labels for x in lab):
-        return None
-    return tuple(map(tuple, chosen)), relabel
+    key = "label_basis"
+    if key in g._cache:
+        return g._cache[key]
+    k = g.torus_rank
+    labels = {label for _, _, label in g.edges}
+    order = sorted({sign_normalize([x // content(lab) for x in lab]) for lab in labels})
+    m = len(order)
+    rows = [[w[i] for w in order] + [int(i == j) for j in range(k)] for i in range(k)]
+    echelon = LatticeBasis.from_vectors(m + k, rows).vectors
+    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
+    basis = tuple(order[c] for c in pivots if c < m)
+    found = None
+    if (
+        len(basis) == k
+        and all(row[c] == 1 for row, c in zip(echelon, pivots))
+        and any(sum(map(bool, b)) > 1 for b in basis)
+    ):
+        relabel = {
+            lab: sign_normalize([sum(u * x for u, x in zip(row[m:], lab)) for row in echelon])
+            for lab in labels
+        }
+        if sum(abs(x) for lab in relabel.values() for x in lab) < sum(abs(x) for lab in labels for x in lab):
+            found = basis, relabel
+    g._cache[key] = found
+    return found
 
 
 class CohomLattice:
@@ -391,11 +389,12 @@ def _map_back(vectors, sub: tuple, n: int) -> list[list[int]]:
 def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
 
-    The rows are solved in the basis of the graph's own labels that
-    ``_label_basis`` picks, if any: with y_j = b_j . x, a label alpha =
-    sum_j alpha'_j b_j is the linear form alpha' of y, and the
-    substitution is a ring automorphism over Z and Z/p alike, so the
-    piece in y is that of the re-based labels.
+    Over Z the rows are solved in the basis of the graph's own labels
+    that ``_label_basis`` picks, if any: with y_j = b_j . x, a label
+    alpha = sum_j alpha'_j b_j is the linear form alpha' of y, and the
+    substitution is a ring automorphism, so the piece in y is that of the
+    re-based labels.  Over Z/p the rows of the labels as given are
+    solved: the F_p echelon has no coefficient growth to avoid.
 
     One kernel step for both rings, ``intlinalg.sparse_kernel(rows,
     moduli, width, p)``, canonical (HNF or RREF) so the basis does not
@@ -404,28 +403,28 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     of modulus m > 1, that divides the rows it is left with by their
     content and pivots on them again, the dense ``kernel`` on the rows
     still left without a +-1, and the lifted kernel put in HNF.  Over
-    Z/p: the kernel read off one sparse echelon of the rows.  A re-based solve is mapped back
-    vertex block by vertex block through the degree-d substitution y_i =
-    b_i . x (``polyring.linear_substitution`` of B) and made canonical
-    again by ``LatticeBasis.from_vectors``; the HNF and the RREF depend
-    on the lattice only, so the piece is the same whatever basis solved
-    it.  ``intlinalg.rows_hold`` then meets every row of the graph's own
-    labels, left intact, with every lattice vector in one sparse product,
-    and a vector that breaks an edge congruence, in the solve or in the
-    map-back, raises ``InvariantError``.  The piece is that lattice: no
-    class is built here (see ``CohomLattice.basis``)."""
+    Z/p: the kernel read off one sparse echelon of the rows.  A re-based
+    solve is mapped back vertex block by vertex block through the
+    degree-d substitution y_i = b_i . x (``polyring.linear_substitution``
+    of B) and put in HNF again by ``LatticeBasis.from_vectors``, which
+    depends on the lattice only, so the piece is the same whatever basis
+    solved it.  ``intlinalg.rows_hold`` then meets every row of the
+    graph's own labels, left intact, with every lattice vector in one
+    sparse product, and a vector that breaks an edge congruence, in the
+    solve or in the map-back, raises ``InvariantError``.  The piece is
+    that lattice: no class is built here (see ``CohomLattice.basis``)."""
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
     d = degree2 // 2
     n = num_monomials(g.torus_rank, d)
     width = len(g.vertices) * n
-    basis = _label_basis(g)
+    basis = None if p else _label_basis(g)
     rows, moduli = _edge_rows(g, d, p, basis[1] if basis else None)
     lat = sparse_kernel(rows, moduli, width, p)
     if basis:
         back = _map_back(lat.vectors, linear_substitution(basis[0], d), n)
-        lat = LatticeBasis.from_vectors(width, back, p)
-        rows, moduli = _edge_rows(g, d, p)  # the check reads the labels as given
+        lat = LatticeBasis.from_vectors(width, back)
+        rows, moduli = _edge_rows(g, d, 0)  # the check reads the labels as given
     if not rows_hold(rows, moduli, lat.vectors, p):
         raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
     return CohomLattice(g, degree2, lat)

@@ -90,11 +90,11 @@ def product(w1, w2, w3) -> GkmGraph:
     return GkmGraph(k, names, edges)
 
 
-def polygon(n_gon: int, wa=(1, 0), wb=(0, 1), prefix: str = "p") -> GkmGraph:
+def polygon(n_gon: int, wa=(1, 0), wb=(0, 1)) -> GkmGraph:
     """Even polygon with alternating labels wa, wb (2-valent)."""
     if n_gon < 3 or n_gon % 2:
         raise ValueError("need an even polygon with at least 4 vertices")
-    names = [f"{prefix}{i}" for i in range(n_gon)]
+    names = [f"p{i}" for i in range(n_gon)]
     edges = [
         (names[i], names[(i + 1) % n_gon], wa if i % 2 == 0 else wb)
         for i in range(n_gon)
@@ -102,29 +102,25 @@ def polygon(n_gon: int, wa=(1, 0), wb=(0, 1), prefix: str = "p") -> GkmGraph:
     return GkmGraph(len(wa), names, edges)
 
 
+def _times_edge(g: GkmGraph, w) -> GkmGraph:
+    """g times one edge labeled w: vertex v of g becomes vL0 and vL1.
+    Edge order: the edges of g in layer L0, then in layer L1, then one
+    vertical edge per vertex."""
+    n = len(g.vertices)
+    names = [f"{v}L{layer}" for layer in (0, 1) for v in g.vertices]
+    edges = [(u + layer * n, v + layer * n, lab) for layer in (0, 1) for u, v, lab in g.edges]
+    edges += [(i, i + n, w) for i in range(n)]
+    return GkmGraph(g.torus_rank, names, edges)
+
+
 def polygon2n_x_edge(n: int, wa=(1, 0), wb=(0, 1), wv=(1, 1)) -> GkmGraph:
     """Product of a 2n-gon (labels alternating wa, wb) with one edge (wv).
 
     3-valent on 4n vertices: two polygon layers plus vertical edges.
-    Edge order: layer-0 polygon, layer-1 polygon, verticals.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    m = 2 * n
-    names = [f"p{i}L0" for i in range(m)] + [f"p{i}L1" for i in range(m)]
-    edges = []
-    for layer in (0, 1):
-        for i in range(m):
-            edges.append(
-                (
-                    f"p{i}L{layer}",
-                    f"p{(i + 1) % m}L{layer}",
-                    wa if i % 2 == 0 else wb,
-                )
-            )
-    for i in range(m):
-        edges.append((f"p{i}L0", f"p{i}L1", wv))
-    return GkmGraph(len(wa), names, edges)
+    return _times_edge(polygon(2 * n, wa, wb), wv)
 
 
 def triangle() -> GkmGraph:
@@ -138,16 +134,7 @@ def triangle() -> GkmGraph:
 
 def triangle_x_edge() -> GkmGraph:
     """Product of the triangle with one edge; 3-valent, orientable."""
-    tri = triangle()
-    wv = (1, -1)
-    names = [f"{v}L0" for v in tri.vertices] + [f"{v}L1" for v in tri.vertices]
-    edges = []
-    for layer in (0, 1):
-        for u, v, lab in tri.edges:
-            edges.append((f"{tri.vertices[u]}L{layer}", f"{tri.vertices[v]}L{layer}", lab))
-    for v in tri.vertices:
-        edges.append((f"{v}L0", f"{v}L1", wv))
-    return GkmGraph(2, names, edges)
+    return _times_edge(triangle(), (1, -1))
 
 
 def k4() -> GkmGraph:
@@ -190,11 +177,11 @@ def from_spec(spec: str) -> GkmGraph:
     spec = spec.strip()
     if spec.startswith("fixtures:"):
         spec = spec[len("fixtures:") :]
-    name, _, rest = spec.partition("(")
+    name, sep, rest = spec.partition("(")
     name = name.strip()
-    args = rest[:-1].strip() if rest.endswith(")") else ""
-    if rest and not rest.endswith(")"):
+    if sep and not rest.endswith(")"):
         raise ValueError(f"malformed fixture reference {spec!r}")
+    args = rest[:-1].strip()
     if name not in _REGISTRY:
         raise ValueError(f"unknown fixture {name!r}")
     build, params = _REGISTRY[name]

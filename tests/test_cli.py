@@ -100,6 +100,8 @@ def test_thom_exit_tracks_match(capsys):
         ("sphere(1,x)", 2),
         ("polygon(3)", 2),
         ("k4(1)", 2),
+        ("paper8(", 2),
+        ("k4(", 2),
         ("nonsense", 2),
     ],
 )
@@ -286,10 +288,11 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
 
 
 def test_a_corrupted_map_back_exits_3(capsys, monkeypatch):
-    """The product with labels (2,0), (2,-3), (3,-3) is solved in a basis
-    of its own labels; a map-back substitution with one term dropped
-    gives non-classes, which the check on the graph's own edge rows
-    reports as an internal error, exit 3, over Z and Z2."""
+    """The product with labels (2,0), (2,-3), (3,-3) is solved over Z in
+    a basis of its own labels; a map-back substitution with one term
+    dropped gives non-classes, which the check on the graph's own edge
+    rows reports as an internal error, exit 3, over Z and over Z2, whose
+    command solves the integral pieces too."""
     argv = ["cohomology", "fixtures:product(2,0;2,-3;3,-3)", "--json", "--ring"]
     assert run(capsys, *argv, "Z")[0] == 0
     monkeypatch.setattr(cohomology, "linear_substitution", dropping_a_term(cohomology.linear_substitution))

@@ -1,9 +1,13 @@
-"""The README "Library" example runs and shows the values its comments state."""
+"""The README "Library" example runs and shows the values its comments
+state, and "Naming a graph" names every built-in fixture."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
+
+from gkmcohom import fixtures
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +43,10 @@ def test_library_example_values_match_its_comments():
     values = library_example_values()
     for source, stated in STATED.items():
         assert values[source] == stated, source
+
+
+def test_naming_a_graph_lists_every_fixture():
+    section = README.read_text(encoding="utf-8").split("\n### Naming a graph\n", 1)[1]
+    paragraph = section.split("Fixture arguments are", 1)[1].split("\n\n", 1)[0]
+    missing = [name for name in fixtures._REGISTRY if not re.search(rf"`{name}[`(]", paragraph)]
+    assert missing == []
