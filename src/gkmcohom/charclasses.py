@@ -162,13 +162,19 @@ def sw_choice_independence(
 class SpinVerdict:
     """Spin criteria: star sums mod 2 and even-edge quotient parities."""
 
-    equivariant_spin: bool
-    spin: bool
     condition_a: bool
     condition_a_prime: bool
     condition_b: bool
     vertex_sums: dict = field(default_factory=dict)
     edge_values: dict = field(default_factory=dict)
+
+    @property
+    def equivariant_spin(self) -> bool:
+        return self.condition_a and self.condition_b
+
+    @property
+    def spin(self) -> bool:
+        return self.condition_a_prime and self.condition_b
 
     def to_dict(self) -> dict:
         return {
@@ -223,8 +229,6 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
             cond_b = False
 
     verdict = SpinVerdict(
-        equivariant_spin=cond_a and cond_b,
-        spin=cond_a_prime and cond_b,
         condition_a=cond_a,
         condition_a_prime=cond_a_prime,
         condition_b=cond_b,
@@ -240,9 +244,12 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
 class ObstructionVerdict:
     """Outcome of the per-degree image test of the total class."""
 
-    verdict: str
     failing_degree: int | None
     preimages: dict
+
+    @property
+    def verdict(self) -> str:
+        return "PASSES" if self.failing_degree is None else "OBSTRUCTED"
 
     @property
     def passes(self) -> bool:
@@ -273,5 +280,4 @@ def realizability_obstruction(
         preimages[degree2] = pre
         if pre is None and failing is None:
             failing = degree2
-    verdict = "PASSES" if failing is None else "OBSTRUCTED"
-    return ObstructionVerdict(verdict=verdict, failing_degree=failing, preimages=preimages)
+    return ObstructionVerdict(failing_degree=failing, preimages=preimages)

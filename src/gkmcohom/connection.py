@@ -6,16 +6,16 @@ the source star is congruent to a signed copy of its image modulo the
 label of e.  Matchings are searched per unoriented edge (the reverse
 orientation carries the inverse bijection, so edges are independent), by
 one depth-first search on an explicit stack over the allowed targets of
-each source (``_matchings``).  A ``Connection`` keeps the matching dicts it
-is built from and ``map_along`` returns a read-only view of one, so no
-star map is copied per edge.
+each source (``_matchings``).  A ``Connection`` is these per-edge matchings,
+one dict per edge along its default orientation, and nothing else:
+``map_along`` returns a read-only view of one, and reads the reverse
+orientation as its inverse.
 
 Congruence modulo Z*le is decided by one canonical residue: with i the
 first nonzero coordinate of le, r(v) = v - (v[i] // le[i]) * le, and v is
 congruent to v' iff r(v) == r(v') (floor division picks one
 representative of v[i] mod le[i], also for non-primitive labels and a
-negative le[i]).  The residue of -v follows from that of v
-(``_negated_residue``).
+negative le[i]).
 
 Residues depend on labels only, and a GKM graph carries far fewer
 distinct labels than edges (Fl5: 600 edges, 10 labels).  So they are
@@ -47,34 +47,46 @@ from .graph import DomainError, GkmGraph, OrientedEdge
 class Connection:
     """Family of star bijections, one per oriented edge.
 
-    The reverse of an edge carries the inverse bijection, as the only
-    builder ``assemble_connection`` stores it; ``holonomy_signs`` relies
-    on it.  The maps are never changed, so connections may share them."""
+    It holds one matching per unoriented edge, keyed by edge id: the
+    bijection along the default orientation.  The reverse orientation
+    carries the inverse bijection by definition, so it is not stored;
+    ``map_along`` and ``apply`` read it off the matching.  The matchings
+    are never changed, so connections may share them."""
 
-    __slots__ = ("graph", "_maps")
+    __slots__ = ("graph", "_matchings")
 
-    def __init__(self, graph: GkmGraph, maps: dict):
+    def __init__(self, graph: GkmGraph, matchings: dict):
         self.graph = graph
-        self._maps = maps
+        self._matchings = matchings
 
     def apply(self, e: OrientedEdge, f: OrientedEdge) -> OrientedEdge:
-        return self._maps[e][f]
+        matching = self._matchings[e.edge]
+        if e in matching:  # the default orientation is a key of its own matching
+            return matching[f]
+        for src, dst in matching.items():
+            if dst == f:
+                return src
+        raise KeyError(f)
 
     def map_along(self, e: OrientedEdge) -> MappingProxyType:
-        """The star bijection along e, as a read-only view."""
-        return MappingProxyType(self._maps[e])
+        """The star bijection along e, as a read-only view; for the
+        reverse orientation it is the inverse, built on this read."""
+        matching = self._matchings[e.edge]
+        if e in matching:
+            return MappingProxyType(matching)
+        return MappingProxyType({h: f for f, h in matching.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Connection):
             return NotImplemented
-        return self.graph == other.graph and self._maps == other._maps
+        return self.graph == other.graph and self._matchings == other._matchings
 
     def to_dict(self) -> dict:
         out = []
         for eid in range(len(self.graph.edges)):
             oe = self.graph.default_oriented(eid)
             pairs = sorted(
-                (src.render(), dst.render()) for src, dst in self._maps[oe].items()
+                (src.render(), dst.render()) for src, dst in self._matchings[eid].items()
             )
             out.append({"along": oe.render(), "pairs": [list(p) for p in pairs]})
         return {"connection": out}
@@ -92,21 +104,6 @@ def residue(v, le) -> tuple:
             t = v[i] // x
             return tuple(a - t * b for a, b in zip(v, le))
     return tuple(v)
-
-
-def _negated_residue(r, le) -> tuple:
-    """residue(-v, le) from r = residue(v, le), with no second division.
-
-    With i the first nonzero coordinate of le, -r is canonical when
-    r[i] == 0 (le[i] divides v[i]); otherwise the floor quotient of -v[i]
-    is one less than minus that of v[i], so the residue is le - r.
-    """
-    for i, x in enumerate(le):
-        if x:
-            if r[i]:
-                return tuple(b - a for a, b in zip(r, le))
-            break
-    return tuple(-a for a in r)
 
 
 def _sign_of(r, dst_residues) -> int | None:
@@ -128,8 +125,8 @@ def transport_sign(src_lift, dst_label, edge_label) -> int | None:
     the definition that ``graph_sign`` reads off the residue table of a
     graph.
     """
-    dst = residue(dst_label, edge_label)
-    return _sign_of(residue(src_lift, edge_label), (dst, _negated_residue(dst, edge_label)))
+    dst = (residue(dst_label, edge_label), residue(tuple(-c for c in dst_label), edge_label))
+    return _sign_of(residue(src_lift, edge_label), dst)
 
 
 class _Residues(dict):
@@ -143,8 +140,7 @@ class _Residues(dict):
         self.le = le
 
     def __missing__(self, v) -> tuple:
-        r = residue(v, self.le)
-        got = self[v] = (r, _negated_residue(r, self.le))
+        got = self[v] = (residue(v, self.le), residue(tuple(-c for c in v), self.le))
         return got
 
 
@@ -230,16 +226,6 @@ def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
     return list(_matchings(g, edge_id))
 
 
-def assemble_connection(g: GkmGraph, chosen: dict) -> Connection:
-    """The connection with matching ``chosen[eid]`` along each edge eid, unchecked."""
-    maps: dict = {}
-    for eid, matching in chosen.items():
-        e = g.default_oriented(eid)
-        maps[e] = matching
-        maps[e.reverse()] = {h: f for f, h in matching.items()}
-    return Connection(g, maps)
-
-
 def first_matching(g: GkmGraph, edge_id: int) -> dict | None:
     """The first compatible bijection at one edge, or None.
 
@@ -257,7 +243,7 @@ def find_connection(g: GkmGraph) -> Connection | None:
         chosen[eid] = first_matching(g, eid)
         if chosen[eid] is None:
             return None
-    return assemble_connection(g, chosen)
+    return Connection(g, chosen)
 
 
 def enumerate_connections(g: GkmGraph, limit: int | None = None):
@@ -276,7 +262,7 @@ def enumerate_connections(g: GkmGraph, limit: int | None = None):
     if limit is not None:
         combos = islice(combos, limit)
     for combo in combos:
-        yield assemble_connection(g, dict(enumerate(combo)))
+        yield Connection(g, dict(enumerate(combo)))
 
 
 def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
@@ -306,7 +292,7 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
                     f"congruence"
                 )
         chosen[eid] = m
-    return assemble_connection(g, chosen)
+    return Connection(g, chosen)
 
 
 def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
@@ -343,9 +329,10 @@ def holonomy_signs(g: GkmGraph, c: Connection) -> dict:
 
     eta(e) is minus the product of the ``transport_signs`` along e over
     the star without e itself.  It is computed once per unoriented edge
-    and stored under both orientations, as eta(reverse e) = eta(e): the
-    reverse edge carries the inverse bijection (see ``Connection``), and
-    the residue test is symmetric (lf - s * lh is in Z * le iff lh - s * lf is).
+    and stored under both orientations, as eta(reverse e) = eta(e): a
+    ``Connection`` holds one matching per edge and the reverse reads its
+    inverse, and the residue test is symmetric (lf - s * lh is in Z * le
+    iff lh - s * lf is).
     """
     eta: dict = {}
     for eid in range(len(g.edges)):

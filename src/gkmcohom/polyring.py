@@ -380,39 +380,43 @@ def _split_matrix(w0: Weight) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*u))
 
 
-@lru_cache(maxsize=None)
+_substitutions: dict[tuple, list[tuple]] = {}
+
+
 def linear_substitution(rows: tuple, d: int) -> tuple:
     """The degree-d coefficient map of the substitution x_i = sum_j
     rows[i][j] * y_j, for any k x k integer ``rows`` (a tuple of tuples).
 
     Column c is the image of the c-th degree-d monomial, stored sparse,
     as a tuple of (row, coefficient) pairs in the degree-d monomial order.
-    Each degree is one multiplication by a linear form per column of
-    degree d - 1.  The result is shared, immutable and held for the life
-    of the process.
+    Degrees are built in a loop, each one multiplication by a linear form
+    per column of the degree below, and kept per ``rows``, so each is built
+    once.  The result is shared, immutable and held for the life of the
+    process.
     """
     if d < 0:
         return ()
-    if d == 0:
-        return (((0, 1),),)
+    built = _substitutions.setdefault(rows, [(((0, 1),),)])
     k = len(rows)
-    lower = monomials(k, d - 1)
-    lower_idx = monomial_index(k, d - 1)
-    idx = monomial_index(k, d)
-    prev = linear_substitution(rows, d - 1)
-    cols = []
-    for mono in monomials(k, d):
-        i = next(j for j, e in enumerate(mono) if e)
-        base = prev[lower_idx[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]]]
-        acc: dict[int, int] = {}
-        for r, v in base:
-            src = lower[r]
-            for j, a in enumerate(rows[i]):
-                if a:
-                    key = idx[src[:j] + (src[j] + 1,) + src[j + 1 :]]
-                    acc[key] = acc.get(key, 0) + v * a
-        cols.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
-    return tuple(cols)
+    while len(built) <= d:
+        top = len(built)
+        lower = monomials(k, top - 1)
+        lower_idx = monomial_index(k, top - 1)
+        idx = monomial_index(k, top)
+        cols = []
+        for mono in monomials(k, top):
+            i = next(j for j, e in enumerate(mono) if e)
+            base = built[-1][lower_idx[mono[:i] + (mono[i] - 1,) + mono[i + 1 :]]]
+            acc: dict[int, int] = {}
+            for r, v in base:
+                src = lower[r]
+                for j, a in enumerate(rows[i]):
+                    if a:
+                        key = idx[src[:j] + (src[j] + 1,) + src[j + 1 :]]
+                        acc[key] = acc.get(key, 0) + v * a
+            cols.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
+        built.append(tuple(cols))
+    return built[d]
 
 
 def substitution_matrix(w0: Weight, d: int) -> tuple:

@@ -15,7 +15,7 @@ so all three are built as {vertex: value} maps (``_path_values``,
 ``polyring.elementary_symmetric``) and checked on the edges of the stars
 of that support alone (``_check_local``): every other edge joins two
 zeros, so this is exactly the condition of ``membership_z``.
-``verify_sw3valent`` searches the matchings of each edge once, assembles
+``verify_sw3valent`` searches the matchings of each edge once, builds
 every connection it checks from those lists, and adds these maps
 straight into the per-vertex sums; the public ``thom_class_of_*``
 functions spread the same maps into whole classes.
@@ -30,7 +30,6 @@ from .charclasses import total_sw
 from .cohomology import GraphClass, reduce_class_mod_p
 from .connection import (
     Connection,
-    assemble_connection,
     edge_matchings,
     find_connection,
     forced_lift,
@@ -280,9 +279,9 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     For a 3-valent orientable rank-2 graph the reductions of the three
     sums (over paths, edges, vertices) must equal the degree-2, 4 and 6
     components of the total class.  When at most eight connections exist
-    the comparison covers all of them, each assembled from the per-edge
+    the comparison covers all of them, each built from the per-edge
     matching lists and checked once; otherwise only the given connection
-    is checked, or without one the first, assembled from the first
+    is checked, or without one the first, built from the first
     matching at every edge.
     """
     if g.valence != 3:
@@ -292,10 +291,10 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     # one matching search per edge; the connections are the combinations
     per_edge = [edge_matchings(g, eid) for eid in range(len(g.edges))]
     if prod(map(len, per_edge)) <= 8:
-        checked = [assemble_connection(g, dict(enumerate(combo))) for combo in iproduct(*per_edge)]
+        checked = [Connection(g, dict(enumerate(combo))) for combo in iproduct(*per_edge)]
     elif connection is None:
         # the first matching at every edge: the connection find_connection gives
-        checked = [assemble_connection(g, {eid: ms[0] for eid, ms in enumerate(per_edge)})]
+        checked = [Connection(g, {eid: ms[0] for eid, ms in enumerate(per_edge)})]
     else:
         checked = [connection]
     if connection is None:

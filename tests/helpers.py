@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -779,3 +781,18 @@ def record_vertex_classes(monkeypatch) -> list:
 
     monkeypatch.setattr(cohomology, "_vertex_class", wrapped)
     return built
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to the current stack depth plus
+    ``frames`` for the block, and restore it after."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

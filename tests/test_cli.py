@@ -21,7 +21,7 @@ from gkmcohom.intlinalg import PRIME_BOUND
 from gkmcohom.polyring import var_names
 
 import test_golden as golden
-from helpers import dropping_a_term, record_vertex_classes
+from helpers import dropping_a_term, record_vertex_classes, recursion_headroom
 
 
 def run(capsys, *argv):
@@ -532,6 +532,19 @@ def test_reduction_kernel_is_flagged(capsys):
 
 # ---------------------------------------------------------------------------
 # characteristic classes and relations through the CLI
+
+
+def test_cohomology_degree_above_the_recursion_limit(capsys):
+    """A polynomial degree above the recursion limit, 60 frames above the
+    current depth, ends in a report and not a RecursionError: the
+    coefficient maps are built degree by degree."""
+    d = 150
+    with recursion_headroom(60):
+        assert sys.getrecursionlimit() < d
+        code = main(["cohomology", "fixtures:sphere(1,0)", "--degree", str(2 * d), "--json"])
+    assert code == 0
+    (piece,) = json.loads(capsys.readouterr().out)["degrees"]
+    assert piece["rank"] == 2 * d + 1
 
 
 def test_sw_report_degree_2(capsys):

@@ -9,6 +9,7 @@ from math import prod
 import pytest
 
 from gkmcohom import (
+    Connection,
     GkmGraph,
     connection_from_matchings,
     edge_matchings,
@@ -24,7 +25,6 @@ from gkmcohom import connection
 from gkmcohom.graph import DomainError, OrientedEdge, parse
 from gkmcohom.polyring import content, sign_normalize
 from gkmcohom.connection import (
-    _negated_residue,
     first_matching,
     forced_lift,
     residue,
@@ -217,6 +217,67 @@ def test_connection_maps_are_involutive():
                 assert c.apply(e.reverse(), c.apply(e, f)) == f
 
 
+def _stored_maps(g: GkmGraph, combo) -> dict:
+    """Both orientations of every edge mapped as a connection once stored
+    them: the matching along the default orientation, its inversion
+    along the reverse."""
+    maps = {}
+    for eid, matching in enumerate(combo):
+        e = g.default_oriented(eid)
+        maps[e] = dict(matching)
+        maps[e.reverse()] = {h: f for f, h in matching.items()}
+    return maps
+
+
+def _stored_to_dict(g: GkmGraph, maps: dict) -> dict:
+    out = []
+    for eid in range(len(g.edges)):
+        oe = g.default_oriented(eid)
+        pairs = sorted((src.render(), dst.render()) for src, dst in maps[oe].items())
+        out.append({"along": oe.render(), "pairs": [list(p) for p in pairs]})
+    return {"connection": out}
+
+
+def test_connection_reads_the_reverse_as_the_inverse_matching():
+    """A connection keeps one matching per edge; along every oriented edge
+    its view and ``apply`` equal the maps stored for both orientations,
+    the view is read-only, equal matchings give equal connections and
+    ``to_dict`` is that of the stored maps.  The first twelve connections
+    of each graph and one from ``connection_from_matchings``, on the
+    fixtures, random graphs with plain and scaled labels and random
+    3-valent orientable graphs."""
+    rng = random.Random(71)
+    graphs = [fixtures.from_spec(spec) for spec in SUBCOMMAND_FIXTURES]
+    graphs += random_gkm_graphs(73, 6)
+    graphs += [
+        scaled_labels_graph(g, rng) for g in random_gkm_graphs(79, 6, require_connection=False)
+    ]
+    graphs += random_3valent_orientable(83, 4)
+    reverse_reads = 0
+    for g in graphs:
+        per_edge = [edge_matchings(g, eid) for eid in range(len(g.edges))]
+        combos = list(itertools.islice(itertools.product(*per_edge), 12))
+        built = list(itertools.islice(enumerate_connections(g), 12))
+        assert len(built) == len(combos), g
+        cases = list(zip(built, combos))
+        if combos:
+            cases.append((connection_from_matchings(g, dict(enumerate(combos[-1]))), combos[-1]))
+        for c, combo in cases:
+            maps = _stored_maps(g, combo)
+            for x, want in maps.items():
+                view = c.map_along(x)
+                assert view == want, (g, x)
+                assert all(c.apply(x, f) == h for f, h in want.items()), (g, x)
+                with pytest.raises(TypeError):
+                    view[x] = x
+                reverse_reads += x != g.default_oriented(x.edge)
+            assert c == Connection(g, {eid: dict(m) for eid, m in enumerate(combo)})
+            assert c.to_dict() == _stored_to_dict(g, maps)
+        for (a, combo_a), (b, combo_b) in itertools.product(cases, repeat=2):
+            assert (a == b) == (combo_a == combo_b)
+    assert reverse_reads
+
+
 def _all_short_walk_products_positive(g, eta, max_len=6) -> bool:
     for v0 in range(len(g.vertices)):
         stack = [(v0, 1, 0)]
@@ -330,21 +391,6 @@ def test_residue_test_equals_the_definitional_congruence():
                 outcomes.add(want)
     assert outcomes == {0, 1, -1, None}
     assert leading_signs == {True, False}
-
-
-def test_negated_residue_is_the_residue_of_the_negation():
-    rng = random.Random(5)
-    seen_shift = set()
-    for k in range(1, 5):
-        for m in range(1, 6):
-            for _ in range(30):
-                le = label_of_content(rng, k, m) if k > 1 else (rng.choice((1, -1)) * m,)
-                v = tuple(rng.randint(-9, 9) for _ in range(k))
-                r = residue(v, le)
-                assert _negated_residue(r, le) == residue(tuple(-c for c in v), le), (v, le)
-                seen_shift.add(_negated_residue(r, le) != tuple(-c for c in r))
-    assert seen_shift == {True, False}
-    assert _negated_residue((2, -3), (0, 0)) == (-2, 3) == residue((-2, 3), (0, 0))
 
 
 def test_holonomy_signs_take_one_residue_per_label_and_edge(monkeypatch):

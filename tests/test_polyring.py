@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -12,8 +13,10 @@ from gkmcohom.polyring import (
     congruent_mod_weight,
     content,
     divide_by_linear,
+    divisibility_rows,
     elementary_symmetric,
     linear_from_weight,
+    linear_substitution,
     monomial_index,
     monomials,
     num_monomials,
@@ -29,6 +32,7 @@ from helpers import (
     is_multiple_of,
     label_of_content,
     mul_oracle,
+    recursion_headroom,
     render_oracle,
     star_product_component,
 )
@@ -362,6 +366,27 @@ def test_substitution_matrix_is_the_definitional_substitution_and_immutable():
             assert congruent_mod_weight(f + linear_from_weight(w) * g, f, w)
         for d, cols in snapshot.items():
             assert substitution_matrix(w0, d) == cols
+
+
+def test_substitution_degrees_above_the_recursion_limit_build():
+    """Coefficient maps are built degree by degree, not by recursion: with
+    the recursion limit 30 frames above the current depth and below the
+    degree, a degree-80 map of rows not built before builds, and so do
+    the divisibility rows of a weight not split before.  Some columns
+    equal ``compose_linear``, and the rows accept a multiple of the
+    weight and refuse x^d."""
+    rows, w, d = ((2, 1), (1, 1)), (53, 59), 80
+    with recursion_headroom(30):
+        assert sys.getrecursionlimit() < d
+        cols = linear_substitution(rows, d)
+        checks = divisibility_rows(w, d)
+    n = num_monomials(2, d)
+    for c in (0, 1, d // 2, n - 1):
+        want = compose_linear(GradedPoly(2, d, [int(i == c) for i in range(n)]), rows).coeffs
+        assert dict(cols[c]) == {r: v for r, v in enumerate(want) if v}, c
+    multiple = (linear_from_weight(w) * poly(2, d - 1, {(d - 1, 0): 1})).coeffs
+    assert all(sum(v * multiple[c] for c, v in row) == 0 for row, _ in checks)
+    assert any(sum(v for c, v in row if c == 0) for row, _ in checks)
 
 
 def test_graded_poly_render():

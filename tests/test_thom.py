@@ -325,9 +325,9 @@ def test_thom_assembles_only_the_connections_it_checks(monkeypatch):
     from gkmcohom import thom
 
     assembled = []
-    real = thom.assemble_connection
+    real = thom.Connection
     monkeypatch.setattr(
-        thom, "assemble_connection", lambda g, chosen: assembled.append(1) or real(g, chosen)
+        thom, "Connection", lambda g, chosen: assembled.append(1) or real(g, chosen)
     )
     for g, count in _connection_counts():
         assembled.clear()
