@@ -23,6 +23,7 @@ from .cohomology import (
     GraphClass,
     compute_h_modp,
     compute_h_z,
+    compute_h_z_and_modp,
     integral_preimage,
     membership_z,
     reduce_class_mod_p,
@@ -81,6 +82,7 @@ __all__ = [
     "classes_from_json",
     "compute_h_modp",
     "compute_h_z",
+    "compute_h_z_and_modp",
     "connection_from_matchings",
     "connection_paths",
     "divide_by_linear",

@@ -23,7 +23,7 @@ import sys
 
 from . import fixtures
 from .charclasses import realizability_obstruction, spin_check, sw_choice_independence, total_sw
-from .cohomology import compute_h_modp, compute_h_z, reduce_class_mod_p
+from .cohomology import compute_h_z, compute_h_z_and_modp, reduce_class_mod_p
 from .connection import find_connection, is_orientable
 from .graph import (
     CheckReport,
@@ -40,7 +40,7 @@ from .graph import (
     read_json,
     validate_gkm,
 )
-from .intlinalg import PRIME_BOUND, LatticeBasis, is_prime
+from .intlinalg import PRIME_BOUND, is_prime
 from .relations import (
     RelationError,
     check_relations,
@@ -144,14 +144,10 @@ def cmd_cohomology(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
         if args.ring == 0:
             rows.append(compute_h_z(g, degree2).to_report())
             continue
-        p = args.ring
-        entry = compute_h_modp(g, degree2, p).to_report()
-        lat_z = compute_h_z(g, degree2)
+        lat_z, lat_p, image_rank = compute_h_z_and_modp(g, degree2, args.ring)
+        entry = lat_p.to_report()
         entry["integral_rank"] = lat_z.rank
-        # dimension of the kernel of H(Z) (x) Z_p -> H(Z_p): the rank over
-        # F_p of the vertexwise reduction of the integral basis
-        lat = lat_z.lattice
-        image_rank = LatticeBasis.from_vectors(lat.ambient_dim, lat.vectors, p).rank
+        # dimension of the kernel of H(Z) (x) Z_p -> H(Z_p)
         entry["reduction_kernel_dim"] = lat_z.rank - image_rank
         if entry["reduction_kernel_dim"] > 0:
             entry["note"] = (
@@ -238,11 +234,13 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 # argv handling
 
-def _parse_ring(text: str, p: int) -> int:
+def _parse_ring(text: str, p: int | None) -> int:
+    if p is not None and text != "Zp":
+        raise ValueError(f"--p {p} applies only to --ring Zp, not to --ring {text}")
     if text == "Z":
         return 0
     if text == "Zp":
-        value = p
+        value = 2 if p is None else p
     elif text.startswith("Z") and text[1:].isdigit():
         value = read_int(text[1:], "--ring")
     else:
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def ring_flags(p_: argparse.ArgumentParser) -> None:
         p_.add_argument("--ring", default="Z", help="Z (default), Zp, or Z<prime>")
-        p_.add_argument("--p", type=int, default=2, help="prime for --ring Zp")
+        p_.add_argument("--p", type=int, help="prime for --ring Zp (default 2); no other ring takes it")
 
     def degree_flags(p_: argparse.ArgumentParser) -> None:
         p_.add_argument("--degree", type=int, help="single cohomological degree")

@@ -29,6 +29,13 @@ a skewed basis, for one, is solved on the labels of Fl4 with the
 coordinates permuted.  Every other graph, and every graph over Z/p, is
 solved as given.
 
+Both pieces of one degree come from ``compute_h_z_and_modp``.  When the
+integral solve is clean (``intlinalg.sparse_kernel``: every row of
+modulus 0, no row divided by its content, none left for the dense
+``kernel``), the integral basis reduced mod p is the mod-p piece, and
+only its check runs; any other graph, say with a label of content above
+1 from degree 2 on, is solved over Z/p as well.
+
 The comparison map ``reduce_class_mod_p`` takes one class to Z/p: it
 reduces the vertex part and fills in the quotient part from the
 difference quotients across the edges whose label vanishes mod p.
@@ -386,8 +393,9 @@ def _map_back(vectors, sub: tuple, n: int) -> list[list[int]]:
     return out
 
 
-def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
-    """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows.
+def _graded_piece(g: GkmGraph, degree2: int, p: int) -> tuple[CohomLattice, bool]:
+    """One graded piece over Z (p = 0) or Z/p, from the sparse edge rows,
+    and whether its solve was clean (``intlinalg.sparse_kernel``).
 
     Over Z the rows are solved in the basis of the graph's own labels
     that ``_label_basis`` picks, if any: with y_j = b_j . x, a label
@@ -408,11 +416,12 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     degree-d substitution y_i = b_i . x (``polyring.linear_substitution``
     of B) and put in HNF again by ``LatticeBasis.from_vectors``, which
     depends on the lattice only, so the piece is the same whatever basis
-    solved it.  ``intlinalg.rows_hold`` then meets every row of the
-    graph's own labels, left intact, with every lattice vector in one
-    sparse product, and a vector that breaks an edge congruence, in the
-    solve or in the map-back, raises ``InvariantError``.  The piece is
-    that lattice: no class is built here (see ``CohomLattice.basis``)."""
+    solved it; the substitution is unimodular, so a clean re-based solve
+    stays clean.  ``_checked`` then meets every row of the graph's own
+    labels with every lattice vector, and a vector that breaks an edge
+    congruence, in the solve or in the map-back, raises
+    ``InvariantError``.  The piece is that lattice: no class is built
+    here (see ``CohomLattice.basis``)."""
     if degree2 < 0 or degree2 % 2:
         raise ValueError("cohomological degree must be even and non-negative")
     d = degree2 // 2
@@ -420,12 +429,20 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     width = len(g.vertices) * n
     basis = None if p else _label_basis(g)
     rows, moduli = _edge_rows(g, d, p, basis[1] if basis else None)
-    lat = sparse_kernel(rows, moduli, width, p)
+    lat, clean = sparse_kernel(rows, moduli, width, p)
     if basis:
         back = _map_back(lat.vectors, linear_substitution(basis[0], d), n)
         lat = LatticeBasis.from_vectors(width, back)
         rows, moduli = _edge_rows(g, d, 0)  # the check reads the labels as given
-    if not rows_hold(rows, moduli, lat.vectors, p):
+    return _checked(g, degree2, lat, rows, moduli), clean
+
+
+def _checked(g: GkmGraph, degree2: int, lat: LatticeBasis, rows, moduli) -> CohomLattice:
+    """The piece of the lattice, once ``intlinalg.rows_hold`` has met the
+    edge rows of the graph's own labels (over the lattice's ring) with
+    every lattice vector in one sparse product; a vector that breaks a
+    row raises ``InvariantError``."""
+    if not rows_hold(rows, moduli, lat.vectors, lat.p):
         raise InvariantError(f"kernel solver produced a non-class in degree {degree2}")
     return CohomLattice(g, degree2, lat)
 
@@ -433,14 +450,41 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
 def compute_h_z(g: GkmGraph, degree2: int) -> CohomLattice:
     """Integral graded piece: vertex vectors whose differences are in the
     image of multiplication by the edge labels."""
-    return _graded_piece(g, degree2, 0)
+    return _graded_piece(g, degree2, 0)[0]
 
 
 def compute_h_modp(g: GkmGraph, degree2: int, p: int) -> CohomLattice:
     """Mod-p graded piece; edges with vanishing label force equal endpoints."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    return _graded_piece(g, degree2, p)
+    return _graded_piece(g, degree2, p)[0]
+
+
+def compute_h_z_and_modp(
+    g: GkmGraph, degree2: int, p: int
+) -> tuple[CohomLattice, CohomLattice, int]:
+    """The integral and the mod-p piece of one degree, and the rank over
+    F_p of the vertex-wise reduction of the integral basis (the rank of
+    H(Z) (x) Z_p -> H(Z_p)).
+
+    The integral piece is solved first, and its HNF reduced mod p.  When
+    that solve was clean, the reduced lattice is the mod-p piece (see
+    ``intlinalg.sparse_kernel``; a re-based solve differs from one on the
+    labels as given by a unimodular substitution, which keeps that), so
+    it is only checked against the mod-p rows of the graph's own labels.
+    Otherwise, say with a label that is not primitive or rows left for
+    the dense ``kernel``, the mod-p piece is solved on its own.
+    """
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    h_z, clean = _graded_piece(g, degree2, 0)
+    lat = h_z.lattice
+    reduced = LatticeBasis.from_vectors(lat.ambient_dim, lat.vectors, p)
+    if clean:
+        h_p = _checked(g, degree2, reduced, *_edge_rows(g, degree2 // 2, p))
+    else:
+        h_p = _graded_piece(g, degree2, p)[0]
+    return h_z, h_p, reduced.rank
 
 
 def reduce_class_mod_p(

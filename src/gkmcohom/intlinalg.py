@@ -8,6 +8,8 @@ Conventions:
     ``_eliminate`` on every column, which divides the rows it is left
     with by their content and pivots on them again, and leaves only the
     rows that have no entry +-1 even so, if any, to the dense ``kernel``;
+    a solve that needs none of the three (slack, division, dense rest) is
+    clean, and its lattice reduced mod any prime is the F_p kernel;
   * ``LatticeBasis`` is the one canonical row basis of both rings: the
     HNF over Z (p = 0), the RREF over F_p, so equal spans have equal
     ``vectors`` and one ``coordinates_of`` serves both;
@@ -239,9 +241,10 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
     is divided by its content, which keeps its integer solutions, and the
     divided rows look again; dividing only then keeps the unit pivots in
     the order they had before any division.  Returns ``(pivots,
-    leftover)``: the (column, inverse of the pivot entry, rest of the row
-    as (column, value) pairs) triples in pivot order, and the nonzero rows
-    left, primitive and without an entry +-1 below ``ncols``."""
+    leftover, divided)``: the (column, inverse of the pivot entry, rest of
+    the row as (column, value) pairs) triples in pivot order, the nonzero
+    rows left, primitive and without an entry +-1 below ``ncols``, and
+    whether any row was divided by a content above 1."""
     colrows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -251,6 +254,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
     heap = [(len(rows[i]), i) for i in active]
     heapq.heapify(heap)
     pivots = []
+    divided = False
     while True:
         if not heap:  # drained: divide each row left by its content, look again
             for k in active:
@@ -258,6 +262,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
                 if g > 1:
                     rows[k] = {c: v // g for c, v in rows[k].items()}
                     heap.append((len(rows[k]), k))
+                    divided = True
             if not heap:
                 break
             heapq.heapify(heap)
@@ -294,7 +299,7 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
             else:
                 active.discard(k)
         pivots.append((c, inv, rest))
-    return pivots, [rows[i] for i in sorted(active)]
+    return pivots, [rows[i] for i in sorted(active)], divided
 
 
 def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[list[int]]:
@@ -324,11 +329,22 @@ def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[list[int]]:
 
 def sparse_kernel(
     rows: list[dict[int, int]], moduli: list[int], ncols: int, p: int = 0
-) -> LatticeBasis:
+) -> tuple[LatticeBasis, bool]:
     """Lattice of x in Z^ncols with row_i . x divisible by moduli[i] >= 0
     for every i (modulus 0: row_i . x = 0), or over F_p (p > 0) the space
     of x with every row_i . x = 0; rows are ``{column: value}`` on the
     columns below ``ncols``, and a modulus of 1 drops its row.
+
+    Returns the kernel and whether its solve was clean, which only a
+    solve over Z can be: no row of modulus above 1 (so no slack column),
+    no row divided by its content and no row left for the dense
+    ``kernel``.  Then the rows are unimodular combinations of the pivot
+    rows, triangular with +-1 pivots, and the lattice is spanned by one
+    lifted vector per free column, 1 there and 0 on the other free
+    columns.  So for every prime q the rows have as many pivots over F_q
+    as over Q, the lattice reduced mod q has the dimension of the F_q
+    kernel of the same rows and lies in it, and the RREF of the reduced
+    lattice is that kernel.  Over F_p the flag is False.
 
     Over F_p the kernel is read off ``_fp_echelon`` of the rows with
     their columns reversed: that RREF pivots on the latest columns, so the
@@ -375,8 +391,8 @@ def sparse_kernel(
         for c, rest in pivots.items():
             for f, x in rest.items():
                 vecs[last - f][last - c] = -x % p
-        return LatticeBasis(ncols, tuple(map(tuple, vecs.values())), p)
-    pivots, leftover = _eliminate(work, slack)
+        return LatticeBasis(ncols, tuple(map(tuple, vecs.values())), p), False
+    pivots, leftover, divided = _eliminate(work, slack)
     met = {c for row in leftover for c in row}
     pivoted = {c for c, _, _ in pivots}
     gens = [{c: 1} for c in range(slack) if c not in pivoted and c not in met]
@@ -384,7 +400,8 @@ def sparse_kernel(
         cols = sorted(met)
         dense = IntMatrix([[row.get(c, 0) for c in cols] for row in leftover], cols=len(cols))
         gens += [{c: x for c, x in zip(cols, vec) if x} for vec in kernel(dense).vectors]
-    return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols))
+    clean = slack == ncols and not divided and not leftover
+    return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols)), clean
 
 
 def rows_hold(rows: list[dict[int, int]], moduli: list[int], vectors, p: int = 0) -> bool:

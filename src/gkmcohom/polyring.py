@@ -32,6 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import sub
 
 Weight = tuple[int, ...]
 
@@ -87,16 +88,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 @lru_cache(maxsize=None)
 def monomials(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of degree d, graded-lex descending (x1 biggest),
-    in the order of ``combinations_with_replacement(range(k), d)``."""
-    if d < 0:
-        return ()
-    out = []
-    for combo in combinations_with_replacement(range(k), d):
-        exps = [0] * k
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return tuple(out)
+    in the order of ``combinations_with_replacement(range(k), d)``.  Each
+    is the differences of (0, c_1, .., c_{k-1}, d) for its partial sums
+    c_1 <= .. <= c_{k-1} in [0, d], so it costs O(k) whatever d; the sums
+    ascend as the vectors descend."""
+    if d < 0 or not k:
+        return () if d else ((),)
+    sums = combinations_with_replacement(range(d + 1), k - 1)
+    return tuple(reversed([tuple(map(sub, c + (d,), (0,) + c)) for c in sums]))
 
 
 @lru_cache(maxsize=None)

@@ -783,6 +783,22 @@ def record_vertex_classes(monkeypatch) -> list:
     return built
 
 
+def record_kernel_primes(monkeypatch) -> list:
+    """Wrap ``cohomology.sparse_kernel``; returns the list the prime of
+    every solve is appended to (0 for a solve over Z)."""
+    from gkmcohom import cohomology
+
+    primes = []
+    real = cohomology.sparse_kernel
+
+    def wrapped(rows, moduli, ncols, p=0):
+        primes.append(p)
+        return real(rows, moduli, ncols, p)
+
+    monkeypatch.setattr(cohomology, "sparse_kernel", wrapped)
+    return primes
+
+
 @contextmanager
 def recursion_headroom(frames: int):
     """Lower the recursion limit to the current stack depth plus

@@ -21,7 +21,13 @@ from gkmcohom.intlinalg import PRIME_BOUND
 from gkmcohom.polyring import var_names
 
 import test_golden as golden
-from helpers import dropping_a_term, record_vertex_classes, recursion_headroom
+from helpers import (
+    dropping_a_term,
+    projective_space,
+    record_kernel_primes,
+    record_vertex_classes,
+    recursion_headroom,
+)
 
 
 def run(capsys, *argv):
@@ -269,10 +275,10 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
             "assert False, 'asserts must be off'\n"
             "real = cohomology.sparse_kernel\n"
             "def corrupted(rows, moduli, ncols, p=0):\n"
-            "    lat = real(rows, moduli, ncols, p)\n"
+            "    lat, clean = real(rows, moduli, ncols, p)\n"
             "    first = list(lat.vectors[0])\n"
             "    first[0] = (first[0] + 1) % p if p else first[0] + 1\n"
-            "    return LatticeBasis(lat.ambient_dim, (tuple(first),) + lat.vectors[1:], lat.p)\n"
+            "    return LatticeBasis(lat.ambient_dim, (tuple(first),) + lat.vectors[1:], lat.p), clean\n"
             "cohomology.sparse_kernel = corrupted\n"
             f"sys.exit(main(['cohomology', 'fixtures:paper8', '--ring', {ring!r}, '--json']))\n"
         )
@@ -285,6 +291,75 @@ def test_invariant_violation_exits_3_without_traceback_under_optimize():
         assert proc.stdout == ""
         assert proc.stderr.startswith("internal error: kernel solver produced a non-class"), ring
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "spec, patch, degree2",
+    [
+        # a clean integral solve: the mod-p piece is the reduced integral
+        # HNF, and no mod-p solve may run
+        pytest.param(
+            "product(1,0;0,1;1,1)",
+            "real_kernel = cohomology.sparse_kernel\n"
+            "def integral_only(rows, moduli, ncols, p=0):\n"
+            "    if p:\n"
+            "        sys.exit(5)\n"
+            "    return real_kernel(rows, moduli, ncols, p)\n"
+            "cohomology.sparse_kernel = integral_only\n"
+            "class Corrupted(LatticeBasis):\n"
+            "    @classmethod\n"
+            "    def from_vectors(cls, ambient_dim, vecs, p=0):\n"
+            "        lat = LatticeBasis.from_vectors(ambient_dim, vecs, p)\n"
+            "        if not p:\n"
+            "            return lat\n"
+            "        first = list(lat.vectors[0])\n"
+            "        first[0] = (first[0] + 1) % p\n"
+            "        return LatticeBasis(lat.ambient_dim, (tuple(first),) + lat.vectors[1:], p)\n"
+            "cohomology.LatticeBasis = Corrupted\n",
+            0,
+            id="reduced-integral-piece",
+        ),
+        # from degree 2 on an unclean one (a label of content 2): the
+        # mod-p solve runs
+        pytest.param(
+            "paper8",
+            "real_kernel = cohomology.sparse_kernel\n"
+            "def corrupted(rows, moduli, ncols, p=0):\n"
+            "    lat, clean = real_kernel(rows, moduli, ncols, p)\n"
+            "    if not p:\n"
+            "        return lat, clean\n"
+            "    first = list(lat.vectors[0])\n"
+            "    first[0] = (first[0] + 1) % p\n"
+            "    return LatticeBasis(lat.ambient_dim, (tuple(first),) + lat.vectors[1:], p), clean\n"
+            "cohomology.sparse_kernel = corrupted\n",
+            2,
+            id="mod-p-solve",
+        ),
+    ],
+)
+def test_a_corrupted_mod_p_piece_exits_3_under_optimize(spec, patch, degree2):
+    """The mod-p piece is checked against the mod-p edge rows on both
+    paths of ``--ring Z2``, under ``python -O`` too: one coordinate of
+    its first vector changed after the integral piece has passed its own
+    check, whether that vector is the reduction of the integral HNF or
+    comes from the mod-p solve, ends in exit 3."""
+    script = (
+        "import sys\n"
+        "import gkmcohom.cohomology as cohomology\n"
+        "from gkmcohom.cli import main\n"
+        "from gkmcohom.intlinalg import LatticeBasis\n"
+        "assert False, 'asserts must be off'\n"
+        f"{patch}"
+        f"sys.exit(main(['cohomology', 'fixtures:{spec}', '--ring', 'Z2', '--json']))\n"
+    )
+    paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"internal error: kernel solver produced a non-class in degree {degree2}\n"
 
 
 def test_a_corrupted_map_back_exits_3(capsys, monkeypatch):
@@ -446,6 +521,19 @@ def test_bad_ring_is_a_usage_error(capsys):
     assert code == 2
     code, _, _ = run(capsys, "cohomology", "fixtures:paper8", "--ring", "Q")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [("cohomology", "--degree", "2"), ("relations", "--check", "x == x")])
+@pytest.mark.parametrize("ring", ["Z", "Z2", "Z3"])
+def test_p_with_a_ring_other_than_zp_is_a_usage_error(capsys, command, ring):
+    """``--p`` picks the prime of ``--ring Zp`` only; given with any other
+    ring it is a usage error naming both flags, not silently ignored.
+    ``--ring Zp`` without ``--p`` is over Z_2."""
+    result = run(capsys, command[0], "fixtures:k4", "--ring", ring, "--p", "3", *command[1:])
+    assert result == (2, "", f"error: --p 3 applies only to --ring Zp, not to --ring {ring}\n")
+    default = run(capsys, command[0], "fixtures:k4", "--ring", "Zp", *command[1:])
+    assert default == run(capsys, command[0], "fixtures:k4", "--ring", "Z2", *command[1:])
+    assert default[0] == 0
 
 
 def test_a_large_ring_prime_is_decided_at_once(capsys):
@@ -882,6 +970,30 @@ def test_a_command_leaves_no_graph_alive(capsys, argv):
         assert _live_graphs() == before
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "graph, argv, solves",
+    [
+        ("CP4", ("--ring", "Z3", "--max-degree", "8"), 0),
+        ("fixtures:k4", ("--ring", "Z2", "--degree", "2"), 1),
+    ],
+)
+def test_a_mod_p_piece_is_solved_only_when_the_integral_solve_is_not_clean(
+    tmp_path, capsys, monkeypatch, graph, argv, solves
+):
+    """``cohomology --ring Zp`` takes the mod-p piece off the integral
+    solve when that solve is clean: CP^4 over Z3 up to degree 8 runs no
+    mod-p solve, and k4 in degree 2, where the elimination divides a row
+    by its content 2, runs one."""
+    if graph == "CP4":
+        path = tmp_path / "CP4.json"
+        path.write_text(json.dumps(projective_space(4).to_dict()))
+        graph = str(path)
+    calls = record_kernel_primes(monkeypatch)
+    assert run(capsys, "cohomology", graph, *argv)[0] == 0
+    assert len([p for p in calls if p]) == solves
+    assert calls.count(0) == (5 if argv[-1] == "8" else 1)
 
 
 def test_no_command_solves_a_graded_piece_twice(capsys, monkeypatch):

@@ -48,6 +48,7 @@ from helpers import (
     random_gkm_graphs,
     random_unimodular,
     rational_rank,
+    record_kernel_primes,
     record_vertex_classes,
     scaled_labels_graph,
     twist_graph,
@@ -133,12 +134,12 @@ def test_sparse_elimination_equals_the_dense_oracle():
             width = len(g.vertices) * num_monomials(g.torus_rank, d)
             rows, moduli = _edge_rows(g, d, 0)
             slack_seen += sum(1 for m in moduli if m)
-            assert sparse_kernel(rows, moduli, width) == slack_oracle(g, d), (g, d)
+            assert sparse_kernel(rows, moduli, width)[0] == slack_oracle(g, d), (g, d)
             for p in (2, 3, 5):
                 rows_p, _ = _edge_rows(g, d, p)
                 dense_p = [[row.get(c, 0) for c in range(width)] for row in rows_p]
                 want_p = modp_rref(modp_kernel_basis(dense_p, width, p), p)
-                got_p = sparse_kernel(rows_p, [0] * len(rows_p), width, p).vectors
+                got_p = sparse_kernel(rows_p, [0] * len(rows_p), width, p)[0].vectors
                 assert got_p == tuple(map(tuple, want_p)), (g, d, p)
     assert slack_seen > 0
 
@@ -337,6 +338,64 @@ def test_mod_p_pieces_are_solved_on_the_labels_as_given(monkeypatch, spec, p):
     assert [compute_h_modp(g, d2, p).lattice for d2 in (2, 4, 6)] == want
     with pytest.raises(InvariantError, match="non-class in degree 4"):
         compute_h_z(g, 4)
+
+
+def test_a_clean_integral_solve_gives_the_mod_p_piece(monkeypatch):
+    """Both pieces of a degree from one function: on random graphs with
+    primitive labels, CP^4, Fl4 and Fl4-skew (re-based), over F_2, F_3 and
+    F_5 in degrees 0 to 6, the mod-p piece equals the full mod-p solve,
+    the integral piece equals ``compute_h_z`` and the reduction rank is
+    that of the reduced integral basis, whether the mod-p solve was
+    skipped or not.  It is skipped exactly when the integral solve was
+    clean, and both paths are taken often."""
+    graphs = [g for g in random_gkm_graphs(211, 10) if all(content(w) == 1 for _, _, w in g.edges)]
+    graphs += [projective_space(4), flag_manifold(3), twist_graph(flag_manifold(3), SKEW)]
+    assert len(graphs) > 6
+    calls = record_kernel_primes(monkeypatch)
+    taken = refused = 0
+    for g in graphs:
+        for degree2 in range(0, 7, 2):
+            want_z = compute_h_z(g, degree2).lattice
+            clean = cohomology._graded_piece(g, degree2, 0)[1]
+            for p in (2, 3, 5):
+                want_p = compute_h_modp(g, degree2, p).lattice
+                calls.clear()
+                h_z, h_p, image_rank = cohomology.compute_h_z_and_modp(g, degree2, p)
+                assert calls == ([0] if clean else [0, p]), (g, degree2, p)
+                assert (h_z.lattice, h_p.lattice) == (want_z, want_p), (g, degree2, p)
+                assert image_rank == LatticeBasis.from_vectors(want_z.ambient_dim, want_z.vectors, p).rank
+                taken += clean
+                refused += not clean
+    assert taken > 40 and refused > 20, (taken, refused)
+
+
+@pytest.mark.parametrize(
+    "spec, p, degrees2, wrong",
+    [
+        ("k4", 2, (2,), True),
+        ("triangle_x_edge", 2, (4, 6), True),
+        ("Q5", 3, (2, 4, 6), True),
+        ("Q4k3", 2, (2, 4, 6), False),
+        ("paper8", 2, (2, 4, 6), False),
+    ],
+)
+def test_the_mod_p_piece_is_solved_when_the_integral_solve_is_not_clean(
+    monkeypatch, spec, p, degrees2, wrong
+):
+    """A row divided by its content 2 (k4, the triangle prism) or a label
+    that is not primitive (the Q5 cube with its (2,4) axis, Q4k3, paper8)
+    makes the integral solve unclean, and the mod-p piece is solved on its
+    own.  On the first three the reduced integral piece is smaller than
+    the mod-p piece, so taking it would be wrong."""
+    labels = {"Q5": ((1, 0), (0, 1), (1, 1), (1, -1), (2, 4)), "Q4k3": Q4K3}
+    g = cube_graph(labels[spec]) if spec in labels else fixtures.from_spec(spec)
+    calls = record_kernel_primes(monkeypatch)
+    for degree2 in degrees2:
+        calls.clear()
+        h_z, h_p, image_rank = cohomology.compute_h_z_and_modp(g, degree2, p)
+        assert calls == [0, p], degree2
+        assert h_p.lattice == compute_h_modp(g, degree2, p).lattice, degree2
+        assert (image_rank < h_p.rank) == wrong, degree2
 
 
 def test_piece_check_agrees_with_membership_on_perturbed_vectors():

@@ -152,10 +152,13 @@ def test_sparse_kernel_lifts_the_dense_kernel_of_the_leftover_rows():
     slack column included, and the result comes back through row 1."""
     rows = [{0: 2, 1: 3}, {1: 2, 2: 3, 3: 1}, {2: 2, 4: 3}, {0: 3, 3: 2, 4: 2}]
     moduli = [0, 0, 5, 0]
-    pivots, leftover = _eliminate([{**r, **({5: -5} if i == 2 else {})} for i, r in enumerate(rows)], 5)
+    with_slack = [{**r, **({5: -5} if i == 2 else {})} for i, r in enumerate(rows)]
+    pivots, leftover, divided = _eliminate(with_slack, 5)
     assert [c for c, _, _ in pivots] == [3]
     assert leftover == [{0: 2, 1: 3}, {2: 2, 4: 3, 5: -5}, {0: 3, 1: -4, 2: -6, 4: 2}]
-    lat = sparse_kernel(rows, moduli, 5)
+    assert not divided
+    lat, clean = sparse_kernel(rows, moduli, 5)
+    assert not clean
     assert lat.rank == 2
     assert lat == dense_oracle(rows, moduli, 5)
     members = 0
@@ -197,15 +200,15 @@ def test_sparse_kernel_pivots_on_the_content_divided_leftover(monkeypatch):
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 1: 1}]
     with_slack = [{**row, 3 + i: -2} for i, row in enumerate(rows)]
     # with the slack columns above the bound the divided rows stay left
-    _, leftover = _eliminate([dict(row) for row in with_slack], 3)
-    assert leftover == [{3: 1, 4: -1}, {5: 1, 6: -1}]
-    pivots, leftover = _eliminate(with_slack, 7)
-    assert [c for c, _, _ in pivots] == [1, 2, 4, 6] and leftover == []
+    _, leftover, divided = _eliminate([dict(row) for row in with_slack], 3)
+    assert leftover == [{3: 1, 4: -1}, {5: 1, 6: -1}] and divided
+    pivots, leftover, divided = _eliminate(with_slack, 7)
+    assert [c for c, _, _ in pivots] == [1, 2, 4, 6] and leftover == [] and divided
     cases = [(rows, [2, 2, 2, 2], 3), ([{0: 2, 1: 4}], [0], 2), ([{0: 4, 1: 8}], [4], 2)]
     for rows, moduli, ncols in cases:
         want = dense_oracle(rows, moduli, ncols)
         calls.clear()
-        assert sparse_kernel(rows, moduli, ncols) == want, (rows, moduli)
+        assert sparse_kernel(rows, moduli, ncols) == (want, False), (rows, moduli)
         assert calls == [], (rows, moduli)
     assert want == LatticeBasis(2, ((1, 0), (0, 1)))
 
@@ -218,7 +221,7 @@ def test_sparse_kernel_keeps_the_dense_path_for_leftover_without_a_unit(monkeypa
     rows, moduli = [{0: 4, 1: 6}, {1: 6, 2: 10}], [0, 0]
     want = dense_oracle(rows, moduli, 3)
     calls.clear()
-    assert sparse_kernel(rows, moduli, 3) == want
+    assert sparse_kernel(rows, moduli, 3) == (want, False)
     assert calls == [(2, 3)]
 
 
@@ -240,13 +243,13 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems(monkeypatch):
     eliminate = intlinalg._eliminate
 
     def recorded(rows, ncols):
-        pivots, leftover = eliminate(rows, ncols)
-        pivot_columns.extend(c for c, _, _ in pivots)
-        return pivots, leftover
+        result = eliminate(rows, ncols)
+        pivot_columns.extend(c for c, _, _ in result[0])
+        return result
 
     monkeypatch.setattr(intlinalg, "_eliminate", recorded)
     for p in (2, 3, 101):
-        assert sparse_kernel([{}, {}], [0, 1], 0, p) == LatticeBasis(0, (), p)
+        assert sparse_kernel([{}, {}], [0, 1], 0, p) == (LatticeBasis(0, (), p), False)
     for _ in range(300):
         ncols = rng.randint(1, 6)
         rows = []
@@ -256,7 +259,7 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems(monkeypatch):
         moduli = [rng.choice((0, 0, 0, 1, 2, 3, 4, 6)) for _ in rows]
         pivot_columns.clear()
         calls.clear()
-        lat = sparse_kernel(rows, moduli, ncols)
+        lat, _ = sparse_kernel(rows, moduli, ncols)
         dense_seen += bool(calls)  # before the oracle, which calls kernel too
         divided_pivot_seen += any(c >= ncols for c in pivot_columns)
         assert lat == dense_oracle(rows, moduli, ncols), (rows, moduli)
@@ -266,12 +269,41 @@ def test_sparse_kernel_equals_the_dense_oracle_on_random_systems(monkeypatch):
             given = [dict(r) for r in fp_rows]
             kept = [[r.get(c, 0) for c in range(ncols)] for r, m in zip(fp_rows, fp_moduli) if not m]
             want = modp_rref(modp_kernel_basis(kept, ncols, p), p)
-            lat = sparse_kernel(given, fp_moduli, ncols, p)
+            lat, _ = sparse_kernel(given, fp_moduli, ncols, p)
             assert given == fp_rows, "the input rows are left as they are"
             assert lat.vectors == tuple(map(tuple, want)), (fp_rows, fp_moduli, p)
             assert lat == LatticeBasis.from_vectors(ncols, list(lat.vectors), p)
     assert dense_seen > 50, dense_seen
     assert divided_pivot_seen > 100, divided_pivot_seen
+
+
+def test_a_clean_integral_kernel_reduces_to_every_fp_kernel():
+    """Random sparse rows with entries in +-1..+-3 and moduli 0, 1 and 2:
+    a solve is clean only with no modulus above 1, and then the integral
+    kernel reduced mod p is the F_p kernel of the same rows for p = 2, 3,
+    5, 7.  Unclean solves, by content division or rows left for the dense
+    ``kernel``, are common, and their reductions are often too small."""
+    rng = random.Random(29)
+    clean_seen = too_small = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            cols = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
+            rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols})
+        moduli = [rng.choice((0, 0, 0, 0, 1, 2)) for _ in rows]
+        lat, clean = sparse_kernel(rows, moduli, ncols)
+        assert not (clean and any(m > 1 for m in moduli)), (rows, moduli)
+        clean_seen += clean
+        for p in (2, 3, 5, 7):
+            if any(m > 1 for m in moduli):
+                continue
+            want, _ = sparse_kernel(rows, moduli, ncols, p)
+            reduced = LatticeBasis.from_vectors(ncols, list(lat.vectors), p)
+            if clean:
+                assert reduced == want, (rows, moduli, p)
+            too_small += reduced.rank < want.rank
+    assert clean_seen > 60 and too_small > 100, (clean_seen, too_small)
 
 
 def test_sparse_kernel_over_fp_is_one_echelon(monkeypatch):
@@ -297,8 +329,8 @@ def test_sparse_kernel_over_fp_is_one_echelon(monkeypatch):
     monkeypatch.setattr(intlinalg, "_fp_echelon", counted)
     for p in (2, 3, 5, 7):
         calls.clear()
-        got = sparse_kernel(rows, [0, 0, 0], 5, p)
-        assert len(calls) == 1, p
+        got, clean = sparse_kernel(rows, [0, 0, 0], 5, p)
+        assert len(calls) == 1 and not clean, p
         assert got.vectors == tuple(map(tuple, modp_rref(modp_kernel_basis(dense, 5, p), p))), p
 
 
@@ -363,7 +395,7 @@ def test_modp_helpers_against_gauss_oracle():
             assert pivots == [next(j for j, x in enumerate(r) if x) for r in want]
             assert LatticeBasis.from_vectors(width, rows, p).vectors == tuple(map(tuple, want))
             sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-            km = sparse_kernel(sparse, [0] * len(sparse), width, p).vectors
+            km = sparse_kernel(sparse, [0] * len(sparse), width, p)[0].vectors
             assert len(km) == width - len(pivots)
             assert km == tuple(map(tuple, modp_rref(modp_kernel_basis(rows, width, p), p)))
     assert min(seen.values()) > 20, seen

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -73,6 +74,27 @@ def test_monomial_order_is_stable():
     assert monomials(1500, 0) == ((0,) * 1500,)
     linear = monomials(1500, 1)
     assert [m.index(1) for m in linear] == list(range(1500))
+
+
+def counted_exponents(k: int, d: int) -> tuple:
+    """The exponent vectors by definition: x_i counted in each
+    ``combinations_with_replacement(range(k), d)``, one entry at a time."""
+    if d < 0:
+        return ()
+    out = []
+    for combo in itertools.combinations_with_replacement(range(k), d):
+        exps = [0] * k
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return tuple(out)
+
+
+def test_monomials_are_the_counted_combinations():
+    for k in range(6):
+        for d in range(-1, 11):
+            assert monomials(k, d) == counted_exponents(k, d), (k, d)
+    assert monomials(2, 500) == counted_exponents(2, 500)
 
 
 def test_arithmetic_identities():
