@@ -91,6 +91,8 @@ def total_sw(g: GkmGraph, connection: Connection | None = None) -> TotalSwClass:
     once per distinct sorted mod-2 star; all vertices of a flag manifold or
     a cube share one list.
     """
+    if connection is not None:
+        connection.check_graph(g)
     n = g.valence
     k = g.torus_rank
     components_of_star: dict[tuple, list[GradedPoly]] = {}
@@ -198,6 +200,8 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
     Without a connection each even-label edge takes its first compatible
     bijection, the one the first compatible connection takes there.
     """
+    if connection is not None:
+        connection.check_graph(g)
     k = g.torus_rank
     sums = []
     for v in range(len(g.vertices)):

@@ -18,27 +18,33 @@ representative of v[i] mod le[i], also for non-primitive labels and a
 negative le[i]).
 
 Residues depend on labels only, and a GKM graph carries far fewer
-distinct labels than edges (Fl5: 600 edges, 10 labels).  So they are
-kept per graph, in ``g._cache``: one residue table per edge label, holding
-the pair (r(v), r(-v)) per vector.  A transport sign is two comparisons
-of residues from that table, so it is not stored: ``graph_sign`` is the
-one place that reads a sign, off the table its caller fetched
-(``_residues``), and ``transport_signs``, ``forced_lift`` and
-``connection_from_matchings`` all read it there (``edge_matchings`` looks
-the allowed targets up by residue).  A 0 (both signs fit) or None
-(neither does) is an outcome, not a verdict: the caller raises on it on
-every read.  The uncached ``transport_sign`` is the definition
+distinct labels than edges (Fl5: 600 edges, 10 labels).  So each graph
+keeps one label table, in ``g._cache``, and the search and the signs
+compare small integers, not label tuples.  Each distinct vector gets an
+id once: the stored labels first, with a per-edge list of their ids,
+then any other lift on its first read.  Per edge label the table holds,
+per vector id, the pair of interned residue-class ids of (r(v), r(-v)),
+computed on first read.  A transport sign is two comparisons of class
+ids, so it is not stored: ``graph_sign`` is the one place that reads a
+sign, off the row of the edge label its caller fetched, and
+``transport_signs``, ``holonomy_signs``, ``forced_lift`` and
+``connection_from_matchings`` all read it there (``edge_matchings``
+looks the allowed targets up by class id).  A 0 (both signs fit) or
+None (neither does) is an outcome, not a verdict: the caller raises on
+it on every read.  The uncached ``transport_sign`` is the definition
 ``graph_sign`` is tested against.
 
 A star is carried across an edge with the congruence-forced signs by
-``transport_signs`` alone: the holonomy signs, the Stiefel-Whitney
-quotients, the spin criteria and the Thom edge classes all read it.
+``transport_signs``: the Stiefel-Whitney quotients, the spin criteria
+and the Thom edge classes all read it, and ``holonomy_signs`` reads the
+same signs straight off each stored matching.  A function that takes a
+graph and a connection raises ValueError when the connection was built
+on another graph (``Connection.check_graph``).
 """
 
 from __future__ import annotations
 
 from itertools import islice, product as iproduct
-from math import prod
 from types import MappingProxyType
 
 from .graph import DomainError, GkmGraph, OrientedEdge
@@ -76,6 +82,12 @@ class Connection:
             return MappingProxyType(matching)
         return MappingProxyType({h: f for f, h in matching.items()})
 
+    def check_graph(self, g: GkmGraph) -> None:
+        """Raise ValueError unless the connection was built on g or on a
+        graph equal to it."""
+        if self.graph is not g and self.graph != g:
+            raise ValueError("connection belongs to a different graph")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Connection):
             return NotImplemented
@@ -106,64 +118,109 @@ def residue(v, le) -> tuple:
     return tuple(v)
 
 
-def _sign_of(r, dst_residues) -> int | None:
-    """The transport sign from the residue of the lift and the residues
-    (r(lh), r(-lh)) of the image label: 1 or -1 when one sign fits, None
-    when neither does, 0 when both do."""
-    fits_pos = r == dst_residues[0]
-    fits_neg = r == dst_residues[1]
-    if fits_pos:
-        return 0 if fits_neg else 1
-    return -1 if fits_neg else None
-
-
 def transport_sign(src_lift, dst_label, edge_label) -> int | None:
     """The sign s with src_lift - s * dst_label a multiple of edge_label.
 
     Returns 1 or -1 when one sign fits, None when neither does, and 0 when
     both do (adjacent labels that fail linear independence).  Uncached:
-    the definition that ``graph_sign`` reads off the residue table of a
+    the definition that ``graph_sign`` reads off the label table of a
     graph.
     """
-    dst = (residue(dst_label, edge_label), residue(tuple(-c for c in dst_label), edge_label))
-    return _sign_of(residue(src_lift, edge_label), dst)
+    r = residue(src_lift, edge_label)
+    fits_pos = r == residue(dst_label, edge_label)
+    fits_neg = r == residue(tuple(-c for c in dst_label), edge_label)
+    if fits_pos:
+        return 0 if fits_neg else 1
+    return -1 if fits_neg else None
 
 
-class _Residues(dict):
-    """(residue(v, le), residue(-v, le)) per vector v, for one edge label
-    le; each entry is computed on its first read."""
+class _ResidueRow(dict):
+    """The residue classes of one edge label ``le``: per vector id v, the
+    pair of class ids of (r(v), r(-v)).  Residues are interned to ids in
+    ``classes``; each entry is computed on its first read."""
 
-    __slots__ = ("le",)
+    __slots__ = ("le", "vectors", "classes")
 
-    def __init__(self, le):
+    def __init__(self, le, vectors: list):
         super().__init__()
         self.le = le
+        self.vectors = vectors
+        self.classes: dict[tuple, int] = {}
 
-    def __missing__(self, v) -> tuple:
-        got = self[v] = (residue(v, self.le), residue(tuple(-c for c in v), self.le))
+    def __missing__(self, vid: int) -> tuple:
+        v, classes = self.vectors[vid], self.classes
+        pos = classes.setdefault(residue(v, self.le), len(classes))
+        neg = classes.setdefault(residue(tuple(-c for c in v), self.le), len(classes))
+        got = self[vid] = (pos, neg)
         return got
 
 
-def _residues(g: GkmGraph, edge_label) -> _Residues:
-    """The residue table of one edge label of g, kept in ``g._cache`` so
-    it dies with the graph."""
-    key = ("residues", edge_label)
-    got = g._cache.get(key)
+class _LabelTable:
+    """The vectors a graph's connections read, interned to ids: the
+    distinct stored labels first, in edge order (``of_edge`` gives each
+    edge's label id), then every other vector on its first read.  One
+    ``_ResidueRow`` per edge label id is made on its first read."""
+
+    __slots__ = ("ids", "vectors", "of_edge", "rows")
+
+    def __init__(self, g: GkmGraph):
+        ids: dict[tuple, int] = {}
+        self.of_edge = tuple(ids.setdefault(label, len(ids)) for _, _, label in g.edges)
+        self.ids = ids
+        self.vectors = list(ids)
+        self.rows: dict[int, _ResidueRow] = {}
+
+    def id_of(self, v) -> int:
+        got = self.ids.get(v)
+        if got is None:
+            got = self.ids[v] = len(self.vectors)
+            self.vectors.append(v)
+        return got
+
+    def row(self, le_id: int) -> _ResidueRow:
+        got = self.rows.get(le_id)
+        if got is None:
+            got = self.rows[le_id] = _ResidueRow(self.vectors[le_id], self.vectors)
+        return got
+
+
+def _label_table(g: GkmGraph) -> _LabelTable:
+    """The label table of g, kept in ``g._cache`` so it dies with the
+    graph."""
+    got = g._cache.get("labels")
     if got is None:
-        got = g._cache[key] = _Residues(edge_label)
+        got = g._cache["labels"] = _LabelTable(g)
     return got
 
 
-def graph_sign(residues: _Residues, src_lift, dst_label) -> int | None:
-    """``transport_sign(src_lift, dst_label, residues.le)``, read off the
-    residue table of that edge label."""
-    return _sign_of(residues[src_lift][0], residues[dst_label])
+def graph_sign(row: _ResidueRow, src: int, dst: int) -> int | None:
+    """``transport_sign`` of the vectors with ids src and dst across the
+    edge label of ``row``, read off their residue classes."""
+    r = row[src][0]
+    pos, neg = row[dst]
+    if r == pos:
+        return 0 if r == neg else 1
+    return -1 if r == neg else None
+
+
+def _sign_error(sign, edge_id: int) -> ValueError:
+    """The error for a failed sign read along an edge: ``DomainError``
+    when both signs fit (adjacent labels fail linear independence, a
+    property of the graph), ValueError when neither does."""
+    if sign == 0:
+        return DomainError(
+            f"ambiguous transport sign along edge {edge_id}: adjacent "
+            f"labels fail linear independence"
+        )
+    return ValueError(f"connection is not compatible along edge {edge_id}")
 
 
 def forced_lift(g: GkmGraph, src_lift, dst_label, edge_label) -> tuple | None:
     """The signed copy of dst_label congruent to src_lift mod edge_label, or
     None; the sign is read by ``graph_sign``."""
-    sign = graph_sign(_residues(g, edge_label), src_lift, dst_label)
+    table = _label_table(g)
+    row = table.row(table.id_of(edge_label))
+    sign = graph_sign(row, table.id_of(src_lift), table.id_of(dst_label))
     if sign == 0:
         raise DomainError("ambiguous sign transport; adjacent labels not independent")
     return None if sign is None else tuple(sign * c for c in dst_label)
@@ -173,22 +230,23 @@ def _matchings(g: GkmGraph, edge_id: int):
     """Generate the compatible bijections for one unoriented edge in
     enumeration order (see ``edge_matchings``): ``choice[i]`` is the next
     allowed target to try for source i, ``picked[i]`` the target it holds."""
-    edges = g.edges
-    u, v, le = edges[edge_id]
+    u, v, _ = g.edges[edge_id]
     e, ebar = OrientedEdge(edge_id, u > v), OrientedEdge(edge_id, u < v)
     sources = [f for f in g.star(v if u > v else u) if f.edge != edge_id]
     targets = [h for h in g.star(u if u > v else v) if h.edge != edge_id]
     n = len(sources)
     if n != len(targets):
         return
-    residues = _residues(g, le)
-    by_residue: dict[tuple, list] = {}
+    table = _label_table(g)
+    of_edge = table.of_edge
+    residues = table.row(of_edge[edge_id])
+    by_class: dict[int, list] = {}
     for j, h in enumerate(targets):
-        pos, neg = residues[edges[h.edge][2]]
-        by_residue.setdefault(pos, []).append(j)
+        pos, neg = residues[of_edge[h.edge]]
+        by_class.setdefault(pos, []).append(j)
         if neg != pos:
-            by_residue.setdefault(neg, []).append(j)
-    allowed = [by_residue.get(residues[edges[f.edge][2]][0], ()) for f in sources]
+            by_class.setdefault(neg, []).append(j)
+    allowed = [by_class.get(residues[of_edge[f.edge]][0], ()) for f in sources]
     taken = [False] * n
     choice = [0] * n
     picked = [0] * n
@@ -268,6 +326,8 @@ def enumerate_connections(g: GkmGraph, limit: int | None = None):
 def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
     """Build a connection from explicit per-edge matchings, validating
     bijectivity and the congruence condition."""
+    table = _label_table(g)
+    of_edge = table.of_edge
     chosen = {}
     for eid in range(len(g.edges)):
         if eid not in matchings:
@@ -284,9 +344,9 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
             raise ValueError(f"edge {eid}: matching is not a star bijection")
         if m[e] != e.reverse():
             raise ValueError(f"edge {eid}: matching must send the edge to its reverse")
-        residues = _residues(g, g.label(eid))
+        residues = table.row(of_edge[eid])
         for f, h in m.items():
-            if f != e and graph_sign(residues, g.label(f.edge), g.label(h.edge)) is None:
+            if f != e and graph_sign(residues, of_edge[f.edge], of_edge[h.edge]) is None:
                 raise ValueError(
                     f"edge {eid}: pair {f.render()} -> {h.render()} violates the "
                     f"congruence"
@@ -306,20 +366,17 @@ def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
     ``DomainError`` when both do (adjacent labels fail linear
     independence, a property of the graph).
     """
-    residues = _residues(g, g.label(oe.edge))
+    table = _label_table(g)
+    of_edge = table.of_edge
+    residues = table.row(of_edge[oe.edge])
     signs = {}
     for f in g.star(g.initial(oe)):
         if f == oe:
             continue
-        lift = g.label(f.edge) if lifts is None else lifts[f]
-        sign = graph_sign(residues, lift, g.label(image[f].edge))
-        if sign == 0:
-            raise DomainError(
-                f"ambiguous transport sign along edge {oe.edge}: adjacent "
-                f"labels fail linear independence"
-            )
-        if sign is None:
-            raise ValueError(f"connection is not compatible along edge {oe.edge}")
+        src = of_edge[f.edge] if lifts is None else table.id_of(lifts[f])
+        sign = graph_sign(residues, src, of_edge[image[f].edge])
+        if not sign:
+            raise _sign_error(sign, oe.edge)
         signs[f] = sign
     return signs
 
@@ -327,17 +384,29 @@ def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
 def holonomy_signs(g: GkmGraph, c: Connection) -> dict:
     """Sign eta(e) for every oriented edge.
 
-    eta(e) is minus the product of the ``transport_signs`` along e over
-    the star without e itself.  It is computed once per unoriented edge
-    and stored under both orientations, as eta(reverse e) = eta(e): a
+    eta(e) is minus the product of the transport signs along e over the
+    star without e itself (those of ``transport_signs``, read here off
+    each stored matching).  It is computed once per unoriented edge and
+    stored under both orientations, as eta(reverse e) = eta(e): a
     ``Connection`` holds one matching per edge and the reverse reads its
     inverse, and the residue test is symmetric (lf - s * lh is in Z * le
     iff lh - s * lf is).
     """
+    c.check_graph(g)
+    table = _label_table(g)
+    of_edge = table.of_edge
+    matchings = c._matchings
     eta: dict = {}
-    for eid in range(len(g.edges)):
-        oe = g.default_oriented(eid)
-        eta[oe] = eta[oe.reverse()] = -prod(transport_signs(g, oe, c.map_along(oe)).values())
+    for eid, (u, v, _) in enumerate(g.edges):
+        residues = table.row(of_edge[eid])
+        product = -1
+        for f, h in matchings[eid].items():
+            if f.edge != eid:
+                sign = graph_sign(residues, of_edge[f.edge], of_edge[h.edge])
+                if not sign:
+                    raise _sign_error(sign, eid)
+                product *= sign
+        eta[OrientedEdge(eid, u > v)] = eta[OrientedEdge(eid, u < v)] = product
     return eta
 
 

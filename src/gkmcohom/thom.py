@@ -104,7 +104,9 @@ def connection_paths(g: GkmGraph, c: Connection | None = None) -> list[Connectio
     Every ordered pair of consecutive oriented edges (no backtracking)
     belongs to exactly one traversal; a path and its reversal count once.
     """
-    if c is None:
+    if c is not None:
+        c.check_graph(g)
+    else:
         c = find_connection(g)
         if c is None:
             raise ValueError("graph admits no compatible connection")
@@ -166,6 +168,7 @@ def thom_class_of_path(
     orientable and is checked; a doubly-crossed normal edge must
     receive the same sign both times.
     """
+    c.check_graph(g)
     if g.torus_rank != 2:
         raise ValueError("path classes require torus rank 2")
     return _sum_values(g, 2, [_path_values(g, c, path, initial_sign)])
@@ -246,6 +249,7 @@ def _vertex_values(g: GkmGraph, vertex: int) -> dict:
 
 def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
     """Degree-4 class supported on the endpoints of one edge."""
+    c.check_graph(g)
     if g.torus_rank != 2:
         raise ValueError("edge classes require torus rank 2")
     if g.valence != 3:
@@ -284,6 +288,8 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     is checked, or without one the first, built from the first
     matching at every edge.
     """
+    if connection is not None:
+        connection.check_graph(g)
     if g.valence != 3:
         raise DomainError("verification requires a 3-valent graph")
     if g.torus_rank != 2:

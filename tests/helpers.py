@@ -576,6 +576,20 @@ def flag_manifold(n: int) -> GkmGraph:
     return GkmGraph(n, [name[w] for w in perms], edges)
 
 
+def shuffled_graph(g: GkmGraph, seed: int) -> GkmGraph:
+    """g with its vertices and edges in a seeded random order and each
+    edge's endpoints swapped with probability 1/2."""
+    rng = random.Random(seed)
+    names = list(g.vertices)
+    rng.shuffle(names)
+    edges = [
+        (g.vertices[v], g.vertices[u], w) if rng.random() < 0.5 else (g.vertices[u], g.vertices[v], w)
+        for u, v, w in g.edges
+    ]
+    rng.shuffle(edges)
+    return GkmGraph(g.torus_rank, names, edges)
+
+
 def projective_schubert_span(n: int, d: int) -> list[list[int]]:
     """Vertex vectors spanning degree 2d of CP^n over Z, in the package's
     monomial order: every degree-(d - i) monomial times the equivariant

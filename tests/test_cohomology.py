@@ -51,6 +51,7 @@ from helpers import (
     record_kernel_primes,
     record_vertex_classes,
     scaled_labels_graph,
+    shuffled_graph,
     twist_graph,
 )
 from test_golden import FIXTURES, SUBCOMMAND_FIXTURES
@@ -451,17 +452,7 @@ def test_graded_piece_does_not_depend_on_the_vertex_order(g, degree2, p):
     width = len(g.vertices) * n
     spans = []
     for seed in (None, 5, 6):
-        h = g
-        if seed is not None:
-            rng = random.Random(seed)
-            names = list(g.vertices)
-            rng.shuffle(names)
-            edges = [
-                (g.vertices[v], g.vertices[u], w) if rng.random() < 0.5 else (g.vertices[u], g.vertices[v], w)
-                for u, v, w in g.edges
-            ]
-            rng.shuffle(edges)
-            h = GkmGraph(g.torus_rank, names, edges)
+        h = g if seed is None else shuffled_graph(g, seed)
         piece = compute_h_z(h, degree2) if p == 0 else compute_h_modp(h, degree2, p)
         block = {name: i for i, name in enumerate(h.vertices)}
         mapped = [

@@ -20,7 +20,7 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import connection_paths, edges_div_p, fixtures, sw_choice_independence
-from gkmcohom import thom_class_of_path, total_sw
+from gkmcohom import spin_check, thom_class_of_edge, thom_class_of_path, total_sw, verify_sw3valent
 from gkmcohom import connection
 from gkmcohom.graph import DomainError, OrientedEdge, parse
 from gkmcohom.polyring import content, sign_normalize
@@ -34,12 +34,14 @@ from gkmcohom.connection import (
 
 from helpers import (
     cube_graph,
+    flag_manifold,
     is_multiple_of,
     label_of_content,
     random_3valent_orientable,
     random_gkm_graphs,
     random_unimodular,
     scaled_labels_graph,
+    shuffled_graph,
     twist_graph,
 )
 from test_golden import SUBCOMMAND_FIXTURES
@@ -419,15 +421,17 @@ def test_holonomy_signs_take_one_residue_per_label_and_edge(monkeypatch):
 
 def _checked_sign_reads(monkeypatch) -> list:
     """Wrap ``connection.graph_sign``, the one sign read, so that every
-    read is compared with the uncached ``transport_sign``; returns the list
-    the reads (lift, image label, edge label) are appended to."""
+    read, its vector ids mapped back to vectors, is compared with the
+    uncached ``transport_sign``; returns the list the reads (lift, image
+    label, edge label) are appended to."""
     reads = []
     real = connection.graph_sign
 
-    def checked(residues, lift, dst):
-        sign, le = real(residues, lift, dst), residues.le
-        assert sign == transport_sign(lift, dst, le), (lift, dst, le)
-        reads.append((lift, dst, le))
+    def checked(row, src, dst):
+        sign = real(row, src, dst)
+        lift, image, le = row.vectors[src], row.vectors[dst], row.le
+        assert sign == transport_sign(lift, image, le), (lift, image, le)
+        reads.append((lift, image, le))
         return sign
 
     monkeypatch.setattr(connection, "graph_sign", checked)
@@ -435,24 +439,37 @@ def _checked_sign_reads(monkeypatch) -> list:
 
 
 def _tables_against_oracle(g: GkmGraph, reads: list) -> set:
-    """Check every residue kept on g against the uncached definition;
-    return the sign reads taken since the last call (each already checked
-    by ``_checked_sign_reads``)."""
-    for le in {label for _, _, label in g.edges}:
-        for v, pair in connection._residues(g, le).items():
-            assert pair == (residue(v, le), residue(tuple(-c for c in v), le)), (v, le)
+    """Check the label table kept on g: every id names one vector, the
+    stored labels come first with each edge's label id, and every residue
+    pair kept, its class ids mapped back to residues, equals the uncached
+    definition.  Return the sign reads taken since the last call (each
+    already checked by ``_checked_sign_reads``)."""
+    table = connection._label_table(g)
+    assert {v: i for i, v in enumerate(table.vectors)} == table.ids
+    labels = [label for _, _, label in g.edges]
+    assert [table.vectors[i] for i in table.of_edge] == labels
+    assert table.vectors[: len(set(labels))] == list(dict.fromkeys(labels))
+    for le_id, row in table.rows.items():
+        le = table.vectors[le_id]
+        assert row.le == le and row.vectors is table.vectors
+        residue_of = {i: r for r, i in row.classes.items()}
+        assert sorted(residue_of) == list(range(len(row.classes)))
+        for vid, (pos, neg) in row.items():
+            v = table.vectors[vid]
+            want = (residue(v, le), residue(tuple(-c for c in v), le))
+            assert (residue_of[pos], residue_of[neg]) == want, (v, le)
     keys = set(reads)
     reads.clear()
     return keys
 
 
 def test_sign_table_equals_the_uncached_transport_sign(monkeypatch):
-    """Every residue that ``edge_matchings`` and ``graph_sign`` read from
-    the per-graph table, and every sign that ``transport_signs`` (holonomy,
-    the SW quotients with signed source lifts) and ``forced_lift`` (the
-    running lifts of the path classes) read through ``graph_sign``, equals
-    the definition, on random graphs, label-scaled graphs and cubes with a
-    content-2 label."""
+    """Every residue pair that ``edge_matchings`` and ``graph_sign`` read
+    from the per-graph label table, and every sign that ``holonomy_signs``,
+    ``transport_signs`` (the SW quotients with signed source lifts) and
+    ``forced_lift`` (the running lifts of the path classes) read through
+    ``graph_sign``, equals the definition, on random graphs, label-scaled
+    graphs and cubes with a content-2 label."""
     reads = _checked_sign_reads(monkeypatch)
     rng = random.Random(89)
     graphs = random_gkm_graphs(97, 8)
@@ -560,6 +577,8 @@ def test_edge_matchings_equal_brute_force_enumeration_in_order():
     graphs += [
         scaled_labels_graph(g, rng) for g in random_gkm_graphs(73, 10, require_connection=False)
     ]
+    # Fl4 (valence 6, six labels per star) in two vertex and edge orders
+    graphs += [shuffled_graph(flag_manifold(3), seed) for seed in (5, 6)]
     counts = set()
     for g in graphs:
         for eid in range(len(g.edges)):
@@ -584,13 +603,15 @@ def _definitional_sign(lift, lh, le) -> int:
 def test_transport_signs_equal_the_definitional_congruence():
     """At most four compatible bijections per edge, in both directions, with
     label lifts and with randomly signed lifts; every fixture, random and
-    label-scaled graphs.  A bijection that breaks one congruence raises."""
+    label-scaled graphs, and Fl4 in two vertex and edge orders.  A
+    bijection that breaks one congruence raises."""
     rng = random.Random(43)
     graphs = [fixtures.from_spec(spec) for spec in SUBCOMMAND_FIXTURES]
     graphs += random_gkm_graphs(79, 8)
     graphs += [
         scaled_labels_graph(g, rng) for g in random_gkm_graphs(83, 8, require_connection=False)
     ]
+    graphs += [shuffled_graph(flag_manifold(3), seed) for seed in (5, 6)]
     seen = set()
     for g in graphs:
         for eid in range(len(g.edges)):
@@ -615,3 +636,30 @@ def test_transport_signs_equal_the_definitional_congruence():
     f1, f2 = (f for f in good if f != e)
     with pytest.raises(ValueError, match="connection is not compatible along edge 0"):
         transport_signs(g, e, {**good, f1: good[f2], f2: good[f1]})
+
+
+ON_GRAPH_AND_CONNECTION = {
+    "holonomy_signs": lambda g, c, path: holonomy_signs(g, c),
+    "is_orientable": lambda g, c, path: is_orientable(g, c),
+    "total_sw": lambda g, c, path: total_sw(g, c),
+    "spin_check": lambda g, c, path: spin_check(g, c),
+    "connection_paths": lambda g, c, path: connection_paths(g, c),
+    "verify_sw3valent": lambda g, c, path: verify_sw3valent(g, c),
+    "thom_class_of_path": lambda g, c, path: thom_class_of_path(g, c, path),
+    "thom_class_of_edge": lambda g, c, path: thom_class_of_edge(g, c, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ON_GRAPH_AND_CONNECTION))
+def test_a_connection_on_another_graph_is_refused(name):
+    """A connection built on another graph raises a plain ValueError (k4
+    and the square prism, both 3-valent over a rank-2 torus); one built
+    on an equal graph is accepted."""
+    call = ON_GRAPH_AND_CONNECTION[name]
+    prism = fixtures.polygon2n_x_edge(2)
+    c = find_connection(prism)
+    path = connection_paths(prism, c)[0]
+    with pytest.raises(ValueError, match="connection belongs to a different graph") as exc:
+        call(fixtures.k4(), c, path)
+    assert type(exc.value) is ValueError
+    call(parse(prism.to_dict()), c, path)

@@ -19,7 +19,10 @@ alone and in pairs, so the order in which they are reported -- all
 before the graph is loaded -- is pinned too.
 
 Regenerate (only for an intended output change) with
-``PYTHONPATH=src python tests/test_golden.py --write``.
+``PYTHONPATH=src python tests/test_golden.py --write``.  The digests of
+the larger graphs (``LARGE_DIGESTS``: ``validate`` and ``spin`` on Fl5
+in a seeded order, ``thom`` on the 64-gon prism) are kept in this file
+and are not rewritten.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import sys
 from pathlib import Path
 
 from gkmcohom.cli import main
+
+from helpers import flag_manifold, shuffled_graph
 
 GOLDEN = Path(__file__).parent / "golden" / "cohomology_digests.json"
 GOLDEN_SUBCOMMANDS = Path(__file__).parent / "golden" / "subcommand_digests.json"
@@ -168,6 +173,27 @@ def test_relations_match_golden_digests():
 
 def test_text_output_matches_golden_digests():
     _assert_matches(GOLDEN_TEXT, compute_text_digests())
+
+
+# --json digests of the connection-layer subcommands at sizes the fixtures
+# do not reach: Fl5 in a seeded vertex and edge order and the 64-gon prism
+LARGE_DIGESTS = {
+    "validate Fl5": "19f7a5c9ca2df487d04d139cc76f328eecb389f6fc9e73dfc3387c3c96326d7b",
+    "spin Fl5": "2fbfd87e6496349733da5ec6a6de1ffc56e2a141f3b0cd4ce2ef9402192b0d42",
+    "thom polygon2n_x_edge(32)": "0d3747745c527b1f70dd094a632ae559af7df2c15dcc3576e2b1a9e8908057c5",
+}
+
+
+def test_large_connection_outputs_match_pinned_digests(tmp_path):
+    fl5 = tmp_path / "fl5.json"
+    fl5.write_text(json.dumps(shuffled_graph(flag_manifold(4), 5).to_dict()))
+    runs = {
+        "validate Fl5": ["validate", str(fl5), "--json"],
+        "spin Fl5": ["spin", str(fl5), "--json"],
+        "thom polygon2n_x_edge(32)": ["thom", "fixtures:polygon2n_x_edge(32)", "--json"],
+    }
+    got = {name: _run(argv) for name, argv in runs.items()}
+    assert got == {name: {"exit": 0, "sha256": digest} for name, digest in LARGE_DIGESTS.items()}
 
 
 if __name__ == "__main__":
