@@ -9,7 +9,9 @@ integral lifts, divided by a lift of the edge label and reduced mod 2.
 ``polyring.elementary_symmetric`` builds every component of a star
 product in place on coefficient lists.
 All choices entering the quotient (local bijection, sign lifts) are
-provably irrelevant mod 2; covered by ``sw_choice_independence``.
+provably irrelevant mod 2; covered by ``sw_choice_independence``.  The
+quotients of one edge lift and one pair of lift multisets are built once
+per graph and kept in its cache (``_edge_quotients``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .polyring import (
 )
 
 
-def _edge_quotients(g: GkmGraph, edge_id: int, matching: dict, signs: dict) -> list[GradedPoly]:
+def _edge_quotients(
+    g: GkmGraph, edge_id: int, matching: dict, signs: dict
+) -> tuple[GradedPoly, ...]:
     """The SW quotients at one even-label edge, reduced mod 2, per degree.
 
     ``matching`` maps the full star of the initial vertex onto the star
@@ -37,6 +41,12 @@ def _edge_quotients(g: GkmGraph, edge_id: int, matching: dict, signs: dict) -> l
     lift of the edge.  Entry d is the difference of the degree-d star
     components divided by the edge lift, of degree d - 1; the division is
     exact by compatibility.
+
+    Once ``transport_signs`` has checked the matching, the quotients
+    depend only on the edge lift and the multisets of source and target
+    lifts (the star products commute), so they are built and checked once
+    per such key and kept in ``g._cache``: ``total_sw`` and every
+    ``sw_choice_independence`` call on one graph share them.
     """
     oe = g.default_oriented(edge_id)
     src_lifts = {l: tuple(signs[l] * c for c in g.label(l.edge)) for l in g.star(g.initial(oe))}
@@ -44,15 +54,19 @@ def _edge_quotients(g: GkmGraph, edge_id: int, matching: dict, signs: dict) -> l
         tuple(s * c for c in g.label(matching[l].edge))
         for l, s in transport_signs(g, oe, matching, src_lifts).items()
     ]
-    k = g.torus_rank
-    src_components = elementary_symmetric(k, src_lifts.values())
-    out = []
-    for a, b in zip(src_components, elementary_symmetric(k, dst_lifts)):
-        quotient = divide_by_linear(a - b, src_lifts[oe])
-        if quotient is None:
-            raise InvariantError("SW numerator not divisible by the edge lift")
-        out.append(reduce_mod_p(quotient, 2))
-    return out
+    lift, src, dst = src_lifts[oe], tuple(sorted(src_lifts.values())), tuple(sorted(dst_lifts))
+    memo = g._cache.setdefault("sw_quotients", {})
+    got = memo.get((lift, src, dst))
+    if got is None:
+        k = g.torus_rank
+        out = []
+        for a, b in zip(elementary_symmetric(k, src), elementary_symmetric(k, dst)):
+            quotient = divide_by_linear(a - b, lift)
+            if quotient is None:
+                raise InvariantError("SW numerator not divisible by the edge lift")
+            out.append(reduce_mod_p(quotient, 2))
+        got = memo[lift, src, dst] = tuple(out)
+    return got
 
 
 def _default_matching(g: GkmGraph, edge_id: int, connection: Connection | None) -> dict:
@@ -128,7 +142,11 @@ def sw_choice_independence(
     """Recompute the edge quotients across bijections and sign lifts.
 
     Exhausts the whole choice space when it has at most ``trials``
-    elements, otherwise samples that many random choices.
+    elements, otherwise samples that many random choices.  Every choice's
+    matching is checked by ``transport_signs``; a choice whose edge lift
+    and source and target lifts equal, as multisets, those of an earlier
+    choice (or of ``total_sw`` on the same graph) reuses its quotients,
+    and a choice with new lifts is divided out and compared.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -79,6 +79,21 @@ def _normalize_values(k: int, d: int, p: int, values) -> tuple:
     return tuple(out)
 
 
+def _rendered(polys) -> list[str]:
+    """``render()`` of each polynomial, all of one ring and degree (as the
+    values, or the quotients, of one class are), rendering each distinct
+    coefficient tuple once: all vertices of a ``total_sw`` component on a
+    flag manifold share one."""
+    memo: dict[tuple, str] = {}
+    out = []
+    for f in polys:
+        got = memo.get(f.coeffs)
+        if got is None:
+            got = memo[f.coeffs] = f.render()
+        out.append(got)
+    return out
+
+
 class GraphClass:
     """A class over Z (p = 0) or Z/p: one degree-d polynomial per vertex,
     degree2 = 2d, and over Z/p one quotient polynomial of degree d-1 (a
@@ -221,10 +236,11 @@ class GraphClass:
         return out
 
     def render_values(self) -> list[str]:
-        return [f.render() for f in self.values]
+        return _rendered(self.values)
 
     def render_b_part(self) -> dict[int, str]:
-        return {e: f.render() for e, f in sorted(self.b_part.items())}
+        edges = sorted(self.b_part)
+        return dict(zip(edges, _rendered(self.b_part[e] for e in edges)))
 
     def __repr__(self) -> str:
         vals = ", ".join(self.render_values())

@@ -57,11 +57,14 @@ class Connection:
     bijection along the default orientation.  The reverse orientation
     carries the inverse bijection by definition, so it is not stored;
     ``map_along`` and ``apply`` read it off the matching.  The matchings
-    are never changed, so connections may share them."""
+    are never changed, so connections may share them.  Raises ValueError
+    unless there is exactly one matching per edge id of the graph."""
 
     __slots__ = ("graph", "_matchings")
 
     def __init__(self, graph: GkmGraph, matchings: dict):
+        if matchings.keys() != set(range(len(graph.edges))):
+            raise ValueError("a connection needs exactly one matching per edge id")
         self.graph = graph
         self._matchings = matchings
 

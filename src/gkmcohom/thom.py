@@ -15,16 +15,21 @@ so all three are built as {vertex: value} maps (``_path_values``,
 ``polyring.elementary_symmetric``) and checked on the edges of the stars
 of that support alone (``_check_local``): every other edge joins two
 zeros, so this is exactly the condition of ``membership_z``.
-``verify_sw3valent`` searches the matchings of each edge once, builds
-every connection it checks from those lists, and adds these maps
-straight into the per-vertex sums; the public ``thom_class_of_*``
-functions spread the same maps into whole classes.
+
+An edge or vertex value depends only on the labels around it, and a GKM
+graph repeats these pictures (a 64-gon prism has one sorted vertex star
+and a few edge pictures).  So ``verify_sw3valent`` keys each value by its
+local input (``_local_values``) and multiplies out and checks each key
+once per call, for all the connections it checks.  It searches the
+matchings of each edge once, builds every connection it checks from
+those lists, and adds the maps straight into the per-vertex sums; the
+public ``thom_class_of_*`` functions build and check their value on
+every call and spread it into a whole class.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import prod
 
 from .charclasses import total_sw
 from .cohomology import GraphClass, reduce_class_mod_p
@@ -32,6 +37,7 @@ from .connection import (
     Connection,
     edge_matchings,
     find_connection,
+    first_matching,
     forced_lift,
     is_orientable,
     transport_signs,
@@ -221,30 +227,48 @@ def _check_local(g: GkmGraph, degree: int, values: dict, kind: str) -> None:
                 raise InvariantError(f"{kind} class violates an edge congruence")
 
 
-def _edge_values(g: GkmGraph, c: Connection, edge_id: int) -> dict:
+def _local_values(
+    g: GkmGraph, memo: dict | None, kind: str, degree: int, support, key, factors
+) -> dict:
+    """{vertex: value} on ``support``: the product of the weights of each
+    list in ``factors``, in order.  ``key`` determines the factors and
+    every label the check reads, so they are multiplied out and checked by
+    ``_check_local`` on the first occurrence of (kind, key) in ``memo``
+    only, and read back after; without a memo, on every call."""
+    got = None if memo is None else memo.get((kind, key))
+    if got is None:
+        got = [elementary_symmetric(g.torus_rank, ws)[-1] for ws in factors]
+        _check_local(g, degree, dict(zip(support, got)), kind)
+        if memo is not None:
+            memo[kind, key] = got
+    return dict(zip(support, got))
+
+
+def _edge_values(g: GkmGraph, c: Connection, edge_id: int, memo: dict | None = None) -> dict:
     """The two values of the degree-4 edge class, checked: the product of
     the other star labels at the initial vertex, and of their images with
-    the transported signs at the terminal vertex."""
+    the transported signs at the terminal vertex.
+
+    The key is the edge label, the sorted other labels at the initial
+    vertex, the sorted signed image lifts and the sorted labels of the
+    other edges joining the same two endpoints (whose check compares the
+    two values rather than one value with zero)."""
     oe = g.default_oriented(edge_id)
+    ends = (g.initial(oe), g.terminal(oe))
     image = c.map_along(oe)
     signs = transport_signs(g, oe, image)
-    dst_lifts = [tuple(s * x for x in g.label(image[l].edge)) for l, s in signs.items()]
-    k = g.torus_rank
-    values = {
-        g.initial(oe): elementary_symmetric(k, [g.label(l.edge) for l in signs])[-1],
-        g.terminal(oe): elementary_symmetric(k, dst_lifts)[-1],
-    }
-    _check_local(g, 2, values, "edge")
-    return values
+    src = tuple(sorted(g.label(l.edge) for l in signs))
+    dst = tuple(sorted(tuple(s * x for x in g.label(image[l].edge)) for l, s in signs.items()))
+    parallel = tuple(sorted(g.label(l.edge) for l in signs if g.terminal(l) == ends[1]))
+    key = (g.label(edge_id), src, dst, parallel)
+    return _local_values(g, memo, "edge", 2, ends, key, (src, dst))
 
 
-def _vertex_values(g: GkmGraph, vertex: int) -> dict:
+def _vertex_values(g: GkmGraph, vertex: int, memo: dict | None = None) -> dict:
     """The one value of the degree-6 vertex class, checked: the product of
-    the star labels."""
-    labels = [g.label(oe.edge) for oe in g.star(vertex)]
-    values = {vertex: elementary_symmetric(g.torus_rank, labels)[-1]}
-    _check_local(g, 3, values, "vertex")
-    return values
+    the star labels, keyed by their sorted tuple."""
+    star = tuple(sorted(g.label(oe.edge) for oe in g.star(vertex)))
+    return _local_values(g, memo, "vertex", 3, (vertex,), star, (star,))
 
 
 def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
@@ -286,7 +310,14 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     the comparison covers all of them, each built from the per-edge
     matching lists and checked once; otherwise only the given connection
     is checked, or without one the first, built from the first
-    matching at every edge.
+    matching at every edge.  Every matching of an edge is listed only
+    while the product of the counts so far is at most eight; after that
+    each edge is searched for its first matching alone.
+
+    One memo per call, shared by all the connections checked, keys each
+    vertex and edge value by its local input (the sorted star labels; for
+    an edge see ``_edge_values``, whose key keeps multigraphs exact), and
+    a key is multiplied out and checked on its first occurrence only.
     """
     if connection is not None:
         connection.check_graph(g)
@@ -295,8 +326,15 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     if g.torus_rank != 2:
         raise DomainError("verification requires torus rank 2")
     # one matching search per edge; the connections are the combinations
-    per_edge = [edge_matchings(g, eid) for eid in range(len(g.edges))]
-    if prod(map(len, per_edge)) <= 8:
+    per_edge, count = [], 1
+    for eid in range(len(g.edges)):
+        if count <= 8:
+            per_edge.append(edge_matchings(g, eid))
+        else:
+            first = first_matching(g, eid)
+            per_edge.append([] if first is None else [first])
+        count *= len(per_edge[-1])
+    if count <= 8:
         checked = [Connection(g, dict(enumerate(combo))) for combo in iproduct(*per_edge)]
     elif connection is None:
         # the first matching at every edge: the connection find_connection gives
@@ -310,13 +348,14 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     if not is_orientable(g, connection):
         raise DomainError("graph is not orientable")
 
-    vertex_sum = _sum_values(g, 6, (_vertex_values(g, v) for v in range(len(g.vertices))))
+    memo: dict = {}
+    vertex_sum = _sum_values(g, 6, (_vertex_values(g, v, memo) for v in range(len(g.vertices))))
 
     def matches(c: Connection) -> tuple[dict, list[ConnectionPath]]:
         sw = total_sw(g, c)
         paths = connection_paths(g, c)
         path_sum = _sum_values(g, 2, (_path_values(g, c, p, 1) for p in paths))
-        edge_sum = _sum_values(g, 4, (_edge_values(g, c, e) for e in range(len(g.edges))))
+        edge_sum = _sum_values(g, 4, (_edge_values(g, c, e, memo) for e in range(len(g.edges))))
         result = {
             "degree2_match": reduce_class_mod_p(g, path_sum, 2) == sw.component(2),
             "degree4_match": reduce_class_mod_p(g, edge_sum, 2) == sw.component(4),

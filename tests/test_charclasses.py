@@ -305,3 +305,64 @@ def test_each_preimage_solve_takes_rank_many_images(graph, unsolved, monkeypatch
     degrees = total_sw(g).degrees()
     assert [n for n, _ in calls] == [compute_h_z(g, d2).rank for d2 in degrees]
     assert [d2 for d2, (_, x) in zip(degrees, calls) if x is None] == unsolved
+
+
+def test_a_choice_dependent_quotient_is_not_hidden_by_the_memo(monkeypatch):
+    """With a division patched to drop the quotient whenever the edge lift
+    is negative, the quotient depends on the sign choice, and
+    ``sw_choice_independence`` says so, also after ``total_sw`` has
+    stored the quotients of the positive lifts on the same graph."""
+    from gkmcohom import charclasses
+
+    real = charclasses.divide_by_linear
+
+    def sign_dependent(f, w):
+        q = real(f, w)
+        return q if q is None or next(x for x in w if x) > 0 else q.scale(2)
+
+    g = fixtures.paper8()
+    assert all(sw_choice_independence(g, e, trials=64) for e in edges_div_p(g, 2))
+    monkeypatch.setattr(charclasses, "divide_by_linear", sign_dependent)
+    g = fixtures.paper8()
+    total_sw(g)
+    assert not all(sw_choice_independence(g, e, trials=64) for e in edges_div_p(g, 2))
+
+
+def test_edge_quotients_are_built_once_per_distinct_lifts(monkeypatch):
+    """``total_sw`` and every ``sw_choice_independence`` call on one graph
+    share the quotients: each distinct (edge lift, source lifts, target
+    lifts) key is divided out once, and a repeated call divides nothing."""
+    from gkmcohom import charclasses
+    from gkmcohom.connection import edge_matchings, transport_signs
+
+    real = charclasses.divide_by_linear
+    divided = []
+    monkeypatch.setattr(charclasses, "divide_by_linear", lambda f, w: divided.append(w) or real(f, w))
+    g = cube_graph(((1, 0), (0, 1), (1, 1), (1, -1), (2, 4)))
+    special = edges_div_p(g, 2)
+    assert special
+    keys = set()
+    for e in special:
+        oe = g.default_oriented(e)
+        star = g.star(g.initial(oe))
+        for matching in edge_matchings(g, e):
+            for mask in range(2 ** len(star)):
+                lifts = {
+                    l: tuple((-1 if (mask >> i) & 1 else 1) * c for c in g.label(l.edge))
+                    for i, l in enumerate(star)
+                }
+                targets = [lifts[oe]] + [
+                    tuple(s * c for c in g.label(matching[l].edge))
+                    for l, s in transport_signs(g, oe, matching, lifts).items()
+                ]
+                keys.add((e, lifts[oe], tuple(sorted(lifts.values())), tuple(sorted(targets))))
+    total_sw(g)
+    for e in special:
+        assert sw_choice_independence(g, e, trials=10 ** 6)
+    per_key = g.valence + 1
+    assert len(divided) == per_key * len({key[1:] for key in keys}) < per_key * len(keys)
+    divided.clear()
+    total_sw(g)
+    for e in special:
+        assert sw_choice_independence(g, e, trials=10 ** 6)
+    assert divided == []

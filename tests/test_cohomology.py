@@ -956,3 +956,38 @@ def test_vertex_values_keep_zeros_of_the_right_degree():
     assert [f.degree for f in modp.values] == [2] * n
     with pytest.raises(ValueError, match="has degree 1, expected 2"):
         GraphClass(g, 4, [GradedPoly.constant(k, 1) * GradedPoly(k, 1, [1, 0])] * n)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_rendered_classes_equal_the_per_value_render(p):
+    """``render_values`` and ``render_b_part`` render each distinct value
+    once; on random classes whose values repeat (as equal but separate
+    polynomials, zeros included) or are all distinct, they read as
+    ``render()`` of every value in turn."""
+    rng = random.Random(61 + p)
+    g = cube_graph(Q4K3) if p != 3 else cube_graph(((1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 3)))
+    k, special = g.torus_rank, edges_div_p(g, p) if p else []
+
+    def draw(degree, pool):
+        coeffs = rng.choice(pool) if pool else [rng.randint(-4, 4) for _ in range(num_monomials(k, degree))]
+        return GradedPoly(k, degree, coeffs, p)
+
+    seen_repeats = set()
+    for trial in range(12):
+        d = 1 + trial % 3
+        pools = [None, None]
+        if trial % 2:
+            pools = [
+                [[rng.randint(-2, 2) for _ in range(num_monomials(k, deg))] for _ in range(3)]
+                + [[0] * num_monomials(k, deg)]
+                for deg in (d, d - 1)
+            ]
+        cls = GraphClass(
+            g, 2 * d, [draw(d, pools[0]) for _ in g.vertices], p,
+            {e: draw(d - 1, pools[1]) for e in special},
+        )
+        assert cls.render_values() == [f.render() for f in cls.values]
+        assert cls.render_b_part() == {e: f.render() for e, f in sorted(cls.b_part.items())}
+        assert list(cls.render_b_part()) == sorted(special)
+        seen_repeats.add(len(set(cls.values)) < len(cls.values))
+    assert seen_repeats == {True, False}

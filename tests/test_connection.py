@@ -663,3 +663,29 @@ def test_a_connection_on_another_graph_is_refused(name):
         call(fixtures.k4(), c, path)
     assert type(exc.value) is ValueError
     call(parse(prism.to_dict()), c, path)
+
+
+ON_A_CONNECTION = {
+    "holonomy_signs": holonomy_signs,
+    "is_orientable": is_orientable,
+    "connection_paths": connection_paths,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ON_A_CONNECTION))
+@pytest.mark.parametrize("drop", ["all", "one", "none but one extra"])
+def test_a_connection_needs_one_matching_per_edge(name, drop):
+    """A ``Connection`` missing a matching (or holding one for an edge id
+    the graph lacks) is refused when built, with a plain ValueError, so no
+    caller ends in a bare ``KeyError``; the full map is accepted."""
+    g = fixtures.paper8()
+    full = {eid: first_matching(g, eid) for eid in range(len(g.edges))}
+    matchings = {
+        "all": {},
+        "one": {eid: m for eid, m in full.items() if eid != 1},
+        "none but one extra": {**full, len(g.edges): full[0]},
+    }[drop]
+    with pytest.raises(ValueError, match="exactly one matching per edge id") as exc:
+        ON_A_CONNECTION[name](g, Connection(g, matchings))
+    assert type(exc.value) is ValueError
+    ON_A_CONNECTION[name](g, Connection(g, dict(full)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -18,15 +19,19 @@ from gkmcohom import (
     thom_class_of_path,
     thom_class_of_vertex,
     total_sw,
+    validate_gkm,
     verify_sw3valent,
 )
-from gkmcohom import GraphClass, GradedPoly, fixtures
-from gkmcohom.graph import InvariantError, OrientedEdge
+from gkmcohom import Connection, GkmGraph, GraphClass, GradedPoly, fixtures
+from gkmcohom.connection import edge_matchings, first_matching, transport_sign
+from gkmcohom.graph import DomainError, InvariantError, OrientedEdge
+from gkmcohom.polyring import sign_normalize
 from gkmcohom.thom import _check_local, _edge_values, _vertex_values
 
 from helpers import (
     random_3valent_orientable,
     random_prisms_with_few_connections,
+    shuffled_graph,
     verify_sw3valent_oracle,
 )
 
@@ -353,6 +358,183 @@ def test_thom_searches_each_edge_once(monkeypatch):
             searched.clear()
             verify_sw3valent(g, given)
             assert sorted(searched) == list(range(len(g.edges))), g
+
+
+def two_gon_prism(wa, wb, wv) -> GkmGraph:
+    """A 2-gon (two vertices joined by edges wa and wb) times an edge wv:
+    3-valent, and each layer is a pair of parallel edges."""
+    edges = [("a0", "b0", wa), ("b0", "a0", wb), ("a1", "b1", wa), ("b1", "a1", wb)]
+    edges += [("a0", "a1", wv), ("b0", "b1", wv)]
+    return GkmGraph(2, ["a0", "b0", "a1", "b1"], edges)
+
+
+def mixed_pictures() -> GkmGraph:
+    """A disjoint union of 3-valent graphs whose edge pictures agree in
+    all parts of the local key but one: the cube of (0,1), (1,2), (1,1),
+    a square prism with the Hirzebruch-type labels (1,0), (0,1), (1,2),
+    (0,1) round the square, in two vertex orders (so its edges also run
+    the other way), and a 2-gon prism with parallel edges."""
+    square = ["p0", "p1", "p2", "p3"]
+    round_square = zip(square, square[1:] + square[:1], ((1, 0), (0, 1), (1, 2), (0, 1)))
+    square_edges = [
+        (f"{u}L{layer}", f"{v}L{layer}", w) for u, v, w in round_square for layer in (0, 1)
+    ] + [(f"{v}L0", f"{v}L1", (1, 1)) for v in square]
+    names = [f"{v}L{layer}" for layer in (0, 1) for v in square]
+    parts = [
+        fixtures.product((0, 1), (1, 2), (1, 1)),
+        GkmGraph(2, names, square_edges),
+        GkmGraph(2, names[::-1], square_edges),
+        two_gon_prism((0, 1), (1, 2), (1, 1)),
+    ]
+    vertices, edges = [], []
+    for i, part in enumerate(parts):
+        name = [f"{v}#{i}" for v in part.vertices]
+        vertices += name
+        edges += [(name[u], name[v], w) for u, v, w in part.edges]
+    return GkmGraph(2, vertices, edges)
+
+
+def test_matchings_are_enumerated_only_until_past_eight_connections(monkeypatch):
+    """Edges are searched in full while the running product of their
+    matching counts is at most eight, and for their first matching after
+    that; the report equals that of the oracle on random prisms with few
+    connections, shuffled prisms of several sizes, 2-gon prisms with
+    parallel edges (one with four connections, one with more) and
+    ``mixed_pictures``."""
+    from gkmcohom import thom
+
+    graphs = random_prisms_with_few_connections(137, 3)
+    graphs += [shuffled_graph(fixtures.polygon2n_x_edge(n), n) for n in (2, 3, 5, 8, 16)]
+    graphs += [two_gon_prism((1, 0), (1, 2), (1, 1)), two_gon_prism((1, 0), (0, 1), (1, 1))]
+    graphs.append(mixed_pictures())
+    enumerated = []
+    monkeypatch.setattr(
+        thom, "edge_matchings", lambda g, eid: enumerated.append(eid) or edge_matchings(g, eid)
+    )
+    checked, cut_short = set(), 0
+    for g in graphs:
+        assert validate_gkm(g).ok
+        want, running = [], 1
+        for eid in range(len(g.edges)):
+            if running <= 8:
+                want.append(eid)
+            running *= len(edge_matchings(g, eid))
+        cut_short += len(want) < len(g.edges)
+        enumerated.clear()
+        report = verify_sw3valent(g)
+        assert enumerated == want, g
+        assert report == verify_sw3valent_oracle(g), g
+        assert report["all_match"]
+        checked.add(report["connections_checked"])
+    assert checked >= {1, 4} and cut_short >= 5
+
+
+def test_an_edge_without_matching_past_eight_connections_still_refuses():
+    """An edge with no compatible bijection after the running product has
+    passed eight leaves no connection to check, as it did when every edge
+    was enumerated: without a connection the graph is refused, and a
+    given connection fails its sign check on that edge."""
+    g = fixtures.polygon2n_x_edge(4)
+    # the vertical edge at vertex 6 gets label (1,3): the layer edges at it lose their matchings
+    names = list(g.vertices)
+    g = GkmGraph(2, names, [(names[u], names[v], (1, 3) if (u, v) == (6, 14) else w) for u, v, w in g.edges])
+    counts = [len(edge_matchings(g, eid)) for eid in range(len(g.edges))]
+    blocked = counts.index(0)
+    assert prod(counts[:blocked]) > 8
+    with pytest.raises(DomainError, match="admits no compatible connection"):
+        verify_sw3valent(g)
+    star_bijections = {}
+    for eid in range(len(g.edges)):
+        e = g.default_oriented(eid)
+        star_bijections[eid] = first_matching(g, eid) or dict(
+            zip(sorted(g.star(g.initial(e)), key=lambda f: f != e),
+                sorted(g.star(g.terminal(e)), key=lambda f: f != e.reverse()))
+        )
+    with pytest.raises(ValueError, match=f"not compatible along edge {blocked}"):
+        verify_sw3valent(g, Connection(g, star_bijections))
+
+
+def test_local_classes_are_built_once_per_distinct_key(monkeypatch):
+    """On a shuffled 64-gon prism the 128 vertex classes share one sorted
+    star and the 192 edge classes four keys (edge label, other labels at
+    the initial vertex, signed image lifts, parallel labels): each key is
+    multiplied out and checked once.  The public classes are built and
+    checked on every call."""
+    from gkmcohom import thom
+
+    g = shuffled_graph(fixtures.polygon2n_x_edge(32), 7)
+    c = find_connection(g)
+    vertex_keys = {tuple(sorted(g.label(f.edge) for f in g.star(v))) for v in range(len(g.vertices))}
+    edge_keys = set()
+    for eid in range(len(g.edges)):
+        e = g.default_oriented(eid)
+        image = c.map_along(e)
+        others = [f for f in g.star(g.initial(e)) if f != e]
+        lifts = []
+        for f in others:
+            target = g.label(image[f].edge)
+            sign = transport_sign(g.label(f.edge), target, g.label(eid))
+            lifts.append(tuple(sign * x for x in target))
+        parallel = [g.label(f.edge) for f in others if g.terminal(f) == g.terminal(e)]
+        edge_keys.add((
+            g.label(eid),
+            tuple(sorted(g.label(f.edge) for f in others)),
+            tuple(sorted(lifts)),
+            tuple(sorted(parallel)),
+        ))
+    assert (len(vertex_keys), len(edge_keys)) == (1, 4)
+    built, checked = [], []
+    real_product, real_check = thom.elementary_symmetric, thom._check_local
+    monkeypatch.setattr(
+        thom, "elementary_symmetric", lambda k, ws: built.append(1) or real_product(k, ws)
+    )
+    monkeypatch.setattr(
+        thom, "_check_local",
+        lambda g, d, values, kind: checked.append(kind) or real_check(g, d, values, kind),
+    )
+    report = verify_sw3valent(g)
+    assert report["all_match"] and report["connections_checked"] == 1
+    assert len(built) == len(vertex_keys) + 2 * len(edge_keys)
+    assert (checked.count("vertex"), checked.count("edge")) == (len(vertex_keys), len(edge_keys))
+    checked.clear()
+    for _ in range(2):
+        thom_class_of_edge(g, c, 0)
+        thom_class_of_vertex(g, 0)
+    assert checked == ["edge", "vertex"] * 2
+
+
+def _congruence(f, h, w) -> tuple:
+    """One edge check, read the same whichever way round it is made."""
+    return (tuple(sorted((f.coeffs, h.coeffs))), sign_normalize(w))
+
+
+def test_every_distinct_local_check_still_runs(monkeypatch):
+    """Each congruence that the edge and vertex classes of a checked
+    connection impose (edge label, endpoint values) is still tested by
+    ``verify_sw3valent``, on shuffled prisms, random orientable graphs,
+    2-gon prisms with parallel edges and ``mixed_pictures``."""
+    from gkmcohom import thom
+
+    made = set()
+    real = thom.congruent_mod_weight
+    monkeypatch.setattr(
+        thom, "congruent_mod_weight", lambda f, h, w: made.add(_congruence(f, h, w)) or real(f, h, w)
+    )
+    graphs = [shuffled_graph(fixtures.polygon2n_x_edge(n), n) for n in (3, 8)]
+    graphs += random_3valent_orientable(19, 6)
+    graphs += [two_gon_prism((1, 0), (1, 2), (1, 1)), two_gon_prism((1, 1), (1, -1), (1, 0))]
+    graphs.append(mixed_pictures())
+    for g in graphs:
+        c = find_connection(g)
+        classes = [thom_class_of_edge(g, c, e) for e in range(len(g.edges))]
+        classes += [thom_class_of_vertex(g, v) for v in range(len(g.vertices))]
+        made.clear()
+        verify_sw3valent(g, c)
+        for cls in classes:
+            support = {v for v, f in enumerate(cls.values) if not f.is_zero()}
+            for u, v, w in g.edges:
+                if u in support or v in support:
+                    assert _congruence(cls.values[u], cls.values[v], w) in made, (g, cls)
 
 
 # ---------------------------------------------------------------------------
