@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 
 from .cohomology import GraphClass, integral_preimage, membership_z
 from .connection import Connection, edge_matchings, first_matching, transport_signs
@@ -36,11 +37,11 @@ def _edge_quotients(
 
     ``matching`` maps the full star of the initial vertex onto the star
     of the terminal vertex (edge to reversed edge included); ``signs``
-    gives a sign per source oriented edge.  Target lifts are forced by
-    the congruence (``transport_signs``), and the reversed edge takes the
-    lift of the edge.  Entry d is the difference of the degree-d star
-    components divided by the edge lift, of degree d - 1; the division is
-    exact by compatibility.
+    gives the sign of the lift of each source oriented edge.  Target signs
+    are forced by the congruence (``transport_signs`` takes ``signs``),
+    and the reversed edge takes the lift of the edge.  Entry d is the
+    difference of the degree-d star components divided by the edge lift,
+    of degree d - 1; the division is exact by compatibility.
 
     Once ``transport_signs`` has checked the matching, the quotients
     depend only on the edge lift and the multisets of source and target
@@ -52,7 +53,7 @@ def _edge_quotients(
     src_lifts = {l: tuple(signs[l] * c for c in g.label(l.edge)) for l in g.star(g.initial(oe))}
     dst_lifts = [src_lifts[oe]] + [
         tuple(s * c for c in g.label(matching[l].edge))
-        for l, s in transport_signs(g, oe, matching, src_lifts).items()
+        for l, s in transport_signs(g, oe, matching, signs).items()
     ]
     lift, src, dst = src_lifts[oe], tuple(sorted(src_lifts.values())), tuple(sorted(dst_lifts))
     memo = g._cache.setdefault("sw_quotients", {})
@@ -142,7 +143,8 @@ def sw_choice_independence(
     """Recompute the edge quotients across bijections and sign lifts.
 
     Exhausts the whole choice space when it has at most ``trials``
-    elements, otherwise samples that many random choices.  Every choice's
+    elements, otherwise samples that many random choices, drawn one at a
+    time so that the first differing choice ends the draws.  Every choice's
     matching is checked by ``transport_signs``; a choice whose edge lift
     and source and target lifts equal, as multisets, those of an earlier
     choice (or of ``total_sw`` on the same graph) reuses its quotients,
@@ -157,19 +159,13 @@ def sw_choice_independence(
     matchings = edge_matchings(g, edge_id)
     if not matchings:
         raise DomainError(f"no compatible local bijection at edge {edge_id}")
-    total = len(matchings) * (2 ** len(star))
+    masks = 2 ** len(star)
     seen = set()
-    if total <= trials:
-        choices = []
-        for m_idx in range(len(matchings)):
-            for mask in range(2 ** len(star)):
-                choices.append((m_idx, mask))
+    if len(matchings) * masks <= trials:
+        choices = iproduct(range(len(matchings)), range(masks))
     else:
         rng = random.Random(seed)
-        choices = [
-            (rng.randrange(len(matchings)), rng.randrange(2 ** len(star)))
-            for _ in range(trials)
-        ]
+        choices = ((rng.randrange(len(matchings)), rng.randrange(masks)) for _ in range(trials))
     for m_idx, mask in choices:
         signs = {l: (-1 if (mask >> i) & 1 else 1) for i, l in enumerate(star)}
         seen.add(tuple(_edge_quotients(g, edge_id, matchings[m_idx], signs)))

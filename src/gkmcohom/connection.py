@@ -19,19 +19,21 @@ negative le[i]).
 
 Residues depend on labels only, and a GKM graph carries far fewer
 distinct labels than edges (Fl5: 600 edges, 10 labels).  So each graph
-keeps one label table, in ``g._cache``, and the search and the signs
-compare small integers, not label tuples.  Each distinct vector gets an
-id once: the stored labels first, with a per-edge list of their ids,
-then any other lift on its first read.  Per edge label the table holds,
-per vector id, the pair of interned residue-class ids of (r(v), r(-v)),
-computed on first read.  A transport sign is two comparisons of class
+keeps one label table, in ``g._cache``: its distinct stored labels in
+edge order, with a per-edge list of their ids, and per edge label, per
+label id, the pair of interned residue-class ids of (r(v), r(-v)),
+computed on first read; the search and the signs compare small integers,
+not label tuples.  A lift is a sign: every lift is s * v for a label v
+and s = +-1, and transport_sign(s * v, w, le) = s * transport_sign(v, w,
+le) (0 and None included), so callers carry s and the table never grows
+past the graph's labels.  A transport sign is two comparisons of class
 ids, so it is not stored: ``graph_sign`` is the one place that reads a
 sign, off the row of the edge label its caller fetched, and
-``transport_signs``, ``holonomy_signs``, ``forced_lift`` and
+``transport_signs``, ``holonomy_signs``, ``forced_sign`` and
 ``connection_from_matchings`` all read it there (``edge_matchings``
-looks the allowed targets up by class id).  A 0 (both signs fit) or
-None (neither does) is an outcome, not a verdict: the caller raises on
-it on every read.  The uncached ``transport_sign`` is the definition
+looks the allowed targets up by class id).  A 0 (both signs fit) or None
+(neither does) is an outcome, not a verdict: the caller raises on it on
+every read.  The uncached ``transport_sign`` is the definition
 ``graph_sign`` is tested against.
 
 A star is carried across an edge with the congruence-forced signs by
@@ -138,20 +140,21 @@ def transport_sign(src_lift, dst_label, edge_label) -> int | None:
 
 
 class _ResidueRow(dict):
-    """The residue classes of one edge label ``le``: per vector id v, the
+    """The residue classes of one edge label ``le``: per label id v, the
     pair of class ids of (r(v), r(-v)).  Residues are interned to ids in
-    ``classes``; each entry is computed on its first read."""
+    ``classes``; each entry is computed on its first read (a full row
+    would take L residues per edge label, L^2 when all L differ)."""
 
-    __slots__ = ("le", "vectors", "classes")
+    __slots__ = ("le", "labels", "classes")
 
-    def __init__(self, le, vectors: list):
+    def __init__(self, le, labels: tuple):
         super().__init__()
         self.le = le
-        self.vectors = vectors
+        self.labels = labels
         self.classes: dict[tuple, int] = {}
 
     def __missing__(self, vid: int) -> tuple:
-        v, classes = self.vectors[vid], self.classes
+        v, classes = self.labels[vid], self.classes
         pos = classes.setdefault(residue(v, self.le), len(classes))
         neg = classes.setdefault(residue(tuple(-c for c in v), self.le), len(classes))
         got = self[vid] = (pos, neg)
@@ -159,31 +162,22 @@ class _ResidueRow(dict):
 
 
 class _LabelTable:
-    """The vectors a graph's connections read, interned to ids: the
-    distinct stored labels first, in edge order (``of_edge`` gives each
-    edge's label id), then every other vector on its first read.  One
-    ``_ResidueRow`` per edge label id is made on its first read."""
+    """A graph's distinct stored labels, in edge order, and nothing else:
+    ``of_edge`` gives each edge's label id.  One ``_ResidueRow`` per edge
+    label id is made on its first read."""
 
-    __slots__ = ("ids", "vectors", "of_edge", "rows")
+    __slots__ = ("labels", "of_edge", "rows")
 
     def __init__(self, g: GkmGraph):
         ids: dict[tuple, int] = {}
         self.of_edge = tuple(ids.setdefault(label, len(ids)) for _, _, label in g.edges)
-        self.ids = ids
-        self.vectors = list(ids)
+        self.labels = tuple(ids)
         self.rows: dict[int, _ResidueRow] = {}
-
-    def id_of(self, v) -> int:
-        got = self.ids.get(v)
-        if got is None:
-            got = self.ids[v] = len(self.vectors)
-            self.vectors.append(v)
-        return got
 
     def row(self, le_id: int) -> _ResidueRow:
         got = self.rows.get(le_id)
         if got is None:
-            got = self.rows[le_id] = _ResidueRow(self.vectors[le_id], self.vectors)
+            got = self.rows[le_id] = _ResidueRow(self.labels[le_id], self.labels)
         return got
 
 
@@ -197,7 +191,7 @@ def _label_table(g: GkmGraph) -> _LabelTable:
 
 
 def graph_sign(row: _ResidueRow, src: int, dst: int) -> int | None:
-    """``transport_sign`` of the vectors with ids src and dst across the
+    """``transport_sign`` of the labels with ids src and dst across the
     edge label of ``row``, read off their residue classes."""
     r = row[src][0]
     pos, neg = row[dst]
@@ -218,15 +212,17 @@ def _sign_error(sign, edge_id: int) -> ValueError:
     return ValueError(f"connection is not compatible along edge {edge_id}")
 
 
-def forced_lift(g: GkmGraph, src_lift, dst_label, edge_label) -> tuple | None:
-    """The signed copy of dst_label congruent to src_lift mod edge_label, or
-    None; the sign is read by ``graph_sign``."""
+def forced_sign(g: GkmGraph, src_edge: int, dst_edge: int, edge: int) -> int | None:
+    """``transport_sign`` of the labels of edges src_edge and dst_edge
+    across the label of ``edge``, read by ``graph_sign``: 1 or -1, None
+    when neither sign fits.  A signed lift s * label(src_edge) takes s
+    times this sign.  Raises ``DomainError`` when both signs fit."""
     table = _label_table(g)
-    row = table.row(table.id_of(edge_label))
-    sign = graph_sign(row, table.id_of(src_lift), table.id_of(dst_label))
+    of_edge = table.of_edge
+    sign = graph_sign(table.row(of_edge[edge]), of_edge[src_edge], of_edge[dst_edge])
     if sign == 0:
         raise DomainError("ambiguous sign transport; adjacent labels not independent")
-    return None if sign is None else tuple(sign * c for c in dst_label)
+    return sign
 
 
 def _matchings(g: GkmGraph, edge_id: int):
@@ -328,7 +324,12 @@ def enumerate_connections(g: GkmGraph, limit: int | None = None):
 
 def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
     """Build a connection from explicit per-edge matchings, validating
-    bijectivity and the congruence condition."""
+    bijectivity and the congruence condition; a key that is not an edge
+    id of g raises ValueError.  An edge without a matching takes its
+    first one."""
+    unknown = [eid for eid in matchings if eid not in range(len(g.edges))]
+    if unknown:
+        raise ValueError(f"no edge ids {', '.join(map(repr, unknown))} in the graph")
     table = _label_table(g)
     of_edge = table.of_edge
     chosen = {}
@@ -358,30 +359,30 @@ def connection_from_matchings(g: GkmGraph, matchings: dict) -> Connection:
     return Connection(g, chosen)
 
 
-def transport_signs(g: GkmGraph, oe: OrientedEdge, image, lifts=None) -> dict:
+def transport_signs(g: GkmGraph, oe: OrientedEdge, image, signs=None) -> dict:
     """The sign carrying each star edge of initial(oe) across oe.
 
     ``image`` maps the star of initial(oe) onto the star of terminal(oe);
-    ``lifts`` gives a signed lift per source edge (default: its label).
-    For every f other than oe the result holds the sign s with
-    lift(f) - s * label(image(f)) in Z * label(oe).  Raises ValueError
-    when no sign fits (the bijection is not compatible), and its subclass
+    ``signs`` gives the sign s of the lift s * label(f) per source edge f
+    (default: 1).  For every f other than oe the result holds the sign t
+    with s * label(f) - t * label(image(f)) in Z * label(oe), read as s
+    times the sign of label(f) itself.  Raises ValueError when no sign
+    fits (the bijection is not compatible), and its subclass
     ``DomainError`` when both do (adjacent labels fail linear
     independence, a property of the graph).
     """
     table = _label_table(g)
     of_edge = table.of_edge
     residues = table.row(of_edge[oe.edge])
-    signs = {}
+    out = {}
     for f in g.star(g.initial(oe)):
         if f == oe:
             continue
-        src = of_edge[f.edge] if lifts is None else table.id_of(lifts[f])
-        sign = graph_sign(residues, src, of_edge[image[f].edge])
+        sign = graph_sign(residues, of_edge[f.edge], of_edge[image[f].edge])
         if not sign:
             raise _sign_error(sign, oe.edge)
-        signs[f] = sign
-    return signs
+        out[f] = sign if signs is None else signs[f] * sign
+    return out
 
 
 def holonomy_signs(g: GkmGraph, c: Connection) -> dict:

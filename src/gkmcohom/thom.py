@@ -38,7 +38,7 @@ from .connection import (
     edge_matchings,
     find_connection,
     first_matching,
-    forced_lift,
+    forced_sign,
     is_orientable,
     transport_signs,
 )
@@ -167,45 +167,47 @@ def thom_class_of_path(
 ) -> GraphClass:
     """Degree-2 class of a connection path via normal-label sign transport.
 
-    The lift of the lexicographically smallest normal edge is the
-    sign-normalized label (times ``initial_sign``); successive normal
-    labels take the sign forced by congruence modulo the edge between
-    them.  The closing congruence holds exactly when the graph is
+    The lift of the lexicographically smallest normal edge is its
+    sign-normalized label times ``initial_sign`` (1 or -1); successive
+    normal labels take the sign forced by congruence modulo the edge
+    between them.  The closing congruence holds exactly when the graph is
     orientable and is checked; a doubly-crossed normal edge must
     receive the same sign both times.
     """
     c.check_graph(g)
     if g.torus_rank != 2:
         raise ValueError("path classes require torus rank 2")
+    if initial_sign not in (1, -1):
+        raise ValueError("initial_sign must be 1 or -1")
     return _sum_values(g, 2, [_path_values(g, c, path, initial_sign)])
 
 
 def _path_values(g: GkmGraph, c: Connection, path: ConnectionPath, initial_sign: int) -> dict:
     """The nonzero values of the path class, checked: at each initial
-    vertex of a normal edge, the sum of the transported lifts there."""
+    vertex of a normal edge, the sum of the transported lifts there, each
+    lift carried as the sign of its normal label."""
     slots = path.normal_slots()
-    l = len(slots)
-    start = min(range(l), key=lambda j: slots[j][1])
+    start = min(range(len(slots)), key=lambda j: slots[j][1])
     rotated = slots[start:] + slots[:start]
-    current = tuple(initial_sign * x for x in g.label(rotated[0][1].edge))
-    beta: dict[OrientedEdge, tuple] = {rotated[0][1]: current}
-    for j in range(1, l):
-        _, normal, between = rotated[j]
-        forced = forced_lift(g, current, g.label(normal.edge), g.label(between))
-        if forced is None:
+    prev = rotated[0][1]
+    signs: dict[OrientedEdge, int] = {prev: initial_sign}
+    for _, normal, between in rotated[1:]:
+        step = forced_sign(g, prev.edge, normal.edge, between)
+        if step is None:
             raise ValueError("sign transport failed; connection not compatible")
-        if normal in beta and beta[normal] != forced:
+        sign = signs[prev] * step
+        if signs.setdefault(normal, sign) != sign:
             raise ValueError(f"normal edge {normal.render()} crossed twice with conflicting signs")
-        beta[normal] = current = forced
+        prev = normal
     _, first_normal, between = rotated[0]
-    closing = forced_lift(g, current, g.label(first_normal.edge), g.label(between))
-    if closing != beta[first_normal]:
+    closing = forced_sign(g, prev.edge, first_normal.edge, between)
+    if closing is None or signs[prev] * closing != signs[first_normal]:
         raise ValueError("closing congruence failed; the graph is not orientable")
-    k = g.torus_rank
     sums: dict[int, tuple] = {}
-    for oe, w in beta.items():
+    for oe, s in signs.items():
         v = g.initial(oe)
-        sums[v] = tuple(a + b for a, b in zip(sums.get(v, (0,) * k), w))
+        w = sums.get(v, (0,) * g.torus_rank)
+        sums[v] = tuple(a + s * b for a, b in zip(w, g.label(oe.edge)))
     values = {v: linear_from_weight(w) for v, w in sums.items() if any(w)}
     _check_local(g, 1, values, "path")
     return values
@@ -228,23 +230,22 @@ def _check_local(g: GkmGraph, degree: int, values: dict, kind: str) -> None:
 
 
 def _local_values(
-    g: GkmGraph, memo: dict | None, kind: str, degree: int, support, key, factors
+    g: GkmGraph, memo: dict, kind: str, degree: int, support, key, factors
 ) -> dict:
     """{vertex: value} on ``support``: the product of the weights of each
     list in ``factors``, in order.  ``key`` determines the factors and
     every label the check reads, so they are multiplied out and checked by
     ``_check_local`` on the first occurrence of (kind, key) in ``memo``
-    only, and read back after; without a memo, on every call."""
-    got = None if memo is None else memo.get((kind, key))
+    only, and read back after."""
+    got = memo.get((kind, key))
     if got is None:
         got = [elementary_symmetric(g.torus_rank, ws)[-1] for ws in factors]
         _check_local(g, degree, dict(zip(support, got)), kind)
-        if memo is not None:
-            memo[kind, key] = got
+        memo[kind, key] = got
     return dict(zip(support, got))
 
 
-def _edge_values(g: GkmGraph, c: Connection, edge_id: int, memo: dict | None = None) -> dict:
+def _edge_values(g: GkmGraph, c: Connection, edge_id: int, memo: dict) -> dict:
     """The two values of the degree-4 edge class, checked: the product of
     the other star labels at the initial vertex, and of their images with
     the transported signs at the terminal vertex.
@@ -264,7 +265,7 @@ def _edge_values(g: GkmGraph, c: Connection, edge_id: int, memo: dict | None = N
     return _local_values(g, memo, "edge", 2, ends, key, (src, dst))
 
 
-def _vertex_values(g: GkmGraph, vertex: int, memo: dict | None = None) -> dict:
+def _vertex_values(g: GkmGraph, vertex: int, memo: dict) -> dict:
     """The one value of the degree-6 vertex class, checked: the product of
     the star labels, keyed by their sorted tuple."""
     star = tuple(sorted(g.label(oe.edge) for oe in g.star(vertex)))
@@ -278,14 +279,14 @@ def thom_class_of_edge(g: GkmGraph, c: Connection, edge_id: int) -> GraphClass:
         raise ValueError("edge classes require torus rank 2")
     if g.valence != 3:
         raise ValueError("edge classes require a 3-valent graph")
-    return _sum_values(g, 4, [_edge_values(g, c, edge_id)])
+    return _sum_values(g, 4, [_edge_values(g, c, edge_id, {})])
 
 
 def thom_class_of_vertex(g: GkmGraph, vertex: int) -> GraphClass:
     """Degree-6 class supported on one vertex: product of its star labels."""
     if g.valence != 3:
         raise ValueError("vertex classes require a 3-valent graph")
-    return _sum_values(g, 6, [_vertex_values(g, vertex)])
+    return _sum_values(g, 6, [_vertex_values(g, vertex, {})])
 
 
 def _sum_values(g: GkmGraph, degree2: int, supported) -> GraphClass:

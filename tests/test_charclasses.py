@@ -347,13 +347,11 @@ def test_edge_quotients_are_built_once_per_distinct_lifts(monkeypatch):
         star = g.star(g.initial(oe))
         for matching in edge_matchings(g, e):
             for mask in range(2 ** len(star)):
-                lifts = {
-                    l: tuple((-1 if (mask >> i) & 1 else 1) * c for c in g.label(l.edge))
-                    for i, l in enumerate(star)
-                }
+                signs = {l: -1 if (mask >> i) & 1 else 1 for i, l in enumerate(star)}
+                lifts = {l: tuple(signs[l] * c for c in g.label(l.edge)) for l in star}
                 targets = [lifts[oe]] + [
                     tuple(s * c for c in g.label(matching[l].edge))
-                    for l, s in transport_signs(g, oe, matching, lifts).items()
+                    for l, s in transport_signs(g, oe, matching, signs).items()
                 ]
                 keys.add((e, lifts[oe], tuple(sorted(lifts.values())), tuple(sorted(targets))))
     total_sw(g)

@@ -26,7 +26,7 @@ from gkmcohom.graph import DomainError, OrientedEdge, parse
 from gkmcohom.polyring import content, sign_normalize
 from gkmcohom.connection import (
     first_matching,
-    forced_lift,
+    forced_sign,
     residue,
     transport_sign,
     transport_signs,
@@ -92,11 +92,24 @@ def test_transport_sign_outcomes():
     assert transport_sign((1, 0), (-1, 0), (0, 1)) == -1
     assert transport_sign((1, 0), (0, 1), (2, 3)) is None
     assert transport_sign((1, 0), (1, 0), (1, 0)) == 0  # both signs fit
-    g = GkmGraph(2, ["a"], [])  # the sign table is keyed by labels alone
-    assert forced_lift(g, (1, 0), (-1, 0), (0, 1)) == (1, 0)
-    assert forced_lift(g, (1, 0), (0, 1), (2, 3)) is None
-    with pytest.raises(ValueError, match="ambiguous"):
-        forced_lift(g, (1, 0), (1, 0), (1, 0))
+    # forced_sign reads the labels of three edges; the graph need not be GKM
+    labels = [(1, 0), (0, 1), (2, 3), (1, 2), (1, 1), (1, -1)]
+    g = GkmGraph(2, ["a", "b"], [("a", "b", w) for w in labels])
+    assert forced_sign(g, 0, 0, 1) == 1
+    assert forced_sign(g, 0, 3, 4) == -1  # (1, 0) + (1, 2) is in Z(1, 1)
+    assert forced_sign(g, 0, 1, 2) is None
+    with pytest.raises(DomainError, match="ambiguous"):
+        forced_sign(g, 0, 0, 0)
+    outcomes = set()
+    for src, dst, edge in itertools.product(range(len(labels)), repeat=3):
+        want = transport_sign(labels[src], labels[dst], labels[edge])
+        outcomes.add(want)
+        if want == 0:
+            with pytest.raises(DomainError, match="ambiguous sign transport"):
+                forced_sign(g, src, dst, edge)
+        else:
+            assert forced_sign(g, src, dst, edge) == want, (src, dst, edge)
+    assert outcomes == {0, 1, -1, None}
 
 
 def test_ambiguous_pair_is_compatible_but_has_no_sign():
@@ -149,6 +162,13 @@ def test_connection_from_matchings_validation():
 
     rebuilt = connection_from_matchings(g, {0: good})
     assert rebuilt.map_along(e) == good
+
+    # keys that are no edge ids of the graph are named, not ignored
+    g = fixtures.triangle_x_edge()
+    with pytest.raises(ValueError, match="no edge ids 99, -1, 'x' in the graph"):
+        connection_from_matchings(g, {99: {}, -1: {}, "x": {}})
+    with pytest.raises(ValueError, match=f"no edge ids {len(g.edges)} in the graph"):
+        connection_from_matchings(g, {0: {}, len(g.edges): {}})
 
 
 def test_holonomy_signs_are_symmetric_units():
@@ -420,42 +440,80 @@ def test_holonomy_signs_take_one_residue_per_label_and_edge(monkeypatch):
 
 
 def _checked_sign_reads(monkeypatch) -> list:
-    """Wrap ``connection.graph_sign``, the one sign read, so that every
-    read, its vector ids mapped back to vectors, is compared with the
-    uncached ``transport_sign``; returns the list the reads (lift, image
-    label, edge label) are appended to."""
+    """Check every sign read against the uncached ``transport_sign`` of the
+    signed label; returns the list the reads (lift, image label, edge
+    label) are appended to.
+
+    ``connection.graph_sign``, the one sign read, is wrapped with its
+    label ids mapped back to labels.  The readers that carry a sign are
+    wrapped where they see it: ``transport_signs`` as the SW quotients
+    call it, with the sign s of each source lift s * label, and
+    ``forced_sign`` as the path classes call it, with the sign carried
+    along the path (``initial_sign`` at the first read of each path, then
+    the carried sign times each sign read, as the path is walked)."""
+    from gkmcohom import charclasses, thom
+
     reads = []
-    real = connection.graph_sign
+    real_sign, real_signs = connection.graph_sign, connection.transport_signs
+    real_forced, real_path = connection.forced_sign, thom._path_values
 
     def checked(row, src, dst):
-        sign = real(row, src, dst)
-        lift, image, le = row.vectors[src], row.vectors[dst], row.le
+        sign = real_sign(row, src, dst)
+        lift, image, le = row.labels[src], row.labels[dst], row.le
         assert sign == transport_sign(lift, image, le), (lift, image, le)
         reads.append((lift, image, le))
         return sign
 
+    def signed_signs(g, oe, image, signs=None):
+        out = real_signs(g, oe, image, signs)
+        for f, t in out.items():
+            lift = tuple((1 if signs is None else signs[f]) * c for c in g.label(f.edge))
+            read = (lift, g.label(image[f].edge), g.label(oe.edge))
+            assert t == transport_sign(*read), read
+            reads.append(read)
+        return out
+
+    carried = [1]
+
+    def path_values(g, c, path, initial_sign):
+        carried[0] = initial_sign
+        return real_path(g, c, path, initial_sign)
+
+    def signed_forced(g, src_edge, dst_edge, edge):
+        sign = real_forced(g, src_edge, dst_edge, edge)
+        s = carried[0]
+        read = (tuple(s * c for c in g.label(src_edge)), g.label(dst_edge), g.label(edge))
+        assert (None if sign is None else s * sign) == transport_sign(*read), read
+        reads.append(read)
+        if sign is not None:
+            carried[0] = s * sign
+        return sign
+
     monkeypatch.setattr(connection, "graph_sign", checked)
+    monkeypatch.setattr(charclasses, "transport_signs", signed_signs)
+    monkeypatch.setattr(thom, "_path_values", path_values)
+    monkeypatch.setattr(thom, "forced_sign", signed_forced)
     return reads
 
 
 def _tables_against_oracle(g: GkmGraph, reads: list) -> set:
-    """Check the label table kept on g: every id names one vector, the
-    stored labels come first with each edge's label id, and every residue
-    pair kept, its class ids mapped back to residues, equals the uncached
+    """Check the label table kept on g: it holds the graph's distinct
+    stored labels in edge order and nothing else, whatever has read it,
+    each edge's label id names its label, and every residue pair kept,
+    its class ids mapped back to residues, equals the uncached
     definition.  Return the sign reads taken since the last call (each
     already checked by ``_checked_sign_reads``)."""
     table = connection._label_table(g)
-    assert {v: i for i, v in enumerate(table.vectors)} == table.ids
     labels = [label for _, _, label in g.edges]
-    assert [table.vectors[i] for i in table.of_edge] == labels
-    assert table.vectors[: len(set(labels))] == list(dict.fromkeys(labels))
+    assert list(table.labels) == list(dict.fromkeys(labels))
+    assert [table.labels[i] for i in table.of_edge] == labels
     for le_id, row in table.rows.items():
-        le = table.vectors[le_id]
-        assert row.le == le and row.vectors is table.vectors
+        le = table.labels[le_id]
+        assert row.le == le and row.labels is table.labels
         residue_of = {i: r for r, i in row.classes.items()}
         assert sorted(residue_of) == list(range(len(row.classes)))
         for vid, (pos, neg) in row.items():
-            v = table.vectors[vid]
+            v = table.labels[vid]
             want = (residue(v, le), residue(tuple(-c for c in v), le))
             assert (residue_of[pos], residue_of[neg]) == want, (v, le)
     keys = set(reads)
@@ -465,11 +523,12 @@ def _tables_against_oracle(g: GkmGraph, reads: list) -> set:
 
 def test_sign_table_equals_the_uncached_transport_sign(monkeypatch):
     """Every residue pair that ``edge_matchings`` and ``graph_sign`` read
-    from the per-graph label table, and every sign that ``holonomy_signs``,
+    from the per-graph label table, every sign that ``holonomy_signs``
+    reads through ``graph_sign``, and every signed read of
     ``transport_signs`` (the SW quotients with signed source lifts) and
-    ``forced_lift`` (the running lifts of the path classes) read through
-    ``graph_sign``, equals the definition, on random graphs, label-scaled
-    graphs and cubes with a content-2 label."""
+    ``forced_sign`` (the signs carried along the path classes) equals the
+    definition, on random graphs, label-scaled graphs and cubes with a
+    content-2 label.  No reader grows the label table."""
     reads = _checked_sign_reads(monkeypatch)
     rng = random.Random(89)
     graphs = random_gkm_graphs(97, 8)
@@ -489,6 +548,7 @@ def test_sign_table_equals_the_uncached_transport_sign(monkeypatch):
         s = parse(g.to_dict())
         if find_connection(s) is not None:
             total_sw(s)
+            spin_check(s)
             for e in edges_div_p(s, 2):
                 sw_choice_independence(s, e, trials=16)
         read_by["sw"] |= _tables_against_oracle(s, reads)
@@ -497,9 +557,10 @@ def test_sign_table_equals_the_uncached_transport_sign(monkeypatch):
         for p in connection_paths(g, c):
             thom_class_of_path(g, c, p)
             thom_class_of_path(g, c, p, initial_sign=-1)
+        verify_sw3valent(g, c)
         read_by["thom"] |= _tables_against_oracle(g, reads)
-    # the signed source lifts of the SW quotients and the running lifts of
-    # the path classes reach the table with either sign
+    # the signed source lifts of the SW quotients and the carried signs of
+    # the path classes reach the sign reads with either sign
     for name in ("sw", "thom"):
         assert any(sign_normalize(lift) != lift for lift, _, _ in read_by[name]), name
     assert any(content(le) > 1 for _, _, le in read_by["holonomy"])
@@ -516,7 +577,7 @@ def test_cached_failures_raise_on_every_read():
         with pytest.raises(DomainError, match="ambiguous transport sign along edge 0"):
             holonomy_signs(g, c)
         with pytest.raises(DomainError, match="ambiguous sign transport"):
-            forced_lift(g, (1, 0), (1, 0), (1, 0))
+            forced_sign(g, 0, 1, 0)
     g = fixtures.product((1, 0), (0, 1), (2, 3))
     e = g.default_oriented(0)
     (good,) = edge_matchings(g, 0)
@@ -602,9 +663,9 @@ def _definitional_sign(lift, lh, le) -> int:
 
 def test_transport_signs_equal_the_definitional_congruence():
     """At most four compatible bijections per edge, in both directions, with
-    label lifts and with randomly signed lifts; every fixture, random and
-    label-scaled graphs, and Fl4 in two vertex and edge orders.  A
-    bijection that breaks one congruence raises."""
+    label lifts (no signs) and with random signs of the source lifts;
+    every fixture, random and label-scaled graphs, and Fl4 in two vertex
+    and edge orders.  A bijection that breaks one congruence raises."""
     rng = random.Random(43)
     graphs = [fixtures.from_spec(spec) for spec in SUBCOMMAND_FIXTURES]
     graphs += random_gkm_graphs(79, 8)
@@ -626,7 +687,7 @@ def test_transport_signs_equal_the_definitional_congruence():
                             f: _definitional_sign(lifts[f], g.label(image[f].edge), g.label(eid))
                             for f in star
                         }
-                        assert transport_signs(g, oe, image, lifts if flips else None) == want
+                        assert transport_signs(g, oe, image, flips or None) == want
                         seen.update(want.values())
     assert seen == {1, -1}
     # the one compatible bijection of this edge with two targets swapped

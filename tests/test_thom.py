@@ -222,7 +222,10 @@ def test_all_constructors_integral_on_50_random_graphs():
     for g in random_3valent_orientable(7, 50):
         c = find_connection(g)
         for p in connection_paths(g, c):
-            assert membership_z(g, thom_class_of_path(g, c, p))
+            cls = thom_class_of_path(g, c, p)
+            assert membership_z(g, cls)
+            # the carried signs flip with the first one, so the class does
+            assert thom_class_of_path(g, c, p, initial_sign=-1) == -cls
         for e in range(len(g.edges)):
             assert membership_z(g, thom_class_of_edge(g, c, e))
         for v in range(len(g.vertices)):
@@ -260,9 +263,9 @@ def test_local_check_is_membership_z():
         c = find_connection(g)
         for _ in range(30):
             if rng.random() < 0.5:
-                values = _edge_values(g, c, rng.randrange(len(g.edges)))
+                values = _edge_values(g, c, rng.randrange(len(g.edges)), {})
             else:
-                values = _vertex_values(g, rng.randrange(len(g.vertices)))
+                values = _vertex_values(g, rng.randrange(len(g.vertices)), {})
             degree = next(iter(values.values())).degree
             if rng.random() < 0.6:
                 v = rng.choice(list(values))
@@ -560,3 +563,32 @@ def test_path_class_on_nonorientable_graph_raises():
     for p in connection_paths(g, c):
         with pytest.raises(ValueError, match="closing congruence failed"):
             thom_class_of_path(g, c, p)
+
+
+def test_path_class_on_an_incompatible_connection_raises():
+    """A raw ``Connection`` on the 12-vertex prism whose matching at one
+    edge has its two non-edge images swapped.  At the twelve edges
+    labelled (1, 0) or (1, 2) the swap breaks the congruence, and the one
+    path whose normal labels step across that edge finds no sign; at the
+    six labelled (0, 1) both images fit, so the swap is another compatible
+    connection.  ``initial_sign`` must be 1 or -1."""
+    g = fixtures.polygon2n_x_edge(3, (1, 0), (0, 1), (1, 2))
+    full = {eid: first_matching(g, eid) for eid in range(len(g.edges))}
+    for eid in range(len(g.edges)):
+        e = g.default_oriented(eid)
+        f1, f2 = (f for f in full[eid] if f != e)
+        swapped = {**full[eid], f1: full[eid][f2], f2: full[eid][f1]}
+        c = Connection(g, {**full, eid: swapped})
+        raised = 0
+        for p in connection_paths(g, c):
+            try:
+                thom_class_of_path(g, c, p)
+            except ValueError as exc:
+                assert str(exc) == "sign transport failed; connection not compatible"
+                raised += 1
+        assert raised == (g.label(eid) != (0, 1)), eid
+    c = find_connection(g)
+    path = connection_paths(g, c)[0]
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError, match="initial_sign must be 1 or -1"):
+            thom_class_of_path(g, c, path, initial_sign=bad)
