@@ -12,12 +12,15 @@ All choices entering the quotient (local bijection, sign lifts) are
 provably irrelevant mod 2; covered by ``sw_choice_independence``.  The
 quotients of one edge lift and one pair of lift multisets are built once
 per graph and kept in its cache (``_edge_quotients``).
+
+The verdicts hold only their evidence (star sums and even-edge values;
+the integral preimage per degree) and read every flag off it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .cohomology import GraphClass, integral_preimage, membership_z
@@ -176,13 +179,23 @@ def sw_choice_independence(
 
 @dataclass
 class SpinVerdict:
-    """Spin criteria: star sums mod 2 and even-edge quotient parities."""
+    """Spin criteria, read off the star sums (by vertex name) and the
+    even-edge quotient values (by edge id)."""
 
-    condition_a: bool
-    condition_a_prime: bool
-    condition_b: bool
-    vertex_sums: dict = field(default_factory=dict)
-    edge_values: dict = field(default_factory=dict)
+    vertex_sums: dict
+    edge_values: dict
+
+    @property
+    def condition_a(self) -> bool:
+        return all(c % 2 == 0 for s in self.vertex_sums.values() for c in s)
+
+    @property
+    def condition_a_prime(self) -> bool:
+        return len({tuple(c % 2 for c in s) for s in self.vertex_sums.values()}) <= 1
+
+    @property
+    def condition_b(self) -> bool:
+        return all(value % 2 == 0 for value in self.edge_values.values())
 
     @property
     def equivariant_spin(self) -> bool:
@@ -217,19 +230,15 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
     if connection is not None:
         connection.check_graph(g)
     k = g.torus_rank
-    sums = []
-    for v in range(len(g.vertices)):
+    vertex_sums = {}
+    for v, name in enumerate(g.vertices):
         total = [0] * k
         for oe in g.star(v):
             for i, c in enumerate(g.label(oe.edge)):
                 total[i] += c
-        sums.append(tuple(total))
-    cond_a = all(all(c % 2 == 0 for c in s) for s in sums)
-    parities = {tuple(c % 2 for c in s) for s in sums}
-    cond_a_prime = len(parities) <= 1
+        vertex_sums[name] = total
 
     edge_values = {}
-    cond_b = True
     for e in edges_div_p(g, 2):
         matching = _default_matching(g, e, connection)
         # the reversed edge adds the same lift to both sums, so only the
@@ -241,18 +250,9 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
         quotient = divide_by_linear(linear_from_weight(diff), g.label(e))
         if quotient is None:
             raise InvariantError("spin quotient not divisible; incompatible bijection")
-        value = quotient.coeffs[0] if quotient.coeffs else 0
-        edge_values[e] = value
-        if value % 2:
-            cond_b = False
+        edge_values[e] = quotient.coeffs[0] if quotient.coeffs else 0
 
-    verdict = SpinVerdict(
-        condition_a=cond_a,
-        condition_a_prime=cond_a_prime,
-        condition_b=cond_b,
-        vertex_sums={g.vertices[v]: list(s) for v, s in enumerate(sums)},
-        edge_values=edge_values,
-    )
+    verdict = SpinVerdict(vertex_sums, edge_values)
     if verdict.equivariant_spin and not verdict.spin:
         raise InvariantError("equivariantly spin but not spin")
     return verdict
@@ -260,10 +260,14 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
 
 @dataclass
 class ObstructionVerdict:
-    """Outcome of the per-degree image test of the total class."""
+    """Outcome of the per-degree image test of the total class: the
+    integral preimage of each component, None where there is none."""
 
-    failing_degree: int | None
     preimages: dict
+
+    @property
+    def failing_degree(self) -> int | None:
+        return min((d for d, pre in self.preimages.items() if pre is None), default=None)
 
     @property
     def verdict(self) -> str:
@@ -290,12 +294,6 @@ def realizability_obstruction(
 ) -> ObstructionVerdict:
     """Test every even component of the total class for an integral origin."""
     sw = total_sw(g)
-    preimages: dict[int, GraphClass | None] = {}
-    failing = None
-    for degree2 in sw.degrees():
-        target = sw.component(degree2)
-        pre = integral_preimage(g, target, conventions)
-        preimages[degree2] = pre
-        if pre is None and failing is None:
-            failing = degree2
-    return ObstructionVerdict(failing_degree=failing, preimages=preimages)
+    return ObstructionVerdict(
+        {d: integral_preimage(g, sw.component(d), conventions) for d in sw.degrees()}
+    )

@@ -105,35 +105,26 @@ def _degrees(args: argparse.Namespace) -> list[int]:
 
 def cmd_validate(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
     checks = [validate_gkm(g), check_coprimality(g)]
-    effective = is_effective(g)
-    checks.append(
-        CheckReport("effective", effective, [] if effective else ["labels do not span"])
-    )
+    checks.append(CheckReport("effective", [] if is_effective(g) else ["labels do not span"]))
     conn = find_connection(g)
     checks.append(
-        CheckReport(
-            "connection_exists",
-            conn is not None,
-            [] if conn is not None else ["no compatible connection"],
-        )
+        CheckReport("connection_exists", [] if conn is not None else ["no compatible connection"])
     )
     # a DomainError here (parallel adjacent labels) is a failed check
     if conn is not None:
         try:
-            orientable = is_orientable(g, conn)
+            issues = [] if is_orientable(g, conn) else ["some closed path has sign product -1"]
         except DomainError as exc:
-            orientable, issues = False, [str(exc)]
-        else:
-            issues = [] if orientable else ["some closed path has sign product -1"]
-        checks.append(CheckReport("orientable", orientable, issues))
+            issues = [str(exc)]
+        checks.append(CheckReport("orientable", issues))
     if args.require_spin:
         try:
             verdict = spin_check(g, conn)
         except DomainError as exc:
-            checks.append(CheckReport("spin", False, [str(exc)]))
+            checks.append(CheckReport("spin", [str(exc)]))
         else:
             issues = [] if verdict.spin else ["spin conditions fail"]
-            checks.append(CheckReport("spin", verdict.spin, issues, verdict.to_dict()))
+            checks.append(CheckReport("spin", issues, verdict.to_dict()))
     ok = all(c.ok for c in checks)
     return (0 if ok else 1), {"checks": [c.to_dict() for c in checks], "ok": ok}
 

@@ -139,6 +139,12 @@ class GraphClass:
         z = GradedPoly.zero(graph.torus_rank, degree2 // 2, p)
         return cls(graph, degree2, (z,) * len(graph.vertices), p)
 
+    def check_graph(self, g: GkmGraph) -> None:
+        """Raise ValueError unless the class was built on g or on a graph
+        equal to it."""
+        if self.graph is not g and self.graph != g:
+            raise ValueError("class belongs to a different graph")
+
     def _check_peer(self, other: "GraphClass") -> None:
         if self.graph is not other.graph and self.graph != other.graph:
             raise ValueError("classes live on different graphs")
@@ -256,8 +262,7 @@ def membership_z(g: GkmGraph, cls: GraphClass) -> bool:
     the mod-p congruence on the vertex part (the quotient part of a
     mod-p class is free data).
     """
-    if cls.graph != g:
-        raise ValueError("class belongs to a different graph")
+    cls.check_graph(g)
     for u, v, label in g.edges:
         if not congruent_mod_weight(cls.values[u], cls.values[v], label):
             return False
@@ -367,9 +372,13 @@ class CohomLattice:
 
     def coordinates_of(self, cls):
         """Coordinates in this basis, or None if outside the span (over
-        Z/p also when the quotient part is nonzero)."""
+        Z/p also when the quotient part is nonzero).  The class must live
+        on this piece's graph and in its degree."""
         if not isinstance(cls, GraphClass) or cls.p != self.p:
             raise TypeError(f"expected a class over {self.ring}")
+        cls.check_graph(self.graph)
+        if cls.degree2 != self.degree2:
+            raise ValueError(f"class of degree {cls.degree2} in the degree-{self.degree2} piece")
         if any(not f.is_zero() for f in cls.b_part.values()):
             return None
         return self.lattice.coordinates_of([c for f in cls.values for c in f.coeffs])
@@ -516,8 +525,7 @@ def reduce_class_mod_p(
     the signed lift of the label, then reduced; orientation and lift
     come from ``conventions``.
     """
-    if cls.graph != g:
-        raise ValueError("class belongs to a different graph")
+    cls.check_graph(g)
     if not is_prime(p):
         raise ValueError("p must be prime")
     values = [reduce_mod_p(f, p) for f in cls.values]
@@ -577,6 +585,7 @@ def integral_preimage(
     basis (``_reduction_images``); one ``modp_solve`` on them finds the
     preimage, which ``reduce_class_mod_p`` must map back to the target.
     """
+    target.check_graph(g)
     p = target.p
     if not is_prime(p):
         raise ValueError("p must be prime")

@@ -234,10 +234,15 @@ def parse(source: str | dict) -> GkmGraph:
 
 @dataclass
 class CheckReport:
+    """One named check: it passes exactly when it found no issue."""
+
     name: str
-    ok: bool
     issues: list[str] = field(default_factory=list)
     data: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
 
     def to_dict(self) -> dict:
         return {
@@ -291,7 +296,7 @@ def validate_gkm(g: GkmGraph) -> CheckReport:
         return None
 
     issues += _star_pair_issues(g, label_set, pair_issue)
-    return CheckReport("gkm_axioms", not issues, issues, {"valences": vals})
+    return CheckReport("gkm_axioms", issues, {"valences": vals})
 
 
 def check_coprimality(g: GkmGraph) -> CheckReport:
@@ -314,7 +319,7 @@ def check_coprimality(g: GkmGraph) -> CheckReport:
         return tuple(sorted(contents[oe.edge] for oe in star))
 
     issues = _star_pair_issues(g, sorted_contents, pair_issue)
-    return CheckReport("coprimality", not issues, issues)
+    return CheckReport("coprimality", issues)
 
 
 def edges_div_p(g: GkmGraph, p: int) -> list[int]:

@@ -22,9 +22,10 @@ and a few edge pictures).  So ``verify_sw3valent`` keys each value by its
 local input (``_local_values``) and multiplies out and checks each key
 once per call, for all the connections it checks.  It searches the
 matchings of each edge once, builds every connection it checks from
-those lists, and adds the maps straight into the per-vertex sums; the
-public ``thom_class_of_*`` functions build and check their value on
-every call and spread it into a whole class.
+those lists, adds the maps straight into the per-vertex sums and renders
+the sums of the reported connection only; the public
+``thom_class_of_*`` functions build and check their value on every call
+and spread it into a whole class.
 """
 
 from __future__ import annotations
@@ -315,6 +316,10 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
     while the product of the counts so far is at most eight; after that
     each edge is searched for its first matching alone.
 
+    The report describes the given connection, or without one the first,
+    and renders its sums once; of the other checked connections only the
+    mod-2 comparisons are kept, and each match flag is their ``all``.
+
     One memo per call, shared by all the connections checked, keys each
     vertex and edge value by its local input (the sorted star labels; for
     an edge see ``_edge_values``, whose key keeps multigraphs exact), and
@@ -351,37 +356,25 @@ def verify_sw3valent(g: GkmGraph, connection: Connection | None = None) -> dict:
 
     memo: dict = {}
     vertex_sum = _sum_values(g, 6, (_vertex_values(g, v, memo) for v in range(len(g.vertices))))
-
-    def matches(c: Connection) -> tuple[dict, list[ConnectionPath]]:
+    matched = []
+    for c in [connection] + [alt for alt in checked if alt != connection]:
         sw = total_sw(g, c)
-        paths = connection_paths(g, c)
-        path_sum = _sum_values(g, 2, (_path_values(g, c, p, 1) for p in paths))
-        edge_sum = _sum_values(g, 4, (_edge_values(g, c, e, memo) for e in range(len(g.edges))))
-        result = {
-            "degree2_match": reduce_class_mod_p(g, path_sum, 2) == sw.component(2),
-            "degree4_match": reduce_class_mod_p(g, edge_sum, 2) == sw.component(4),
-            "degree6_match": reduce_class_mod_p(g, vertex_sum, 2) == sw.component(6),
-            "sums": {
-                "2": path_sum.render_values(),
-                "4": edge_sum.render_values(),
-                "6": vertex_sum.render_values(),
-            },
-        }
-        return result, paths
-
-    result, paths = matches(connection)
-    for alt in checked:
-        if alt != connection:
-            alt_result, _ = matches(alt)
-            for key in _MATCHES:
-                if not alt_result[key]:
-                    result[key] = False
+        c_paths = connection_paths(g, c)
+        sums = (
+            _sum_values(g, 2, (_path_values(g, c, p, 1) for p in c_paths)),
+            _sum_values(g, 4, (_edge_values(g, c, e, memo) for e in range(len(g.edges)))),
+            vertex_sum,
+        )
+        matched.append([reduce_class_mod_p(g, s, 2) == sw.component(s.degree2) for s in sums])
+        if c is connection:
+            paths, reported = c_paths, sums
     report = {
         "paths": [p.render() for p in paths],
         "path_count": len(paths),
         "self_reversed_paths": sum(1 for p in paths if p.self_reversed),
         "connections_checked": len(checked),
-        **result,
+        **dict(zip(_MATCHES, map(all, zip(*matched)))),
+        "sums": {str(s.degree2): s.render_values() for s in reported},
     }
     report["all_match"] = all(report[key] for key in _MATCHES)
     return report

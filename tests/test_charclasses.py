@@ -7,6 +7,8 @@ import pytest
 from gkmcohom import (
     GkmGraph,
     GraphClass,
+    ObstructionVerdict,
+    SpinVerdict,
     compute_h_z,
     edges_div_p,
     find_connection,
@@ -237,6 +239,50 @@ def test_vanishing_sums_imply_agreeing_sums():
             assert v.condition_a_prime
         if v.equivariant_spin:
             assert v.spin
+
+
+@pytest.mark.parametrize(
+    "vertex_sums, edge_values, conditions",
+    [
+        ({"a": [2, 0], "b": [1, 0]}, {}, (False, False, True)),
+        ({"a": [1, 0], "b": [0, 1]}, {3: 2}, (False, False, True)),
+        ({"a": [1, 3], "b": [3, 1]}, {3: 2}, (False, True, True)),
+        ({"a": [2, 0], "b": [0, -2]}, {3: 2, 4: -1}, (True, True, False)),
+        ({"a": [2, 0], "b": [0, -2]}, {3: 2}, (True, True, True)),
+    ],
+    ids=["one-odd-sum", "two-parities", "one-parity", "one-odd-edge-value", "spin"],
+)
+def test_spin_conditions_are_read_off_the_sums_and_edge_values(
+    vertex_sums, edge_values, conditions
+):
+    v = SpinVerdict(vertex_sums, edge_values)
+    assert (v.condition_a, v.condition_a_prime, v.condition_b) == conditions
+    assert v.equivariant_spin == (conditions[0] and conditions[2])
+    assert v.spin == (conditions[1] and conditions[2])
+    d = v.to_dict()["conditions"]
+    assert tuple(d.values()) == conditions
+
+
+def test_verdicts_store_no_flag():
+    """The flags are properties of the evidence: the old keyword fields
+    are refused."""
+    with pytest.raises(TypeError):
+        SpinVerdict(condition_a=True, condition_a_prime=True, condition_b=True)
+    with pytest.raises(TypeError):
+        SpinVerdict({}, {}, condition_b=False)
+    with pytest.raises(TypeError):
+        ObstructionVerdict(failing_degree=None, preimages={})
+    with pytest.raises(TypeError):
+        ObstructionVerdict({}, None)
+
+
+def test_failing_degree_is_the_least_degree_without_a_preimage():
+    one = GraphClass.zero(fixtures.paper8(), 0)
+    verdict = ObstructionVerdict({0: one, 2: None, 4: None})
+    assert (verdict.failing_degree, verdict.verdict, verdict.passes) == (2, "OBSTRUCTED", False)
+    assert ObstructionVerdict({4: None, 0: one, 2: None}).failing_degree == 2
+    passing = ObstructionVerdict({0: one})
+    assert (passing.failing_degree, passing.verdict, passing.passes) == (None, "PASSES", True)
 
 
 def test_verdict_dict_shape():

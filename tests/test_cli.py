@@ -204,6 +204,37 @@ def test_graphs_outside_the_domain_exit_1(tmp_path, capsys, command, graph, mess
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_odd_edges_without_bijection_are_reported_only_by_validate(tmp_path, capsys):
+    """The cube of the three coordinate labels with edge 11 relabelled
+    (0,0,3): edges 1, 3, 5 and 7 admit no compatible bijection, so
+    ``validate`` fails ``connection_exists``.  No label is even and every
+    congruence of the mod-2 vertex parts holds, so ``sw``, ``spin`` and
+    ``obstruction`` search no edge and report, exit 0, as the README says."""
+    from gkmcohom.connection import edge_matchings
+
+    cube = fixtures.product((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert cube.vertices[cube.edges[11][0]] == "110" and cube.vertices[cube.edges[11][1]] == "111"
+    edges = [
+        (cube.vertices[u], cube.vertices[v], (0, 0, 3) if eid == 11 else w)
+        for eid, (u, v, w) in enumerate(cube.edges)
+    ]
+    g = GkmGraph(3, list(cube.vertices), edges)
+    assert [eid for eid in range(12) if not edge_matchings(g, eid)] == [1, 3, 5, 7]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(g.to_dict()))
+    code, report, err = run_json(capsys, "validate", str(path))
+    checks = {c["check"]: c for c in report["checks"]}
+    assert (code, err, report["ok"]) == (1, "", False)
+    assert checks["connection_exists"]["issues"] == ["no compatible connection"]
+    assert [c["check"] for c in report["checks"] if not c["ok"]] == ["connection_exists"]
+    code, report, err = run_json(capsys, "sw", str(path))
+    assert (code, err, report["special_edges"]) == (0, "", [])
+    code, report, err = run_json(capsys, "spin", str(path))
+    assert (code, err, report["nonequivariant"]) == (0, "", True)
+    code, report, err = run_json(capsys, "obstruction", str(path))
+    assert (code, err, report["verdict"]) == (0, "", "PASSES")
+
+
 def test_validate_reports_parallel_adjacent_labels(tmp_path, capsys):
     path = _domain_graph(tmp_path, "parallel")
     code, report, err = run_json(capsys, "validate", path, "--require-spin")

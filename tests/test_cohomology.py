@@ -530,6 +530,39 @@ def test_nonmember_rejected():
     assert compute_h_z(g, 2).coordinates_of(cls) is None
 
 
+@pytest.mark.parametrize("call", [membership_z, reduce_class_mod_p, integral_preimage])
+def test_a_class_on_another_graph_is_refused(call):
+    """A class of another graph raises the plain ValueError in all three
+    functions (integral_preimage raised InvariantError); a class on an
+    equal graph is accepted."""
+    g, other = fixtures.sphere((2, 0)), fixtures.sphere((4, 0))
+    args = (2,) if call is reduce_class_mod_p else ()
+    cls = total_sw(other).component(2) if call is integral_preimage else GraphClass.zero(other, 2)
+    with pytest.raises(ValueError, match="class belongs to a different graph") as exc:
+        call(g, cls, *args)
+    assert type(exc.value) is ValueError
+    call(GkmGraph(2, ["n", "s"], [("n", "s", (4, 0))]), cls, *args)
+
+
+def test_coordinates_of_a_class_of_another_graph_or_degree_are_refused():
+    """The lattice of one graph and degree refuses a class of another
+    graph (same vertex count, so the vectors have the same length) or of
+    another degree, naming both degrees."""
+    line = fixtures.sphere((1,))
+    one = GraphClass(line, 0, [GradedPoly.constant(1, 1)] * 2)
+    x = GradedPoly.from_terms(1, 1, {(1,): 1})
+    assert compute_h_z(line, 0).coordinates_of(one) == [1]
+    with pytest.raises(ValueError, match="different graph"):
+        compute_h_z(fixtures.sphere((2,)), 0).coordinates_of(one)
+    with pytest.raises(ValueError, match="class of degree 2 in the degree-0 piece"):
+        compute_h_z(line, 0).coordinates_of(GraphClass(line, 2, [x, x]))
+    cube = fixtures.product((1, 0), (0, 1), (1, 1))
+    constant = GraphClass(cube, 0, [GradedPoly.constant(2, 1)] * 8)
+    with pytest.raises(ValueError, match="class of degree 0 in the degree-2 piece"):
+        compute_h_z(cube, 2).coordinates_of(constant)
+    assert compute_h_z(cube, 0).coordinates_of(constant) == [1]
+
+
 def test_module_multiplication_stays_integral():
     g = fixtures.paper8()
     x_plus_y = poly(1, {(1, 0): 1, (0, 1): 1})

@@ -18,7 +18,7 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import fixtures
-from gkmcohom.graph import DomainError
+from gkmcohom.graph import CheckReport, DomainError
 
 from helpers import (
     coprimality_oracle,
@@ -138,6 +138,19 @@ def test_coprimality():
     report = check_coprimality(g)
     assert not report.ok
     assert report.issues
+
+
+def test_a_check_passes_exactly_when_it_has_no_issue():
+    failed = CheckReport("x", ["issue"])
+    assert failed.ok is False
+    assert failed.to_dict() == {"check": "x", "ok": False, "issues": ["issue"]}
+    passed = CheckReport("x", [], {"extra": 1})
+    assert passed.ok is True
+    assert passed.to_dict() == {"check": "x", "ok": True, "issues": [], "extra": 1}
+    with pytest.raises(TypeError):
+        CheckReport("x", ok=True)
+    with pytest.raises(TypeError):
+        CheckReport("x", [], {}, True)
 
 
 def test_edges_div_p():

@@ -457,6 +457,55 @@ def test_an_edge_without_matching_past_eight_connections_still_refuses():
         verify_sw3valent(g, Connection(g, star_bijections))
 
 
+def test_one_failing_comparison_of_another_connection_fails_only_its_degree(monkeypatch):
+    """Each match flag is the conjunction over the checked connections:
+    when the second connection's degree-4 comparison fails, exactly
+    ``degree4_match`` and ``all_match`` read False, and the sums are still
+    those of the first connection."""
+    from gkmcohom import thom
+
+    g = random_prisms_with_few_connections(131, 1)[0]
+    base = verify_sw3valent(g)
+    assert base["all_match"] and base["connections_checked"] >= 2
+    x_squared = GradedPoly.from_terms(2, 2, {(2, 0): 1}, 2)
+    shift = GraphClass(g, 4, [x_squared] * len(g.vertices), 2)
+    calls = []
+
+    class SecondBroken:
+        def __init__(self, sw):
+            self.sw = sw
+
+        def component(self, degree2):
+            got = self.sw.component(degree2)
+            return got + shift if degree2 == 4 else got
+
+    def breaking(graph, connection=None):
+        calls.append(connection)
+        sw = total_sw(graph, connection)
+        return SecondBroken(sw) if len(calls) == 2 else sw
+
+    monkeypatch.setattr(thom, "total_sw", breaking)
+    report = verify_sw3valent(g)
+    assert len(calls) == base["connections_checked"]
+    assert {key for key in base if report[key] != base[key]} == {"degree4_match", "all_match"}
+    assert report["degree4_match"] is False and report["all_match"] is False
+    assert report["sums"] == base["sums"] == verify_sw3valent_oracle(g)["sums"]
+
+
+def test_thom_renders_the_sums_once(monkeypatch):
+    """Only the reported connection's three sums are rendered, however
+    many connections are checked."""
+    rendered = []
+    real = GraphClass.render_values
+    monkeypatch.setattr(
+        GraphClass, "render_values", lambda cls: rendered.append(cls.degree2) or real(cls)
+    )
+    for g in random_prisms_with_few_connections(131, 2) + [fixtures.polygon2n_x_edge(4)]:
+        rendered.clear()
+        verify_sw3valent(g)
+        assert rendered == [2, 4, 6], g
+
+
 def test_local_classes_are_built_once_per_distinct_key(monkeypatch):
     """On a shuffled 64-gon prism the 128 vertex classes share one sorted
     star and the 192 edge classes four keys (edge label, other labels at
