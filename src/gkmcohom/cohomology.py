@@ -260,11 +260,15 @@ def membership_z(g: GkmGraph, cls: GraphClass) -> bool:
 
     Serves both rings: over Z the divisibility is exact, over Z/p it is
     the mod-p congruence on the vertex part (the quotient part of a
-    mod-p class is free data).
+    mod-p class is free data).  An edge whose endpoints share one value
+    object is skipped: the difference is zero, which every label divides
+    (``total_sw`` gives all vertices with one sorted mod-2 star one value).
     """
     cls.check_graph(g)
+    values = cls.values
     for u, v, label in g.edges:
-        if not congruent_mod_weight(cls.values[u], cls.values[v], label):
+        a, b = values[u], values[v]
+        if a is not b and not congruent_mod_weight(a, b, label):
             return False
     return True
 

@@ -6,10 +6,15 @@ the source star is congruent to a signed copy of its image modulo the
 label of e.  Matchings are searched per unoriented edge (the reverse
 orientation carries the inverse bijection, so edges are independent), by
 one depth-first search on an explicit stack over the allowed targets of
-each source (``_matchings``).  A ``Connection`` is these per-edge matchings,
-one dict per edge along its default orientation, and nothing else:
-``map_along`` returns a read-only view of one, and reads the reverse
-orientation as its inverse.
+each source (``_matchings``, behind ``edge_matchings``).  The first
+matching, the one every connection search takes, is the search's first
+leaf: congruence up to sign splits sources and targets into complete
+blocks, so the search reaches that leaf without backtracking, and
+``first_matching`` takes it in one greedy pass.  Both read the allowed
+targets off class maps that all stars with one label set share.  A
+``Connection`` is these per-edge matchings, one dict per edge along its
+default orientation, and nothing else: ``map_along`` returns a read-only
+view of one, and reads the reverse orientation as its inverse.
 
 Congruence modulo Z*le is decided by one canonical residue: with i the
 first nonzero coordinate of le, r(v) = v - (v[i] // le[i]) * le, and v is
@@ -30,8 +35,10 @@ past the graph's labels.  A transport sign is two comparisons of class
 ids, so it is not stored: ``graph_sign`` is the one place that reads a
 sign, off the row of the edge label its caller fetched, and
 ``transport_signs``, ``holonomy_signs``, ``forced_sign`` and
-``connection_from_matchings`` all read it there (``edge_matchings``
-looks the allowed targets up by class id).  A 0 (both signs fit) or None
+``connection_from_matchings`` all read it there (``edge_matchings`` and
+``first_matching`` look the allowed targets up by class id; the table
+also keeps each star's label ids and, per edge label and star label
+set, the targets of each class).  A 0 (both signs fit) or None
 (neither does) is an outcome, not a verdict: the caller raises on it on
 every read.  The uncached ``transport_sign`` is the definition
 ``graph_sign`` is tested against.
@@ -162,22 +169,53 @@ class _ResidueRow(dict):
 
 
 class _LabelTable:
-    """A graph's distinct stored labels, in edge order, and nothing else:
-    ``of_edge`` gives each edge's label id.  One ``_ResidueRow`` per edge
-    label id is made on its first read."""
+    """A graph's distinct stored labels, in edge order: ``of_edge`` gives
+    each edge's label id.  One ``_ResidueRow`` per edge label id is made
+    on its first read.
 
-    __slots__ = ("labels", "of_edge", "rows")
+    For the matching search it also keeps, per vertex, the label ids of
+    its star in star order (``star_labels``), their set (``star_keys``)
+    and the ascending star positions of each label id
+    (``star_positions``); and per (edge label id, star key) the map from
+    class id to the label ids t of that star with r(t) or r(-t) in the
+    class (``class_map``), made on its first read.  Stars with one label
+    set share their maps."""
+
+    __slots__ = ("labels", "of_edge", "rows", "star_labels", "star_keys", "star_positions", "maps")
 
     def __init__(self, g: GkmGraph):
         ids: dict[tuple, int] = {}
-        self.of_edge = tuple(ids.setdefault(label, len(ids)) for _, _, label in g.edges)
+        of_edge = self.of_edge = tuple(ids.setdefault(label, len(ids)) for _, _, label in g.edges)
         self.labels = tuple(ids)
         self.rows: dict[int, _ResidueRow] = {}
+        self.star_labels = [
+            tuple(of_edge[f.edge] for f in g.star(v)) for v in range(len(g.vertices))
+        ]
+        self.star_keys = [frozenset(star) for star in self.star_labels]
+        self.star_positions = []
+        for star in self.star_labels:
+            positions: dict[int, list] = {}
+            for j, t in enumerate(star):
+                positions.setdefault(t, []).append(j)
+            self.star_positions.append(positions)
+        self.maps: dict[tuple, dict[int, list]] = {}
 
     def row(self, le_id: int) -> _ResidueRow:
         got = self.rows.get(le_id)
         if got is None:
             got = self.rows[le_id] = _ResidueRow(self.labels[le_id], self.labels)
+        return got
+
+    def class_map(self, le_id: int, key: frozenset) -> dict[int, list]:
+        got = self.maps.get((le_id, key))
+        if got is None:
+            residues = self.row(le_id)
+            got = self.maps[le_id, key] = {}
+            for t in key:
+                pos, neg = residues[t]
+                got.setdefault(pos, []).append(t)
+                if neg != pos:
+                    got.setdefault(neg, []).append(t)
         return got
 
 
@@ -227,26 +265,31 @@ def forced_sign(g: GkmGraph, src_edge: int, dst_edge: int, edge: int) -> int | N
 
 def _matchings(g: GkmGraph, edge_id: int):
     """Generate the compatible bijections for one unoriented edge in
-    enumeration order (see ``edge_matchings``): ``choice[i]`` is the next
-    allowed target to try for source i, ``picked[i]`` the target it holds."""
+    enumeration order (see ``edge_matchings``): ``allowed[i]`` lists the
+    target star positions source i may take, read off the class map of
+    the target star, ``choice[i]`` is the next of them to try and
+    ``picked[i]`` the one it holds; the edge's own slot is taken from the
+    start."""
     u, v, _ = g.edges[edge_id]
+    src, dst = (v, u) if u > v else (u, v)
     e, ebar = OrientedEdge(edge_id, u > v), OrientedEdge(edge_id, u < v)
-    sources = [f for f in g.star(v if u > v else u) if f.edge != edge_id]
-    targets = [h for h in g.star(u if u > v else v) if h.edge != edge_id]
+    sources = [f for f in g.star(src) if f.edge != edge_id]
+    targets = g.star(dst)
     n = len(sources)
-    if n != len(targets):
+    if n + 1 != len(targets):
         return
     table = _label_table(g)
-    of_edge = table.of_edge
-    residues = table.row(of_edge[edge_id])
-    by_class: dict[int, list] = {}
-    for j, h in enumerate(targets):
-        pos, neg = residues[of_edge[h.edge]]
-        by_class.setdefault(pos, []).append(j)
-        if neg != pos:
-            by_class.setdefault(neg, []).append(j)
-    allowed = [by_class.get(residues[of_edge[f.edge]][0], ()) for f in sources]
-    taken = [False] * n
+    le_id = table.of_edge[edge_id]
+    residues = table.row(le_id)
+    classes = table.class_map(le_id, table.star_keys[dst])
+    positions = table.star_positions[dst]
+    allowed = [
+        sorted(j for t in classes.get(residues[table.of_edge[f.edge]][0], ()) for j in positions[t])
+        for f in sources
+    ]
+    taken = [False] * len(targets)
+    for j in positions[le_id]:
+        taken[j] = targets[j].edge == edge_id
     choice = [0] * n
     picked = [0] * n
     i = 0
@@ -286,11 +329,49 @@ def edge_matchings(g: GkmGraph, edge_id: int) -> list[dict]:
 def first_matching(g: GkmGraph, edge_id: int) -> dict | None:
     """The first compatible bijection at one edge, or None.
 
-    The search stops at the first bijection.  Taking it at every edge
-    gives the first connection that ``enumerate_connections`` yields,
-    without holding every edge's matchings at once.
+    It is the first leaf of ``_matchings``, taken in one greedy pass: each
+    source, in star order, takes its first free allowed target, read off
+    the class map of the target star.  Congruence up to sign is an
+    equivalence relation (a source may take a target exactly when their
+    labels lie in one orbit of +-1 on the residues modulo the edge
+    label), so sources and targets fall into complete blocks and the
+    search never backtracks on its way to the first leaf: a source that
+    finds no free target means its block has more sources than targets,
+    and no matching exists.  Taking it at every edge gives the first
+    connection that ``enumerate_connections`` yields, without holding
+    every edge's matchings at once.
     """
-    return next(_matchings(g, edge_id), None)
+    u, v, _ = g.edges[edge_id]
+    src, dst = (v, u) if u > v else (u, v)
+    sources, targets = g.star(src), g.star(dst)
+    n = len(targets)
+    if len(sources) != n:
+        return None
+    table = _label_table(g)
+    le_id = table.of_edge[edge_id]
+    residues = table.row(le_id)
+    classes = table.class_map(le_id, table.star_keys[dst])
+    positions = table.star_positions[dst]
+    taken = [False] * n
+    for j in positions[le_id]:
+        taken[j] = targets[j].edge == edge_id
+    e = OrientedEdge(edge_id, u > v)
+    matching = {e: e.reverse()}
+    for f, t in zip(sources, table.star_labels[src]):
+        if f.edge == edge_id:
+            continue
+        first = n
+        for h in classes.get(residues[t][0], ()):
+            for j in positions[h]:
+                if not taken[j]:
+                    if j < first:
+                        first = j
+                    break
+        if first == n:
+            return None
+        taken[first] = True
+        matching[f] = targets[first]
+    return matching
 
 
 def find_connection(g: GkmGraph) -> Connection | None:

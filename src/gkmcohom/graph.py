@@ -88,6 +88,8 @@ class GkmGraph:
             raise GraphFormatError("graph needs at least one vertex")
         index = {name: i for i, name in enumerate(names)}
         stored = []
+        stars: list[list[OrientedEdge]] = [[] for _ in names]
+        normalized: dict[tuple, Weight] = {}  # checked labels, as given -> stored
         for pos, (u, v, label) in enumerate(edges):
             ui = index.get(u, u) if isinstance(u, str) else u
             vi = index.get(v, v) if isinstance(v, str) else v
@@ -102,20 +104,23 @@ class GkmGraph:
                 raise GraphFormatError(
                     f"edges[{pos}]: label length {len(lab)} != torus_rank {torus_rank}"
                 )
+            # per edge: (1.0, 0) and (True, 0) are keys equal to (1, 0)
             if not all(type(x) is int for x in lab):  # bool is an int subclass
                 raise GraphFormatError(f"edges[{pos}]: non-integer label {label!r}")
-            if not any(lab):
-                raise GraphFormatError(f"edges[{pos}]: zero label")
-            stored.append((ui, vi, sign_normalize(lab)))
+            stored_lab = normalized.get(lab)
+            if stored_lab is None:
+                if not any(lab):
+                    raise GraphFormatError(f"edges[{pos}]: zero label")
+                stored_lab = normalized[lab] = sign_normalize(lab)
+            stored.append((ui, vi, stored_lab))
+            # edge ids ascend and no edge is a loop, so each star stays sorted
+            stars[ui].append(OrientedEdge(pos, False))
+            stars[vi].append(OrientedEdge(pos, True))
         self.torus_rank = torus_rank
         self.vertices = names
         self.edges = tuple(stored)
         self._index = index
-        stars: list[list[OrientedEdge]] = [[] for _ in names]
-        for eid, (ui, vi, _) in enumerate(self.edges):
-            stars[ui].append(OrientedEdge(eid, False))
-            stars[vi].append(OrientedEdge(eid, True))
-        self._stars = tuple(tuple(sorted(s)) for s in stars)
+        self._stars = tuple(tuple(s) for s in stars)
         self._cache: dict = {}
 
     # --- basic accessors -------------------------------------------------

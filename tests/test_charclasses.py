@@ -21,7 +21,7 @@ from gkmcohom import (
 from gkmcohom import cohomology, fixtures
 from gkmcohom.polyring import GradedPoly, reduce_mod_p
 
-from helpers import cube_graph, random_gkm_graphs, star_product_component
+from helpers import cube_graph, flag_manifold, random_gkm_graphs, star_product_component
 
 
 def modp_class(g, degree2, vertex_terms, b_terms=None, p=2):
@@ -133,6 +133,31 @@ def test_vertex_parts_satisfy_mod2_congruences():
         sw = total_sw(g)
         for d2 in sw.degrees():
             assert membership_z(g, sw.component(d2)), (g, d2)
+
+
+def test_membership_takes_no_congruence_between_one_shared_value(monkeypatch):
+    """All 120 stars of Fl5 have one sorted mod-2 star, so ``total_sw``
+    gives every vertex the same value object per degree and
+    ``membership_z`` checks no edge; distinct values are still checked,
+    and one broken congruence still fails the class."""
+    from gkmcohom import membership_z
+
+    calls = []
+    real = cohomology.congruent_mod_weight
+    monkeypatch.setattr(
+        cohomology, "congruent_mod_weight", lambda *a: calls.append(a) or real(*a)
+    )
+    total_sw(flag_manifold(4))
+    assert calls == []
+    g = fixtures.paper8()
+    n = len(g.vertices)
+    assert membership_z(g, modp_class(g, 2, [{(1, 0): 1}] * n))
+    assert len(calls) == len(g.edges)
+    calls.clear()
+    x, y = (GradedPoly.from_terms(2, 1, {m: 1}, 2) for m in ((1, 0), (0, 1)))
+    broken = GraphClass(g, 2, [y] + [x] * (n - 1), 2)  # one shared x, as in total_sw
+    assert not membership_z(g, broken)
+    assert 0 < len(calls) <= len(g.star(0))
 
 
 def test_shared_vertex_series_equal_per_vertex_star_products():

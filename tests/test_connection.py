@@ -501,21 +501,40 @@ def _tables_against_oracle(g: GkmGraph, reads: list) -> set:
     stored labels in edge order and nothing else, whatever has read it,
     each edge's label id names its label, and every residue pair kept,
     its class ids mapped back to residues, equals the uncached
-    definition.  Return the sign reads taken since the last call (each
-    already checked by ``_checked_sign_reads``)."""
+    definition.  Each vertex keeps the label ids of its star, their set,
+    and their star positions when no label repeats; every class map kept
+    lists, per class, exactly the star labels t with r(t) or r(-t) in
+    it.  Return the sign reads taken since the last call (each already
+    checked by ``_checked_sign_reads``)."""
     table = connection._label_table(g)
     labels = [label for _, _, label in g.edges]
     assert list(table.labels) == list(dict.fromkeys(labels))
     assert [table.labels[i] for i in table.of_edge] == labels
+    residue_of = {}
     for le_id, row in table.rows.items():
         le = table.labels[le_id]
         assert row.le == le and row.labels is table.labels
-        residue_of = {i: r for r, i in row.classes.items()}
-        assert sorted(residue_of) == list(range(len(row.classes)))
+        residue_of[le_id] = {i: r for r, i in row.classes.items()}
+        assert sorted(residue_of[le_id]) == list(range(len(row.classes)))
         for vid, (pos, neg) in row.items():
             v = table.labels[vid]
             want = (residue(v, le), residue(tuple(-c for c in v), le))
-            assert (residue_of[pos], residue_of[neg]) == want, (v, le)
+            assert (residue_of[le_id][pos], residue_of[le_id][neg]) == want, (v, le)
+    for v in range(len(g.vertices)):
+        ids = tuple(table.of_edge[f.edge] for f in g.star(v))
+        assert table.star_labels[v] == ids and table.star_keys[v] == set(ids)
+        assert table.star_positions[v] == {
+            t: [j for j, s in enumerate(ids) if s == t] for t in ids
+        }
+    for (le_id, key), allowed in table.maps.items():
+        le = table.labels[le_id]
+        want = {}
+        for t in key:
+            v = table.labels[t]
+            for r in {residue(v, le), residue(tuple(-c for c in v), le)}:
+                want.setdefault(r, []).append(t)
+        got = {residue_of[le_id][c]: sorted(ts) for c, ts in allowed.items()}
+        assert got == {r: sorted(ts) for r, ts in want.items()}, (le, key)
     keys = set(reads)
     reads.clear()
     return keys
@@ -600,19 +619,17 @@ def _brute_force_matchings(g: GkmGraph, eid: int) -> list[dict]:
     targets = [h for h in g.star(g.terminal(e)) if h != e.reverse()]
     if len(sources) != len(targets):
         return []
-    le = g.label(eid)
-
-    def fits(f, h) -> bool:
-        lf, lh = g.label(f.edge), g.label(h.edge)
-        return is_multiple_of(tuple(a - b for a, b in zip(lf, lh)), le) or is_multiple_of(
-            tuple(a + b for a, b in zip(lf, lh)), le
-        )
-
     return [
         {e: e.reverse(), **dict(zip(sources, perm))}
         for perm in itertools.permutations(targets)
-        if all(fits(f, h) for f, h in zip(sources, perm))
+        if all(_fits(g, eid, f, h) for f, h in zip(sources, perm))
     ]
+
+
+def _fits(g: GkmGraph, eid: int, f, h) -> bool:
+    """Whether label(f) is congruent to +-label(h) modulo the label of eid."""
+    le, lf, lh = g.label(eid), g.label(f.edge), g.label(h.edge)
+    return any(is_multiple_of(tuple(a - s * b for a, b in zip(lf, lh)), le) for s in (1, -1))
 
 
 def _dead_end_graph() -> GkmGraph:
@@ -626,7 +643,26 @@ def _dead_end_graph() -> GkmGraph:
     return GkmGraph(2, ["a", "b", "c", "d", "e"], edges)
 
 
+def _edge_case(g: GkmGraph, eid: int) -> str:
+    """What eid is to ``first_matching``: an edge whose target star
+    repeats a label, a dead end (every source has an allowed target, yet
+    no matching exists), or neither."""
+    e = g.default_oriented(eid)
+    target_labels = [g.label(h.edge) for h in g.star(g.terminal(e))]
+    if len(set(target_labels)) < len(target_labels):
+        return "repeated label"
+    targets = [h for h in g.star(g.terminal(e)) if h != e.reverse()]
+    sources = [f for f in g.star(g.initial(e)) if f != e]
+    if all(any(_fits(g, eid, f, h) for h in targets) for f in sources):
+        if not _brute_force_matchings(g, eid):
+            return "dead end"
+    return "neither"
+
+
 def test_edge_matchings_equal_brute_force_enumeration_in_order():
+    """``edge_matchings`` is the brute-force enumeration, in order, and
+    ``first_matching`` its first entry with the same key order, also at
+    a dead end and where a target star repeats a label."""
     rng = random.Random(37)
     graphs = [
         fixtures.from_spec(spec)
@@ -634,21 +670,38 @@ def test_edge_matchings_equal_brute_force_enumeration_in_order():
     ]
     # a dead end after two choices, and an edge with no other star edge
     graphs += [_dead_end_graph(), fixtures.sphere((1, 0))]
+    # two edges with one label: each target star repeats it, the edge's
+    # own label among them; and edge 0 with two sources and two targets
+    # that all repeat one residue class
+    graphs += [GkmGraph(2, ["a", "b"], [("a", "b", (1, 0)), ("a", "b", (1, 0))])]
+    graphs += [
+        GkmGraph(
+            2,
+            ["a", "b", "c"],
+            [("a", "b", (0, 1)), ("a", "c", (1, 0)), ("a", "c", (1, 0))]
+            + [("b", "c", (1, 2)), ("b", "c", (1, 2))],
+        )
+    ]
     graphs += random_gkm_graphs(71, 10)
     graphs += [
         scaled_labels_graph(g, rng) for g in random_gkm_graphs(73, 10, require_connection=False)
     ]
     # Fl4 (valence 6, six labels per star) in two vertex and edge orders
     graphs += [shuffled_graph(flag_manifold(3), seed) for seed in (5, 6)]
-    counts = set()
+    counts, kinds = set(), set()
     for g in graphs:
         for eid in range(len(g.edges)):
             got = edge_matchings(g, eid)
             want = _brute_force_matchings(g, eid)
             assert [list(m.items()) for m in got] == [list(m.items()) for m in want], (g, eid)
-            assert first_matching(g, eid) == (got[0] if got else None), (g, eid)
+            first = first_matching(g, eid)
+            assert (list(first.items()) if first else None) == (
+                list(got[0].items()) if got else None
+            ), (g, eid)
             counts.add(min(len(got), 2))
+            kinds.add(_edge_case(g, eid))
     assert counts == {0, 1, 2}
+    assert kinds == {"neither", "repeated label", "dead end"}
     assert edge_matchings(_dead_end_graph(), 0) == []
     e = OrientedEdge(0, False)
     assert edge_matchings(fixtures.sphere((1, 0)), 0) == [{e: e.reverse()}]

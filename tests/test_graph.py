@@ -18,12 +18,14 @@ from gkmcohom import (
     validate_gkm,
 )
 from gkmcohom import fixtures
-from gkmcohom.graph import CheckReport, DomainError
+from gkmcohom.graph import CheckReport, DomainError, OrientedEdge
 
 from helpers import (
     coprimality_oracle,
     flag_manifold,
+    random_3valent_orientable,
     random_gkm_graphs,
+    random_prisms_with_few_connections,
     rational_rank,
     scaled_labels_graph,
     validate_gkm_oracle,
@@ -93,6 +95,41 @@ def test_parse_rejects_malformed_input():
             parse(text)
     with pytest.raises(GraphFormatError, match="non-integer label"):
         GkmGraph(1, ["a", "b"], [(0, 1, (True,))])
+
+
+def test_a_label_equal_to_an_int_label_is_still_type_checked():
+    """Labels are checked and normalized once per distinct tuple, but
+    (True, 0) and (1.0, 0) are keys equal to (1, 0): each edge still
+    fails with its own non-integer message."""
+    for other in ([True, 0], [1.0, 0]):
+        doc = {
+            "torus_rank": 2,
+            "vertices": ["a", "b", "c"],
+            "edges": [
+                {"u": "a", "v": "b", "label": [1, 0]},
+                {"u": "b", "v": "c", "label": other},
+            ],
+        }
+        with pytest.raises(GraphFormatError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value) == f"edges[1]: non-integer label {other!r}"
+
+
+def test_stars_hold_every_oriented_edge_in_canonical_order():
+    """Each star, appended to in edge order, is the sorted list of the
+    oriented edges leaving its vertex, on random graphs and multigraphs."""
+    graphs = random_gkm_graphs(29, 10, require_connection=False)
+    graphs += random_prisms_with_few_connections(31, 4) + random_3valent_orientable(37, 4)
+    graphs += [GkmGraph(2, ["a", "b"], [("b", "a", (1, 0)), ("a", "b", (0, 1)), ("b", "a", (1, 1))])]
+    for g in graphs:
+        for v in range(len(g.vertices)):
+            leaving = [
+                OrientedEdge(eid, back)
+                for eid, (a, b, _) in enumerate(g.edges)
+                for back in (False, True)
+                if (b if back else a) == v
+            ]
+            assert g.star(v) == tuple(sorted(leaving)), (g, v)
 
 
 def test_labels_stored_sign_normalized():

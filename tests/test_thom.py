@@ -348,14 +348,19 @@ def test_thom_assembles_only_the_connections_it_checks(monkeypatch):
 
 def test_thom_searches_each_edge_once(monkeypatch):
     """One matching search per edge, with or without a given connection,
-    whatever the number of connections."""
-    from gkmcohom import connection
+    whatever the number of connections: each edge takes either all its
+    matchings or its first one, once.  Both names are counted in the
+    connection module too, so a search through ``find_connection`` or
+    ``enumerate_connections`` is seen as well."""
+    from gkmcohom import connection, thom
 
     searched = []
-    real = connection._matchings
-    monkeypatch.setattr(
-        connection, "_matchings", lambda g, eid: searched.append(eid) or real(g, eid)
-    )
+    for name in ("edge_matchings", "first_matching"):
+        real = getattr(connection, name)
+        for module in (connection, thom):
+            monkeypatch.setattr(
+                module, name, lambda g, eid, real=real: searched.append(eid) or real(g, eid)
+            )
     for g, _ in _connection_counts():
         for given in (None, find_connection(g)):
             searched.clear()
