@@ -12,6 +12,10 @@ a graph the question does not apply to), 2 = usage, I/O, or parse error,
 3 = internal error (an invariant check failed; a bug, reported without a
 traceback).
 Reports are deterministic byte-for-byte for a fixed invocation.
+
+An invocation compiles only the modules its subcommand reaches: ``thom``
+and ``relations`` are imported inside ``cmd_thom`` and ``cmd_relations``,
+the one subcommand each serves, so no other subcommand loads them.
 """
 
 from __future__ import annotations
@@ -41,13 +45,6 @@ from .graph import (
     validate_gkm,
 )
 from .intlinalg import PRIME_BOUND, is_prime
-from .relations import (
-    RelationError,
-    check_relations,
-    classes_from_json,
-    variable_environment,
-)
-from .thom import verify_sw3valent
 
 __all__ = ["main"]
 
@@ -186,11 +183,15 @@ def cmd_obstruction(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
 
 
 def cmd_thom(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
+    from .thom import verify_sw3valent
+
     result = verify_sw3valent(g)
     return (0 if result["all_match"] else 1), result
 
 
 def cmd_relations(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
+    from .relations import check_relations, classes_from_json, variable_environment
+
     classes = fixtures.paper8_generators() if g == fixtures.paper8() else {}
     if args.classes is not None:
         with open(args.classes, "r", encoding="utf-8") as fh:
@@ -405,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphFormatError, RelationError, ValueError, OSError) as exc:
+    except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -267,7 +267,8 @@ def _matchings(g: GkmGraph, edge_id: int):
     """Generate the compatible bijections for one unoriented edge in
     enumeration order (see ``edge_matchings``): ``allowed[i]`` lists the
     target star positions source i may take, read off the class map of
-    the target star, ``choice[i]`` is the next of them to try and
+    the target star (one row per class id, shared by the sources of that
+    class and only read), ``choice[i]`` is the next of them to try and
     ``picked[i]`` the one it holds; the edge's own slot is taken from the
     start."""
     u, v, _ = g.edges[edge_id]
@@ -279,14 +280,19 @@ def _matchings(g: GkmGraph, edge_id: int):
     if n + 1 != len(targets):
         return
     table = _label_table(g)
-    le_id = table.of_edge[edge_id]
+    of_edge = table.of_edge
+    le_id = of_edge[edge_id]
     residues = table.row(le_id)
     classes = table.class_map(le_id, table.star_keys[dst])
     positions = table.star_positions[dst]
-    allowed = [
-        sorted(j for t in classes.get(residues[table.of_edge[f.edge]][0], ()) for j in positions[t])
-        for f in sources
-    ]
+    rows: dict[int, list] = {}
+    allowed = []
+    for f in sources:
+        cid = residues[of_edge[f.edge]][0]
+        row = rows.get(cid)
+        if row is None:
+            row = rows[cid] = sorted(j for t in classes.get(cid, ()) for j in positions[t])
+        allowed.append(row)
     taken = [False] * len(targets)
     for j in positions[le_id]:
         taken[j] = targets[j].edge == edge_id
