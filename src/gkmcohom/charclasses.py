@@ -25,9 +25,7 @@ from itertools import product as iproduct
 
 from .cohomology import GraphClass, integral_preimage, membership_z
 from .connection import Connection, edge_matchings, first_matching, transport_signs
-from .graph import (
-    Conventions, DEFAULT_CONVENTIONS, DomainError, GkmGraph, InvariantError, edges_div_p
-)
+from .graph import DomainError, GkmGraph, InvariantError, edges_div_p
 from .polyring import (
     GradedPoly, divide_by_linear, elementary_symmetric, linear_from_weight, reduce_mod_p
 )
@@ -252,10 +250,7 @@ def spin_check(g: GkmGraph, connection: Connection | None = None) -> SpinVerdict
             raise InvariantError("spin quotient not divisible; incompatible bijection")
         edge_values[e] = quotient.coeffs[0] if quotient.coeffs else 0
 
-    verdict = SpinVerdict(vertex_sums, edge_values)
-    if verdict.equivariant_spin and not verdict.spin:
-        raise InvariantError("equivariantly spin but not spin")
-    return verdict
+    return SpinVerdict(vertex_sums, edge_values)
 
 
 @dataclass
@@ -289,11 +284,10 @@ class ObstructionVerdict:
         }
 
 
-def realizability_obstruction(
-    g: GkmGraph, conventions: Conventions = DEFAULT_CONVENTIONS
-) -> ObstructionVerdict:
-    """Test every even component of the total class for an integral origin."""
+def realizability_obstruction(g: GkmGraph) -> ObstructionVerdict:
+    """Test every even component of the total class for an integral origin.
+
+    Orientation and lift overrides cannot change the answer: they negate
+    quotients, and -q = q mod 2."""
     sw = total_sw(g)
-    return ObstructionVerdict(
-        {d: integral_preimage(g, sw.component(d), conventions) for d in sw.degrees()}
-    )
+    return ObstructionVerdict({d: integral_preimage(g, sw.component(d)) for d in sw.degrees()})

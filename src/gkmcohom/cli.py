@@ -9,8 +9,9 @@ puts the envelope (``command``, ``graph``, ``conventions``) in front of
 the fields.  Exit codes are stable:
 0 = success / check passes, 1 = obstruction or check failure (including
 a graph the question does not apply to), 2 = usage, I/O, or parse error,
-3 = internal error (an invariant check failed; a bug, reported without a
-traceback).
+3 = internal error (an invariant check failed or an unexpected exception
+escaped, a bug; or memory ran out), reported on one line without a
+traceback.
 Reports are deterministic byte-for-byte for a fixed invocation.
 
 An invocation compiles only the modules its subcommand reaches: ``thom``
@@ -178,7 +179,7 @@ def cmd_spin(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
 
 
 def cmd_obstruction(args: argparse.Namespace, g: GkmGraph) -> tuple[int, dict]:
-    verdict = realizability_obstruction(g, args.conventions)
+    verdict = realizability_obstruction(g)
     return (0 if verdict.passes else 1), verdict.to_dict()
 
 
@@ -411,6 +412,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # a bug: one line, and an exit code that reads as no verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

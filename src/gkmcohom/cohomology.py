@@ -157,7 +157,8 @@ class GraphClass:
             if not (self.is_zero() or other.is_zero()):
                 raise ValueError("degree mismatch")
             # a zero multiplier keeps the degree of its class, so a zero
-            # summand of another degree is absorbed, as zeros are for GradedPoly
+            # summand of another degree is absorbed; GradedPoly is stricter
+            # and merges two zeros of different degrees only
             return max(self, other, key=lambda c: (not c.is_zero(), c.degree2))
         return GraphClass(
             self.graph,

@@ -719,7 +719,7 @@ def verify_sw3valent_oracle(g: GkmGraph) -> dict:
         reports.append({
             "paths": [p.render() for p in paths],
             "path_count": len(paths),
-            "self_reversed_paths": sum(1 for p in paths if p.self_reversed),
+            "self_reversed_paths": sum(1 for p in paths if _is_own_reversal(p.edges)),
             "connections_checked": len(connections) if len(connections) <= 8 else 1,
             **{
                 f"degree{d}_match": reduce_class_mod_p(g, cls, 2) == sw.component(d)
@@ -732,6 +732,12 @@ def verify_sw3valent_oracle(g: GkmGraph) -> dict:
         report[key] = all(r[key] for r in reports)
     report["all_match"] = all(report[f"degree{d}_match"] for d in (2, 4, 6))
     return report
+
+
+def _is_own_reversal(edges: tuple) -> bool:
+    """Whether the reversed closed path is a rotation of the path."""
+    back = tuple(e.reverse() for e in reversed(edges))
+    return any(back == edges[s:] + edges[:s] for s in range(len(edges)))
 
 
 def validate_gkm_oracle(g: GkmGraph) -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from gkmcohom import (
@@ -264,6 +266,22 @@ def test_vanishing_sums_imply_agreeing_sums():
             assert v.condition_a_prime
         if v.equivariant_spin:
             assert v.spin
+
+
+def test_even_star_sums_have_one_parity_class():
+    """``condition_a`` implies ``condition_a_prime`` for any star sums, so
+    an equivariantly spin verdict is always spin: random sums of rank 1
+    to 3 with negative entries, every sum even in about half the draws."""
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(400):
+        k, n = rng.randint(1, 3), rng.randint(1, 6)
+        scale = rng.choice((1, 2))
+        sums = {v: [scale * rng.randint(-5, 5) for _ in range(k)] for v in range(n)}
+        v = SpinVerdict(sums, {})
+        assert not v.condition_a or v.condition_a_prime, sums
+        seen.add((v.condition_a, v.condition_a_prime))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize(

@@ -410,6 +410,45 @@ def test_a_corrupted_map_back_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (KeyError("boom"), "internal error: KeyError: 'boom'\n"),
+    ],
+    ids=["memory", "unexpected"],
+)
+def test_an_unmapped_error_exits_3_on_one_line(capsys, monkeypatch, error, message):
+    """Running out of memory, or an exception ``main`` maps to no other
+    code, is no verdict: exit 3 (not 1, which reads OBSTRUCTED) and one
+    stderr line."""
+    from gkmcohom import cli
+
+    def failing(g):
+        raise error
+
+    monkeypatch.setattr(cli, "realizability_obstruction", failing)
+    assert run(capsys, "obstruction", "fixtures:paper8") == (3, "", message)
+
+
+def test_running_out_of_memory_prints_no_traceback():
+    script = (
+        "import sys\n"
+        "from gkmcohom import cli\n"
+        "def failing(g):\n"
+        "    raise MemoryError\n"
+        "cli.realizability_obstruction = failing\n"
+        "sys.exit(cli.main(['obstruction', 'fixtures:paper8']))\n"
+    )
+    paths = [str(Path(gkmcohom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "module, name, argv, message",
     [
         # the case keeps the id it had when charclasses called the alias

@@ -30,6 +30,7 @@ from gkmcohom.thom import _check_local, _edge_values, _vertex_values
 
 from helpers import (
     random_3valent_orientable,
+    random_gkm_graphs,
     random_prisms_with_few_connections,
     shuffled_graph,
     verify_sw3valent_oracle,
@@ -55,13 +56,84 @@ def test_path_counts_on_fixtures():
         assert len(connection_paths(g)) == expected
 
 
+def _walk_graphs() -> list:
+    """3- and 4-valent random graphs, orientable 3-valent ones, prisms
+    with two to eight connections and the 3-valent fixtures."""
+    graphs = random_gkm_graphs(53, 4) + random_gkm_graphs(57, 4, valences=(4,))
+    graphs += random_3valent_orientable(59, 4)
+    graphs += random_prisms_with_few_connections(61, 2)
+    graphs += [
+        fixtures.polygon2n_x_edge(2),
+        fixtures.polygon2n_x_edge(3),
+        fixtures.triangle_x_edge(),
+        fixtures.product((1, 0), (0, 1), (1, 1)),
+        fixtures.product((1, 0), (0, 1), (2, 3)),
+        fixtures.k4(),
+    ]
+    assert {g.valence for g in graphs} == {3, 4}
+    return graphs
+
+
+def _step_pairs(g: GkmGraph) -> list:
+    """Every (edge into a vertex, edge out of it) that does not backtrack."""
+    return [
+        (into.reverse(), out)
+        for v in range(len(g.vertices))
+        for into in g.star(v)
+        for out in g.star(v)
+        if out != into
+    ]
+
+
+def test_reversal_carries_walk_orbits_to_walk_orbits():
+    """The identity behind ``connection_paths``: with S the walk step
+    (p, q) -> (q, image of -p along q), read off ``map_along``, and R the
+    reversal (p, q) -> (-q, -p), S(R(S(x))) = R(x) and R(x) is neither x
+    nor S(x) for every step pair x, on up to 40 connections of each
+    graph.  So no connection path is its own reversal."""
+
+    def step(c, x):
+        p, q = x
+        return (q, c.map_along(q)[p.reverse()])
+
+    def reverse(x):
+        p, q = x
+        return (q.reverse(), p.reverse())
+
+    for g in _walk_graphs():
+        for c in itertools.islice(enumerate_connections(g), 40):
+            for x in _step_pairs(g):
+                assert step(c, reverse(step(c, x))) == reverse(x), (g, x)
+                assert reverse(x) not in (x, step(c, x)), (g, x)
+
+
 def test_paths_cover_each_pair_once():
-    g = fixtures.polygon2n_x_edge(2)
-    paths = connection_paths(g)
-    total = sum(len(p) for p in paths)
-    # every non-backtracking (prev, cur) pair at a vertex appears once:
-    # n(n-1) per vertex over oriented pairs, each path edge consuming one
-    assert total == 3 * 2 * len(g.vertices) // 2
+    """Each path and its reversal, counted once, together hold every step
+    pair exactly once: twice the length summed over the paths is n(n-1)
+    per vertex."""
+    cases = [twisted_prism()]
+    for g in _walk_graphs():
+        cases += [(g, c) for c in itertools.islice(enumerate_connections(g), 8)]
+    for g, c in cases:
+        paths = connection_paths(g, c)
+        n = g.valence
+        assert sum(2 * len(p) for p in paths) == n * (n - 1) * len(g.vertices), g
+        held = []
+        for p in paths:
+            for prev, cur in zip(p.edges[-1:] + p.edges[:-1], p.edges):
+                held += [(prev, cur), (cur.reverse(), prev.reverse())]
+        assert sorted(held) == sorted(_step_pairs(g)), g
+
+
+def test_paths_need_a_regular_graph():
+    """A triangle beside a triangle prism has a connection, but its
+    stars have two sizes."""
+    g = _disjoint_union([fixtures.triangle(), fixtures.triangle_x_edge()])
+    c = find_connection(g)
+    assert c is not None
+    for given in (None, c):
+        with pytest.raises(DomainError, match="^graph is not regular$"):
+            connection_paths(g, given)
 
 
 def test_square_prism_paths_frozen():
@@ -75,7 +147,6 @@ def test_square_prism_paths_frozen():
         "3+ 8+ 7- 11-",
         "4+ 5+ 6+ 7+",
     ]
-    assert all(not p.self_reversed for p in paths)
 
 
 def test_each_star_element_is_a_normal_edge_exactly_once():
@@ -104,20 +175,12 @@ def test_path_class_ignores_the_chosen_representative():
     for p in connection_paths(g, c):
         base = thom_class_of_path(g, c, p)
         for s in range(len(p.edges)):
-            rotated = ConnectionPath(g, p.edges[s:] + p.edges[:s], p.self_reversed)
+            rotated = ConnectionPath(g, p.edges[s:] + p.edges[:s])
             cls = thom_class_of_path(g, c, rotated)
             assert cls == base or cls == -base
-        reverse = ConnectionPath(
-            g, tuple(e.reverse() for e in reversed(p.edges)), p.self_reversed
-        )
+        reverse = ConnectionPath(g, tuple(e.reverse() for e in reversed(p.edges)))
         cls = thom_class_of_path(g, c, reverse)
         assert cls == base or cls == -base
-
-
-def test_no_self_reversed_paths_observed():
-    for g in (fixtures.triangle_x_edge(), fixtures.polygon2n_x_edge(2)):
-        for c in itertools.islice(enumerate_connections(g), 12):
-            assert all(not p.self_reversed for p in connection_paths(g, c))
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +451,15 @@ def mixed_pictures() -> GkmGraph:
         (f"{u}L{layer}", f"{v}L{layer}", w) for u, v, w in round_square for layer in (0, 1)
     ] + [(f"{v}L0", f"{v}L1", (1, 1)) for v in square]
     names = [f"{v}L{layer}" for layer in (0, 1) for v in square]
-    parts = [
+    return _disjoint_union([
         fixtures.product((0, 1), (1, 2), (1, 1)),
         GkmGraph(2, names, square_edges),
         GkmGraph(2, names[::-1], square_edges),
         two_gon_prism((0, 1), (1, 2), (1, 1)),
-    ]
+    ])
+
+
+def _disjoint_union(parts) -> GkmGraph:
     vertices, edges = [], []
     for i, part in enumerate(parts):
         name = [f"{v}#{i}" for v in part.vertices]
