@@ -36,6 +36,12 @@ modulus 0, no row divided by its content, none left for the dense
 only its check runs; any other graph, say with a label of content above
 1 from degree 2 on, is solved over Z/p as well.
 
+Lattice vectors are the sorted (column, value) pairs of their nonzero
+entries (``intlinalg.LatticeBasis``), and every reader here takes the
+pairs: the check, the basis classes, the reductions and the preimage.
+Only the re-based map-back writes list rows, which are mostly nonzero
+and go to the dense ``intlinalg._hnf_rows``.
+
 The comparison map ``reduce_class_mod_p`` takes one class to Z/p: it
 reduces the vertex part and fills in the quotient part from the
 difference quotients across the edges whose label vanishes mod p.
@@ -49,7 +55,7 @@ integral basis, read off its lattice vectors as sparse rows
 from __future__ import annotations
 
 from .graph import Conventions, DEFAULT_CONVENTIONS, GkmGraph, InvariantError, edges_div_p
-from .intlinalg import LatticeBasis, is_prime, modp_solve, rows_hold, sparse_kernel
+from .intlinalg import LatticeBasis, dense_row, is_prime, modp_solve, rows_hold, sparse_kernel
 from .polyring import (
     GradedPoly,
     congruent_mod_weight,
@@ -326,16 +332,15 @@ def _label_basis(g: GkmGraph):
     m = len(order)
     rows = [[w[i] for w in order] + [int(i == j) for j in range(k)] for i in range(k)]
     echelon = LatticeBasis.from_vectors(m + k, rows).vectors
-    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
-    basis = tuple(order[c] for c in pivots if c < m)
+    basis = tuple(order[row[0][0]] for row in echelon if row[0][0] < m)
     found = None
     if (
         len(basis) == k
-        and all(row[c] == 1 for row, c in zip(echelon, pivots))
+        and all(row[0][1] == 1 for row in echelon)
         and any(sum(map(bool, b)) > 1 for b in basis)
     ):
-        relabel = {
-            lab: sign_normalize([sum(u * x for u, x in zip(row[m:], lab)) for row in echelon])
+        relabel = {  # U alpha, with U the entries from column m on
+            lab: sign_normalize([sum(x * lab[c - m] for c, x in row if c >= m) for row in echelon])
             for lab in labels
         }
         if sum(abs(x) for lab in relabel.values() for x in lab) < sum(abs(x) for lab in labels for x in lab):
@@ -398,27 +403,29 @@ class CohomLattice:
         }
 
 
-def _vertex_class(g: GkmGraph, degree2: int, vec, p: int) -> GraphClass:
-    """The class with the vertex coefficient vector ``vec`` (reduced mod p
-    over Z/p) and a zero quotient part."""
+def _vertex_class(g: GkmGraph, degree2: int, entries, p: int) -> GraphClass:
+    """The class with the vertex coefficients of the (column, value)
+    ``entries`` (reduced mod p over Z/p) and a zero quotient part."""
     k, d = g.torus_rank, degree2 // 2
     n = num_monomials(k, d)
+    vec = dense_row(entries, len(g.vertices) * n)
     values = [GradedPoly._of(k, d, tuple(vec[i : i + n]), p) for i in range(0, len(vec), n)]
     return GraphClass(g, degree2, values, p)
 
 
-def _map_back(vectors, sub: tuple, n: int) -> list[list[int]]:
-    """Each vector with every vertex block of n coefficients taken through
-    the sparse coefficient map ``sub`` (column c: the image of the c-th
-    monomial as (row, coefficient) pairs)."""
+def _map_back(lat: LatticeBasis, sub: tuple, n: int) -> list[list[int]]:
+    """Each lattice vector with every vertex block of n coefficients taken
+    through the sparse coefficient map ``sub`` (column c: the image of the
+    c-th monomial as (row, coefficient) pairs), as a list row: the images
+    are mostly nonzero, which ``_hnf_rows`` walks faster than dicts."""
     out = []
-    for vec in vectors:
-        image = [0] * len(vec)
-        for c, x in enumerate(vec):
-            if x:
-                base, mono = divmod(c, n)
-                for r, v in sub[mono]:
-                    image[base * n + r] += x * v
+    for vec in lat.vectors:
+        image = [0] * lat.ambient_dim
+        for c, x in vec:
+            base, mono = divmod(c, n)
+            base *= n
+            for r, v in sub[mono]:
+                image[base + r] += x * v
         out.append(image)
     return out
 
@@ -461,7 +468,7 @@ def _graded_piece(g: GkmGraph, degree2: int, p: int) -> tuple[CohomLattice, bool
     rows, moduli = _edge_rows(g, d, p, basis[1] if basis else None)
     lat, clean = sparse_kernel(rows, moduli, width, p)
     if basis:
-        back = _map_back(lat.vectors, linear_substitution(basis[0], d), n)
+        back = _map_back(lat, linear_substitution(basis[0], d), n)
         lat = LatticeBasis.from_vectors(width, back)
         rows, moduli = _edge_rows(g, d, 0)  # the check reads the labels as given
     return _checked(g, degree2, lat, rows, moduli), clean
@@ -509,7 +516,7 @@ def compute_h_z_and_modp(
         raise ValueError("p must be prime")
     h_z, clean = _graded_piece(g, degree2, 0)
     lat = h_z.lattice
-    reduced = LatticeBasis.from_vectors(lat.ambient_dim, lat.vectors, p)
+    reduced = LatticeBasis.from_vectors(lat.ambient_dim, [dict(v) for v in lat.vectors], p)
     if clean:
         h_p = _checked(g, degree2, reduced, *_edge_rows(g, degree2 // 2, p))
     else:
@@ -553,27 +560,32 @@ def _reduction_images(
     class of an integral basis, read off its lattice vectors as
     ``{column: value}`` rows of the nonzero entries: each coefficient mod
     p, then per edge whose label vanishes mod p, in ascending order, the
-    long-division quotient of the initial minus the terminal slice by the
-    lift (orientation and lift from ``conventions``), reduced mod p."""
+    long-division quotient of the initial minus the terminal vertex block
+    by the lift (orientation and lift from ``conventions``), reduced mod
+    p.  An edge whose two blocks are equal, both zero say, has a zero
+    quotient and is skipped."""
     k, d = g.torus_rank, lattice.degree2 // 2
     n = num_monomials(k, d)
     special = []
     for e in edges_div_p(g, p):
         oe = conventions.oriented(g, e)
         special.append((e, g.initial(oe) * n, g.terminal(oe) * n, conventions.lift(g, e)))
+    width, step = lattice.lattice.ambient_dim, num_monomials(k, d - 1)
     images = []
     for vec in lattice.lattice.vectors:
-        image = {c: y for c, x in enumerate(vec) if (y := x % p)}
-        offset = len(vec)
+        image = {c: y for c, x in vec if (y := x % p)}
+        dense = dense_row(vec, width) if special else None
+        offset = width
         for e, u, v, lift in special:
-            diff = [a - b for a, b in zip(vec[u : u + n], vec[v : v + n])]
-            quotient = divide_coeffs(k, d, diff, lift)
-            if quotient is None:
-                raise InvariantError(f"basis class not divisible across edge {e}")
-            for c, x in enumerate(quotient, offset):
-                if x % p:
-                    image[c] = x % p
-            offset += len(quotient)
+            a, b = dense[u : u + n], dense[v : v + n]
+            if a != b:
+                quotient = divide_coeffs(k, d, [x - y for x, y in zip(a, b)], lift)
+                if quotient is None:
+                    raise InvariantError(f"basis class not divisible across edge {e}")
+                for c, x in enumerate(quotient, offset):
+                    if x % p:
+                        image[c] = x % p
+            offset += step
         images.append(image)
     return images
 
@@ -598,12 +610,12 @@ def integral_preimage(
     coeffs = modp_solve(_reduction_images(g, lattice, p, conventions), target.to_vector(), p)
     if coeffs is None:
         return None
-    vec = [0] * (len(g.vertices) * num_monomials(g.torus_rank, target.degree2 // 2))
+    vec: dict[int, int] = {}
     for c, basis_vec in zip(coeffs, lattice.lattice.vectors):
         if c:
-            for i, x in enumerate(basis_vec):
-                vec[i] += c * x
-    out = _vertex_class(g, target.degree2, vec, 0)
+            for i, x in basis_vec:
+                vec[i] = vec.get(i, 0) + c * x
+    out = _vertex_class(g, target.degree2, vec.items(), 0)
     if reduce_class_mod_p(g, out, p, conventions) != target:
         raise InvariantError("integral preimage does not reduce to the target")
     return out

@@ -84,7 +84,7 @@ class Connection:
         for src, dst in matching.items():
             if dst == f:
                 return src
-        raise KeyError(f)
+        raise ValueError(f"the matching along edge {e.edge} is not a star bijection")
 
     def map_along(self, e: OrientedEdge) -> MappingProxyType:
         """The star bijection along e, as a read-only view; for the

@@ -11,12 +11,18 @@ Conventions:
     a solve that needs none of the three (slack, division, dense rest) is
     clean, and its lattice reduced mod any prime is the F_p kernel;
   * ``LatticeBasis`` is the one canonical row basis of both rings: the
-    HNF over Z (p = 0), the RREF over F_p, so equal spans have equal
-    ``vectors`` and one ``coordinates_of`` serves both;
+    HNF over Z (p = 0), the RREF over F_p, each row kept sparse as the
+    sorted ``(column, value)`` pairs of its nonzero entries, so equal
+    spans have equal ``vectors`` and one ``coordinates_of`` serves both;
   * ``hnf`` is row-style: pivots positive, strictly increasing pivot
     columns, entries above a pivot reduced into ``[0, pivot)``, zero rows
     at the bottom; the dense ``_hnf_rows`` computes it, pivoting on the
     entry of smallest absolute value to keep coefficients small;
+  * over Z the form of the rows picks the echelon: ``{column: value}``
+    rows (the lifted kernels, 2 % nonzero on Q4k3 in degree 8) go to the
+    sparse pivot-first ``_z_echelon``, list rows (``hnf``, ``kernel`` and
+    the re-based map-back, 56 % nonzero on Fl4-skew in degree 4) to
+    ``_hnf_rows``, which walks a dense row faster than a dict;
   * over F_p the one echelon is the sparse Gauss-Jordan ``_fp_echelon``,
     behind ``LatticeBasis.from_vectors``, ``modp_rref``, ``modp_solve``
     and ``sparse_kernel``, which reads the kernel straight off it.
@@ -53,22 +59,29 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = cols
 
+    @classmethod
+    def _of(cls, data: list[list[int]], cols: int) -> "IntMatrix":
+        """Unchecked and uncopied: rows of ints built in this module."""
+        m = object.__new__(cls)
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        return m
+
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
+        return IntMatrix._of(
+            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
         )
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return IntMatrix(
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            cols=self.cols + other.cols,
+        return IntMatrix._of(
+            [self.data[i] + other.data[i] for i in range(self.rows)], self.cols + other.cols
         )
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.data], cols=self.cols)
+        return IntMatrix._of([[-x for x in row] for row in self.data], self.cols)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -140,36 +153,100 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     ``u * m == h``, from ``_hnf_rows`` on ``[m | I]``."""
     rows = [row + [int(i == r) for i in range(m.rows)] for r, row in enumerate(m.data)]
     _hnf_rows(rows, m.cols)
-    h = IntMatrix([row[: m.cols] for row in rows], cols=m.cols)
-    return h, IntMatrix([row[m.cols :] for row in rows], cols=m.rows)
+    h = IntMatrix._of([row[: m.cols] for row in rows], m.cols)
+    return h, IntMatrix._of([row[m.cols :] for row in rows], m.rows)
+
+
+def _z_echelon(rows) -> dict[int, dict[int, int]]:
+    """HNF over Z of ``{column: value}`` rows (left intact), as {pivot
+    column: pivot row}.  Each row in turn is reduced pivot first, as in
+    ``_fp_echelon``: on a pivot column it takes away the floor multiple of
+    the pivot row, and a nonzero remainder, smaller than the pivot, takes
+    its place while the old pivot row goes on (the euclidean step of
+    ``_hnf_rows``); on a new leading column the row pivots, made
+    positive.  Then each pivot row, the last first, reduces its entries
+    on later pivot columns into ``[0, pivot)``, in column order off a
+    heap: the rows below are reduced already and add entries only to the
+    right of the column they clear."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        v = dict(row) if 0 not in row.values() else {c: x for c, x in row.items() if x}
+        while v:
+            lead = min(v)
+            r = pivots.get(lead)
+            if r is None:
+                pivots[lead] = v if v[lead] > 0 else {c: -x for c, x in v.items()}
+                break
+            q = v[lead] // r[lead]
+            if q:
+                _z_addmul(v, r, -q)
+            if lead in v:
+                pivots[lead], v = v, r
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        todo = list(row.keys() & pivots.keys())
+        heapq.heapify(todo)
+        heapq.heappop(todo)  # the row's own pivot, its first column
+        while todo:
+            j = heapq.heappop(todo)
+            r = pivots[j]
+            q = row.get(j, 0) // r[j]
+            if q:
+                for c in _z_addmul(row, r, -q):
+                    if c in pivots:
+                        heapq.heappush(todo, c)
+    return pivots
+
+
+def _z_addmul(target: dict[int, int], source: dict[int, int], f: int) -> list[int]:
+    """target += f * source on ``{column: value}`` rows over Z; returns the
+    columns that were zero in target and are not now."""
+    new = []
+    for c, x in source.items():
+        y = target.get(c, 0) + f * x
+        if y:
+            if c not in target:
+                new.append(c)
+            target[c] = y
+        else:
+            del target[c]
+    return new
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
     """Span of row vectors in Z^n (p = 0) or F_p^n, given by its canonical
-    row basis: the nonzero HNF rows over Z, the RREF rows over F_p.  Equal
+    row basis: the nonzero HNF rows over Z, the RREF rows over F_p, each
+    as the sorted ``(column, value)`` pairs of its nonzero entries.  Equal
     spans have identical ``vectors``, so equality is tuple equality."""
 
     ambient_dim: int
-    vectors: tuple[tuple[int, ...], ...]
+    vectors: tuple[tuple[tuple[int, int], ...], ...]
     p: int = 0
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vecs: list, p: int = 0) -> "LatticeBasis":
-        if any(len(v) != ambient_dim for v in vecs):
-            raise ValueError("vector length mismatch")
+        """The canonical basis of the span of ``vecs``: ``{column: value}``
+        dicts, or sequences of length ``ambient_dim``.  Over Z the form
+        picks the echelon (``_z_echelon`` for dicts, ``_hnf_rows`` for
+        sequences); over F_p both go to ``_fp_echelon``."""
+        if not (vecs and isinstance(vecs[0], dict)):
+            if any(len(v) != ambient_dim for v in vecs):
+                raise ValueError("vector length mismatch")
+            if not p:
+                dense = _hnf_rows([list(v) for v in vecs], ambient_dim)
+                return cls(ambient_dim, tuple(_pairs(row) for row in dense if any(row)))
+            vecs = [dict(_pairs(v)) for v in vecs]
+        elif any(min(v) < 0 or max(v) >= ambient_dim for v in vecs if v):
+            raise ValueError("vector entry outside the ambient coordinates")
         if not p:
-            rows = _hnf_rows([list(v) for v in vecs], ambient_dim)
-            return cls(ambient_dim, tuple(tuple(row) for row in rows if any(row)))
+            pivots = _z_echelon(vecs)
+            return cls(ambient_dim, tuple(tuple(sorted(pivots[c].items())) for c in sorted(pivots)))
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        pivots = _fp_echelon([{c: x for c, x in enumerate(v) if x} for v in vecs], ambient_dim, p)
-        rows = [[0] * ambient_dim for _ in pivots]
-        for row, c in zip(rows, sorted(pivots)):
-            row[c] = 1
-            for col, x in pivots[c].items():
-                row[col] = x
-        return cls(ambient_dim, tuple(map(tuple, rows)), p)
+        pivots = _fp_echelon(vecs, ambient_dim, p)
+        rows = tuple(((c, 1), *sorted(pivots[c].items())) for c in sorted(pivots))
+        return cls(ambient_dim, rows, p)
 
     @property
     def rank(self) -> int:
@@ -183,15 +260,15 @@ class LatticeBasis:
         residual = list(v)
         coords = [0] * len(self.vectors)
         for i, row in enumerate(self.vectors):
-            j = next(k for k, x in enumerate(row) if x != 0)
+            j, lead = row[0]
             x = residual[j] % p if p else residual[j]
             if x == 0:
                 continue
-            if x % row[j] != 0:
+            if x % lead != 0:
                 return residual, coords
-            c = coords[i] = x // row[j]
-            for k in range(j, self.ambient_dim):
-                residual[k] -= c * row[k]
+            c = coords[i] = x // lead
+            for k, y in row:
+                residual[k] -= c * y
         if p:
             residual = [x % p for x in residual]
         return residual, coords
@@ -203,6 +280,19 @@ class LatticeBasis:
             raise ValueError("vector length mismatch")
         residual, coords = self._reduce(v)
         return None if any(residual) else coords
+
+
+def _pairs(row) -> tuple[tuple[int, int], ...]:
+    """The (column, value) pairs of the nonzero entries of a list row."""
+    return tuple((c, x) for c, x in enumerate(row) if x)
+
+
+def dense_row(entries, width: int) -> list[int]:
+    """The list row of the given width with the (column, value) entries."""
+    row = [0] * width
+    for c, x in entries:
+        row[c] = x
+    return row
 
 
 def kernel(m: IntMatrix) -> LatticeBasis:
@@ -223,7 +313,8 @@ def kernel_into_cokernel(m: IntMatrix, d: IntMatrix) -> LatticeBasis:
     if m.rows != d.rows:
         raise ValueError("row count mismatch")
     joint = kernel(m.hstack(d.neg()))
-    return LatticeBasis(m.cols, tuple(v[: m.cols] for v in joint.vectors if any(v[: m.cols])))
+    cut = (tuple((c, x) for c, x in v if c < m.cols) for v in joint.vectors)
+    return LatticeBasis(m.cols, tuple(v for v in cut if v))
 
 
 def _eliminate(rows: list[dict[int, int]], ncols: int):
@@ -302,11 +393,12 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
     return pivots, [rows[i] for i in sorted(active)], divided
 
 
-def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[list[int]]:
+def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """The kernel vectors with the given values off the pivot columns, cut
-    to the first ``ncols`` coordinates.  Each pivot value is solved from
-    its row, last pivot first, so the columns that row still meets are
-    known; values are kept per column as {generator: value}."""
+    to the first ``ncols`` coordinates, as ``{column: value}`` rows.  Each
+    pivot value is solved from its row, last pivot first, so the columns
+    that row still meets are known; values are kept per column as
+    {generator: value}."""
     values: dict[int, dict[int, int]] = {}
     for g, gen in enumerate(gens):
         for c, x in gen.items():
@@ -319,10 +411,10 @@ def _lift(pivots, gens: list[dict[int, int]], ncols: int) -> list[list[int]]:
         solved = {g: -inv * s for g, s in acc.items() if s}
         if solved:
             values[c] = solved
-    vecs = [[0] * ncols for _ in gens]
-    for c, column in values.items():
+    vecs: list[dict[int, int]] = [{} for _ in gens]
+    for c in sorted(values):  # rows come out sorted, so the HNF sorts them in one pass
         if c < ncols:
-            for g, x in column.items():
+            for g, x in values[c].items():
                 vecs[g][c] = x
     return vecs
 
@@ -385,21 +477,19 @@ def sparse_kernel(
     if p:
         last = ncols - 1
         pivots = _fp_echelon([{last - c: v for c, v in row.items()} for row in work], ncols, p)
-        vecs = {f: [0] * ncols for f in range(ncols) if last - f not in pivots}
-        for f, vec in vecs.items():
-            vec[f] = 1
+        vecs = {f: {f: 1} for f in range(ncols) if last - f not in pivots}
         for c, rest in pivots.items():
             for f, x in rest.items():
                 vecs[last - f][last - c] = -x % p
-        return LatticeBasis(ncols, tuple(map(tuple, vecs.values())), p), False
+        return LatticeBasis(ncols, tuple(tuple(sorted(v.items())) for v in vecs.values()), p), False
     pivots, leftover, divided = _eliminate(work, slack)
     met = {c for row in leftover for c in row}
     pivoted = {c for c, _, _ in pivots}
     gens = [{c: 1} for c in range(slack) if c not in pivoted and c not in met]
     if leftover:
         cols = sorted(met)
-        dense = IntMatrix([[row.get(c, 0) for c in cols] for row in leftover], cols=len(cols))
-        gens += [{c: x for c, x in zip(cols, vec) if x} for vec in kernel(dense).vectors]
+        dense = IntMatrix._of([[row.get(c, 0) for c in cols] for row in leftover], len(cols))
+        gens += [{cols[c]: x for c, x in vec} for vec in kernel(dense).vectors]
     clean = slack == ncols and not divided and not leftover
     return LatticeBasis.from_vectors(ncols, _lift(pivots, gens, ncols)), clean
 
@@ -412,9 +502,8 @@ def rows_hold(rows: list[dict[int, int]], moduli: list[int], vectors, p: int = 0
     of the vectors that meet its columns."""
     by_column: dict[int, list[tuple[int, int]]] = {}
     for i, vec in enumerate(vectors):
-        for c, x in enumerate(vec):
-            if x:
-                by_column.setdefault(c, []).append((i, x))
+        for c, x in vec:
+            by_column.setdefault(c, []).append((i, x))
     for row, modulus in zip(rows, moduli):
         if modulus == 1:
             continue
@@ -439,7 +528,7 @@ def solve_with_image(m: IntMatrix, d: IntMatrix, target: list[int]) -> list[int]
     h, u = hnf(a.transpose())
     # row i of h equals a applied to row i of u, and the nonzero rows of h
     # come first, so they are the HNF basis of the image lattice
-    image = LatticeBasis(a.rows, tuple(tuple(row) for row in h.data if any(row)))
+    image = LatticeBasis(a.rows, tuple(_pairs(row) for row in h.data if any(row)))
     residual, coords = image._reduce(target)
     if any(residual):
         return None
@@ -521,8 +610,9 @@ def _fp_echelon(rows, ncols: int, p: int, track: bool = False) -> dict[int, dict
 
 def modp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
-    mat = [list(v) for v in LatticeBasis.from_vectors(len(rows[0]) if rows else 0, rows, p).vectors]
-    return mat, [row.index(1) for row in mat]  # the first nonzero entry is the pivot 1
+    n = len(rows[0]) if rows else 0
+    vectors = LatticeBasis.from_vectors(n, rows, p).vectors
+    return [dense_row(v, n) for v in vectors], [v[0][0] for v in vectors]
 
 
 def modp_solve(images: list[dict[int, int]], target: list[int], p: int) -> list[int] | None:

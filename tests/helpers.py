@@ -290,6 +290,18 @@ def fraction_det(rows: list[list[int]]) -> int:
     return int(result)
 
 
+def dense_vectors(lat) -> tuple[tuple[int, ...], ...]:
+    """The vectors of a ``LatticeBasis``, stored as sorted (column, value)
+    pairs of their nonzero entries, as dense tuples of its width."""
+    out = []
+    for vec in lat.vectors:
+        row = [0] * lat.ambient_dim
+        for c, x in vec:
+            row[c] = x
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def hnf_rows_full_width(h: list[list[int]], ncols: int) -> list[list[int]]:
     """The row Hermite normal form that ``intlinalg._hnf_rows`` computes,
     by the same euclidean column elimination, but with every row update

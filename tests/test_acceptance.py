@@ -17,6 +17,7 @@ from gkmcohom import (
     check_identity,
     compute_h_modp,
     compute_h_z,
+    compute_h_z_and_modp,
     edges_div_p,
     enumerate_connections,
     find_connection,
@@ -42,6 +43,7 @@ from gkmcohom.polyring import GradedPoly, content, monomials, num_monomials
 from gkmcohom.relations import variable_environment
 
 from helpers import (
+    dense_vectors,
     edge_system_rows,
     exponents,
     hilbert_rank_of_free,
@@ -242,7 +244,7 @@ def test_c7_oracle_equivalence():
             cols=cols_d,
         )
         lat = kernel_into_cokernel(m, dmat)
-        got = {tuple(v) for v in lat.vectors}
+        got = set(dense_vectors(lat))
         # brute force: x with |x_i| <= 5 such that Mx lies in the image of D
         box = range(-5, 6)
         solutions = set()
@@ -298,6 +300,36 @@ def test_c7_lattices_equal_definition_with_scaled_labels():
                 ]
                 assert got == want, (g, d2, p)
     assert cases == {(p, divides) for p in (2, 3, 5) for divides in (True, False)}
+
+
+def test_both_pieces_of_a_degree_equal_the_dense_reference():
+    """``compute_h_z`` and the two pieces of ``compute_h_z_and_modp``,
+    whose vectors stay (column, value) pairs from the lift on, against
+    the dense definition: ``kernel_into_cokernel`` of the edge system over
+    Z, the RREF of its F_p kernel cut to the vertex columns, and the F_p
+    rank of the reduced integral HNF.  Random graphs as drawn and with
+    scaled labels (non-primitive, so special edges mod 2, 3 and 5), over
+    F_2, F_3 and F_5 in degrees 0 to 6, with reductions both onto the F_p
+    piece and short of it."""
+    rng = random.Random(61)
+    randoms = random_gkm_graphs(67, 6)
+    seen = {"special": 0, "onto": 0, "short": 0}
+    for g in randoms + [scaled_labels_graph(base, rng) for base in randoms]:
+        for d2 in range(0, 8, 2):
+            stacked, divisor, width = _definition_in_package_order(g, d2 // 2)
+            mmat = IntMatrix([row[:width] for row in stacked], cols=width)
+            want_z = kernel_into_cokernel(mmat, IntMatrix(divisor, cols=len(divisor[0])))
+            assert compute_h_z(g, d2).lattice == want_z, (g, d2)
+            for p in (2, 3, 5):
+                kernel = modp_kernel_basis(stacked, len(stacked[0]), p)
+                want_p = modp_rref([vec[:width] for vec in kernel], p)
+                h_z, h_p, image_rank = compute_h_z_and_modp(g, d2, p)
+                assert h_z.lattice == want_z, (g, d2, p)
+                assert [list(v) for v in dense_vectors(h_p.lattice)] == want_p, (g, d2, p)
+                assert image_rank == modp_rank([list(v) for v in dense_vectors(want_z)], p)
+                seen["special"] += bool(edges_div_p(g, p))
+                seen["onto" if image_rank == len(want_p) else "short"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_c8_coprimality_equivalence():

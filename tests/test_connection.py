@@ -803,3 +803,17 @@ def test_a_connection_needs_one_matching_per_edge(name, drop):
         ON_A_CONNECTION[name](g, Connection(g, matchings))
     assert type(exc.value) is ValueError
     ON_A_CONNECTION[name](g, Connection(g, dict(full)))
+
+
+def test_a_matching_that_is_no_bijection_is_named_by_its_edge():
+    """On the square prism, edge 0's matching with its last source sent to
+    the target of the one before it is no star bijection; the walk of
+    ``connection_paths`` meets the target no source reaches and raises a
+    plain ValueError naming edge 0, not a bare ``KeyError``."""
+    g = fixtures.polygon2n_x_edge(2)
+    matchings = {eid: dict(first_matching(g, eid)) for eid in range(len(g.edges))}
+    sources = list(matchings[0])
+    matchings[0][sources[2]] = matchings[0][sources[1]]
+    with pytest.raises(ValueError, match="matching along edge 0 is not a star bijection") as exc:
+        connection_paths(g, Connection(g, matchings))
+    assert type(exc.value) is ValueError
